@@ -1,14 +1,13 @@
-// Per-thread slab arenas: lock-free small-object allocation with post-crash
-// GC recovery (docs/alloc.md; ROADMAP item 3).
+// Per-thread slab arenas: the lock-free small-object allocator, with
+// reachability GC as its crash recovery (docs/alloc.md).
 //
-// The global slab allocator undo-logs every metadata word and serializes all
-// threads behind the pool's allocation mutex. Arenas break both costs on the
-// hot path: each thread owns a set of slab pages whose occupancy lives in
-// VOLATILE shadow state (a DRAM bitmap per slab plus per-class free lists),
-// so arena malloc/free touch no lock, append no undo entry, and issue no
-// persistence call. Only the slow paths — batched refill from the shared
-// heap, spill/flush-back, cross-thread free handoff — take locks and run
-// under the allocator group protocol, fully logged.
+// Every transactional allocation of at most kMaxSlabSlot bytes (header
+// included) is served by the calling thread's arena. Each thread owns a set
+// of slab pages whose occupancy lives in VOLATILE shadow state, so arena
+// malloc/free touch no lock, append no undo entry, and issue no persistence
+// call. Only the slow paths — batched refill from the shared heap, spill,
+// flush-back, cross-thread free handoff — take locks and run under the
+// allocator group protocol, fully logged.
 //
 // Persistence contract: while a slab is arena-owned (SlabHeader::arena_slot
 // != 0) its persistent bitmap/used are STALE. Crash-consistency comes from a
@@ -16,8 +15,13 @@
 // arena-owned slab is chained from a directory entry via SlabHeader::
 // arena_next, so recovery can find every arena in O(threads) and reconstruct
 // true occupancy by walking roots through the pointer maps (Pool::
-// RecoverArenas) — frees of arena-owned objects therefore need no logging at
-// all.
+// RecoverArenas, run by Runtime::OpenPool) — frees of arena-owned objects
+// therefore need no logging at all.
+//
+// Volatile footprint: a thread keeps one record per owned slab that has a
+// free slot, plus one ownership bit per 4 KiB block of each puddle it holds.
+// A slab that fills is forgotten; the first free into it re-creates its
+// record. Full slabs cost no DRAM beyond their ownership bit.
 //
 // This header is allocator-layer only: volatile bookkeeping plus the
 // persistent directory layout. Orchestration (refill transactions, spill,
@@ -28,9 +32,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "src/alloc/slab.h"
@@ -64,26 +68,41 @@ void FormatArenaDirectory(ArenaDirectory* dir);
 
 // ---- Volatile per-thread state ----
 
-struct ArenaOptions {
-  // Slabs acquired per refill (adopt-partial first, then carve fresh).
-  int refill_slabs = 4;
-  // Free slots held across a thread's arenas before the next transactional
-  // slow path spills whole-empty slabs back to the shared heap.
-  size_t flush_watermark = 512;
-};
+// Slabs acquired per refill (adopt-partial first, then carve fresh); also the
+// whole-empty slabs per class a thread keeps when it spills.
+inline constexpr int kArenaRefillSlabs = 4;
+// Free slots held across a thread's arenas before the next transactional
+// slow path spills whole-empty slabs back to the shared heap.
+inline constexpr size_t kArenaFlushWatermark = 512;
 
-// Volatile record of one arena-owned slab. Stable address (deque storage).
+struct PuddleArena;
+
+// Volatile record of one arena-owned slab that has at least one free slot.
+// Stable address (node-based map); linked into its class's free-slab list.
 struct ArenaSlab {
+  PuddleArena* pa = nullptr;
   int64_t offset = -1;       // Heap offset of the slab block.
   uint64_t shadow[2] = {};   // TRUE occupancy; the persistent bitmap is stale.
   uint16_t used = 0;
   uint16_t num_slots = 0;
   uint8_t class_index = 0;
-  // Dropped from the arena: either its acquiring transaction aborted (the
-  // persistent side rolled back) or it was spilled/flushed to the global
-  // heap. Free-list entries pointing here are skipped and discarded lazily.
-  bool retired = false;
+  ArenaSlab* prev = nullptr;
+  ArenaSlab* next = nullptr;
 };
+
+// Clears the bits of `bits` past `num_slots`. Shadow bitmaps keep those bits
+// set so the allocation scan never hands one out; persistent bitmaps must
+// not carry them.
+inline void ClipToSlots(uint16_t num_slots, uint64_t bits[2]) {
+  if (num_slots < 64) {
+    bits[0] &= (1ULL << num_slots) - 1;
+  }
+  if (num_slots <= 64) {
+    bits[1] = 0;
+  } else if (num_slots < 128) {
+    bits[1] &= (1ULL << (num_slots - 64)) - 1;
+  }
+}
 
 // One thread's slab holdings within one puddle, pinned to one directory slot.
 struct PuddleArena {
@@ -99,18 +118,27 @@ struct PuddleArena {
   uint64_t claim_gen = 0;
   // Volatile mirror of the directory entry's chain head.
   int64_t chain_head = -1;
-  bool dead = false;  // Directory claim rolled back or released; skip.
-
-  std::deque<ArenaSlab> slabs;  // Stable ArenaSlab addresses.
-
-  struct FreeSlot {
-    ArenaSlab* slab;
-    int slot;
-  };
-  std::array<std::vector<FreeSlot>, kNumSlabClasses> free_lists;
+  // One bit per kSlabBlockSize block of the heap, set while the block is a
+  // slab this arena owns. Ownership is decided here, never by reading a slab
+  // header another thread may be rewriting under the allocation lock.
+  std::unique_ptr<uint64_t[]> owned;
 
   uint16_t tag() const { return static_cast<uint16_t>(dir_slot + 1); }
-  ArenaSlab* FindSlab(int64_t slab_offset);
+  bool Owns(int64_t slab_offset) const {
+    const uint64_t block = static_cast<uint64_t>(slab_offset) / kSlabBlockSize;
+    return (owned[block / 64] >> (block % 64)) & 1;
+  }
+  void SetOwned(int64_t slab_offset, bool value) {
+    const uint64_t block = static_cast<uint64_t>(slab_offset) / kSlabBlockSize;
+    if (value) {
+      owned[block / 64] |= 1ULL << (block % 64);
+    } else {
+      owned[block / 64] &= ~(1ULL << (block % 64));
+    }
+  }
+  const SlabHeader* header(int64_t slab_offset) const {
+    return reinterpret_cast<const SlabHeader*>(heap_base + slab_offset);
+  }
 };
 
 class ArenaManager;
@@ -120,41 +148,40 @@ class ArenaManager;
 // list on thread exit so another thread can adopt and flush it.
 class ThreadArena {
  public:
-  explicit ThreadArena(const ArenaOptions& options) : options_(options) {}
+  ThreadArena() = default;
   ThreadArena(const ThreadArena&) = delete;
   ThreadArena& operator=(const ThreadArena&) = delete;
 
   struct AllocResult {
     PuddleArena* pa = nullptr;
-    ArenaSlab* slab = nullptr;
+    int64_t slab_offset = -1;
     int slot = -1;
-    int64_t slot_offset = -1;  // Heap offset of the slot start.
-    void* addr = nullptr;      // slot start (the ObjectHeader position).
+    void* addr = nullptr;  // Slot start (the ObjectHeader position).
   };
 
-  // FAST PATH (tools/check_alloc_discipline.sh): pops a free slot of
-  // `class_index` from any of this thread's arenas. No lock, no persistence
-  // call, no undo append. Returns false when every local free list is empty
-  // (caller refills under the pool's allocation lock and retries).
+  // FAST PATH (tools/check_alloc_discipline.sh): takes a free slot of
+  // `class_index` from the class's first slab with one (ctz on its shadow
+  // bitmap). No lock, no persistence call, no undo append. Returns false
+  // when the thread holds no free slot of the class (caller refills under
+  // the pool's allocation lock and retries).
   bool TryAllocate(int class_index, AllocResult* out);
 
-  // FAST PATH: returns a slot to its arena's free list. Clears the slot's
-  // object magic with a plain store (the slot is dead; the cleared word
-  // rides the next flush-back's logged occupancy write), clears the shadow
-  // bit, and raises the spill hint past the watermark. No lock, no
+  // FAST PATH: returns a slot of an owned slab to the free state. Clears the
+  // slot's object magic with a plain store (the slot is dead; the cleared
+  // word rides the next flush-back's logged occupancy write), clears the
+  // shadow bit, and raises the spill hint past the watermark. No lock, no
   // persistence call, no undo append.
-  void ReleaseSlot(PuddleArena* pa, ArenaSlab* slab, int slot);
+  void ReleaseSlot(PuddleArena* pa, int64_t slab_offset, int slot);
 
   // FAST PATH: true when `header_addr` resolves to a live slot in one of
-  // this thread's own non-retired slabs. Lock-free by ownership: only the
-  // owning thread mutates its arenas while it is alive (spill, flush, and
-  // adoption all run on the owner; orphan handoff happens only after exit).
+  // this thread's own slabs. Lock-free by ownership: only the owning thread
+  // mutates its arenas while it is alive (spill, flush, and adoption all run
+  // on the owner; orphan handoff happens only after exit).
   bool OwnsLocally(const void* header_addr) const;
 
-  // FAST PATH: OwnsLocally + the release itself — returns the slot to the
-  // local free list (or parks it epoch-pending when `epoch` != 0). Returns
-  // false when the address is not locally owned; the caller falls back to
-  // the locked cross-thread/global path.
+  // FAST PATH: OwnsLocally + the release itself — frees the slot (or parks
+  // it epoch-pending when `epoch` != 0). Returns false when the address is
+  // not locally owned; the caller falls back to the locked path.
   bool TryLocalFree(const void* header_addr, uint64_t epoch);
 
   // ---- Per-transaction tracking ----
@@ -165,27 +192,23 @@ class ThreadArena {
   bool NoteTxUse(void* tx);
 
   // Records a TryAllocate pop so OnTxAborted can restore it.
-  void RecordPop(PuddleArena* pa, ArenaSlab* slab, int slot);
+  void RecordPop(const AllocResult& pop);
   // Records a directory slot claimed (active 0→1, logged) by the current
-  // transaction; abort marks the PuddleArena dead to mirror the rollback.
+  // transaction; abort destroys the PuddleArena to mirror the rollback.
   void RecordDirClaim(PuddleArena* pa);
-  // Records a slab acquired by refill under the current transaction;
-  // `prev_chain_head` is the chain head before the acquisition.
-  void RecordSlabAcquired(PuddleArena* pa, ArenaSlab* slab, int64_t prev_chain_head);
-  // Records a slab spilled back to the global heap under the current
-  // transaction (already marked retired; abort resurrects it and restores
-  // the chain head captured before the unlink).
-  void RecordSpill(PuddleArena* pa, ArenaSlab* slab, int64_t prev_chain_head);
+  // Drops a whole-empty slab spilled back to the global heap under the
+  // current transaction; abort re-owns it and restores `prev_chain_head`.
+  void RecordSpill(PuddleArena* pa, int64_t slab_offset, int64_t prev_chain_head);
 
   void OnTxCommitted();
   void OnTxAborted();
 
   // ---- Epoch-gated reuse ----
-  // A slot freed under epoch durability may only re-enter a free list once
+  // A slot freed under epoch durability may only be handed out again once
   // its epoch has persistently retired: reusing it earlier would let the
   // unlogged new contents corrupt the resurrected object if the crash rolls
   // the freeing epoch back. `epoch` == 0 means immediately reusable.
-  void AddPendingFree(PuddleArena* pa, ArenaSlab* slab, int slot, uint64_t epoch);
+  void AddPendingFree(PuddleArena* pa, int64_t slab_offset, int slot, uint64_t epoch);
   // Releases every pending free whose epoch <= `retired_epoch`.
   void DrainPendingFrees(uint64_t retired_epoch);
   bool HasPendingFrees() const { return !pending_.empty(); }
@@ -195,10 +218,10 @@ class ThreadArena {
   // slab has since gone global, or the claim was recycled; the caller falls
   // back to a logged global free (which revalidates under the lock). When
   // the claim matches, the slot offset is validated against the current slab
-  // (bounds + slot alignment) before any shadow state is touched; a record
-  // that fails validation under its own claim is provably stale (its slab
-  // was emptied and re-carved within the claim, which requires the free to
-  // have already been applied) and is consumed as an inert duplicate.
+  // (ownership, bounds, slot alignment) before any shadow state is touched;
+  // a record that fails validation under its own claim is provably stale
+  // (its slab was emptied and spilled within the claim, which requires the
+  // free to have already been applied) and is consumed as an inert duplicate.
   bool AcceptRemoteFree(const Uuid& uuid, uint16_t tag, uint64_t gen,
                         int64_t slot_offset, uint64_t epoch);
 
@@ -206,69 +229,94 @@ class ThreadArena {
   PuddleArena* FindPuddleArena(const Uuid& uuid);
   PuddleArena* AddPuddleArena(const Uuid& uuid, uint8_t* heap_base, size_t heap_size,
                               int dir_slot);
-  std::vector<PuddleArena*> LivePuddleArenas();
-  // Registers a freshly acquired slab: volatile record, free-list entries for
-  // every clear bit of `bitmap` (all clear for a carved slab), and the
-  // per-transaction acquire record. Counts kArenaRefillSlabs.
-  ArenaSlab* AddSlab(PuddleArena* pa, int64_t offset, int class_index,
-                     uint16_t num_slots, const uint64_t bitmap[2], uint16_t used,
-                     int64_t prev_chain_head);
-  // True when a live, non-retired free slot of `class_index` exists — lets
-  // refill skip acquisition when housekeeping alone replenished the lists.
-  bool HasFreeSlot(int class_index) const;
-  // Volatile teardown after a committed flush-back: retires every slab,
-  // scrubs the free lists, and marks the PuddleArena dead.
+  std::vector<PuddleArena*> PuddleArenas();
+  // Registers a slab the current transaction acquired (carved: `bitmap` all
+  // clear; adopted: the global slab's occupancy) and records the acquisition
+  // for abort. The slab header must already carry class and slot count.
+  // Counts kArenaRefillSlabs.
+  void AddSlab(PuddleArena* pa, int64_t offset, const uint64_t bitmap[2], uint16_t used,
+               int64_t prev_chain_head);
+  // The record of an owned slab, or nullptr when the slab is full (or not
+  // owned by `pa`). Flush reads occupancy through this.
+  const ArenaSlab* FindSlab(const PuddleArena* pa, int64_t offset) const;
+  bool HasFreeSlot(int class_index) const { return free_slabs_[class_index] != nullptr; }
+  // Whole-empty slabs beyond the first kArenaRefillSlabs of each class: the
+  // spill candidates.
+  std::vector<const ArenaSlab*> SpillCandidates() const;
+  // Forgets slab `offset` and its ownership: it went back to the global heap.
+  void DropSlab(PuddleArena* pa, int64_t offset);
+  // Volatile teardown after a committed flush-back: forgets every record and
+  // pending free of `pa` and destroys it.
   void DropPuddleArena(PuddleArena* pa);
-  // Moves every PuddleArena and pending free of `other` into this arena
-  // (thread-exit handoff; `other`'s dir slots stay claimed until flush).
+  // Moves every PuddleArena, slab record and pending free of `other` into
+  // this arena (thread-exit handoff; `other`'s dir slots stay claimed until
+  // flush).
   void Adopt(ThreadArena&& other);
 
-  bool spill_hint() const { return spill_hint_; }
-  void clear_spill_hint() { spill_hint_ = false; }
+  bool spill_hint() const { return free_count_ >= spill_at_; }
+  // Called after a spill pass: the next hint waits for another watermark's
+  // worth of free slots, so slots scattered over partly-used slabs (which
+  // cannot spill) do not send every allocation down the slow path.
+  void clear_spill_hint() { spill_at_ = free_count_ + kArenaFlushWatermark; }
   size_t free_slot_count() const { return free_count_; }
-  const ArenaOptions& options() const { return options_; }
 
  private:
   friend class ArenaManager;
 
-  struct PopRecord {
+  struct SlotRef {
     PuddleArena* pa;
-    ArenaSlab* slab;
+    int64_t slab_offset;
     int slot;
   };
-  struct AcquireRecord {
+  struct ChainRecord {
     PuddleArena* pa;
-    ArenaSlab* slab;
-    int64_t prev_chain_head;
-  };
-  struct SpillRecord {
-    PuddleArena* pa;
-    ArenaSlab* slab;
+    int64_t slab_offset;
     int64_t prev_chain_head;
   };
   struct PendingFree {
-    PuddleArena* pa;
-    ArenaSlab* slab;
-    int slot;
+    SlotRef ref;
     uint64_t epoch;
   };
 
   // Shared resolver behind OwnsLocally/TryLocalFree: bounds-checks the
   // address against each puddle's heap range (so an address in another
-  // puddle can never alias a slab record), then maps it to a live slot.
-  bool ResolveLocal(const void* header_addr, PuddleArena** pa_out,
-                    ArenaSlab** slab_out, int* slot_out) const;
+  // puddle can never alias a slab), then maps it to a live slot.
+  bool ResolveLocal(const void* header_addr, SlotRef* out) const;
+  // Slot index of `slot_offset` inside owned slab `slab_offset`, or -1 when
+  // it is misaligned or out of range.
+  static int SlotIndex(const PuddleArena* pa, int64_t slab_offset, int64_t slot_offset);
 
-  ArenaOptions options_;
+  static uintptr_t Key(const PuddleArena* pa, int64_t offset) {
+    return reinterpret_cast<uintptr_t>(pa->heap_base + offset);
+  }
+  // Creates the record of slab `offset` with the given occupancy, first or
+  // last in its class's free-slab list.
+  ArenaSlab* Insert(PuddleArena* pa, int64_t offset, const uint64_t bitmap[2], uint16_t used,
+                    bool at_tail);
+  // The record of owned slab `offset`, re-created as full if it was
+  // forgotten.
+  ArenaSlab* Record(PuddleArena* pa, int64_t offset);
+  void Link(ArenaSlab* slab, bool at_tail);
+  void Unlink(ArenaSlab* slab);
+  // Erases the record of `offset` (if any), uncounting its free slots.
+  void Forget(PuddleArena* pa, int64_t offset);
+  // Takes ownership of slab `offset` with the given occupancy.
+  void Own(PuddleArena* pa, int64_t offset, const uint64_t bitmap[2], uint16_t used);
+  // Clears a slot's shadow bit (and its object magic); false if already free.
+  bool FreeSlot(ArenaSlab* slab, int slot);
+
   std::vector<std::unique_ptr<PuddleArena>> puddles_;
+  std::unordered_map<uintptr_t, ArenaSlab> slabs_;
+  std::array<ArenaSlab*, kNumSlabClasses> free_slabs_{};  // List heads.
+  std::array<ArenaSlab*, kNumSlabClasses> free_tails_{};
   size_t free_count_ = 0;
-  bool spill_hint_ = false;
+  size_t spill_at_ = kArenaFlushWatermark;
 
   void* cur_tx_ = nullptr;
-  std::vector<PopRecord> tx_pops_;
+  std::vector<SlotRef> tx_pops_;
   std::vector<PuddleArena*> tx_claims_;
-  std::vector<AcquireRecord> tx_acquires_;
-  std::vector<SpillRecord> tx_spills_;
+  std::vector<ChainRecord> tx_acquires_;
+  std::vector<ChainRecord> tx_spills_;
   std::vector<PendingFree> pending_;
 };
 
@@ -278,9 +326,7 @@ class ThreadArena {
 // queues, orphans, the registry — never the per-thread fast path.
 class ArenaManager : public std::enable_shared_from_this<ArenaManager> {
  public:
-  explicit ArenaManager(const ArenaOptions& options) : options_(options) {}
-
-  const ArenaOptions& options() const { return options_; }
+  ArenaManager();
 
   // This thread's arena for this manager, created on first use and
   // registered with the thread-exit handoff hook.
@@ -325,14 +371,18 @@ class ArenaManager : public std::enable_shared_from_this<ArenaManager> {
   void AdoptOrphansInto(ThreadArena* ta);
 
   // True when any thread other than `exclude` still holds a registered,
-  // non-orphaned arena — the guard that keeps RecoverArenas offline-only.
+  // non-orphaned arena — the guard that keeps RecoverArenas offline-only
+  // and keeps a flush from declaring the pool free of arenas.
   bool HasOtherLiveArenas(const ThreadArena* exclude);
 
   size_t orphan_count();
   size_t queued_remote_frees();
 
  private:
-  ArenaOptions options_;
+  // Process-unique identity: a thread's cached arena matches this manager
+  // only if the id matches too, so a new manager at a recycled address can
+  // never pick up a dead manager's arena.
+  const uint64_t id_;
   std::mutex mu_;
   std::vector<RemoteFree> remote_;
   std::vector<std::shared_ptr<ThreadArena>> orphans_;

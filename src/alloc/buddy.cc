@@ -254,6 +254,18 @@ bool BuddyAllocator::IsAllocatedStart(int64_t offset) const { return BlockSize(o
 
 uint64_t BuddyAllocator::free_bytes() const { return header_->free_bytes; }
 
+bool BuddyAllocator::CanAllocate(size_t size) const {
+  if (size == 0 || size > heap_size_) {
+    return false;
+  }
+  for (uint32_t order = OrderForSize(size); order < header_->num_orders; ++order) {
+    if (header_->free_head[order] >= 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void BuddyAllocator::ForEachAllocated(const std::function<void(int64_t, size_t)>& fn) const {
   const size_t num_blocks = NumBlocks();
   for (size_t i = 0; i < num_blocks;) {

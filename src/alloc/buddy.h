@@ -67,6 +67,8 @@ class BuddyAllocator {
   bool IsAllocatedStart(int64_t offset) const;
 
   uint64_t free_bytes() const;
+  // True when Allocate(size) would find a free block (no mutation).
+  bool CanAllocate(size_t size) const;
   size_t heap_size() const { return heap_size_; }
   void* heap() const { return heap_; }
 

@@ -90,6 +90,13 @@ class ObjectHeap {
   // refill/flush primitives (CarveArenaSlab & co).
   SlabAllocator slab_view() const { return Slab(); }
 
+  // True when an arena refill of `class_index` can take a slab here: a
+  // global partial slab to adopt, or a free block to carve.
+  bool CanSupplySlab(int class_index) const {
+    return meta_->slab_dir.partial_head[class_index] >= 0 ||
+           buddy_.CanAllocate(kSlabBlockSize);
+  }
+
   // The arena tag (SlabHeader::arena_slot) of the slab holding `payload`, or
   // 0 when the object is buddy-backed or its slab is globally owned. Arena
   // frees must bypass Free() below — the slab's persistent bitmap is stale.

@@ -1,5 +1,6 @@
 #include "src/alloc/slab.h"
 
+#include <cstddef>
 #include <cstring>
 
 #include "src/common/align.h"
@@ -300,10 +301,10 @@ puddles::Status SlabAllocator::ReleaseArenaSlab(int64_t slab_offset,
       sink_.Publish();
     }
     if (phase == Phase::kDeclare) {
-      sink_.WillWrite(&slab->bitmap[0], sizeof(uint64_t) * 2);
-      sink_.WillWrite(&slab->used, sizeof(slab->used));
-      sink_.WillWrite(&slab->arena_slot, sizeof(slab->arena_slot));
-      sink_.WillWrite(&slab->arena_next, sizeof(slab->arena_next));
+      // One capture from `used` through `arena_next` covers every header
+      // field the release writes (and the partial links PushPartial sets).
+      sink_.WillWrite(&slab->used, offsetof(SlabHeader, arena_next) + sizeof(slab->arena_next) -
+                                       offsetof(SlabHeader, used));
     } else {
       slab->bitmap[0] = bitmap[0];
       slab->bitmap[1] = bitmap[1];

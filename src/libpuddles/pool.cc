@@ -74,8 +74,7 @@ puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transactio
   if (!writable_) {
     return FailedPreconditionError("pool opened read-only");
   }
-  if (tx != nullptr && alloc_mode() == AllocMode::kArena && size > 0 &&
-      size + sizeof(ObjectHeader) <= kMaxSlabSlot) {
+  if (tx != nullptr && size > 0 && size + sizeof(ObjectHeader) <= kMaxSlabSlot) {
     auto served = ArenaMalloc(size, type_id, tx);
     if (served.ok() || served.status().code() != StatusCode::kUnavailable) {
       return served;
@@ -131,44 +130,39 @@ puddles::Status Pool::Free(void* payload, Transaction* tx) {
   }
   const Uuid uuid = entry->info.uuid;
 
-  ArenaManager* arenas = arena_manager();
-  if (arenas != nullptr) {
-    // FAST PATH: same-thread frees resolve against the calling thread's own
-    // arenas without any lock — only the owner mutates its arenas while it is
-    // alive (spill, flush, and adoption all run on the owner; orphan handoff
-    // happens only after thread exit), so the probe races with nothing.
-    const void* header_addr =
-        static_cast<const uint8_t*>(payload) - sizeof(ObjectHeader);
-    bool arena_owned = arenas->Local()->OwnsLocally(header_addr);
-    if (!arena_owned) {
-      // Cross-thread or stale: fall back to the tagged-slab check under the
-      // allocation lock.
-      std::lock_guard<std::mutex> lock(alloc_mu_);
-      ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap());
-      arena_owned = heap.ArenaTagOf(payload) != 0;
-    }
-    if (arena_owned &&
-        reinterpret_cast<const ObjectHeader*>(header_addr)->magic != kObjectMagic) {
-      // Dead slot: its magic was cleared when the earlier free was applied.
-      // Same contract as the global path (ObjectHeap::Free), which rejects a
-      // duplicate free instead of silently corrupting whatever reuses the
-      // slot.
-      return FailedPreconditionError("free: arena object is not allocated (double free?)");
-    }
-    if (arena_owned) {
-      // Arena frees are unlogged by design (docs/alloc.md): the slab's
-      // persistent bitmap is stale, liveness is decided by reachability, so
-      // there is no metadata to undo-log. The volatile free-list push must
-      // still wait until the transaction can no longer roll back — hence the
-      // post-commit publication (which re-checks ownership; the slab may be
-      // flushed to the global heap in between).
-      if (tx != nullptr) {
-        tx->DeferPostCommit([this, payload]() { PublishArenaFree(payload); });
-        return OkStatus();
-      }
-      PublishArenaFree(payload);
+  // FAST PATH: same-thread frees resolve against the calling thread's own
+  // arenas without any lock — only the owner mutates its arenas while it is
+  // alive (spill, flush, and adoption all run on the owner; orphan handoff
+  // happens only after thread exit), so the probe races with nothing.
+  const void* header_addr = static_cast<const uint8_t*>(payload) - sizeof(ObjectHeader);
+  bool arena_owned = arenas_->Local()->OwnsLocally(header_addr);
+  if (!arena_owned) {
+    // Cross-thread or stale: fall back to the tagged-slab check under the
+    // allocation lock.
+    std::lock_guard<std::mutex> lock(alloc_mu_);
+    ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap());
+    arena_owned = heap.ArenaTagOf(payload) != 0;
+  }
+  if (arena_owned &&
+      reinterpret_cast<const ObjectHeader*>(header_addr)->magic != kObjectMagic) {
+    // Dead slot: its magic was cleared when the earlier free was applied.
+    // Same contract as the global path (ObjectHeap::Free), which rejects a
+    // duplicate free instead of silently corrupting whatever reuses the slot.
+    return FailedPreconditionError("free: arena object is not allocated (double free?)");
+  }
+  if (arena_owned) {
+    // Arena frees are unlogged by design (docs/alloc.md): the slab's
+    // persistent bitmap is stale, liveness is decided by reachability, so
+    // there is no metadata to undo-log. The volatile release must still wait
+    // until the transaction can no longer roll back — hence the post-commit
+    // publication (which re-checks ownership; the slab may be flushed to the
+    // global heap in between).
+    if (tx != nullptr) {
+      tx->DeferPostCommit([this, payload]() { PublishArenaFree(payload); });
       return OkStatus();
     }
+    PublishArenaFree(payload);
+    return OkStatus();
   }
 
   if (tx != nullptr) {
@@ -180,13 +174,15 @@ puddles::Status Pool::Free(void* payload, Transaction* tx) {
       ASSIGN_OR_RETURN(Runtime::Entry * e, pool->runtime_->EnsureMapped(uuid));
       std::lock_guard<std::mutex> lock(pool->alloc_mu_);
       ASSIGN_OR_RETURN(ObjectHeap heap, e->view.object_heap(TxSink(tx)));
-      if (pool->arenas_ != nullptr && heap.ArenaTagOf(payload) != 0) {
+      if (heap.ArenaTagOf(payload) != 0) {
         // The slab was adopted into an arena between Free() and commit:
         // route through the arena publication once this commit succeeds.
         tx->DeferPostCommit([pool, payload]() { pool->PublishArenaFree(payload); });
         return puddles::OkStatus();
       }
-      return heap.Free(payload);
+      RETURN_IF_ERROR(heap.Free(payload));
+      pool->RewindCursorLocked(uuid);
+      return puddles::OkStatus();
     });
     return OkStatus();
   }
@@ -202,14 +198,20 @@ puddles::Status Pool::FreeGlobalLocked(const Uuid& uuid, void* payload) {
   pmem::FlushFence(reinterpret_cast<uint8_t*>(entry->view.header()) +
                        entry->view.header()->meta_offset,
                    entry->view.header()->meta_size);
-  // Allocation may resume from this puddle.
-  for (size_t i = 0; i < data_members_.size(); ++i) {
-    if (data_members_[i] == uuid && i < alloc_cursor_) {
+  RewindCursorLocked(uuid);
+  return OkStatus();
+}
+
+void Pool::RewindCursorLocked(const Uuid& uuid) {
+  // The global path and arena refills both allocate from alloc_cursor_ on,
+  // so freed space in an earlier puddle is reused only once the cursor moves
+  // back to it.
+  for (size_t i = 0; i < alloc_cursor_ && i < data_members_.size(); ++i) {
+    if (data_members_[i] == uuid) {
       alloc_cursor_ = i;
-      break;
+      return;
     }
   }
-  return OkStatus();
 }
 
 puddles::Result<void*> Pool::RootBytes() {
@@ -278,31 +280,6 @@ puddles::Result<Transaction*> Pool::BeginTx() {
 
 // ---- Per-thread slab arenas (docs/alloc.md, DESIGN.md §14) ----
 
-puddles::Status Pool::SetAllocMode(AllocMode mode, const ArenaOptions& options) {
-  if (mode == AllocMode::kArena) {
-    if (!writable_) {
-      return FailedPreconditionError("read-only pool cannot enable arena allocation");
-    }
-    {
-      // The manager installs exactly once, under the allocation lock; hot
-      // paths observe it through the arena_mgr_ atomic, never the shared_ptr.
-      std::lock_guard<std::mutex> lock(alloc_mu_);
-      arena_options_ = options;
-      if (arenas_ == nullptr) {
-        arenas_ = std::make_shared<ArenaManager>(options);
-        arena_mgr_.store(arenas_.get(), std::memory_order_release);
-      }
-    }
-    alloc_mode_.store(AllocMode::kArena, std::memory_order_release);
-    return OkStatus();
-  }
-  alloc_mode_.store(AllocMode::kGlobalLock, std::memory_order_release);
-  if (arena_manager() != nullptr) {
-    return FlushAllArenas();
-  }
-  return OkStatus();
-}
-
 uint64_t Pool::RetiredEpochForReuse() const {
   EpochSys* es = runtime_->epoch_sys();
   // With no epoch system every free is durable at commit: all tags mature.
@@ -332,7 +309,7 @@ void Pool::HookArenaTx(Transaction* tx, ThreadArena* ta) {
 puddles::Result<void*> Pool::ArenaMalloc(size_t size, TypeId type_id, Transaction* tx) {
   const size_t total = size + sizeof(ObjectHeader);
   const int class_index = SlabAllocator::ClassForSize(total);
-  ThreadArena* ta = arena_manager()->Local();
+  ThreadArena* ta = arenas_->Local();
   if (ta->NoteTxUse(tx)) {
     HookArenaTx(tx, ta);
   }
@@ -343,7 +320,7 @@ puddles::Result<void*> Pool::ArenaMalloc(size_t size, TypeId type_id, Transactio
       return UnavailableError("arena has no free slot after refill");
     }
   }
-  ta->RecordPop(res.pa, res.slab, res.slot);
+  ta->RecordPop(res);
   tx->NoteFreshRange(res.addr, total);
   auto* header = static_cast<ObjectHeader*>(res.addr);
   header->magic = kObjectMagic;
@@ -364,19 +341,24 @@ puddles::Status Pool::ArenaRefill(int class_index, Transaction* tx) {
   if (ta->HasFreeSlot(class_index)) {
     return OkStatus();  // Housekeeping alone replenished the class.
   }
-  int acquired = 0;
-  for (size_t i = 0; i < data_members_.size() && acquired == 0; ++i) {
-    ASSIGN_OR_RETURN(acquired, AcquireIntoPuddle(ta, data_members_[i], class_index, tx));
+  // Refills take slabs from the same cursor puddle the global path
+  // allocates from; a puddle that can supply no slab is full for both.
+  for (;;) {
+    const bool fresh = alloc_cursor_ >= data_members_.size();
+    if (fresh) {
+      RETURN_IF_ERROR(AddDataPuddle());
+      alloc_cursor_ = data_members_.size() - 1;
+    }
+    ASSIGN_OR_RETURN(int acquired,
+                     AcquireIntoPuddle(ta, data_members_[alloc_cursor_], class_index, tx));
+    if (acquired > 0) {
+      return OkStatus();
+    }
+    if (fresh) {
+      return UnavailableError("no arena capacity (directory or heap exhausted)");
+    }
+    ++alloc_cursor_;
   }
-  if (acquired == 0) {
-    RETURN_IF_ERROR(AddDataPuddle());
-    ASSIGN_OR_RETURN(acquired,
-                     AcquireIntoPuddle(ta, data_members_.back(), class_index, tx));
-  }
-  if (acquired == 0) {
-    return UnavailableError("no arena capacity (directory or heap exhausted)");
-  }
-  return OkStatus();
 }
 
 puddles::Result<int> Pool::AcquireIntoPuddle(ThreadArena* ta, const Uuid& uuid,
@@ -384,6 +366,9 @@ puddles::Result<int> Pool::AcquireIntoPuddle(ThreadArena* ta, const Uuid& uuid,
   ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(uuid));
   LogSink sink = TxSink(tx);
   ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap(sink));
+  if (!heap.CanSupplySlab(class_index)) {
+    return 0;  // Claim no directory entry in a puddle with nothing to give.
+  }
   ArenaDirectory* dir = heap.arena_directory();
   PuddleArena* pa = ta->FindPuddleArena(uuid);
   if (pa == nullptr) {
@@ -397,8 +382,13 @@ puddles::Result<int> Pool::AcquireIntoPuddle(ThreadArena* ta, const Uuid& uuid,
     if (slot < 0) {
       return 0;  // Directory full in this puddle; the caller tries the next.
     }
+    // The pool flag persists before any claim can: a crash from here on
+    // finds it set and OpenPool runs the arena GC.
+    if (!meta_.arenas_active()) {
+      meta_.SetArenasActive(true);
+    }
     // Logged claim (active 0→1, empty chain): abort rolls the entry back and
-    // the dir-claim record marks the volatile arena dead to match.
+    // the dir-claim record destroys the volatile arena to match.
     ArenaDirEntry* claim = &dir->entries[slot];
     sink.WillWrite(claim, sizeof(*claim));
     sink.Publish();
@@ -416,7 +406,7 @@ puddles::Result<int> Pool::AcquireIntoPuddle(ThreadArena* ta, const Uuid& uuid,
   SlabAllocator slab_alloc = heap.slab_view();
   ArenaDirEntry* de = &dir->entries[pa->dir_slot];
   int acquired = 0;
-  for (int n = 0; n < arena_options_.refill_slabs; ++n) {
+  for (int n = 0; n < kArenaRefillSlabs; ++n) {
     const int64_t prev_head = pa->chain_head;
     uint64_t bitmap[2] = {0, 0};
     uint16_t used = 0;
@@ -453,8 +443,7 @@ puddles::Result<int> Pool::AcquireIntoPuddle(ThreadArena* ta, const Uuid& uuid,
     sink.Publish();
     de->slab_head = offset;
     pa->chain_head = offset;
-    const auto* hdr = reinterpret_cast<const SlabHeader*>(pa->heap_base + offset);
-    ta->AddSlab(pa, offset, class_index, hdr->num_slots, bitmap, used, prev_head);
+    ta->AddSlab(pa, offset, bitmap, used, prev_head);
     ++acquired;
   }
   return acquired;
@@ -515,7 +504,9 @@ puddles::Status Pool::DrainArenaQueuesLocked(ThreadArena* ta, Transaction* tx) {
         *consumed = true;  // Freed by another path meanwhile; nothing to do.
         return puddles::OkStatus();
       }
-      return h.Free(p);
+      RETURN_IF_ERROR(h.Free(p));
+      pool->RewindCursorLocked(rf.uuid);
+      return puddles::OkStatus();
     });
     tx->DeferOnAbort([arenas = arenas_, rf, consumed]() {
       if (!*consumed) {
@@ -561,76 +552,58 @@ puddles::Status UnlinkArenaSlab(const ObjectHeap& heap, LogSink& sink,
 puddles::Status Pool::SpillExcess(Transaction* tx) {
   std::lock_guard<std::mutex> lock(alloc_mu_);
   ThreadArena* ta = arenas_->Local();
-  ta->clear_spill_hint();
   ta->DrainPendingFrees(RetiredEpochForReuse());
   LogSink sink = TxSink(tx);
-  const size_t floor = static_cast<size_t>(arena_options_.refill_slabs);
-  for (PuddleArena* pa : ta->LivePuddleArenas()) {
-    size_t live_slabs = 0;
-    for (const auto& slab : pa->slabs) {
-      if (!slab.retired) {
-        ++live_slabs;
-      }
-    }
-    if (live_slabs <= floor) {
-      continue;
-    }
+  // Only whole-empty slabs spill: they return to the buddy with no occupancy
+  // to reconcile, keeping the spill window in crashsim small.
+  for (const ArenaSlab* slab : ta->SpillCandidates()) {
+    PuddleArena* pa = slab->pa;
+    const int64_t slab_offset = slab->offset;
     ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(pa->uuid));
     ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap(sink));
     ArenaDirEntry* de = &heap.arena_directory()->entries[pa->dir_slot];
-    // Only whole-empty slabs spill: they return to the buddy with no
-    // occupancy to reconcile, keeping the spill window in crashsim small.
-    for (auto& slab : pa->slabs) {
-      if (live_slabs <= floor) {
-        break;
-      }
-      if (slab.retired || slab.used != 0) {
-        continue;
-      }
-      const int64_t prev_head = pa->chain_head;
-      RETURN_IF_ERROR(UnlinkArenaSlab(heap, sink, de, pa, slab.offset));
-      // The unlink is staged in the caller's transaction now, but the
-      // buddy release must NOT run here: SpillExcess is called from the
-      // arena hot path with the caller's transaction still open, and a
-      // block returned to the buddy before commit could be re-allocated by
-      // another thread (or this transaction's own refill) — an abort would
-      // then undo-restore the slab over the new owner. Deferring to commit
-      // head restores the same rule the global free path states: freed
-      // blocks are not reused within the freeing transaction.
-      const Uuid slab_uuid = pa->uuid;
-      const int64_t slab_offset = slab.offset;
-      Pool* pool = this;
-      tx->DeferFree([pool, slab_uuid, slab_offset, tx]() -> puddles::Status {
-        ASSIGN_OR_RETURN(Runtime::Entry * e, pool->runtime_->EnsureMapped(slab_uuid));
-        std::lock_guard<std::mutex> lock(pool->alloc_mu_);
-        ASSIGN_OR_RETURN(ObjectHeap h, e->view.object_heap(TxSink(tx)));
-        const uint64_t empty[2] = {0, 0};
-        return h.slab_view().ReleaseArenaSlab(slab_offset, empty, 0);
-      });
-      ta->RecordSpill(pa, &slab, prev_head);
-      PUDDLES_COUNT(kArenaFlushSlabs);
-      --live_slabs;
-    }
+    const int64_t prev_head = pa->chain_head;
+    RETURN_IF_ERROR(UnlinkArenaSlab(heap, sink, de, pa, slab_offset));
+    // The unlink is staged in the caller's transaction now, but the buddy
+    // release must NOT run here: SpillExcess is called from the arena hot
+    // path with the caller's transaction still open, and a block returned to
+    // the buddy before commit could be re-allocated by another thread (or
+    // this transaction's own refill) — an abort would then undo-restore the
+    // slab over the new owner. Deferring to commit head restores the same
+    // rule the global free path states: freed blocks are not reused within
+    // the freeing transaction.
+    const Uuid slab_uuid = pa->uuid;
+    Pool* pool = this;
+    tx->DeferFree([pool, slab_uuid, slab_offset, tx]() -> puddles::Status {
+      ASSIGN_OR_RETURN(Runtime::Entry * e, pool->runtime_->EnsureMapped(slab_uuid));
+      std::lock_guard<std::mutex> lock(pool->alloc_mu_);
+      ASSIGN_OR_RETURN(ObjectHeap h, e->view.object_heap(TxSink(tx)));
+      const uint64_t empty[2] = {0, 0};
+      RETURN_IF_ERROR(h.slab_view().ReleaseArenaSlab(slab_offset, empty, 0));
+      pool->RewindCursorLocked(slab_uuid);
+      return puddles::OkStatus();
+    });
+    ta->RecordSpill(pa, slab_offset, prev_head);  // Erases `slab`'s record.
+    PUDDLES_COUNT(kArenaFlushSlabs);
   }
+  ta->clear_spill_hint();
   return OkStatus();
 }
 
 void Pool::PublishArenaFree(void* payload) {
-  ArenaManager* arenas = arena_manager();
-  if (arenas != nullptr) {
-    // FAST PATH: if the slot still lives in one of THIS thread's slabs, the
-    // release is a volatile free-list push — no lock, no heap view, no
-    // persistence. Lock-free by ownership (see ThreadArena::TryLocalFree);
-    // the object size must be read before the release clears its magic.
-    uint8_t* header_addr = static_cast<uint8_t*>(payload) - sizeof(ObjectHeader);
-    const uint32_t size = reinterpret_cast<const ObjectHeader*>(header_addr)->size;
-    if (arenas->Local()->TryLocalFree(header_addr, CurrentEpochTag())) {
-      PUDDLES_COUNT_N(kFreeBytes, sizeof(ObjectHeader) + size);
-      return;
-    }
+  // FAST PATH: if the slot still lives in one of THIS thread's slabs, the
+  // release is a volatile free-list push — no lock, no heap view, no
+  // persistence. Lock-free by ownership (see ThreadArena::TryLocalFree); the
+  // object size must be read before the release clears its magic.
+  uint8_t* header_addr = static_cast<uint8_t*>(payload) - sizeof(ObjectHeader);
+  const uint32_t size = reinterpret_cast<const ObjectHeader*>(header_addr)->size;
+  ThreadArena* ta = arenas_->Local();
+  if (ta->TryLocalFree(header_addr, CurrentEpochTag())) {
+    PUDDLES_COUNT_N(kFreeBytes, sizeof(ObjectHeader) + size);
+    return;
   }
   Runtime::Entry* entry = runtime_->FindEntryByAddr(reinterpret_cast<uintptr_t>(payload));
-  if (entry == nullptr || !entry->mapped || arenas == nullptr) {
+  if (entry == nullptr || !entry->mapped) {
     return;  // Unmapped since the free was issued; recovery GC reclaims it.
   }
   const Uuid uuid = entry->info.uuid;
@@ -656,74 +629,130 @@ void Pool::PublishArenaFree(void* payload) {
   // and bind the free to the tag's current claim generation, so it can never
   // be applied through a later claim that recycles the same (uuid, tag).
   const uint16_t tag = heap_or->ArenaTagOf(payload);
-  ThreadArena* ta = arenas->Local();
-  if (!ta->AcceptRemoteFree(uuid, tag, arenas->ClaimGenOf(uuid, tag), slot_offset,
-                            epoch)) {
-    arenas->PushRemoteFree(uuid, tag, slot_offset, epoch);
+  if (!ta->AcceptRemoteFree(uuid, tag, arenas_->ClaimGenOf(uuid, tag), slot_offset, epoch)) {
+    arenas_->PushRemoteFree(uuid, tag, slot_offset, epoch);
   }
   ta->DrainPendingFrees(RetiredEpochForReuse());
 }
 
 puddles::Status Pool::FlushThreadArena() {
-  ArenaManager* arenas = arena_manager();
-  if (arenas == nullptr) {
-    return OkStatus();
+  if (!writable_) {
+    return OkStatus();  // Read-only pools never allocate, so hold no arenas.
   }
   if (durability_ == Durability::kEpoch) {
     Sync();  // Retire every open epoch so all pending frees mature below.
   }
-  ThreadArena* ta = arenas->Local();
-  std::vector<PuddleArena*> flushed;
-  puddles::Status status = Run([&](Tx& txh) -> puddles::Status {
-    Transaction* tx = txh.tx_;
-    LogSink sink = TxSink(tx);
-    std::lock_guard<std::mutex> lock(alloc_mu_);
-    RETURN_IF_ERROR(DrainArenaQueuesLocked(ta, tx));
-    for (PuddleArena* pa : ta->LivePuddleArenas()) {
-      ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(pa->uuid));
-      ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap(sink));
-      SlabAllocator slab_alloc = heap.slab_view();
-      for (auto& slab : pa->slabs) {
-        if (slab.retired) {
-          continue;
-        }
-        // The logged occupancy write makes the shadow bitmap authoritative
-        // persistently; free slots' cleared magic words need no extra logging
-        // because global slabs are enumerated by bitmap, never by magic.
-        RETURN_IF_ERROR(slab_alloc.ReleaseArenaSlab(slab.offset, slab.shadow, slab.used));
-        PUDDLES_COUNT(kArenaFlushSlabs);
-      }
-      ArenaDirEntry* de = &heap.arena_directory()->entries[pa->dir_slot];
-      sink.WillWrite(de, sizeof(*de));
-      sink.Publish();
-      de->active = 0;
-      de->slab_head = -1;
-      flushed.push_back(pa);
-    }
-    return puddles::OkStatus();
-  });
-  if (!status.ok()) {
-    return status;
+  ThreadArena* ta = arenas_->Local();
+  if (arenas_->queued_remote_frees() > 0 || ta->HasPendingFrees()) {
+    // Queued frees of this thread's slots land before the slabs leave.
+    RETURN_IF_ERROR(Run([&](Tx& txh) -> puddles::Status {
+      std::lock_guard<std::mutex> lock(alloc_mu_);
+      return DrainArenaQueuesLocked(ta, txh.tx_);
+    }));
   }
-  // Volatile teardown strictly after commit success: on failure the rollback
-  // restored the persistent side and the untouched volatile state still
-  // matches it.
-  for (PuddleArena* pa : flushed) {
-    ta->DropPuddleArena(pa);
+  for (PuddleArena* pa : ta->PuddleArenas()) {
+    RETURN_IF_ERROR(FlushPuddleArena(ta, pa));
   }
+  MaybeClearArenaFlag(ta);
   return OkStatus();
 }
 
-puddles::Status Pool::FlushAllArenas() {
-  ArenaManager* arenas = arena_manager();
-  if (arenas == nullptr) {
+puddles::Status Pool::FlushPuddleArena(ThreadArena* ta, PuddleArena* pa) {
+  // The logged occupancy write makes the shadow bitmap authoritative
+  // persistently; free slots' cleared magic words need no extra logging
+  // because global slabs are enumerated by bitmap, never by magic. A slab
+  // without a record is full.
+  auto occupancy = [&](int64_t offset, const SlabHeader& hdr, LogSink&, uint64_t bitmap[2],
+                       uint16_t* used) -> puddles::Status {
+    bitmap[0] = ~0ULL;
+    bitmap[1] = ~0ULL;
+    *used = hdr.num_slots;
+    if (const ArenaSlab* slab = ta->FindSlab(pa, offset)) {
+      bitmap[0] = slab->shadow[0];
+      bitmap[1] = slab->shadow[1];
+      *used = slab->used;
+    }
+    ClipToSlots(hdr.num_slots, bitmap);
+    PUDDLES_COUNT(kArenaFlushSlabs);
     return OkStatus();
+  };
+  std::vector<int64_t> released;
+  do {
+    RETURN_IF_ERROR(ReleaseArenaChunk(pa->uuid, static_cast<size_t>(pa->dir_slot), occupancy,
+                                      &released, &pa->chain_head));
+    // Volatile state follows each committed chunk, so a failure later leaves
+    // no record of a slab that is global already.
+    for (int64_t offset : released) {
+      ta->DropSlab(pa, offset);
+    }
+  } while (pa->chain_head >= 0);
+  ta->DropPuddleArena(pa);
+  return OkStatus();
+}
+
+puddles::Status Pool::ReleaseArenaChunk(const Uuid& uuid, size_t slot,
+                                        const OccupancyFn& occupancy,
+                                        std::vector<int64_t>* released, int64_t* head) {
+  return Run([&](Tx& txh) -> puddles::Status {
+    LogSink sink = TxSink(txh.tx_);
+    std::lock_guard<std::mutex> lock(alloc_mu_);
+    ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(uuid));
+    ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap(sink));
+    SlabAllocator slab_alloc = heap.slab_view();
+    ArenaDirEntry* de = &heap.arena_directory()->entries[slot];
+    int64_t cur = de->slab_head;
+    released->clear();
+    for (int n = 0; cur >= 0 && n < kSlabsPerReleaseTx; ++n) {
+      const auto* hdr = reinterpret_cast<const SlabHeader*>(heap.AtOffset(cur));
+      if (hdr->magic != kSlabMagic || hdr->arena_slot != static_cast<uint16_t>(slot + 1)) {
+        return DataLossError("arena chain reaches a slab its entry does not own");
+      }
+      const int64_t next = hdr->arena_next;
+      uint64_t bitmap[2];
+      uint16_t used;
+      RETURN_IF_ERROR(occupancy(cur, *hdr, sink, bitmap, &used));
+      RETURN_IF_ERROR(slab_alloc.ReleaseArenaSlab(cur, bitmap, used));
+      released->push_back(cur);
+      cur = next;
+    }
+    // The chain head moves past the released slabs; the entry itself is
+    // released with the last of them. Every intermediate state is a shorter
+    // but well-formed chain, so a crash between chunks just resumes.
+    sink.WillWrite(de, sizeof(*de));
+    sink.Publish();
+    de->slab_head = cur;
+    if (cur < 0) {
+      de->active = 0;
+    }
+    *head = cur;
+    RewindCursorLocked(uuid);
+    return puddles::OkStatus();
+  });
+}
+
+void Pool::MaybeClearArenaFlag(const ThreadArena* ta) {
+  if (durability_ == Durability::kEpoch) {
+    Sync();  // The flush commits must be durable before the flag says so.
   }
-  arenas->AdoptOrphansInto(arenas->Local());
+  std::lock_guard<std::mutex> lock(alloc_mu_);
+  // Claims set the flag under alloc_mu_, so no claim can slip in between
+  // this check and the clear. Any other live or orphaned arena may hold one.
+  if (meta_.arenas_active() && !arena_gc_pending_ && !arenas_->HasOtherLiveArenas(ta) &&
+      arenas_->orphan_count() == 0) {
+    meta_.SetArenasActive(false);
+  }
+}
+
+puddles::Status Pool::FlushAllArenas() {
+  arenas_->AdoptOrphansInto(arenas_->Local());
   return FlushThreadArena();
 }
 
 puddles::Result<std::vector<const void*>> Pool::ReachableObjects() {
+  return Reachable(/*strict=*/false);
+}
+
+puddles::Result<std::vector<const void*>> Pool::Reachable(bool strict) {
   std::vector<const void*> out;
   if (!meta_.has_root()) {
     return out;
@@ -740,9 +769,15 @@ puddles::Result<std::vector<const void*>> Pool::ReachableObjects() {
     }
     Runtime::Entry* entry =
         runtime_->FindEntryByAddr(reinterpret_cast<uintptr_t>(payload));
-    if (entry == nullptr || !entry->mapped) {
+    if (entry == nullptr) {
+      if (strict) {
+        return FailedPreconditionError(
+            "reachable pointer into no registered puddle; what it reaches is unknown");
+      }
       continue;
     }
+    // Members map lazily: map this one, or the walk would stop at its edge.
+    ASSIGN_OR_RETURN(entry, runtime_->EnsureMapped(entry->info.uuid));
     ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap());
     const ObjectHeader* header = heap.HeaderOf(payload);
     if (header == nullptr) {
@@ -753,6 +788,11 @@ puddles::Result<std::vector<const void*>> Pool::ReachableObjects() {
       continue;  // Raw byte buffers carry no pointers by contract.
     }
     auto map = TypeRegistry::Instance().Lookup(header->type_id);
+    if (!map.ok() && strict) {
+      return FailedPreconditionError(
+          "reachable object has a type with no registered pointer map; its edges are "
+          "unknown");
+    }
     if (!map.ok() || map->object_size == 0 ||
         (map->num_fields == 0 && map->repeat_count == 0)) {
       continue;
@@ -795,15 +835,23 @@ puddles::Result<Pool::ArenaRecoveryReport> Pool::RecoverArenas() {
   if (!writable_) {
     return FailedPreconditionError("read-only pool cannot recover arenas");
   }
-  ArenaManager* arenas = arena_manager();
-  if (arenas != nullptr &&
-      (arenas->HasOtherLiveArenas(nullptr) || arenas->orphan_count() > 0)) {
+  if (arenas_->HasOtherLiveArenas(nullptr) || arenas_->orphan_count() > 0) {
     return FailedPreconditionError(
         "arena recovery is offline-only: flush live arenas first (FlushAllArenas)");
   }
   ArenaRecoveryReport report;
-  ASSIGN_OR_RETURN(std::vector<const void*> reachable, ReachableObjects());
-  report.objects_live = reachable.size();
+  // Strict: an object whose pointers cannot be followed would hide whatever
+  // it points to, and reclaiming that would free live data. Leave every
+  // entry active instead (docs/alloc.md, "conservative skip").
+  auto reachable = Reachable(/*strict=*/true);
+  if (!reachable.ok()) {
+    if (reachable.status().code() == StatusCode::kFailedPrecondition) {
+      std::lock_guard<std::mutex> lock(alloc_mu_);
+      arena_gc_pending_ = true;
+    }
+    return reachable.status();
+  }
+  report.objects_live = reachable->size();
   for (const Uuid& uuid : data_members_) {
     ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(uuid));
     for (size_t slot = 0; slot < kMaxArenaSlots; ++slot) {
@@ -813,70 +861,63 @@ puddles::Result<Pool::ArenaRecoveryReport> Pool::RecoverArenas() {
           continue;
         }
       }
-      RETURN_IF_ERROR(RecoverArenaSlot(uuid, slot, reachable, &report));
+      RETURN_IF_ERROR(RecoverArenaSlot(uuid, slot, *reachable, &report));
       ++report.arenas_recovered;
     }
+  }
+  std::lock_guard<std::mutex> lock(alloc_mu_);
+  arena_gc_pending_ = false;
+  if (meta_.arenas_active() && !arenas_->HasOtherLiveArenas(nullptr)) {
+    meta_.SetArenasActive(false);
   }
   return report;
 }
 
-// One directory entry per transaction: a crash during recovery rolls the
-// half-recovered entry back, so re-running RecoverArenas is idempotent.
+// Chunked transactions over one directory entry: a crash during recovery
+// rolls back at most the chunk in flight, so re-running RecoverArenas is
+// idempotent.
 puddles::Status Pool::RecoverArenaSlot(const Uuid& uuid, size_t slot,
                                        const std::vector<const void*>& reachable,
                                        ArenaRecoveryReport* report) {
-  return Run([&](Tx& txh) -> puddles::Status {
-    Transaction* tx = txh.tx_;
-    LogSink sink = TxSink(tx);
+  auto occupancy = [&](int64_t offset, const SlabHeader& hdr, LogSink& sink,
+                       uint64_t bitmap[2], uint16_t* used) -> puddles::Status {
     ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(uuid));
-    ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap(sink));
-    SlabAllocator slab_alloc = heap.slab_view();
-    ArenaDirEntry* de = &heap.arena_directory()->entries[slot];
-    int64_t cur = de->slab_head;
-    while (cur >= 0) {
-      auto* hdr = reinterpret_cast<SlabHeader*>(heap.AtOffset(cur));
-      if (hdr->magic != kSlabMagic ||
-          hdr->arena_slot != static_cast<uint16_t>(slot + 1)) {
-        return DataLossError("arena chain reaches a non-arena slab");
+    auto* slab_base = static_cast<uint8_t*>(entry->view.heap()) + offset + sizeof(SlabHeader);
+    const size_t slot_size = kSlabSlotSizes[hdr.class_index];
+    bitmap[0] = 0;
+    bitmap[1] = 0;
+    *used = 0;
+    for (uint16_t s = 0; s < hdr.num_slots; ++s) {
+      auto* obj = reinterpret_cast<ObjectHeader*>(slab_base + s * slot_size);
+      if (obj->magic != kObjectMagic) {
+        continue;  // Never allocated, or freed with the clear persisted.
       }
-      const int64_t next = hdr->arena_next;
-      const size_t slot_size = kSlabSlotSizes[hdr->class_index];
-      uint64_t bitmap[2] = {0, 0};
-      uint16_t used = 0;
-      for (uint16_t s = 0; s < hdr->num_slots; ++s) {
-        auto* obj = reinterpret_cast<ObjectHeader*>(
-            heap.AtOffset(cur + static_cast<int64_t>(sizeof(SlabHeader)) +
-                          static_cast<int64_t>(s) * static_cast<int64_t>(slot_size)));
-        if (obj->magic != kObjectMagic) {
-          continue;  // Never allocated, or freed with the clear persisted.
-        }
-        const void* payload = static_cast<const void*>(obj + 1);
-        if (std::binary_search(reachable.begin(), reachable.end(), payload)) {
-          bitmap[s / 64] |= 1ULL << (s % 64);
-          ++used;
-          continue;
-        }
-        // Leaked in-flight slot: allocated but never published (crash before
-        // its transaction's fresh flush), or freed with an unpersisted magic
-        // clear, or plain garbage aliasing the magic. Reclaim with a logged
-        // clear so a crash during GC replays to a consistent image.
-        sink.WillWrite(&obj->magic, sizeof(obj->magic));
-        sink.Publish();
-        obj->magic = 0;
-        ++report->slots_reclaimed;
-        PUDDLES_COUNT(kArenaGcReclaimed);
+      const void* payload = static_cast<const void*>(obj + 1);
+      if (std::binary_search(reachable.begin(), reachable.end(), payload)) {
+        bitmap[s / 64] |= 1ULL << (s % 64);
+        ++*used;
+        continue;
       }
-      RETURN_IF_ERROR(slab_alloc.ReleaseArenaSlab(cur, bitmap, used));
-      ++report->slabs_scanned;
-      PUDDLES_COUNT(kArenaGcSlabs);
-      cur = next;
+      // Leaked in-flight slot: allocated but never published (crash before
+      // its transaction's fresh flush), or freed with an unpersisted magic
+      // clear, or plain garbage aliasing the magic. Reclaim with a logged
+      // clear so a crash during GC replays to a consistent image.
+      sink.WillWrite(&obj->magic, sizeof(obj->magic));
+      sink.Publish();
+      obj->magic = 0;
+      ++report->slots_reclaimed;
+      PUDDLES_COUNT(kArenaGcReclaimed);
     }
-    sink.WillWrite(de, sizeof(*de));
-    sink.Publish();
-    de->active = 0;
-    de->slab_head = -1;
-    return puddles::OkStatus();
-  });
+    ++report->slabs_scanned;
+    PUDDLES_COUNT(kArenaGcSlabs);
+    return OkStatus();
+  };
+  std::vector<int64_t> released;
+  int64_t head = -1;
+  do {
+    RETURN_IF_ERROR(ReleaseArenaChunk(uuid, slot, occupancy, &released, &head));
+  } while (head >= 0);
+  return OkStatus();
 }
 
 }  // namespace puddles

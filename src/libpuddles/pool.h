@@ -9,7 +9,7 @@
 #ifndef SRC_LIBPUDDLES_POOL_H_
 #define SRC_LIBPUDDLES_POOL_H_
 
-#include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -44,19 +44,6 @@ enum class Durability {
   kEpoch,
 };
 
-// How small-object allocations are served (docs/alloc.md).
-enum class AllocMode {
-  // Every allocation runs under the pool's allocation mutex with fully
-  // undo-logged slab/buddy metadata. The default; matches pre-arena behavior.
-  kGlobalLock,
-  // Transactional small allocations (and their frees) go through the calling
-  // thread's slab arena: lock-free, no undo entries, no persistence calls on
-  // the hot path (CI-gated by tools/check_alloc_discipline.sh). Refill,
-  // spill, and flush-back remain fully logged slow paths. Large allocations
-  // and non-transactional calls still use the global path.
-  kArena,
-};
-
 // Per-Run knobs (the plain Run(fn) overload uses the defaults).
 struct RunOptions {
   // Under Durability::kEpoch: block after a successful commit until the
@@ -79,9 +66,11 @@ class Pool {
   // pool with enough free space."
   //
   // The explicit-context form: `tx` is the transaction the allocation joins
-  // (allocator-metadata mutations become undo entries; fresh contents are
-  // flushed at commit stage 1), or nullptr for a non-transactional
-  // allocation (persisted immediately; not crash-atomic, as in PMDK).
+  // (fresh contents are flushed at commit stage 1; small objects come from
+  // the thread's arena with no logging, larger ones from the global heap
+  // with undo-logged metadata), or nullptr for a non-transactional
+  // allocation from the global heap (persisted immediately; not
+  // crash-atomic, as in PMDK).
   puddles::Result<void*> MallocBytes(size_t size, TypeId type_id, Transaction* tx);
 
   // Legacy implicit-context form: joins the thread's open TX_BEGIN
@@ -159,24 +148,18 @@ class Pool {
   puddles::Result<Transaction*> BeginTx();
 
   // ---- Per-thread slab arenas (docs/alloc.md, DESIGN.md §14) ----
-
-  // Switches the small-object allocation mode. Enabling kArena installs the
-  // pool's ArenaManager; switching back to kGlobalLock flushes the calling
-  // thread's arenas plus all orphans (other live threads must flush their
-  // own — switch during quiescent phases). Idempotent. The switch itself is
-  // safe against concurrent allocators (the mode and manager pointer are
-  // atomics; in-flight operations finish under whichever mode they sampled),
-  // but the flush-back semantics above still require quiescence.
-  puddles::Status SetAllocMode(AllocMode mode, const ArenaOptions& options = {});
-  AllocMode alloc_mode() const {
-    return alloc_mode_.load(std::memory_order_acquire);
-  }
+  //
+  // Every transactional allocation of at most kMaxSlabSlot bytes (header
+  // included) is served by the calling thread's arena. Runtime teardown and
+  // Runtime::ExportPool flush the calling thread's arenas and those of
+  // exited threads; Runtime::OpenPool runs RecoverArenas when the pool was
+  // left with active arenas.
 
   // Flushes every arena owned by the calling thread back to the shared heap
-  // in its own transaction: persistent occupancy written from the shadow
-  // bitmaps, directory entries released. Under epoch durability it Syncs
-  // first so every pending free has matured. Must be called outside any
-  // open transaction.
+  // in bounded transactions (kSlabsPerReleaseTx slabs each): persistent
+  // occupancy written from the shadow bitmaps, directory entries released.
+  // Under epoch durability it Syncs first so every pending free has matured.
+  // Must be called outside any open transaction.
   puddles::Status FlushThreadArena();
 
   // Adopts all orphaned arenas (exited threads) into the caller, then
@@ -190,13 +173,16 @@ class Pool {
     size_t objects_live = 0;      // Reachable set size.
   };
 
-  // Post-crash arena GC: computes the reachable object set from the pool
-  // root through the registered pointer maps, then rebuilds every active
-  // directory entry's slabs from it — live slots keep their objects, leaked
-  // in-flight slots are reclaimed — and returns the slabs to the global
-  // allocator. Transactional per directory entry, so it is idempotent across
-  // a crash during recovery itself. Fails if any thread of this process
-  // still holds live arena state (recovery is offline-only).
+  // Arena GC: computes the reachable object set from the pool root through
+  // the registered pointer maps, then rebuilds every active directory
+  // entry's slabs from it — live slots keep their objects, leaked in-flight
+  // slots are reclaimed — and returns the slabs to the global allocator.
+  // Runs in the same bounded transactions as a flush, so it is idempotent
+  // across a crash during recovery itself. Fails with FailedPrecondition,
+  // reclaiming nothing, if any thread of this process still holds live
+  // arena state (recovery is offline-only), or if a reachable object's type
+  // has no pointer map or a reachable pointer leads into no registered
+  // puddle (reachability would be incomplete).
   puddles::Result<ArenaRecoveryReport> RecoverArenas();
 
   // Payload addresses of every object reachable from the pool root via the
@@ -234,9 +220,35 @@ class Pool {
   void PublishArenaFree(void* payload);
   puddles::Status DrainArenaQueuesLocked(ThreadArena* ta, Transaction* tx);
   puddles::Status FreeGlobalLocked(const Uuid& uuid, void* payload);
+  // Space in `uuid` was just freed: let allocation resume from it.
+  void RewindCursorLocked(const Uuid& uuid);
+  // Returns one directory entry's slabs to the global heap, occupancy from
+  // the thread's shadow state.
+  puddles::Status FlushPuddleArena(ThreadArena* ta, PuddleArena* pa);
+  // Computes a chained slab's true occupancy for its release (and may
+  // reclaim slots through the sink): (slab offset, header, sink, bitmap out,
+  // used out).
+  using OccupancyFn = std::function<puddles::Status(int64_t, const SlabHeader&, LogSink&,
+                                                    uint64_t[2], uint16_t*)>;
+  // Slabs released per transaction by flush and GC: bounds the undo log (and
+  // the thread's transaction buffers) however many slabs one entry chains.
+  static constexpr int kSlabsPerReleaseTx = 64;
+  // One transaction: releases up to kSlabsPerReleaseTx slabs from the head of
+  // directory entry `slot`'s chain, each with the occupancy `occupancy`
+  // reports, and releases the entry once the chain is empty. `released`
+  // receives the released slab offsets, `head` the new chain head (-1 once
+  // the entry is released).
+  puddles::Status ReleaseArenaChunk(const Uuid& uuid, size_t slot, const OccupancyFn& occupancy,
+                                    std::vector<int64_t>* released, int64_t* head);
+  // Clears the pool's arena flag when no directory entry can be active.
+  void MaybeClearArenaFlag(const ThreadArena* ta);
   puddles::Status RecoverArenaSlot(const Uuid& uuid, size_t slot,
                                    const std::vector<const void*>& reachable,
                                    ArenaRecoveryReport* report);
+  // The reachable set behind ReachableObjects; with `strict`, an object whose
+  // type has no pointer map, or a pointer into no registered puddle, fails
+  // the walk instead of being skipped.
+  puddles::Result<std::vector<const void*>> Reachable(bool strict);
   void HookArenaTx(Transaction* tx, ThreadArena* ta);
   // Epoch gate for slot reuse: pending frees mature once their epoch has
   // persistently retired (everything matures when no epoch system runs).
@@ -262,21 +274,12 @@ class Pool {
   std::vector<Uuid> data_members_;
   size_t alloc_cursor_ = 0;
 
-  // Read lock-free on every MallocBytes/Free; written by SetAllocMode, so it
-  // must be atomic even though mode switches are rare.
-  std::atomic<AllocMode> alloc_mode_{AllocMode::kGlobalLock};
-  ArenaOptions arena_options_;
-  // Installed on first SetAllocMode(kArena); kept (for flush/adopt/free
-  // routing) even after switching back. shared_ptr so exiting threads can
-  // hand their arenas to the orphan list without racing pool teardown.
-  // Written only under alloc_mu_; the hot paths read through arena_mgr_
-  // (write-once atomic mirror) so they never race the install.
-  std::shared_ptr<ArenaManager> arenas_;
-  std::atomic<ArenaManager*> arena_mgr_{nullptr};
-
-  ArenaManager* arena_manager() const {
-    return arena_mgr_.load(std::memory_order_acquire);
-  }
+  // shared_ptr so exiting threads can hand their arenas to the orphan list
+  // without racing pool teardown.
+  std::shared_ptr<ArenaManager> arenas_ = std::make_shared<ArenaManager>();
+  // RecoverArenas left directory entries active (a reachable type had no
+  // pointer map): the pool's arena flag must stay set. Guarded by alloc_mu_.
+  bool arena_gc_pending_ = false;
 };
 
 // The typed transaction context handed to Pool::Run callbacks — the only way

@@ -33,6 +33,18 @@ puddles::Result<std::unique_ptr<Runtime>> Runtime::Create(
 }
 
 Runtime::~Runtime() {
+  // Clean shutdown hands the arenas of this thread and of exited threads back
+  // to the shared heap, so the next OpenPool needs no GC. Arenas of threads
+  // still running stay active; the next OpenPool reclaims them. Flushing
+  // needs the epoch system (it Syncs under epoch durability), so it runs
+  // first.
+  for (auto& pool : pools_) {
+    puddles::Status flushed = pool->FlushAllArenas();
+    if (!flushed.ok()) {
+      PUD_LOG_WARN("pool %s: arena flush at teardown failed: %s", pool->name().c_str(),
+                   flushed.ToString().c_str());
+    }
+  }
   FaultRouter::Instance().RemoveResolver(resolver_id_);
   // Stop the epoch advancer first: its final close/drain writes into mapped
   // log and log-space puddles, which are unmapped just below.
@@ -254,13 +266,49 @@ puddles::Result<Pool*> Runtime::FinishOpenPool(const puddled::PoolInfo& info, bo
     RETURN_IF_ERROR(EnsureMapped(pool->meta_.root_puddle()).status());
   }
 
+  // A pool left with active arenas (crash, or threads still running at the
+  // last teardown) gets its arena GC now. Never while this process already
+  // has the pool open: those arenas are live, not leaked. FailedPrecondition
+  // is the conservative skip (a reachable type without a pointer map): the
+  // entries stay active and the pool opens anyway.
+  if (writable && pool->meta_.arenas_active() && FindOpenPool(info.pool_uuid) == nullptr) {
+    auto gc = pool->RecoverArenas();
+    if (!gc.ok() && gc.status().code() != StatusCode::kFailedPrecondition) {
+      return gc.status();
+    }
+  }
+
   Pool* raw = pool.get();
   std::lock_guard<std::mutex> lock(mu_);
   pools_.push_back(std::move(pool));
   return raw;
 }
 
+Pool* Runtime::FindOpenPool(const Uuid& pool_uuid) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& pool : pools_) {
+    if (pool->info().pool_uuid == pool_uuid) {
+      return pool.get();
+    }
+  }
+  return nullptr;
+}
+
 puddles::Status Runtime::ExportPool(const std::string& name, const std::string& dest_dir) {
+  // The copy should not carry this process's arenas as active directory
+  // entries, which would make every importer run the arena GC.
+  std::vector<Pool*> open;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& pool : pools_) {
+      if (pool->name() == name) {
+        open.push_back(pool.get());
+      }
+    }
+  }
+  for (Pool* pool : open) {
+    RETURN_IF_ERROR(pool->FlushAllArenas());
+  }
   return client_->ExportPool(name, dest_dir);
 }
 

@@ -60,6 +60,8 @@ class Runtime {
   // ---- Pools ----
   puddles::Result<Pool*> CreatePool(const std::string& name, uint32_t mode = 0600);
   puddles::Result<Pool*> OpenPool(const std::string& name, bool writable = true);
+  // Flushes the calling thread's (and exited threads') arenas of the pool
+  // first, so the export carries no active arena directory entries.
   puddles::Status ExportPool(const std::string& name, const std::string& dest_dir);
   // Imports an exported pool directory under a new name and opens it.
   puddles::Result<Pool*> ImportPool(const std::string& src_dir, const std::string& new_name);
@@ -118,6 +120,8 @@ class Runtime {
 
   puddles::Status MapEntryLocked(Entry* entry);
   puddles::Result<Pool*> FinishOpenPool(const puddled::PoolInfo& info, bool writable);
+  // This runtime's open Pool for `pool_uuid`, or nullptr.
+  Pool* FindOpenPool(const Uuid& pool_uuid);
   puddles::Status EnsureLogSpace();
 
   // Per-thread transaction log state (one log puddle per thread, cached).

@@ -86,6 +86,11 @@ void PoolMetaView::SetRoot(const Uuid& puddle, uint64_t heap_offset) {
   pmem::FlushFence(&header_->root_puddle, sizeof(Uuid) + sizeof(uint64_t));
 }
 
+void PoolMetaView::SetArenasActive(bool active) {
+  header_->flags = active ? header_->flags | kPoolFlagArenas : header_->flags & ~kPoolFlagArenas;
+  pmem::FlushFence(&header_->flags, sizeof(header_->flags));
+}
+
 bool PoolMetaView::HasMember(const Uuid& uuid) const {
   for (uint32_t i = 0; i < header_->num_members; ++i) {
     if (members_[i] == uuid) {

@@ -19,6 +19,12 @@ namespace puddles {
 inline constexpr uint64_t kPoolMetaMagic = 0x4154454d4c4f4f50ULL;  // "POOLMETA"
 inline constexpr size_t kPoolNameMax = 64;
 
+// Set (persisted) before an arena refill claims a directory entry in any
+// member; cleared once a flush or the open-time GC leaves none active. Lets
+// OpenPool skip the arena GC — which must map every member to look at its
+// directory — for pools that were closed cleanly (docs/alloc.md).
+inline constexpr uint32_t kPoolFlagArenas = 1;
+
 struct PoolMetaHeader {
   uint64_t magic;
   Uuid pool_uuid;
@@ -26,7 +32,7 @@ struct PoolMetaHeader {
   Uuid root_puddle;      // Puddle holding the root object; nil until set.
   uint64_t root_offset;  // Heap offset of the root object payload; 0 = unset.
   uint32_t num_members;
-  uint32_t reserved;
+  uint32_t flags;  // kPoolFlag* bits.
   // Uuid members[capacity] follows, then uint64_t old_bases[capacity]: the
   // pool's relocation translation table. old_bases[i] != 0 means member i's
   // heap content was laid out for a file base of old_bases[i] at import time;
@@ -51,6 +57,10 @@ class PoolMetaView {
   const Uuid& root_puddle() const { return header_->root_puddle; }
   uint64_t root_offset() const { return header_->root_offset; }
   bool has_root() const { return !header_->root_puddle.is_nil(); }
+
+  bool arenas_active() const { return (header_->flags & kPoolFlagArenas) != 0; }
+  // Persistently sets or clears kPoolFlagArenas (store + flush + fence).
+  void SetArenasActive(bool active);
 
   uint32_t capacity() const { return capacity_; }
 

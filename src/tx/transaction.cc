@@ -1,5 +1,6 @@
 #include "src/tx/transaction.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/pmem/flush.h"
@@ -187,8 +188,12 @@ puddles::Status Transaction::AddUndoInternal(void* addr, size_t size, bool publi
   // become unreachable. A range inside an earlier undo capture is restored by
   // that entry; reverse replay applies the earliest (pre-transaction) capture
   // last, so a later overlapping snapshot adds nothing.
+  // The span check skips the capture scan for a range reaching outside every
+  // capture so far, so a transaction logging a sequential walk stays linear.
+  const uintptr_t lo = reinterpret_cast<uintptr_t>(addr);
   if (RangeCovered(fresh_ranges_, addr, size) ||
-      RangeCovered(logged_undo_ranges_, addr, size)) {
+      (lo >= logged_lo_ && lo + size <= logged_hi_ &&
+       RangeCovered(logged_undo_ranges_, addr, size))) {
     PUDDLES_COUNT(kUndoElided);
     return OkStatus();
   }
@@ -196,6 +201,8 @@ puddles::Status Transaction::AddUndoInternal(void* addr, size_t size, bool publi
                               static_cast<uint32_t>(size), kUndoSeq, ReplayOrder::kReverse, 0));
   PUDDLES_COUNT(kUndoAppend);
   logged_undo_ranges_.emplace_back(addr, size);
+  logged_lo_ = std::min(logged_lo_, lo);
+  logged_hi_ = std::max(logged_hi_, lo + size);
   if (publish) {
     // Pre-mutation ordering point: the entry (and everything else pending)
     // must be durable before the caller's first store to the range.
@@ -567,6 +574,8 @@ void Transaction::ResetState() {
   batch_.Clear();
   fresh_ranges_.clear();
   logged_undo_ranges_.clear();
+  logged_lo_ = UINTPTR_MAX;
+  logged_hi_ = 0;
   freed_ranges_.clear();
   deferred_frees_.clear();
   post_commit_.clear();

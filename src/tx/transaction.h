@@ -220,6 +220,8 @@ class Transaction {
   // Non-volatile undo-logged target ranges, for coverage elision and the
   // stage-1 target write-back.
   std::vector<std::pair<void*, size_t>> logged_undo_ranges_;
+  uintptr_t logged_lo_ = UINTPTR_MAX;  // Span of logged_undo_ranges_.
+  uintptr_t logged_hi_ = 0;
   std::vector<std::pair<const void*, size_t>> freed_ranges_;  // Rejected from logging.
   std::vector<std::function<puddles::Status()>> deferred_frees_;
   std::vector<std::function<void()>> post_commit_;  // Run after commit success.

@@ -1,18 +1,25 @@
 // Per-thread slab arena tests — the concurrency-era allocator tier.
 //
-// The arena is the allocator's concurrency story: each thread owns slab
-// pages with a lock-free local free list (no lock, no undo log on the hot
-// path), refilled in batches from the shared heap and flushed back on
-// thread exit or imbalance. These tests drive the full lifecycle (refill,
-// flush-back, thread-exit orphan handoff, cross-thread free), prove exact
-// leak accounting under an 8-thread malloc/free storm, and exercise the
-// recovery-time GC that reclaims leaked in-flight blocks. The CI TSan job
-// builds and runs this binary (`ctest -L concurrency`).
+// The arena is the only small-object allocator for transactions: each thread
+// owns slab pages with a lock-free local free list (no lock, no undo log on
+// the hot path), refilled in batches from the shared heap and flushed back
+// at teardown, export, or imbalance. These tests drive the full lifecycle
+// (refill, flush-back, thread-exit orphan handoff, cross-thread free), prove
+// exact leak accounting under an 8-thread malloc/free storm, check the
+// epoch-gated reuse rule under an 8-thread epoch-durability storm, and
+// exercise the open-time GC that reclaims leaked in-flight blocks. The CI
+// TSan job builds and runs this binary (`ctest -L concurrency`).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <barrier>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -45,6 +52,52 @@ struct ArenaRoot {
   Node* slots[kStormThreads * kStormRounds];
 };
 
+// A root whose type never registers a pointer map: the arena GC cannot know
+// what it points to, so it must reclaim nothing.
+struct OpaqueRoot {
+  Node* slots[4];
+};
+
+// Runs `fn` on a thread that then stays alive, holding its arena, until
+// Release(): the shape of a process torn down while a worker still runs.
+class HeldThread {
+ public:
+  explicit HeldThread(std::function<void()> fn)
+      : thread_([this, fn = std::move(fn)]() {
+          fn();
+          std::unique_lock<std::mutex> lock(mu_);
+          ran_ = true;
+          cv_.notify_all();
+          cv_.wait(lock, [this] { return released_; });
+        }) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return ran_; });
+  }
+  ~HeldThread() { Release(); }
+
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool ran_ = false;
+  bool released_ = false;
+  std::thread thread_;
+};
+
+uint64_t CounterDelta(const stats::Snapshot& before, stats::Counter counter) {
+  return stats::Delta(stats::Aggregate(), before).counters[static_cast<size_t>(counter)];
+}
+
 class ArenaTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -54,6 +107,7 @@ class ArenaTest : public ::testing::Test {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     (void)TypeRegistry::Instance().Register<ArenaRoot>(&ArenaRoot::slots);
+    (void)TypeRegistry::Instance().RegisterLeaf<Node>();
     Start(/*create=*/true);
   }
 
@@ -76,10 +130,10 @@ class ArenaTest : public ::testing::Test {
     pool_ = *pool;
   }
 
-  // Drops every in-DRAM handle without flushing arenas: the persistent image
-  // is what a crash after the last commit would leave (active directory
-  // entries, arena-owned slabs). Reopen gives recovery a cold pool.
-  void ReopenWithoutFlush() {
+  // Tears the runtime down (flushing the arenas of this thread and of exited
+  // threads; those of threads still running stay active) and reopens the
+  // pool in a fresh daemon + runtime.
+  void Reopen() {
     runtime_.reset();
     daemon_.reset();
     Start(/*create=*/false);
@@ -103,6 +157,21 @@ class ArenaTest : public ::testing::Test {
     return reachable.ok() ? reachable->size() : 0;
   }
 
+  // ObjectHeap::Validate over every data puddle the runtime knows.
+  void ExpectHeapsValid() {
+    for (Runtime::Entry* entry : runtime_->Entries()) {
+      if (entry->info.kind != static_cast<uint32_t>(PuddleKind::kData)) {
+        continue;
+      }
+      auto mapped = runtime_->EnsureMapped(entry->info.uuid);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      auto heap = (*mapped)->view.object_heap();
+      ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+      puddles::Status valid = heap->Validate();
+      EXPECT_TRUE(valid.ok()) << valid.ToString();
+    }
+  }
+
   fs::path dir_;
   std::unique_ptr<puddled::Daemon> daemon_;
   std::unique_ptr<Runtime> runtime_;
@@ -113,7 +182,6 @@ class ArenaTest : public ::testing::Test {
 // batch; subsequent allocations in the class are served without touching it.
 TEST_F(ArenaTest, RefillServesSmallAllocations) {
   ArenaRoot* root = InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 2}).ok());
 
   const stats::Snapshot before = stats::Aggregate();
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -140,7 +208,6 @@ TEST_F(ArenaTest, RefillServesSmallAllocations) {
 // the class reuses it with no further refill from the shared heap.
 TEST_F(ArenaTest, FreeFeedsLocalFreeList) {
   ArenaRoot* root = InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 1}).ok());
 
   Node* scratch = nullptr;
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -174,7 +241,6 @@ TEST_F(ArenaTest, FreeFeedsLocalFreeList) {
 // and in DRAM via the arena's abort hook.
 TEST_F(ArenaTest, AbortRollsBackArenaState) {
   ArenaRoot* root = InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 2}).ok());
   const size_t baseline = ReachableCount();
 
   puddles::Status aborted = pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -207,11 +273,10 @@ TEST_F(ArenaTest, AbortRollsBackArenaState) {
 }
 
 // Flush-back hands every arena slab to the shared heap (occupancy from the
-// shadow bitmap), clears the directory entry, and leaves the pool fully
-// usable under the global-lock allocator.
+// shadow bitmap), clears the directory entry, and leaves the survivors
+// ordinary global objects.
 TEST_F(ArenaTest, FlushBackReturnsSlabsToGlobalHeap) {
   ArenaRoot* root = InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 2}).ok());
 
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
     for (int i = 0; i < 6; ++i) {
@@ -224,10 +289,8 @@ TEST_F(ArenaTest, FlushBackReturnsSlabsToGlobalHeap) {
   }).ok());
 
   const stats::Snapshot before = stats::Aggregate();
-  // kGlobalLock flushes all arenas as a side effect.
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kGlobalLock).ok());
-  const stats::Snapshot delta = stats::Delta(stats::Aggregate(), before);
-  EXPECT_GE(delta.counters[static_cast<size_t>(stats::Counter::kArenaFlushSlabs)], 1u);
+  ASSERT_TRUE(pool_->FlushAllArenas().ok());
+  EXPECT_GE(CounterDelta(before, stats::Counter::kArenaFlushSlabs), 1u);
 
   // Arena-era survivors are ordinary global objects now: values intact,
   // freeable through the logged global path.
@@ -244,7 +307,7 @@ TEST_F(ArenaTest, FlushBackReturnsSlabsToGlobalHeap) {
   EXPECT_EQ(ReachableCount(), 1u + 5u);
 
   // A clean flush leaves nothing for recovery to do.
-  ReopenWithoutFlush();
+  Reopen();
   auto report = pool_->RecoverArenas();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->arenas_recovered, 0u);
@@ -255,7 +318,6 @@ TEST_F(ArenaTest, FlushBackReturnsSlabsToGlobalHeap) {
 // refill adopts it and can serve and free its objects locally.
 TEST_F(ArenaTest, ThreadExitOrphanHandoff) {
   ArenaRoot* root = InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 1}).ok());
 
   std::thread worker([&]() {
     ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -301,7 +363,6 @@ TEST_F(ArenaTest, ThreadExitOrphanHandoff) {
 // when both threads are gone before the drain.
 TEST_F(ArenaTest, CrossThreadFreeReachesOwner) {
   ArenaRoot* root = InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 1}).ok());
 
   std::thread owner([&]() {
     ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -336,7 +397,7 @@ TEST_F(ArenaTest, CrossThreadFreeReachesOwner) {
   EXPECT_GE(delta.counters[static_cast<size_t>(stats::Counter::kArenaRemoteFree)], 8u);
   EXPECT_EQ(ReachableCount(), 1u);
 
-  ReopenWithoutFlush();
+  Reopen();
   auto report = pool_->RecoverArenas();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(ReachableCount(), 1u);
@@ -349,7 +410,6 @@ TEST_F(ArenaTest, CrossThreadFreeReachesOwner) {
 // reachable set is exactly root + survivors.
 TEST_F(ArenaTest, EightThreadStormExactLeakAccounting) {
   ArenaRoot* root = InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 2}).ok());
 
   const stats::Snapshot before = stats::Aggregate();
   std::vector<std::thread> threads;
@@ -405,60 +465,58 @@ TEST_F(ArenaTest, EightThreadStormExactLeakAccounting) {
   }
 
   // Survivors persist across a reopen; the clean flush left recovery idle.
-  ReopenWithoutFlush();
+  Reopen();
   auto report = pool_->RecoverArenas();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->arenas_recovered, 0u);
   EXPECT_EQ(ReachableCount(), 1u + kPublished);
 }
 
-// Recovery GC: a pool reopened with active arena directory entries (no
-// flush before shutdown) walks the roots, keeps every reachable object, and
-// reclaims committed-but-unreachable slots — the post-crash leak story.
-TEST_F(ArenaTest, RecoverArenasReclaimsLeakedObjects) {
+// Unclean teardown: a thread still holding its arena when the runtime goes
+// away leaves its directory entries active. The next plain OpenPool runs the
+// GC — no explicit RecoverArenas call — which keeps every reachable object
+// and reclaims the committed-but-unreachable slots.
+TEST_F(ArenaTest, UncleanTeardownReclaimedByOpenPool) {
   ArenaRoot* root = InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 2}).ok());
 
   constexpr int kKeep = 8;
   constexpr int kLeak = 10;
-  ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
-    for (int i = 0; i < kKeep; ++i) {
-      ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
-      n->value = 600 + i;
-      RETURN_IF_ERROR(tx.LogRange(&root->slots[i], sizeof(Node*)));
-      root->slots[i] = n;
-    }
-    // Committed but never published nor freed: unreachable leaks only the
-    // recovery GC can reclaim.
-    for (int i = 0; i < kLeak; ++i) {
-      ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
-      n->value = 999;
-    }
-    return OkStatus();
-  }).ok());
+  HeldThread worker([&]() {
+    ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+      for (int i = 0; i < kKeep; ++i) {
+        ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
+        n->value = 600 + i;
+        RETURN_IF_ERROR(tx.LogRange(&root->slots[i], sizeof(Node*)));
+        root->slots[i] = n;
+      }
+      // Committed but never published nor freed: unreachable leaks only the
+      // GC can reclaim.
+      for (int i = 0; i < kLeak; ++i) {
+        ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
+        n->value = 999;
+      }
+      return OkStatus();
+    }).ok());
+  });
 
-  ReopenWithoutFlush();
   const stats::Snapshot before = stats::Aggregate();
-  auto report = pool_->RecoverArenas();
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GE(report->arenas_recovered, 1u);
-  EXPECT_GE(report->slabs_scanned, 1u);
-  EXPECT_EQ(report->slots_reclaimed, static_cast<uint64_t>(kLeak));
-  EXPECT_EQ(report->objects_live, 1u + kKeep);
-  const stats::Snapshot delta = stats::Delta(stats::Aggregate(), before);
-  EXPECT_EQ(delta.counters[static_cast<size_t>(stats::Counter::kArenaGcReclaimed)],
+  Reopen();
+  EXPECT_GE(CounterDelta(before, stats::Counter::kArenaGcSlabs), 1u);
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed),
             static_cast<uint64_t>(kLeak));
+  worker.Release();
 
-  // Recovery is idempotent and leaves an ordinary global heap behind.
-  auto again = pool_->RecoverArenas();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->arenas_recovered, 0u);
+  ExpectHeapsValid();
   EXPECT_EQ(ReachableCount(), 1u + kKeep);
   auto recovered_root = pool_->Root<ArenaRoot>();
   ASSERT_TRUE(recovered_root.ok());
   for (int i = 0; i < kKeep; ++i) {
     EXPECT_EQ((*recovered_root)->slots[i]->value, 600u + i);
   }
+  // The open-time GC released every entry: an explicit pass finds nothing.
+  auto again = pool_->RecoverArenas();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->arenas_recovered, 0u);
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
     ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
     n->value = 1;
@@ -469,58 +527,289 @@ TEST_F(ArenaTest, RecoverArenasReclaimsLeakedObjects) {
   EXPECT_EQ(ReachableCount(), 1u + kKeep + 1u);
 }
 
-// Differential: the same workload under the arena and under the global-lock
-// allocator must converge to identical reachable sets and contents — the
-// arena changes performance, never semantics.
-TEST_F(ArenaTest, ArenaMatchesGlobalLockSemantics) {
-  auto run_workload = [&](const char* name, bool arena,
-                          std::vector<uint64_t>* values) -> size_t {
-    auto pool_or = runtime_->CreatePool(name);
-    EXPECT_TRUE(pool_or.ok());
-    Pool* pool = *pool_or;
-    if (arena) {
-      EXPECT_TRUE(pool->SetAllocMode(AllocMode::kArena, {.refill_slabs = 2}).ok());
-    }
-    ArenaRoot* root = nullptr;
-    EXPECT_TRUE(pool->Run([&](Tx& tx) -> puddles::Status {
-      ASSIGN_OR_RETURN(root, tx.Alloc<ArenaRoot>());
-      for (auto& slot : root->slots) {
-        slot = nullptr;
-      }
-      return pool->SetRoot(root);
-    }).ok());
-    for (int r = 0; r < 4; ++r) {
-      EXPECT_TRUE(pool->Run([&](Tx& tx) -> puddles::Status {
-        for (int i = 0; i < 12; ++i) {
-          ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
-          n->value = static_cast<uint64_t>(r) * 100 + i;
-          if (i % 3 == 0) {
-            const int slot = r * 4 + i / 3;
-            RETURN_IF_ERROR(tx.LogRange(&root->slots[slot], sizeof(Node*)));
-            root->slots[slot] = n;
-          } else {
-            RETURN_IF_ERROR(tx.Free(n));
-          }
+// 256 bytes + 16-byte header = the 272-byte class: a few thousand fill a
+// puddle, so a chain of them spans several.
+struct ChainNode {
+  ChainNode* next;
+  uint64_t value;
+  uint64_t pad[30];
+};
+struct ChainRoot {
+  ChainNode* head;
+};
+
+// The open-time GC walks reachability across every member puddle, not only
+// the ones the reopen happened to map: a chain spanning several lazily
+// mapped puddles survives the GC whole, and only the leaks are reclaimed.
+TEST_F(ArenaTest, OpenTimeGcFollowsPointersIntoUnmappedPuddles) {
+  (void)TypeRegistry::Instance().Register<ChainNode>(&ChainNode::next);
+  (void)TypeRegistry::Instance().Register<ChainRoot>(&ChainRoot::head);
+  ChainRoot* root = nullptr;
+  ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+    ASSIGN_OR_RETURN(root, tx.Alloc<ChainRoot>());
+    root->head = nullptr;
+    return pool_->SetRoot(root);
+  }).ok());
+  constexpr int kBatches = 20;
+  constexpr int kPerBatch = 1000;
+  constexpr int kLeak = 5;
+  HeldThread worker([&]() {
+    for (int b = 0; b < kBatches; ++b) {
+      ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+        RETURN_IF_ERROR(tx.LogRange(&root->head, sizeof(root->head)));
+        for (int i = 0; i < kPerBatch; ++i) {
+          ASSIGN_OR_RETURN(ChainNode * n, tx.Alloc<ChainNode>());
+          n->value = static_cast<uint64_t>(b) * kPerBatch + i;
+          n->next = root->head;
+          root->head = n;
         }
         return OkStatus();
       }).ok());
     }
-    if (arena) {
-      EXPECT_TRUE(pool->FlushAllArenas().ok());
+    ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+      for (int i = 0; i < kLeak; ++i) {
+        ASSIGN_OR_RETURN(ChainNode * n, tx.Alloc<ChainNode>());
+        n->next = nullptr;
+      }
+      return OkStatus();
+    }).ok());
+  });
+  ASSERT_GE(pool_->member_count(), 3u);
+
+  const stats::Snapshot before = stats::Aggregate();
+  Reopen();
+  worker.Release();
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed),
+            static_cast<uint64_t>(kLeak));
+  auto reopened = pool_->Root<ChainRoot>();
+  ASSERT_TRUE(reopened.ok());
+  uint64_t expected = kBatches * kPerBatch;
+  for (ChainNode* n = (*reopened)->head; n != nullptr; n = n->next) {
+    ASSERT_EQ(n->value, --expected);
+  }
+  EXPECT_EQ(expected, 0u);
+  EXPECT_EQ(ReachableCount(), 1u + kBatches * kPerBatch);
+  ExpectHeapsValid();
+}
+
+// Clean teardown: the runtime flushes this thread's arenas and adopts and
+// flushes those of exited threads, so the reopen finds no active directory
+// entry and runs no GC.
+TEST_F(ArenaTest, CleanTeardownLeavesNoActiveEntry) {
+  ArenaRoot* root = InitRoot();
+  auto publish = [&](int slot, uint64_t value) {
+    ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
+      n->value = value;
+      RETURN_IF_ERROR(tx.LogRange(&root->slots[slot], sizeof(Node*)));
+      root->slots[slot] = n;
+      return OkStatus();
+    }).ok());
+  };
+  publish(0, 10);
+  std::thread exited([&]() { publish(1, 11); });
+  exited.join();
+
+  const stats::Snapshot before = stats::Aggregate();
+  Reopen();
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcSlabs), 0u);
+  auto report = pool_->RecoverArenas();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->arenas_recovered, 0u);
+  ExpectHeapsValid();
+  auto reopened = pool_->Root<ArenaRoot>();
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->slots[0]->value, 10u);
+  EXPECT_EQ((*reopened)->slots[1]->value, 11u);
+  EXPECT_EQ(ReachableCount(), 1u + 2u);
+}
+
+// The GC is conservative: when a reachable object's type has no pointer map,
+// reachability is unknown past it, so OpenPool reclaims nothing and leaves
+// the directory entries active rather than free what it cannot see.
+TEST_F(ArenaTest, UnregisteredPointerMapReclaimsNothing) {
+  OpaqueRoot* root = nullptr;
+  ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+    ASSIGN_OR_RETURN(root, tx.Alloc<OpaqueRoot>());
+    for (auto& slot : root->slots) {
+      slot = nullptr;
     }
-    for (int s = 0; s < 16; ++s) {
-      values->push_back(root->slots[s] == nullptr ? ~0ULL : root->slots[s]->value);
+    return pool_->SetRoot(root);
+  }).ok());
+  std::vector<Node*> leaked;
+  HeldThread worker([&]() {
+    ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(Node * kept, tx.Alloc<Node>());
+      kept->value = 5;
+      RETURN_IF_ERROR(tx.LogRange(&root->slots[0], sizeof(Node*)));
+      root->slots[0] = kept;
+      for (int i = 0; i < 4; ++i) {
+        ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
+        n->value = 999;
+        leaked.push_back(n);
+      }
+      return OkStatus();
+    }).ok());
+  });
+
+  const stats::Snapshot before = stats::Aggregate();
+  Reopen();
+  worker.Release();
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcSlabs), 0u);
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed), 0u);
+  auto report = pool_->RecoverArenas();
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
+      << report.status().ToString();
+  for (Node* n : leaked) {
+    EXPECT_EQ((reinterpret_cast<const ObjectHeader*>(n) - 1)->magic, kObjectMagic);
+  }
+  auto reopened = pool_->Root<OpaqueRoot>();
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->slots[0]->value, 5u);
+  // The pool stays fully usable; new allocations claim fresh entries.
+  ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+    ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
+    n->value = 6;
+    RETURN_IF_ERROR(tx.LogRange(&(*reopened)->slots[1], sizeof(Node*)));
+    (*reopened)->slots[1] = n;
+    return OkStatus();
+  }).ok());
+}
+
+// Alloc/free churn inside transactions converges to exactly the published
+// objects with their values — the state a DRAM model of the same operations
+// predicts.
+TEST_F(ArenaTest, ChurnMatchesModel) {
+  ArenaRoot* root = InitRoot();
+  std::vector<uint64_t> expected(16, ~0ULL);
+  for (int r = 0; r < 4; ++r) {
+    ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+      for (int i = 0; i < 12; ++i) {
+        ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
+        n->value = static_cast<uint64_t>(r) * 100 + i;
+        if (i % 3 == 0) {
+          const int slot = r * 4 + i / 3;
+          RETURN_IF_ERROR(tx.LogRange(&root->slots[slot], sizeof(Node*)));
+          root->slots[slot] = n;
+        } else {
+          RETURN_IF_ERROR(tx.Free(n));
+        }
+      }
+      return OkStatus();
+    }).ok());
+    for (int i = 0; i < 12; i += 3) {
+      expected[static_cast<size_t>(r * 4 + i / 3)] = static_cast<uint64_t>(r) * 100 + i;
     }
-    auto reachable = pool->ReachableObjects();
-    EXPECT_TRUE(reachable.ok());
-    return reachable.ok() ? reachable->size() : 0;
+  }
+  ASSERT_TRUE(pool_->FlushAllArenas().ok());
+  for (int s = 0; s < 16; ++s) {
+    ASSERT_NE(root->slots[s], nullptr);
+    EXPECT_EQ(root->slots[s]->value, expected[static_cast<size_t>(s)]);
+  }
+  EXPECT_EQ(ReachableCount(), 1u + 16u);
+  ExpectHeapsValid();
+}
+
+// Arena + epoch durability, 8 threads: a slot freed under kEpoch must not be
+// handed out again until the freeing epoch has persistently retired
+// (docs/alloc.md). Epochs here close only on Sync, so every allocation
+// between a free and the next Sync must avoid the freed slots — and each
+// thread allocates past its local free slots there, so refills run their
+// drain of the epoch-pending frees while those are still immature.
+TEST_F(ArenaTest, EpochStormDefersReuseUntilRetirement) {
+  ArenaRoot* root = InitRoot();
+  ASSERT_TRUE(pool_
+                  ->SetDurability(Durability::kEpoch,
+                                  {.max_epoch_age_us = 60'000'000,
+                                   .max_staged_bytes = 1ULL << 30,
+                                   .max_epoch_txs = 1ULL << 30})
+                  .ok());
+  EpochSys* epochs = runtime_->epoch_sys();
+  ASSERT_NE(epochs, nullptr);
+  constexpr int kRounds = 2;
+  constexpr int kBatch = 300;  // More than one refill's worth of 64-byte slots.
+
+  std::atomic<int> early_reuse{0};
+  std::atomic<int> late_reuse{0};
+  std::barrier sync_point(kStormThreads + 1);
+  auto alloc_batch = [&](std::vector<Node*>* out, uint64_t value) {
+    return pool_->Run([&](Tx& tx) -> puddles::Status {
+      for (int i = 0; i < kBatch; ++i) {
+        ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
+        n->value = value;
+        out->push_back(n);
+      }
+      return OkStatus();
+    });
+  };
+  auto free_batch = [&](const std::vector<Node*>& nodes, size_t from) {
+    return pool_->Run([&](Tx& tx) -> puddles::Status {
+      for (size_t i = from; i < nodes.size(); ++i) {
+        RETURN_IF_ERROR(tx.Free(nodes[i]));
+      }
+      return OkStatus();
+    });
   };
 
-  std::vector<uint64_t> arena_values, global_values;
-  const size_t arena_count = run_workload("diff_arena", true, &arena_values);
-  const size_t global_count = run_workload("diff_global", false, &global_values);
-  EXPECT_EQ(arena_count, global_count);
-  EXPECT_EQ(arena_values, global_values);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kStormThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      for (int r = 0; r < kRounds; ++r) {
+        std::vector<Node*> first;
+        ASSERT_TRUE(alloc_batch(&first, 1).ok());
+        // Epochs only move forward, so the free commits in this epoch or a
+        // later one: the slots stay unusable while retired < freed_in.
+        const uint64_t freed_in = epochs->current_epoch();
+        ASSERT_TRUE(free_batch(first, 0).ok());
+        const std::set<Node*> freed(first.begin(), first.end());
+
+        std::vector<Node*> second;
+        ASSERT_TRUE(alloc_batch(&second, 2).ok());
+        if (epochs->retired_epoch() < freed_in) {
+          for (Node* n : second) {
+            early_reuse += freed.count(n) != 0 ? 1 : 0;
+          }
+        }
+        const int slot = t * kStormRounds + r;
+        ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+          RETURN_IF_ERROR(tx.LogRange(&root->slots[slot], sizeof(Node*)));
+          root->slots[slot] = second[0];
+          return OkStatus();
+        }).ok());
+        ASSERT_TRUE(free_batch(second, 1).ok());
+
+        sync_point.arrive_and_wait();  // Every thread is past its checks.
+        sync_point.arrive_and_wait();  // The main thread has Synced.
+        std::vector<Node*> third;
+        ASSERT_TRUE(alloc_batch(&third, 3).ok());
+        ASSERT_TRUE(alloc_batch(&third, 3).ok());
+        for (Node* n : third) {
+          late_reuse += freed.count(n) != 0 ? 1 : 0;
+        }
+        ASSERT_TRUE(free_batch(third, 0).ok());
+      }
+    });
+  }
+  for (int r = 0; r < kRounds; ++r) {
+    sync_point.arrive_and_wait();
+    pool_->Sync();
+    sync_point.arrive_and_wait();
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(early_reuse.load(), 0);
+  EXPECT_GT(late_reuse.load(), 0);  // Retirement does release the slots.
+
+  ASSERT_TRUE(pool_->FlushAllArenas().ok());
+  EXPECT_EQ(ReachableCount(), 1u + kStormThreads * kRounds);
+  for (int t = 0; t < kStormThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) {
+      ASSERT_NE(root->slots[t * kStormRounds + r], nullptr);
+      EXPECT_EQ(root->slots[t * kStormRounds + r]->value, 2u);
+    }
+  }
+  ExpectHeapsValid();
 }
 
 // A second free of an arena-owned slot whose first free has already been
@@ -529,7 +818,6 @@ TEST_F(ArenaTest, ArenaMatchesGlobalLockSemantics) {
 // the slot next.
 TEST_F(ArenaTest, DoubleFreeOfArenaObjectRejected) {
   InitRoot();
-  ASSERT_TRUE(pool_->SetAllocMode(AllocMode::kArena, {.refill_slabs = 1}).ok());
 
   Node* node = nullptr;
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -559,19 +847,15 @@ TEST_F(ArenaTest, DoubleFreeOfArenaObjectRejected) {
   ASSERT_TRUE(pool_->FlushAllArenas().ok());
 }
 
-// Builds a two-slab 64-byte-class arena with every slot free and the spill
-// hint raised: the next small allocation's slow path will try to spill the
-// whole-empty slab back to the buddy.
+// Builds a 64-byte-class arena of twelve whole-empty slabs (three refills)
+// with the spill hint raised: the next small allocation's slow path will try
+// to spill the eight empties beyond the retention floor back to the buddy.
 class ArenaSpillTest : public ArenaTest {
  protected:
-  void PrimeSpill(ArenaRoot* root) {
-    (void)root;
-    ASSERT_TRUE(pool_
-                    ->SetAllocMode(AllocMode::kArena,
-                                   {.refill_slabs = 1, .flush_watermark = 64})
-                    .ok());
-    // 70 Nodes overflow one 63-slot slab, forcing a second refill.
-    nodes_.resize(70);
+  static constexpr int kPrimed = 600;  // > 512 free slots once freed.
+
+  void PrimeSpill() {
+    nodes_.resize(kPrimed);
     ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
       for (auto& n : nodes_) {
         ASSIGN_OR_RETURN(n, tx.Alloc<Node>());
@@ -579,7 +863,7 @@ class ArenaSpillTest : public ArenaTest {
       }
       return OkStatus();
     }).ok());
-    // Freeing everything publishes 70 releases post-commit: both slabs end
+    // Freeing everything publishes the releases post-commit: every slab ends
     // whole-empty and the free count crosses the watermark.
     ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
       for (Node* n : nodes_) {
@@ -597,7 +881,7 @@ class ArenaSpillTest : public ArenaTest {
 // global again and the pool flushes and recovers clean.
 TEST_F(ArenaSpillTest, SpillCommitsBuddyReleaseAtCommitHead) {
   ArenaRoot* root = InitRoot();
-  PrimeSpill(root);
+  PrimeSpill();
 
   const stats::Snapshot before = stats::Aggregate();
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -612,7 +896,7 @@ TEST_F(ArenaSpillTest, SpillCommitsBuddyReleaseAtCommitHead) {
 
   EXPECT_EQ(root->slots[0]->value, 77u);
   ASSERT_TRUE(pool_->FlushAllArenas().ok());
-  ReopenWithoutFlush();
+  Reopen();
   auto report = pool_->RecoverArenas();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->arenas_recovered, 0u);
@@ -620,12 +904,12 @@ TEST_F(ArenaSpillTest, SpillCommitsBuddyReleaseAtCommitHead) {
 }
 
 // Aborted spill: the deferred buddy release never runs, the persistent
-// unlink rolls back with the transaction, and the abort hook resurrects the
-// slab with its free list rebuilt — so re-allocating both slabs' worth of
-// slots needs no fresh refill and the heap stays consistent.
+// unlink rolls back with the transaction, and the abort hook re-owns the
+// slabs with every slot free — so re-allocating all their slots needs no
+// fresh refill and the heap stays consistent.
 TEST_F(ArenaSpillTest, AbortedSpillResurrectsSlabWithoutBuddyRelease) {
   ArenaRoot* root = InitRoot();
-  PrimeSpill(root);
+  PrimeSpill();
   const size_t baseline = ReachableCount();
 
   puddles::Status aborted = pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -636,12 +920,12 @@ TEST_F(ArenaSpillTest, AbortedSpillResurrectsSlabWithoutBuddyRelease) {
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(ReachableCount(), baseline);
 
-  // Both slabs (126 slots) must still be arena-owned and fully free: if the
-  // spill had leaked — buddy release applied under an aborted unlink, or
-  // free-list entries lost — this would either refill or corrupt.
+  // Every slab must still be arena-owned and fully free: if the spill had
+  // leaked — buddy release applied under an aborted unlink, or free slots
+  // lost — this would either refill or corrupt.
   const stats::Snapshot before = stats::Aggregate();
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
-    for (int i = 0; i < 70; ++i) {
+    for (int i = 0; i < kPrimed; ++i) {
       ASSIGN_OR_RETURN(Node * n, tx.Alloc<Node>());
       n->value = 100 + i;
       if (i == 0) {
@@ -657,7 +941,7 @@ TEST_F(ArenaSpillTest, AbortedSpillResurrectsSlabWithoutBuddyRelease) {
   EXPECT_EQ(delta.counters[static_cast<size_t>(stats::Counter::kArenaRefillSlabs)], 0u);
 
   ASSERT_TRUE(pool_->FlushAllArenas().ok());
-  ReopenWithoutFlush();
+  Reopen();
   auto report = pool_->RecoverArenas();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->arenas_recovered, 0u);
@@ -670,7 +954,7 @@ TEST_F(ArenaSpillTest, AbortedSpillResurrectsSlabWithoutBuddyRelease) {
 // when its offset cannot resolve in the current slab layout, and applied
 // only when generation, bounds, and slot alignment all line up.
 TEST(ArenaRemoteFreeValidation, GenerationAndBoundsGateShadowWrites) {
-  ThreadArena ta{ArenaOptions{}};
+  ThreadArena ta;
   std::vector<uint8_t> heap(kSlabBlockSize, 0);
   const Uuid uuid{1, 2};
   PuddleArena* pa = ta.AddPuddleArena(uuid, heap.data(), heap.size(), /*dir_slot=*/0);
@@ -679,46 +963,90 @@ TEST(ArenaRemoteFreeValidation, GenerationAndBoundsGateShadowWrites) {
   // One slab of the largest class (272 bytes → 14 slots) with slot 3 live.
   const int class_index = static_cast<int>(kNumSlabClasses) - 1;
   const int64_t slot_size = static_cast<int64_t>(kSlabSlotSizes[class_index]);
-  const uint16_t num_slots =
-      static_cast<uint16_t>((kSlabBlockSize - sizeof(SlabHeader)) / slot_size);
+  auto* hdr = reinterpret_cast<SlabHeader*>(heap.data());
+  hdr->magic = kSlabMagic;
+  hdr->class_index = static_cast<uint16_t>(class_index);
+  hdr->num_slots = static_cast<uint16_t>((kSlabBlockSize - sizeof(SlabHeader)) / slot_size);
+  const uint16_t num_slots = hdr->num_slots;
   const uint64_t bitmap[2] = {1ULL << 3, 0};
-  ArenaSlab* slab = ta.AddSlab(pa, /*offset=*/0, class_index, num_slots, bitmap,
-                               /*used=*/1, /*prev_chain_head=*/-1);
+  ta.AddSlab(pa, /*offset=*/0, bitmap, /*used=*/1, /*prev_chain_head=*/-1);
+  const ArenaSlab* slab = ta.FindSlab(pa, 0);
+  ASSERT_NE(slab, nullptr);
   const size_t free_before = ta.free_slot_count();
-  const int64_t slot3 =
-      static_cast<int64_t>(sizeof(SlabHeader)) + 3 * slot_size;
+  const int64_t slot3 = static_cast<int64_t>(sizeof(SlabHeader)) + 3 * slot_size;
+  auto occupancy = [&]() {
+    uint64_t bits[2] = {slab->shadow[0], slab->shadow[1]};
+    ClipToSlots(num_slots, bits);
+    return bits[0];
+  };
 
   // Published under an earlier claim of this (uuid, tag): not ours to apply.
   EXPECT_FALSE(ta.AcceptRemoteFree(uuid, pa->tag(), /*gen=*/6, slot3, /*epoch=*/0));
   EXPECT_EQ(slab->used, 1);
 
   // Matching claim but unresolvable offsets — misaligned, past the last
-  // slot, inside the slab header — are stale duplicates: consumed without
-  // touching shadow state (this is the shape that used to index past the
-  // shadow bitmap).
+  // slot, inside the slab header, outside the heap — are stale duplicates:
+  // consumed without touching shadow state.
   EXPECT_TRUE(ta.AcceptRemoteFree(uuid, pa->tag(), 7, slot3 + 5, 0));
   EXPECT_TRUE(ta.AcceptRemoteFree(
       uuid, pa->tag(), 7,
       static_cast<int64_t>(sizeof(SlabHeader)) + num_slots * slot_size, 0));
   EXPECT_TRUE(ta.AcceptRemoteFree(uuid, pa->tag(), 7, /*slot_offset=*/8, 0));
+  EXPECT_TRUE(ta.AcceptRemoteFree(uuid, pa->tag(), 7,
+                                  static_cast<int64_t>(kSlabBlockSize) + 64, 0));
   EXPECT_EQ(slab->used, 1);
-  EXPECT_EQ(slab->shadow[0], 1ULL << 3);
+  EXPECT_EQ(occupancy(), 1ULL << 3);
   EXPECT_EQ(ta.free_slot_count(), free_before);
 
   // The genuine record applies; a duplicate of it is inert.
   EXPECT_TRUE(ta.AcceptRemoteFree(uuid, pa->tag(), 7, slot3, 0));
   EXPECT_EQ(slab->used, 0);
-  EXPECT_EQ(slab->shadow[0], 0u);
+  EXPECT_EQ(occupancy(), 0u);
   EXPECT_EQ(ta.free_slot_count(), free_before + 1);
   EXPECT_TRUE(ta.AcceptRemoteFree(uuid, pa->tag(), 7, slot3, 0));
   EXPECT_EQ(ta.free_slot_count(), free_before + 1);
+}
+
+// A slab that fills is forgotten — no record, no DRAM — and the first free
+// into it re-creates the record with every other slot still used.
+TEST(ArenaSlabRecords, FullSlabIsForgottenAndRecreatedOnFree) {
+  ThreadArena ta;
+  std::vector<uint8_t> heap(kSlabBlockSize, 0);
+  PuddleArena* pa = ta.AddPuddleArena(Uuid{9, 9}, heap.data(), heap.size(), 0);
+  const int class_index = static_cast<int>(kNumSlabClasses) - 1;
+  auto* hdr = reinterpret_cast<SlabHeader*>(heap.data());
+  hdr->magic = kSlabMagic;
+  hdr->class_index = static_cast<uint16_t>(class_index);
+  hdr->num_slots = static_cast<uint16_t>((kSlabBlockSize - sizeof(SlabHeader)) /
+                                         kSlabSlotSizes[class_index]);
+  const uint64_t empty[2] = {0, 0};
+  ta.AddSlab(pa, 0, empty, 0, -1);
+
+  std::vector<ThreadArena::AllocResult> pops(hdr->num_slots);
+  for (auto& pop : pops) {
+    ASSERT_TRUE(ta.TryAllocate(class_index, &pop));
+  }
+  ThreadArena::AllocResult extra;
+  EXPECT_FALSE(ta.TryAllocate(class_index, &extra));
+  EXPECT_EQ(ta.FindSlab(pa, 0), nullptr);  // Full: forgotten.
+  EXPECT_EQ(ta.free_slot_count(), 0u);
+
+  ta.ReleaseSlot(pa, 0, pops[5].slot);
+  const ArenaSlab* slab = ta.FindSlab(pa, 0);
+  ASSERT_NE(slab, nullptr);
+  EXPECT_EQ(slab->used, hdr->num_slots - 1);
+  EXPECT_EQ(ta.free_slot_count(), 1u);
+  ThreadArena::AllocResult again;
+  ASSERT_TRUE(ta.TryAllocate(class_index, &again));
+  EXPECT_EQ(again.slot, pops[5].slot);
+  EXPECT_EQ(ta.FindSlab(pa, 0), nullptr);
 }
 
 // Claim generations are monotonic per (uuid, tag): re-claiming a released
 // directory slot bumps the generation, which is what invalidates queued
 // remote frees published under the earlier claim.
 TEST(ArenaManagerClaims, ReclaimBumpsGeneration) {
-  auto mgr = std::make_shared<ArenaManager>(ArenaOptions{});
+  auto mgr = std::make_shared<ArenaManager>();
   const Uuid uuid{3, 4};
   EXPECT_EQ(mgr->ClaimGenOf(uuid, /*tag=*/1), 0u);
 

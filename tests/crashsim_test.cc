@@ -115,9 +115,9 @@ TEST(CrashsimWorkloads, ArtRecoversFromEveryEnumeratedState) {
 // batched slab refills, unlogged arena frees, and periodic full flush-backs,
 // crashed mid-refill and mid-flush-back. The acceptance bar for the arena
 // subsystem: ≥300 enumerated crash states, every one recovering through undo
-// replay + arena GC with zero failures, and the driver's differential oracle
-// (reachable set identical before and after GC, GC idempotent) holding in
-// every state.
+// replay + the arena GC a plain OpenPool runs, with zero failures: the
+// reachable signature matches a committed prefix in every state (GC never
+// reclaimed a live object) and a second GC pass finds no active entry.
 TEST(CrashsimWorkloads, AllocGcRecoversFromEveryEnumeratedState) {
   ExpectFullRecovery(RunWorkload("allocgc", 18), 300);
 }

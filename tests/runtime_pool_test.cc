@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <deque>
 #include <filesystem>
 
 #include "src/libpuddles/fault_router.h"
@@ -225,6 +226,32 @@ TEST_F(RuntimePoolTest, PoolGrowsAcrossPuddles) {
   std::sort(objects.begin(), objects.end());
   EXPECT_EQ(std::adjacent_find(objects.begin(), objects.end()), objects.end());
   std::memset(objects[kCount / 2], 0xaa, 1024);
+}
+
+// In-transaction frees of global-heap objects (above the 272-byte arena
+// limit) must let allocation return to the puddle they freed space in. A
+// sliding window of live objects larger than one puddle then stays within a
+// bounded set of puddles instead of growing the pool on every pass.
+TEST_F(RuntimePoolTest, TxFreedSpaceIsReusedAcrossPuddles) {
+  auto pool_result = runtime_->CreatePool("churn");
+  ASSERT_TRUE(pool_result.ok());
+  Pool& pool = **pool_result;
+  constexpr size_t kObject = 60 * 1024;  // One 64 KiB buddy block with its header.
+  constexpr size_t kLive = 40;           // 2.5 MiB live: more than one puddle.
+  constexpr int kSteps = 400;            // 25 MiB allocated over the run.
+  std::deque<void*> live;
+  for (int step = 0; step < kSteps; ++step) {
+    ASSERT_TRUE(pool.Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(void* p, tx.AllocBytes(kObject, kRawBytesTypeId));
+      live.push_back(p);
+      if (live.size() > kLive) {
+        RETURN_IF_ERROR(tx.FreeBytes(live.front()));
+        live.pop_front();
+      }
+      return OkStatus();
+    }).ok()) << "step " << step;
+  }
+  EXPECT_LE(pool.member_count(), 3u);
 }
 
 TEST_F(RuntimePoolTest, OnDemandMappingViaFault) {
