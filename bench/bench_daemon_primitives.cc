@@ -6,7 +6,6 @@
 #include "bench/bench_env.h"
 #include "bench/bench_util.h"
 #include "src/daemon/server.h"
-#include "src/tx/tx.h"
 
 namespace {
 

@@ -21,7 +21,6 @@
 #include "bench/bench_provenance.h"
 #include "bench/bench_util.h"
 #include "src/pmem/flush.h"
-#include "src/tx/tx.h"
 
 #ifndef PUDDLES_GIT_SHA
 #define PUDDLES_GIT_SHA "unknown"

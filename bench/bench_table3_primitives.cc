@@ -1,14 +1,10 @@
 // Table 3: mean latency of Puddles vs PMDK-like API primitives —
-// TX NOP, TX_ADD (8 B / 4 KiB), malloc (8 B / 4 KiB), malloc+free.
-//
-// Puddles appears twice: through the typed transaction-context API
-// (pool.Run + Tx — the recommended surface) and through the deprecated
-// TX_BEGIN/TX_ADD macros, to demonstrate that the redesign costs ≤~2% on the
-// log/store/commit primitives. Strict-API builds drop the legacy column.
+// TX NOP, TX_ADD (8 B / 4 KiB), malloc (8 B / 4 KiB), malloc+free. Rows keep
+// the paper's primitive names; Puddles runs them through its transaction
+// interface (pool.Run + Tx: tx.LogRange, tx.AllocBytes, tx.FreeBytes).
 #include "bench/bench_env.h"
 #include "bench/bench_util.h"
 #include "src/pmem/flush.h"
-#include "src/tx/tx.h"
 
 namespace {
 
@@ -136,77 +132,6 @@ FenceColumn MeasureTypedFences(bench::PuddlesEnv& env) {
   return col;
 }
 
-#ifndef PUDDLES_STRICT_API
-// ---- Puddles, deprecated TX_BEGIN/TX_ADD macro shims ----
-Column RunPuddlesLegacy(bench::PuddlesEnv& env, uint64_t iters) {
-  Column col{};
-  puddles::Pool& pool = *env.pool;
-  Scratch scratch = AllocScratch(pool);
-  Timer timer;
-
-  for (uint64_t i = 0; i < iters; ++i) {
-    TX_BEGIN(pool) {}
-    TX_END;
-  }
-  col.tx_nop = NsPerOp(iters, timer.Seconds());
-
-  timer.Reset();
-  for (uint64_t i = 0; i < iters; ++i) {
-    TX_BEGIN(pool) { TX_ADD_RANGE(scratch.small, 8); }
-    TX_END;
-  }
-  col.tx_add_8 = NsPerOp(iters, timer.Seconds());
-
-  timer.Reset();
-  for (uint64_t i = 0; i < iters / 4; ++i) {
-    TX_BEGIN(pool) { TX_ADD_RANGE(scratch.big, 4096); }
-    TX_END;
-  }
-  col.tx_add_4k = NsPerOp(iters / 4, timer.Seconds());
-
-  // malloc-only: allocate without freeing (fresh objects each time).
-  const uint64_t alloc_iters = iters / 8;
-  timer.Reset();
-  for (uint64_t i = 0; i < alloc_iters; ++i) {
-    TX_BEGIN(pool) { (void)pool.MallocBytes(8, puddles::kRawBytesTypeId); }
-    TX_END;
-  }
-  col.malloc_8 = NsPerOp(alloc_iters, timer.Seconds());
-
-  timer.Reset();
-  for (uint64_t i = 0; i < alloc_iters; ++i) {
-    TX_BEGIN(pool) { (void)pool.MallocBytes(4096, puddles::kRawBytesTypeId); }
-    TX_END;
-  }
-  col.malloc_4k = NsPerOp(alloc_iters, timer.Seconds());
-
-  timer.Reset();
-  for (uint64_t i = 0; i < alloc_iters; ++i) {
-    TX_BEGIN(pool) {
-      auto p = pool.MallocBytes(8, puddles::kRawBytesTypeId);
-      if (p.ok()) {
-        (void)pool.Free(*p);
-      }
-    }
-    TX_END;
-  }
-  col.malloc_free_8 = NsPerOp(alloc_iters, timer.Seconds());
-
-  timer.Reset();
-  for (uint64_t i = 0; i < alloc_iters; ++i) {
-    TX_BEGIN(pool) {
-      auto p = pool.MallocBytes(4096, puddles::kRawBytesTypeId);
-      if (p.ok()) {
-        (void)pool.Free(*p);
-      }
-    }
-    TX_END;
-  }
-  col.malloc_free_4k = NsPerOp(alloc_iters, timer.Seconds());
-  return col;
-}
-#endif  // !PUDDLES_STRICT_API
-
 Column RunFatPtr(fatptr::FatPool& pool, uint64_t iters) {
   Column col{};
   Timer timer;
@@ -283,8 +208,6 @@ int main() {
                      "paper Table 3 (TX NOP 11ns vs 142ns etc.)");
   auto dir = bench::ScratchDir("table3");
 
-  // The two Puddles environments run sequentially (daemons share the global
-  // puddle-space reservation).
   Column typed_col{};
   FenceColumn typed_fences{};
   {
@@ -292,36 +215,21 @@ int main() {
     typed_col = RunPuddlesTyped(typed_env, iters);
     typed_fences = MeasureTypedFences(typed_env);
   }
-  Column legacy_col{};  // Stays zero when the legacy surface is disabled.
-#ifndef PUDDLES_STRICT_API
-  {
-    bench::PuddlesEnv legacy_env(dir / "legacy");
-    legacy_col = RunPuddlesLegacy(legacy_env, iters);
-  }
-#endif
 
   bench::BaselineEnv<fatptr::FatPool> fat_env(dir, "pmdk");
   Column pmdk_col = RunFatPtr(*fat_env.pool, iters);
 
-  std::printf("%-22s %14s %14s %10s %14s\n", "operation", "Puddles (Tx)",
-              "Puddles (macros)", "Tx ovhd", "PMDK");
-  auto row = [](const char* op, double typed, double legacy, double pmdk) {
-    if (legacy > 0) {
-      std::printf("%-22s %12.1f ns %12.1f ns %9.1f%% %12.1f ns\n", op, typed, legacy,
-                  (typed - legacy) / legacy * 100.0, pmdk);
-    } else {
-      std::printf("%-22s %12.1f ns %14s %10s %12.1f ns\n", op, typed, "-", "-", pmdk);
-    }
+  std::printf("%-22s %14s %14s\n", "operation", "Puddles", "PMDK");
+  auto row = [](const char* op, double typed, double pmdk) {
+    std::printf("%-22s %11.1f ns %11.1f ns\n", op, typed, pmdk);
   };
-  row("TX NOP", typed_col.tx_nop, legacy_col.tx_nop, pmdk_col.tx_nop);
-  row("TX_ADD 8B", typed_col.tx_add_8, legacy_col.tx_add_8, pmdk_col.tx_add_8);
-  row("TX_ADD 4kB", typed_col.tx_add_4k, legacy_col.tx_add_4k, pmdk_col.tx_add_4k);
-  row("malloc 8B", typed_col.malloc_8, legacy_col.malloc_8, pmdk_col.malloc_8);
-  row("malloc 4kB", typed_col.malloc_4k, legacy_col.malloc_4k, pmdk_col.malloc_4k);
-  row("malloc+free 8B", typed_col.malloc_free_8, legacy_col.malloc_free_8,
-      pmdk_col.malloc_free_8);
-  row("malloc+free 4kB", typed_col.malloc_free_4k, legacy_col.malloc_free_4k,
-      pmdk_col.malloc_free_4k);
+  row("TX NOP", typed_col.tx_nop, pmdk_col.tx_nop);
+  row("TX_ADD 8B", typed_col.tx_add_8, pmdk_col.tx_add_8);
+  row("TX_ADD 4kB", typed_col.tx_add_4k, pmdk_col.tx_add_4k);
+  row("malloc 8B", typed_col.malloc_8, pmdk_col.malloc_8);
+  row("malloc 4kB", typed_col.malloc_4k, pmdk_col.malloc_4k);
+  row("malloc+free 8B", typed_col.malloc_free_8, pmdk_col.malloc_free_8);
+  row("malloc+free 4kB", typed_col.malloc_free_4k, pmdk_col.malloc_free_4k);
 
   std::printf("\npersist ordering (fences per transaction, typed API; DESIGN.md §10):\n");
   std::printf("%-22s %10.2f\n", "TX NOP", typed_fences.tx_nop);

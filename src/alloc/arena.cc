@@ -41,6 +41,9 @@ bool ThreadArena::TryAllocate(int class_index, AllocResult* out) {
   slab->shadow[word] |= 1ULL << (slot % 64);
   slab->used++;
   free_count_--;
+  // The spill threshold follows the free count down, so it stays at most a
+  // watermark above the fewest free slots held since the last spill pass.
+  spill_at_ = std::min(spill_at_, free_count_ + kArenaFlushWatermark);
   out->pa = slab->pa;
   out->slab_offset = slab->offset;
   out->slot = slot;
@@ -496,9 +499,18 @@ ThreadArena* ArenaManager::Local() {
 
 void ArenaManager::PushRemoteFree(const Uuid& uuid, uint16_t tag, int64_t slot_offset,
                                   uint64_t epoch) {
-  PUDDLES_COUNT(kArenaRemoteFree);
   std::lock_guard<std::mutex> lock(mu_);
-  remote_.push_back({uuid, tag, ClaimGenLocked(uuid, tag), slot_offset, epoch});
+  const uint64_t gen = ClaimGenLocked(uuid, tag);
+  if (gen == 0) {
+    // No arena of this process ever claimed the tag: its directory entry
+    // predates this open (OpenPool skipped the GC), so no arena here will
+    // own the slab. Queued, the record would be requeued by every drain;
+    // the slot stays allocated until a later open's GC decides by
+    // reachability.
+    return;
+  }
+  PUDDLES_COUNT(kArenaRemoteFree);
+  remote_.push_back({uuid, tag, gen, slot_offset, epoch});
 }
 
 void ArenaManager::Requeue(const RemoteFree& rf) {

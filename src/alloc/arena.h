@@ -159,7 +159,7 @@ class ThreadArena {
     void* addr = nullptr;  // Slot start (the ObjectHeader position).
   };
 
-  // FAST PATH (tools/check_alloc_discipline.sh): takes a free slot of
+  // FAST PATH (tools/check_discipline.py): takes a free slot of
   // `class_index` from the class's first slab with one (ctz on its shadow
   // bitmap). No lock, no persistence call, no undo append. Returns false
   // when the thread holds no free slot of the class (caller refills under
@@ -257,6 +257,7 @@ class ThreadArena {
   // Called after a spill pass: the next hint waits for another watermark's
   // worth of free slots, so slots scattered over partly-used slabs (which
   // cannot spill) do not send every allocation down the slow path.
+  // TryAllocate lowers the threshold again as those slots are used up.
   void clear_spill_hint() { spill_at_ = free_count_ + kArenaFlushWatermark; }
   size_t free_slot_count() const { return free_count_; }
 
@@ -335,14 +336,16 @@ class ArenaManager : public std::enable_shared_from_this<ArenaManager> {
   // Queues a free of an arena-owned slot for its owning thread to absorb on
   // its next slow path. `tag` is the slab's persistent arena tag; the record
   // is stamped with the tag's current claim generation so it can never be
-  // applied through a later claim that recycled the same (uuid, tag).
+  // applied through a later claim that recycled the same (uuid, tag). A tag
+  // this process never claimed belongs to an entry the open-time GC skipped:
+  // the free is dropped and the slot waits for a later GC.
   void PushRemoteFree(const Uuid& uuid, uint16_t tag, int64_t slot_offset,
                       uint64_t epoch);
 
   struct RemoteFree {
     Uuid uuid;
     uint16_t tag;
-    uint64_t gen;  // Claim generation at publication (0 = no claim known).
+    uint64_t gen;  // Claim generation at publication.
     int64_t slot_offset;
     uint64_t epoch;
   };

@@ -76,6 +76,9 @@ std::string HarnessReport::Summary() const {
     out << ", " << thread_mask_states << " thread-mask";
   }
   out << ") from " << epochs << " epochs over " << ops << " ops";
+  if (focus_states != 0) {
+    out << " (" << focus_states << " in focus windows, " << focus_explored << " explored)";
+  }
   if (trace_threads > 1) {
     out << " (" << trace_threads << " threads)";
   }
@@ -169,6 +172,16 @@ puddles::Result<HarnessReport> Harness::Run() {
 
   std::vector<CrashStateSpec> specs = EnumerateCrashStates(trace, options_.enumerate);
   report.states_enumerated = specs.size();
+  const std::vector<FocusWindow> focus = driver_.FocusWindows();
+  auto in_focus = [&](uint64_t epoch) {
+    const uint64_t fences = persist_before.fences + epoch;  // Retired at the crash.
+    for (const FocusWindow& window : focus) {
+      if (fences >= window.first_fence && fences < window.end_fence) {
+        return true;
+      }
+    }
+    return false;
+  };
   std::set<std::string> outcomes;
   std::set<std::pair<uint64_t, uint64_t>> seen_classes;
   // verify_classes: first observed outcome per class.
@@ -185,6 +198,8 @@ puddles::Result<HarnessReport> Harness::Run() {
     } else {
       ++report.fence_boundary_states;
     }
+    const bool focused = in_focus(spec.epoch);
+    report.focus_states += focused;
 
     ClassSignature sig;
     bool have_class = false;
@@ -204,6 +219,7 @@ puddles::Result<HarnessReport> Harness::Run() {
       continue;
     }
     ++report.states_explored;
+    report.focus_explored += focused;
 
     puddles::Status state_status = CopyTree(pristine, live);
     if (state_status.ok()) {

@@ -38,6 +38,15 @@
 
 namespace crashsim {
 
+// A stretch of the traced run a driver wants crash coverage of, as two
+// pmem::ReadPersistStats().fences readings taken during the run. A crash
+// state lies inside when the process-wide fence count at its crash point is
+// in [first_fence, end_fence).
+struct FocusWindow {
+  uint64_t first_fence = 0;
+  uint64_t end_fence = 0;
+};
+
 // One crash-consistency workload under test. The driver owns all process
 // state (daemon, runtime, pool, or raw mapped files); the harness owns
 // orchestration, tracing, enumeration, and verification.
@@ -74,6 +83,10 @@ class WorkloadDriver {
   // One-line diagnostics about the most recent RecoverAndFingerprint (replay
   // stats etc.); attached to failure reports.
   virtual std::string LastRecoveryInfo() const { return {}; }
+
+  // The focus windows marked during the traced run (none by default); the
+  // report counts the crash states inside them.
+  virtual std::vector<FocusWindow> FocusWindows() const { return {}; }
 };
 
 struct HarnessOptions {
@@ -116,6 +129,8 @@ struct HarnessReport {
   uint64_t fence_boundary_states = 0;
   uint64_t eviction_states = 0;
   uint64_t thread_mask_states = 0;
+  uint64_t focus_states = 0;    // Inside the driver's focus windows.
+  uint64_t focus_explored = 0;  // Of those, recoveries actually run.
 
   // Pruning (populated when a classifier ran: prune == kGraph or
   // verify_classes).

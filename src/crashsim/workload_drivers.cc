@@ -17,6 +17,7 @@
 #include "src/pmem/global_space.h"
 #include "src/pmem/mapped_file.h"
 #include "src/pmhash/pmhash.h"
+#include "src/stats/stats.h"
 #include "src/workloads/adapters.h"
 #include "src/workloads/art.h"
 #include "src/workloads/btree.h"
@@ -883,13 +884,18 @@ class EpochCrashDriver : public PoolCrashDriver {
 
 // ---- Per-thread arena allocator with GC recovery ("allocgc") ----
 //
-// Drives the arena allocator through its crash-exposed windows: batched slab
-// refills (directory claim + chain-head moves), the free churn on the
-// lock-free local list, and full flush-backs that hand every slab to the
-// shared heap — every sixth op is a FlushThreadArena, so the immediately
-// following op re-claims the directory and refills, putting both the
-// mid-refill and the mid-flush-back persist sequences inside the traced
-// window over and over.
+// Drives the arena allocator through its crash-exposed windows, in a cycle
+// of six ops: churn, churn, a free burst, churn, churn, flush-back.
+//   * Churn is one transaction: batched slab refills (directory claim +
+//     chain-head moves) and the free churn on the lock-free local list.
+//   * The free burst allocates and frees kBurstChips 32-byte objects in one
+//     transaction, leaving eight whole-empty slabs and the free count past
+//     the 512-slot watermark, so the next churn op spills four slabs inside
+//     its traced transaction: chain unlinks staged in its undo log, buddy
+//     releases at its commit head. Each such spill is a focus window, from
+//     the staged unlinks to the commit.
+//   * FlushThreadArena hands every slab to the shared heap, so the next op
+//     re-claims the directory and refills.
 //
 // Recovery is plain OpenPool: the pool's arena flag is set whenever a crash
 // can leave a directory entry active, so the reopen runs the arena GC before
@@ -902,14 +908,23 @@ class AllocGcCrashDriver : public PoolCrashDriver {
  public:
   using PoolCrashDriver::PoolCrashDriver;
 
+  std::vector<FocusWindow> FocusWindows() const override { return spills_; }
+
  protected:
   static constexpr int kSlots = 12;
+  // Past four slabs of 126 slots: two refills, eight slabs.
+  static constexpr int kBurstChips = 640;
 
   // 256 bytes + 16-byte header = the 272-byte slab class (14 slots per
   // slab): small slabs make refills frequent inside a short traced run.
   struct GcObj {
     uint64_t value;
     uint64_t pad[31];
+  };
+  // 16 bytes + header: the 32-byte class, the most slots per slab.
+  struct GcChip {
+    uint64_t value;
+    uint64_t pad;
   };
   // The pointer array registers as one repeat region — the roots the GC
   // walks.
@@ -920,10 +935,12 @@ class AllocGcCrashDriver : public PoolCrashDriver {
   static void RegisterTypes() {
     (void)puddles::TypeRegistry::Instance().Register<GcRoot>(&GcRoot::slots);
     (void)puddles::TypeRegistry::Instance().RegisterLeaf<GcObj>();
+    (void)puddles::TypeRegistry::Instance().RegisterLeaf<GcChip>();
   }
 
   puddles::Status InitStructure() override {
     RegisterTypes();
+    spills_.clear();
     return pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
       ASSIGN_OR_RETURN(root_, tx.Alloc<GcRoot>());
       for (auto& slot : root_->slots) {
@@ -951,11 +968,30 @@ class AllocGcCrashDriver : public PoolCrashDriver {
       // cleared — the mid-flush crash window.
       return pool_->FlushThreadArena();
     }
+    if (i % 6 == 2) {
+      spill_due_ = true;
+      // Unreachable throughout, so the reachable signature does not change.
+      return pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
+        std::vector<GcChip*> chips(kBurstChips);
+        for (GcChip*& chip : chips) {
+          ASSIGN_OR_RETURN(chip, tx.Alloc<GcChip>());
+          chip->value = 0xC41F;
+        }
+        for (GcChip* chip : chips) {
+          RETURN_IF_ERROR(tx.Free(chip));
+        }
+        return puddles::OkStatus();
+      });
+    }
     const int slot = i % kSlots;
-    return pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
+    const uint64_t spilled_before = SpilledSlabs();
+    uint64_t staged_fence = 0;
+    RETURN_IF_ERROR(pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
       // Transient pair: exercises the local free list (alloc + unlogged
-      // free in one transaction) without changing the reachable set.
+      // free in one transaction) without changing the reachable set. After
+      // a free burst, this first allocation spills.
       ASSIGN_OR_RETURN(GcObj * scratch, tx.Alloc<GcObj>());
+      staged_fence = pmem::ReadPersistStats().fences;
       scratch->value = 0xA110C;
       RETURN_IF_ERROR(tx.Free(scratch));
       ASSIGN_OR_RETURN(GcObj * next, tx.Alloc<GcObj>());
@@ -966,7 +1002,15 @@ class AllocGcCrashDriver : public PoolCrashDriver {
       RETURN_IF_ERROR(tx.LogRange(&root_->slots[slot], sizeof(GcObj*)));
       root_->slots[slot] = next;
       return puddles::OkStatus();
-    });
+    }));
+    if (spill_due_) {
+      spill_due_ = false;
+      if (PUDDLES_STATS && SpilledSlabs() == spilled_before) {
+        return puddles::InternalError("allocgc: the op after a free burst did not spill");
+      }
+      spills_.push_back({staged_fence, pmem::ReadPersistStats().fences});
+    }
+    return puddles::OkStatus();
   }
 
   puddles::Result<std::string> ComputeFingerprint() override { return ReachableSignature(); }
@@ -993,7 +1037,14 @@ class AllocGcCrashDriver : public PoolCrashDriver {
     return out.str();
   }
 
+  // Slabs flushed or spilled back to the shared heap (0 without telemetry).
+  static uint64_t SpilledSlabs() {
+    return puddles::stats::Aggregate().counter(puddles::stats::Counter::kArenaFlushSlabs);
+  }
+
   GcRoot* root_ = nullptr;
+  bool spill_due_ = false;
+  std::vector<FocusWindow> spills_;
 };
 
 // ---- PersistentHashMap (src/pmhash) ----

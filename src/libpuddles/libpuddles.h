@@ -1,7 +1,6 @@
 // Umbrella header for the Puddles client library: include this to use pools,
 // typed transaction contexts (pool.Run + puddles::Tx), declarative pointer
-// maps (PUDDLES_TYPE), typed allocation, relocation-aware mapping, and the
-// deprecated legacy macros (TX_BEGIN/TX_ADD/TX_REDO_SET/TX_END).
+// maps (PUDDLES_TYPE), typed allocation, and relocation-aware mapping.
 #ifndef SRC_LIBPUDDLES_LIBPUDDLES_H_
 #define SRC_LIBPUDDLES_LIBPUDDLES_H_
 
@@ -9,6 +8,5 @@
 #include "src/libpuddles/pool.h"
 #include "src/libpuddles/runtime.h"
 #include "src/libpuddles/type_registry.h"
-#include "src/tx/tx.h"
 
 #endif  // SRC_LIBPUDDLES_LIBPUDDLES_H_

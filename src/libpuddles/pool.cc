@@ -65,9 +65,10 @@ bool Pool::CoversPmRange(const void* addr, size_t size) const {
 }
 
 puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id) {
-  // Legacy implicit-context path: join the thread's open TX_BEGIN
-  // transaction, if any, through the src/tx bridge.
-  return MallocBytes(size, type_id, tx_internal::ImplicitTransaction());
+  if (Transaction::ActiveOnThisThread()) {
+    return FailedPreconditionError("pool.Malloc inside a transaction: use tx.Alloc");
+  }
+  return MallocBytes(size, type_id, nullptr);
 }
 
 puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transaction* tx) {
@@ -117,7 +118,10 @@ puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transactio
 }
 
 puddles::Status Pool::Free(void* payload) {
-  return Free(payload, tx_internal::ImplicitTransaction());
+  if (Transaction::ActiveOnThisThread()) {
+    return FailedPreconditionError("pool.Free inside a transaction: use tx.Free");
+  }
+  return Free(payload, nullptr);
 }
 
 puddles::Status Pool::Free(void* payload, Transaction* tx) {
@@ -257,23 +261,24 @@ puddles::Result<Transaction*> Pool::BeginTx() {
   if (!writable_) {
     return FailedPreconditionError("read-only pool cannot start transactions");
   }
+  // Refuse before touching the thread's target: the open transaction owns
+  // it, and its log must never be quiesced from under it.
+  if (Transaction::ActiveOnThisThread()) {
+    return FailedPreconditionError(
+        "pool.Run does not nest: a transaction is already open on this thread");
+  }
   ASSIGN_OR_RETURN(TxTarget * target, runtime_->ThreadTxTarget());
-  // The durability mode is latched at the *outermost* begin; a flat-nested
-  // BeginTx must not disturb the target of the transaction already running
-  // (and must never quiesce a log its own open transaction occupies).
-  if (tx_internal::ImplicitTransaction() == nullptr) {
-    if (durability_ == Durability::kEpoch) {
-      ASSIGN_OR_RETURN(target->epoch, runtime_->EpochPortForThisThread());
-    } else if (target->epoch != nullptr) {
-      // Back to immediate mode on a thread that ran epoch transactions: the
-      // log may still hold un-retired epoch entries — wait them out and
-      // re-arm before an immediate transaction takes the log over.
-      EpochPort* port = runtime_->ExistingEpochPortForThisThread();
-      if (port != nullptr) {
-        RETURN_IF_ERROR(port->Quiesce(target->log));
-      }
-      target->epoch = nullptr;
+  if (durability_ == Durability::kEpoch) {
+    ASSIGN_OR_RETURN(target->epoch, runtime_->EpochPortForThisThread());
+  } else if (target->epoch != nullptr) {
+    // Back to immediate mode on a thread that ran epoch transactions: the
+    // log may still hold un-retired epoch entries — wait them out and
+    // re-arm before an immediate transaction takes the log over.
+    EpochPort* port = runtime_->ExistingEpochPortForThisThread();
+    if (port != nullptr) {
+      RETURN_IF_ERROR(port->Quiesce(target->log));
     }
+    target->epoch = nullptr;
   }
   return Transaction::BeginWith(target);
 }
@@ -302,7 +307,7 @@ void Pool::HookArenaTx(Transaction* tx, ThreadArena* ta) {
   tx->DeferOnAbort([ta]() { ta->OnTxAborted(); });
 }
 
-// FAST PATH (tools/check_alloc_discipline.sh): no lock, no persistence call,
+// FAST PATH (tools/check_discipline.py): no lock, no persistence call,
 // no undo append. The slot is fresh to this transaction — commit stage 1
 // flushes its contents, abort restores the shadow state via the arena hooks —
 // so the header stores below are plain stores.

@@ -65,16 +65,11 @@ class Pool {
   // size. Allocations using this API can be serviced from any puddle in the
   // pool with enough free space."
   //
-  // The explicit-context form: `tx` is the transaction the allocation joins
-  // (fresh contents are flushed at commit stage 1; small objects come from
-  // the thread's arena with no logging, larger ones from the global heap
-  // with undo-logged metadata), or nullptr for a non-transactional
-  // allocation from the global heap (persisted immediately; not
-  // crash-atomic, as in PMDK).
-  puddles::Result<void*> MallocBytes(size_t size, TypeId type_id, Transaction* tx);
-
-  // Legacy implicit-context form: joins the thread's open TX_BEGIN
-  // transaction if any (via the src/tx legacy bridge). Prefer tx.Alloc<T>().
+  // These are the non-transactional forms: the object comes from the global
+  // heap and its metadata is persisted immediately (not crash-atomic, as in
+  // PMDK). Inside a transaction allocate and free through the Tx handle
+  // (tx.Alloc / tx.Free); called while the thread has a transaction open,
+  // these return FailedPrecondition.
   puddles::Result<void*> MallocBytes(size_t size, TypeId type_id);
 
   template <typename T>
@@ -83,11 +78,6 @@ class Pool {
     return static_cast<T*>(raw);
   }
 
-  // Frees an object allocated from this pool. Inside a transaction the free
-  // is deferred to commit (no reuse within the transaction, so rollback can
-  // never resurrect recycled bytes). Explicit-context and legacy
-  // implicit-context forms, as with MallocBytes.
-  puddles::Status Free(void* payload, Transaction* tx);
   puddles::Status Free(void* payload);
 
   // ---- Root object ----
@@ -117,9 +107,9 @@ class Pool {
   // Commit/abort is decided by the callback's return value: OK commits
   // (Fig. 7 hybrid stages), non-OK aborts via the undo log and that status is
   // returned. An exception escaping `fn` aborts and rethrows. Run does not
-  // nest — a Run (or open legacy transaction) already on this thread returns
-  // FailedPrecondition, keeping every ordering point visible at exactly one
-  // level (cf. MOD's explicit ordering points).
+  // nest — a Run already open on this thread returns FailedPrecondition,
+  // keeping every ordering point visible at exactly one level (cf. MOD's
+  // explicit ordering points).
   template <typename Fn>
   puddles::Status Run(Fn&& fn);
 
@@ -142,10 +132,6 @@ class Pool {
   // Blocks until every epoch-mode transaction committed before this call is
   // persistently durable. No-op in immediate mode.
   void Sync();
-
-  // Starts (or flat-nests into) the calling thread's transaction using its
-  // cached log puddle. The legacy TX_BEGIN entry point; Run builds on it.
-  puddles::Result<Transaction*> BeginTx();
 
   // ---- Per-thread slab arenas (docs/alloc.md, DESIGN.md §14) ----
   //
@@ -202,6 +188,20 @@ class Pool {
 
   // Grows the pool by one data puddle.
   puddles::Status AddDataPuddle();
+
+  // Starts the calling thread's transaction on its cached log puddle, with
+  // this pool's durability mode; FailedPrecondition while one is open.
+  puddles::Result<Transaction*> BeginTx();
+
+  // The allocation paths behind the public forms and Tx: `tx` is the
+  // transaction the allocation joins (fresh contents are flushed at commit
+  // stage 1; small objects come from the thread's arena with no logging,
+  // larger ones from the global heap with undo-logged metadata), or nullptr
+  // for a non-transactional allocation. Inside a transaction a free is
+  // deferred to commit (no reuse within the transaction, so rollback can
+  // never resurrect recycled bytes).
+  puddles::Result<void*> MallocBytes(size_t size, TypeId type_id, Transaction* tx);
+  puddles::Status Free(void* payload, Transaction* tx);
 
   // ---- Arena plumbing (pool.cc; see docs/alloc.md for the contracts) ----
   // Fast path: serves a small transactional allocation from the thread's
@@ -283,7 +283,7 @@ class Pool {
 };
 
 // The typed transaction context handed to Pool::Run callbacks — the only way
-// to log, allocate, or free inside a transaction under the redesigned API.
+// to log, allocate, or free inside a transaction.
 // Every operation returns Status/Result (nothing throws), and every
 // operation re-checks liveness: a Tx copied out of its Run (or used after
 // its transaction committed) fails with FailedPrecondition instead of
@@ -306,8 +306,8 @@ class Tx {
     return tx_->AddUndo(addr, size);
   }
 
-  // Undo-logs a single member — `tx.LogField(node, &Node::next)` — the
-  // typed, drift-proof replacement for TX_ADD_RANGE(&node->next, 8).
+  // Undo-logs a single member — `tx.LogField(node, &Node::next)` — with the
+  // range derived from the member type instead of a hand-written size.
   template <typename T, typename M>
   puddles::Status LogField(T* object, M T::*field) {
     return LogRange(&(object->*field), sizeof(M));
@@ -344,10 +344,10 @@ class Tx {
     return pool_->MallocBytes(size, type_id, tx_);
   }
 
-  // Frees `payload` at commit (deferred; see Pool::Free). After Free, further
-  // Log/Set calls overlapping the object are rejected — the freed-object
-  // misuse the old macro API could not detect. The typed form knows the
-  // object's extent; FreeBytes tracks at least the first byte.
+  // Frees `payload` at commit (deferred, so rollback can never resurrect
+  // recycled bytes). After Free, further Log/Set calls overlapping the
+  // object are rejected (use-after-free inside one transaction). The typed
+  // form knows the object's extent; FreeBytes tracks at least the first byte.
   template <typename T>
   puddles::Status Free(T* payload) {
     return FreeSized(payload, sizeof(T));
@@ -409,19 +409,12 @@ puddles::Status Pool::Run(Fn&& fn) {
                 "pool.Run callback must be invocable as Status(puddles::Tx&) — "
                 "return OkStatus() to commit, any error to roll back");
   ASSIGN_OR_RETURN(Transaction * raw, BeginTx());
-  if (raw->depth() > 1) {
-    // BeginTx flat-nested into an already-open transaction; pop the level we
-    // just pushed and refuse. (Commit at depth > 1 only decrements.)
-    (void)raw->Commit();
-    return FailedPreconditionError(
-        "pool.Run does not nest: a transaction is already open on this thread");
-  }
   Tx tx(this, raw);
   puddles::Status body = puddles::OkStatus();
   try {
     body = fn(tx);
   } catch (...) {
-    (void)raw->Abort();  // Abort-on-unwind, as with the legacy macros.
+    (void)raw->Abort();  // Abort-on-unwind.
     throw;
   }
   if (!body.ok()) {

@@ -273,8 +273,12 @@ puddles::Result<Pool*> Runtime::FinishOpenPool(const puddled::PoolInfo& info, bo
   // entries stay active and the pool opens anyway.
   if (writable && pool->meta_.arenas_active() && FindOpenPool(info.pool_uuid) == nullptr) {
     auto gc = pool->RecoverArenas();
-    if (!gc.ok() && gc.status().code() != StatusCode::kFailedPrecondition) {
-      return gc.status();
+    if (!gc.ok()) {
+      if (gc.status().code() != StatusCode::kFailedPrecondition) {
+        return gc.status();
+      }
+      PUD_LOG_WARN("pool %s: arena GC skipped, leaked arena slots stay allocated: %s",
+                   info.name, gc.status().ToString().c_str());
     }
   }
 

@@ -85,8 +85,7 @@ class Runtime {
   // ---- Transactions ----
   // The thread's cached transaction log (§4.1), created and registered on
   // first use. The returned target is owned by the runtime and stable for
-  // the thread's lifetime (the allocation-free fast path under pool.Run and
-  // the legacy TX_BEGIN shim alike).
+  // the thread's lifetime (the allocation-free fast path under pool.Run).
   puddles::Result<TxTarget*> ThreadTxTarget();
 
   // ---- Epoch-based group commit (docs/epoch.md) ----
@@ -129,7 +128,7 @@ class Runtime {
     Entry* entry = nullptr;
     LogRegion region;
     std::vector<std::pair<Entry*, std::unique_ptr<LogRegion>>> spares;  // Grown logs.
-    TxTarget cached_target;  // Built once; Pool::BeginTx must stay allocation-free.
+    TxTarget cached_target;  // Built once; Pool::Run must stay allocation-free.
     std::unique_ptr<EpochPort> port;  // Epoch-mode port; created on first use.
   };
   puddles::Result<ThreadLog*> ThreadLogForThisThread();

@@ -5,7 +5,7 @@
 //   * Stats writes are VOLATILE-ONLY. Nothing in this subsystem may flush,
 //     fence, or touch persistent memory — instrumentation must be invisible
 //     to the persistence ordering the rest of the tree is verified against
-//     (enforced by tools/check_stats_path.sh).
+//     (enforced by tools/check_discipline.py).
 //   * The fast path is wait-free and allocation-free: a TLS pointer load, a
 //     branch, and a relaxed load+store bump on a cacheline owned by the
 //     calling thread. Slots register once per thread (the only lock), live
@@ -37,9 +37,9 @@ namespace stats {
 // (stats.cc has a static_assert on the name table length).
 enum class Counter : uint32_t {
   // Transactions (src/tx).
-  kTxBegin = 0,       // Outermost transactions begun.
-  kTxCommit,          // Outermost transactions committed.
-  kTxAbort,           // Outermost transactions aborted/rolled back.
+  kTxBegin = 0,       // Transactions begun.
+  kTxCommit,          // Transactions committed.
+  kTxAbort,           // Transactions aborted/rolled back.
   kUndoAppend,        // Undo log entries appended.
   kUndoElided,        // Undo captures skipped by coverage elision.
   kRedoAppend,        // Redo log entries appended.

@@ -34,7 +34,7 @@ class EpochPort {
  public:
   virtual ~EpochPort() = default;
 
-  // Joins the open epoch at outermost Begin. If the thread's log still holds
+  // Joins the open epoch at Begin. If the thread's log still holds
   // entries of an earlier, already-closed epoch, blocks until that epoch is
   // persistently retired, then volatile-rearms `head` (and persistently
   // recycles any continuation regions) — so a log never mixes entries from

@@ -56,17 +56,9 @@ void Transaction::StageHook(const char* stage) {
   }
 }
 
-Transaction* Transaction::Current() {
-  return (tls_transaction != nullptr && tls_transaction->active()) ? tls_transaction : nullptr;
+bool Transaction::ActiveOnThisThread() {
+  return tls_transaction != nullptr && tls_transaction->active();
 }
-
-namespace tx_internal {
-
-Transaction* ImplicitTransaction() {
-  return (tls_transaction != nullptr && tls_transaction->active()) ? tls_transaction : nullptr;
-}
-
-}  // namespace tx_internal
 
 void Transaction::AbandonCurrentForTesting() {
   if (tls_transaction != nullptr) {
@@ -75,19 +67,14 @@ void Transaction::AbandonCurrentForTesting() {
 }
 
 puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
+  if (ActiveOnThisThread()) {
+    return FailedPreconditionError("transactions do not nest: one is already open on this thread");
+  }
   if (tls_transaction == nullptr) {
     (void)tls_transaction_owner;  // Register the thread-exit deleter.
     tls_transaction = new Transaction();  // Thread-lifetime singleton.
   }
   Transaction* tx = tls_transaction;
-  if (tx->depth_ > 0) {
-    // Flat nesting (PMDK semantics): the inner transaction joins the outer.
-    if (target != nullptr && target->log != nullptr && target->log != tx->target_->log) {
-      return FailedPreconditionError("nested transaction with a different log");
-    }
-    ++tx->depth_;
-    return tx;
-  }
   if (target == nullptr || target->log == nullptr) {
     return InvalidArgumentError("transaction needs a log");
   }
@@ -117,15 +104,15 @@ puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
     tx->epoch_mode_ = false;
   }
   tx->target_ = target;
-  tx->depth_ = 1;
-  ++tx->epoch_;  // New outermost transaction: invalidate stale Tx handles.
+  tx->active_ = true;
+  ++tx->epoch_;  // New transaction: invalidate stale Tx handles.
   PUDDLES_COUNT(kTxBegin);
   return tx;
 }
 
 puddles::Result<Transaction*> Transaction::Begin(const TxTarget& target) {
-  if (tls_transaction != nullptr && tls_transaction->depth_ > 0) {
-    return BeginWith(&target);  // Nesting: target identity checked, not stored.
+  if (ActiveOnThisThread()) {
+    return BeginWith(&target);  // Refused there, before owned_target_ changes.
   }
   if (tls_transaction == nullptr) {
     (void)tls_transaction_owner;  // Register the thread-exit deleter.
@@ -235,7 +222,7 @@ void Transaction::PublishStaged() {
 // Epoch-mode publication: the staged lines are spliced to the advancer, whose
 // flush + single fence retires every waiting thread's publication at once.
 // This function (and the whole epoch commit/abort path) must stay free of
-// pmem::Flush/Fence calls — CI greps for it (tools/check_epoch_discipline.sh).
+// pmem::Flush/Fence calls — CI checks it (tools/check_discipline.py).
 void Transaction::PublishStagedEpoch() { target_->epoch->Publish(&batch_); }
 
 puddles::Status Transaction::AddVolatileUndo(void* addr, size_t size) {
@@ -288,18 +275,7 @@ bool Transaction::IntersectsFreedRange(const void* addr, size_t size) const {
   return false;
 }
 
-puddles::Status Transaction::Commit() {
-  if (!active()) {
-    return FailedPreconditionError("no active transaction");
-  }
-  if (depth_ > 1) {
-    --depth_;
-    return OkStatus();
-  }
-  return CommitOutermost();
-}
-
-// Post-commit hooks run only once the outermost commit has fully succeeded:
+// Post-commit hooks run only once the commit has fully succeeded:
 // they publish volatile effects (arena free-list pushes) that must not happen
 // while the transaction can still roll back. Captured at the success exits —
 // after the deferred frees have run, so hooks they register are included —
@@ -314,7 +290,10 @@ void Transaction::RunPostCommitHooks() {
   }
 }
 
-puddles::Status Transaction::CommitOutermost() {
+puddles::Status Transaction::Commit() {
+  if (!active()) {
+    return FailedPreconditionError("no active transaction");
+  }
   PUDDLES_TRACE_SPAN("tx_commit");
   PUDDLES_SCOPED_TIMER(kTxCommitTicks);
   PUDDLES_COUNT(kTxCommit);
@@ -424,7 +403,7 @@ puddles::Status Transaction::CommitOutermost() {
 // back every transaction of the epoch, never a prefix. The commit tail
 // (target write-back, log reset, sequence-range flips) is deferred to the
 // epoch boundary; this function issues zero flush/fence instructions itself
-// (CI-gated by tools/check_epoch_discipline.sh).
+// (CI-checked by tools/check_discipline.py).
 puddles::Status Transaction::CommitEpochMode() {
   // Redo entries become in-place mutations below, with the log still armed
   // for undo replay — so each redo target needs a pre-image capture first,
@@ -582,7 +561,7 @@ void Transaction::ResetState() {
   on_abort_.clear();
   chain_.clear();
   target_ = nullptr;
-  depth_ = 0;
+  active_ = false;
   epoch_mode_ = false;
 }
 

@@ -1,10 +1,10 @@
 // Failure-atomic transactions over Puddles logs (paper §4.1, Figs. 7 & 8).
 //
-// Thread-local, PMDK-style flat-nested transactions. The runtime writes undo
-// entries (TX_ADD) before locations are modified and redo entries
-// (TX_REDO_SET) holding deferred new values; commit walks the three hybrid
-// stages of Fig. 7, driving the log's sequence range through
-// (0,2) → (2,4) → (4,4):
+// One transaction per thread at a time; a Begin while it is open is refused
+// (transactions do not nest). The runtime writes undo entries (AddUndo)
+// before locations are modified and redo entries (RedoWrite) holding
+// deferred new values; commit walks the three hybrid stages of Fig. 7,
+// driving the log's sequence range through (0,2) → (2,4) → (4,4):
 //   Stage 1  flush every undo-logged location            [crash ⇒ roll back]
 //   Stage 2  apply + flush every redo entry              [crash ⇒ roll forward]
 //   Stage 3  invalidate and reset the log                [crash ⇒ nothing to do]
@@ -68,25 +68,21 @@ struct SimulatedCrash {
 
 class Transaction {
  public:
-  // The active transaction of this thread, or nullptr.
-  //
-  // Deprecated: the thread-local singleton is the legacy TX_BEGIN bridge.
-  // New code receives its transaction context explicitly — `pool.Run`
-  // hands the callback a typed `puddles::Tx` (src/libpuddles/pool.h) and
-  // never consults thread-local state. Call sites outside src/tx/ are
-  // rejected by the CI api-gate.
-  [[deprecated("use pool.Run(fn(Tx&)) — explicit contexts instead of the TLS singleton")]]
-  static Transaction* Current();
+  // True while the calling thread has a transaction open. The only view of
+  // the thread's transaction outside this class: callers receive the
+  // transaction itself from Begin (`pool.Run` wraps it in a typed Tx).
+  static bool ActiveOnThisThread();
 
-  // Starts (or flat-nests into) the thread's transaction. The by-reference
-  // overload copies the target; BeginWith borrows a caller-owned target that
-  // must outlive the transaction (the allocation-free fast path used by
-  // Pool::BeginTx with the thread's cached target).
+  // Starts the thread's transaction; FailedPrecondition while one is open.
+  // The by-reference overload copies the target; BeginWith borrows a
+  // caller-owned target that must outlive the transaction (the
+  // allocation-free fast path used by Pool::Run with the thread's cached
+  // target).
   static puddles::Result<Transaction*> Begin(const TxTarget& target);
   static puddles::Result<Transaction*> BeginWith(const TxTarget* target);
 
   // Undo-logs [addr, addr+size): the current contents are captured and the
-  // caller may modify the range immediately after return (TX_ADD). Under the
+  // caller may modify the range immediately after return. Under the
   // batched protocol (DESIGN.md §10) this stages the entry and then publishes
   // every pending staged append with ONE fence before returning — the
   // pre-mutation ordering point. The append (and its fence) is elided
@@ -113,7 +109,7 @@ class Transaction {
   puddles::Status AddVolatileUndo(void* addr, size_t size);
 
   // Redo-logs a deferred write: `*dst` keeps its old value until commit
-  // stage 2 copies the new bytes in (TX_REDO_SET). Staged without any fence:
+  // stage 2 copies the new bytes in. Staged without any fence:
   // a redo entry needs no ordering until commit, because its target is not
   // touched before stage 2 and an unpublished entry is invalid at replay
   // (out of sequence range, or torn and discarded by checksum).
@@ -130,8 +126,8 @@ class Transaction {
   // never resurrect an object whose bytes were recycled (DESIGN.md §3).
   void DeferFree(std::function<puddles::Status()> op);
 
-  // Registers a volatile side-effect to run once the outermost commit has
-  // fully succeeded (after the log is retired / handed to the epoch
+  // Registers a volatile side-effect to run once the commit has fully
+  // succeeded (after the log is retired / handed to the epoch
   // advancer). Used by the arena allocator to publish unlogged frees: the
   // slot may only re-enter a free list when the freeing transaction can no
   // longer roll back. Dropped if the commit fails (the subsequent Abort runs
@@ -157,20 +153,19 @@ class Transaction {
   void NoteFreedRange(const void* addr, size_t size);
   bool IntersectsFreedRange(const void* addr, size_t size) const;
 
-  // Commits (outermost) or pops one nesting level.
+  // Commits through the Fig. 7 stages (or hands the tail to the epoch).
   puddles::Status Commit();
 
-  // Rolls back everything (all nesting levels) via the undo entries, newest
-  // first, including volatile entries.
+  // Rolls back everything via the undo entries, newest first, including
+  // volatile entries.
   puddles::Status Abort();
 
-  int depth() const { return depth_; }
-  bool active() const { return depth_ > 0; }
+  bool active() const { return active_; }
   size_t entry_count() const { return entries_.size(); }
 
-  // Monotonic count of outermost Begins served by this thread's transaction
-  // object. A typed `Tx` handle captures the epoch at Run-entry so a handle
-  // that outlives its transaction is detected (FailedPrecondition) instead of
+  // Monotonic count of Begins served by this thread's transaction object. A
+  // typed `Tx` handle captures the epoch at Run-entry so a handle that
+  // outlives its transaction is detected (FailedPrecondition) instead of
   // silently joining a later transaction that reuses this object.
   uint64_t epoch() const { return epoch_; }
 
@@ -199,7 +194,6 @@ class Transaction {
                               ReplayOrder order, uint8_t flags);
   puddles::Status AddUndoInternal(void* addr, size_t size, bool publish);
   const uint8_t* EntryData(const EntryRef& ref) const;
-  puddles::Status CommitOutermost();
   puddles::Status CommitEpochMode();
   puddles::Status AbortImmediateMode();
   puddles::Status AbortEpochMode();
@@ -226,26 +220,13 @@ class Transaction {
   std::vector<std::function<puddles::Status()>> deferred_frees_;
   std::vector<std::function<void()>> post_commit_;  // Run after commit success.
   std::vector<std::function<void()>> on_abort_;     // Run after rollback.
-  int depth_ = 0;
+  bool active_ = false;
   uint64_t epoch_ = 0;
-  // True while this outermost transaction runs under an EpochPort (the
+  // True while this transaction runs under an EpochPort (the
   // persistence-epoch sense of "epoch"; unrelated to the handle-staleness
   // counter above).
   bool epoch_mode_ = false;
 };
-
-namespace tx_internal {
-
-// The one sanctioned read of the thread-local transaction slot outside the
-// Transaction class itself: the bridge that lets the deprecated TX_* macros
-// and the implicit-join allocation overloads (`pool.Malloc<T>()` inside
-// TX_BEGIN) find the open transaction. Returns nullptr when no transaction
-// is active. Everything under src/libpuddles and above threads the
-// transaction explicitly; only this legacy bridge — which lives in src/tx by
-// design — touches the singleton.
-Transaction* ImplicitTransaction();
-
-}  // namespace tx_internal
 
 }  // namespace puddles
 

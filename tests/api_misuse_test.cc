@@ -81,6 +81,28 @@ TEST_F(ApiMisuseTest, NestedRunRejected) {
   EXPECT_EQ(node->value, 3u);
 }
 
+// The pool's own Malloc/Free are non-transactional. Inside Run they must be
+// refused rather than silently bypass the open transaction: an allocation
+// that abort cannot roll back, or a free that commits before the body does.
+TEST_F(ApiMisuseTest, TxlessAllocationInsideRunRejected) {
+  MisuseNode* node = *pool_->Malloc<MisuseNode>();
+  node->value = 1;
+  pmem::FlushFence(node, sizeof(*node));
+
+  puddles::Status run = pool_->Run([&](Tx& tx) -> puddles::Status {
+    EXPECT_EQ(pool_->Malloc<MisuseNode>().status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(pool_->MallocBytes(64, kRawBytesTypeId).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(pool_->Free(node).code(), StatusCode::kFailedPrecondition);
+    RETURN_IF_ERROR(tx.LogField(node, &MisuseNode::value));
+    node->value = 2;
+    return OkStatus();
+  });
+  EXPECT_TRUE(run.ok()) << run.ToString();
+  EXPECT_EQ(node->value, 2u) << "the refused calls leave the transaction usable";
+  EXPECT_TRUE(pool_->Free(node).ok()) << "outside Run the free goes through";
+}
+
 TEST_F(ApiMisuseTest, StaleTxHandleRejected) {
   MisuseNode* node = *pool_->Malloc<MisuseNode>();
   node->value = 1;

@@ -28,7 +28,6 @@
 #include "src/daemon/daemon.h"
 #include "src/libpuddles/libpuddles.h"
 #include "src/stats/stats.h"
-#include "src/tx/tx.h"
 
 namespace puddles {
 namespace {
@@ -626,7 +625,9 @@ TEST_F(ArenaTest, CleanTeardownLeavesNoActiveEntry) {
 
 // The GC is conservative: when a reachable object's type has no pointer map,
 // reachability is unknown past it, so OpenPool reclaims nothing and leaves
-// the directory entries active rather than free what it cannot see.
+// the directory entries active rather than free what it cannot see. No arena
+// of the reopened process ever owns those entries' slabs, so frees into them
+// are dropped instead of being requeued by every later drain.
 TEST_F(ArenaTest, UnregisteredPointerMapReclaimsNothing) {
   OpaqueRoot* root = nullptr;
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -674,6 +675,23 @@ TEST_F(ArenaTest, UnregisteredPointerMapReclaimsNothing) {
     (*reopened)->slots[1] = n;
     return OkStatus();
   }).ok());
+
+  const stats::Snapshot before_frees = stats::Aggregate();
+  ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+    for (Node* n : leaked) {
+      RETURN_IF_ERROR(tx.Free(n));
+    }
+    return OkStatus();
+  }).ok());
+  for (int drain = 0; drain < 3; ++drain) {
+    ASSERT_TRUE(pool_->FlushThreadArena().ok());  // Drains any queued frees.
+  }
+  EXPECT_EQ(CounterDelta(before_frees, stats::Counter::kArenaRemoteFree), 0u)
+      << "frees into skipped entries must not queue (and requeue at every drain)";
+  for (Node* n : leaked) {
+    EXPECT_EQ((reinterpret_cast<const ObjectHeader*>(n) - 1)->magic, kObjectMagic)
+        << "the slot stays allocated until a later open's GC";
+  }
 }
 
 // Alloc/free churn inside transactions converges to exactly the published
@@ -947,6 +965,60 @@ TEST_F(ArenaSpillTest, AbortedSpillResurrectsSlabWithoutBuddyRelease) {
   EXPECT_EQ(report->arenas_recovered, 0u);
   EXPECT_EQ(ReachableCount(), baseline + 1);
   EXPECT_EQ(root->slots[0]->value, 100u);
+}
+
+// The spill threshold comes back down: a spill pass that finds only slots
+// scattered over partly-used slabs (nothing to spill) raises the threshold a
+// watermark above its free count, and once those slots are used up again a
+// burst of whole-empty slabs must spill at the watermark, not at the old
+// free count plus the watermark.
+TEST_F(ArenaTest, SpillThresholdFollowsFreeCountDown) {
+  if (!PUDDLES_STATS) {
+    GTEST_SKIP() << "spills are observed through the telemetry counters";
+  }
+  const int class_index = SlabAllocator::ClassForSize(sizeof(Node) + sizeof(ObjectHeader));
+  const size_t per_slab = (kSlabBlockSize - sizeof(SlabHeader)) / kSlabSlotSizes[class_index];
+  // Enough slabs that freeing every other slot crosses the watermark.
+  const size_t scattered = 4 * kArenaFlushWatermark / per_slab * per_slab;
+  std::vector<Node*> nodes(scattered);
+  auto alloc_all = [&](std::vector<Node*>& out) {
+    return pool_->Run([&](Tx& tx) -> puddles::Status {
+      for (Node*& n : out) {
+        ASSIGN_OR_RETURN(n, tx.Alloc<Node>());
+        n->value = 1;
+      }
+      return OkStatus();
+    });
+  };
+  auto free_every = [&](std::vector<Node*>& in, size_t stride) {
+    return pool_->Run([&](Tx& tx) -> puddles::Status {
+      for (size_t i = 0; i < in.size(); i += stride) {
+        RETURN_IF_ERROR(tx.Free(in[i]));
+      }
+      return OkStatus();
+    });
+  };
+  auto spilled_by_one_alloc = [&]() -> uint64_t {
+    const stats::Snapshot before = stats::Aggregate();
+    EXPECT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+      return tx.Alloc<Node>().status();
+    }).ok());
+    return CounterDelta(before, stats::Counter::kArenaFlushSlabs);
+  };
+
+  // 1. Scattered free slots past the watermark: the pass spills nothing.
+  ASSERT_TRUE(alloc_all(nodes).ok());
+  ASSERT_TRUE(free_every(nodes, 2).ok());
+  EXPECT_EQ(spilled_by_one_alloc(), 0u);
+  // 2. The scattered slots are used again.
+  std::vector<Node*> refilled(scattered / 2);
+  ASSERT_TRUE(alloc_all(refilled).ok());
+  // 3. A burst of whole slabs, freed: more than a watermark of free slots,
+  //    but fewer than the scattered count plus a watermark.
+  std::vector<Node*> burst(2 * kArenaFlushWatermark / per_slab * per_slab + per_slab);
+  ASSERT_TRUE(alloc_all(burst).ok());
+  ASSERT_TRUE(free_every(burst, 1).ok());
+  EXPECT_GE(spilled_by_one_alloc(), 1u) << "whole-empty slabs past the watermark must spill";
 }
 
 // Unit-level check of the remote-free validation added for recycled-claim

@@ -112,14 +112,20 @@ TEST(CrashsimWorkloads, ArtRecoversFromEveryEnumeratedState) {
 }
 
 // Per-thread arena allocator with GC recovery ("allocgc", DESIGN.md §14):
-// batched slab refills, unlogged arena frees, and periodic full flush-backs,
-// crashed mid-refill and mid-flush-back. The acceptance bar for the arena
-// subsystem: ≥300 enumerated crash states, every one recovering through undo
-// replay + the arena GC a plain OpenPool runs, with zero failures: the
-// reachable signature matches a committed prefix in every state (GC never
-// reclaimed a live object) and a second GC pass finds no active entry.
+// batched slab refills, unlogged arena frees, spills and periodic full
+// flush-backs, crashed mid-refill, mid-spill and mid-flush-back. The
+// acceptance bar for the arena subsystem: ≥300 enumerated crash states,
+// every one recovering through undo replay + the arena GC a plain OpenPool
+// runs, with zero failures: the reachable signature matches a committed
+// prefix in every state (GC never reclaimed a live object) and a second GC
+// pass finds no active entry. The driver fails an op after a free burst that
+// did not spill (kArenaFlushSlabs unchanged), and marks each spill from its
+// staged chain unlinks to the commit that runs the buddy releases at its
+// head: crash states must land inside those windows.
 TEST(CrashsimWorkloads, AllocGcRecoversFromEveryEnumeratedState) {
-  ExpectFullRecovery(RunWorkload("allocgc", 18), 300);
+  const HarnessReport report = RunWorkload("allocgc", 18);
+  ExpectFullRecovery(report, 300);
+  EXPECT_GT(report.focus_states, 0u) << "no crash state between a spill's unlink and commit";
 }
 
 // The same bar under persistence-graph pruning: the GC-recovery states the
@@ -138,6 +144,7 @@ TEST(CrashsimWorkloads, AllocGcRecoversUnderGraphPruning) {
   EXPECT_GE(report->states_enumerated, 300u);
   EXPECT_GT(report->states_explored, 0u);
   EXPECT_LT(report->states_explored, report->states_enumerated);
+  EXPECT_GT(report->focus_explored, 0u) << "pruning dropped every mid-spill state";
   EXPECT_EQ(report->recovery_failures, 0u);
   for (const std::string& failure : report->failures) {
     ADD_FAILURE() << report->workload << ": " << failure;

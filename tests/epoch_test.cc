@@ -17,7 +17,6 @@
 #include "src/daemon/daemon.h"
 #include "src/libpuddles/libpuddles.h"
 #include "src/stats/stats.h"
-#include "src/tx/tx.h"
 
 namespace puddles {
 namespace {

@@ -1,7 +1,7 @@
 // End-to-end tests of the Libpuddles runtime over an embedded daemon: pools,
 // typed allocation, roots, typed transaction contexts (pool.Run + Tx,
 // DESIGN.md §9), persistence across process "restarts", cross-pool
-// transactions, on-demand fault mapping, and the deprecated macro shims.
+// transactions, and on-demand fault mapping.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -347,7 +347,8 @@ TEST_F(RuntimePoolTest, ReadOnlyOpenRejectsWrites) {
   ASSERT_TRUE(root.ok());
   EXPECT_EQ((*root)->value, 9u);
   EXPECT_FALSE((*pool)->Malloc<ListNode>().ok());
-  EXPECT_FALSE((*pool)->BeginTx().ok());
+  EXPECT_EQ((*pool)->Run([](Tx&) -> puddles::Status { return OkStatus(); }).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(RuntimePoolTest, RedoSetAppliesAtCommit) {
@@ -366,43 +367,6 @@ TEST_F(RuntimePoolTest, RedoSetAppliesAtCommit) {
   }).ok());
   EXPECT_EQ(head->count, 2u);
 }
-
-#ifndef PUDDLES_STRICT_API
-// Legacy-compat: the deprecated macro surface keeps working over the same
-// core — implicit-join allocation inside TX_BEGIN, TX_ADD, TxAbort.
-TEST_F(RuntimePoolTest, LegacyMacroShimsStillWork) {
-  auto pool_result = runtime_->CreatePool("legacy");
-  ASSERT_TRUE(pool_result.ok());
-  Pool& pool = **pool_result;
-
-  TX_BEGIN(pool) {
-    ListHead* head = *pool.Malloc<ListHead>();
-    head->head = nullptr;
-    head->tail = nullptr;
-    head->count = 41;
-    ASSERT_TRUE(pool.SetRoot(head).ok());
-  }
-  TX_END;
-  ASSERT_TRUE(tx_internal::LastLegacyCommitStatus().ok());
-
-  TX_BEGIN(pool) {
-    ListHead* head = *pool.Root<ListHead>();
-    TX_ADD(head);
-    head->count++;
-  }
-  TX_END;
-  EXPECT_EQ((*pool.Root<ListHead>())->count, 42u);
-
-  TX_BEGIN(pool) {
-    ListHead* head = *pool.Root<ListHead>();
-    TX_ADD(head);
-    head->count = 999;
-    TxAbort();
-  }
-  TX_END;
-  EXPECT_EQ((*pool.Root<ListHead>())->count, 42u) << "TxAbort must roll back";
-}
-#endif  // !PUDDLES_STRICT_API
 
 }  // namespace
 }  // namespace puddles

@@ -13,7 +13,6 @@
 #include "src/common/rng.h"
 #include "src/pmem/shadow.h"
 #include "src/tx/replay.h"
-#include "src/tx/tx.h"
 
 namespace puddles {
 namespace {
@@ -169,23 +168,23 @@ TEST_F(TransactionTest, VolatileUndoRestoredOnAbort) {
   EXPECT_EQ(dram, 5u);
 }
 
-TEST_F(TransactionTest, FlatNesting) {
+// Transactions do not nest: a Begin while the thread's transaction is open
+// is refused and leaves that transaction open and intact.
+TEST_F(TransactionTest, NestedBeginRefused) {
   TxEnv env;
   alignas(64) uint64_t slot = 1;
   auto outer = env.BeginTx();
   ASSERT_TRUE(outer.ok());
-  EXPECT_EQ((*outer)->depth(), 1);
-  auto inner = env.BeginTx();
-  ASSERT_TRUE(inner.ok());
-  EXPECT_EQ(*inner, *outer) << "flat nesting joins the outer transaction";
-  EXPECT_EQ((*inner)->depth(), 2);
-  ASSERT_TRUE((*inner)->AddUndo(&slot, sizeof(slot)).ok());
+  ASSERT_TRUE((*outer)->AddUndo(&slot, sizeof(slot)).ok());
   slot = 3;
-  ASSERT_TRUE((*inner)->Commit().ok());
-  EXPECT_EQ(slot, 3u) << "inner commit must not publish yet";
-  EXPECT_TRUE((*outer)->active()) << "outer level still open";
-  ASSERT_TRUE((*outer)->Commit().ok());
-  EXPECT_FALSE((*outer)->active());
+  EXPECT_TRUE(Transaction::ActiveOnThisThread());
+  EXPECT_EQ(env.BeginTx().status().code(), StatusCode::kFailedPrecondition);
+  TxTarget other;
+  EXPECT_EQ(Transaction::BeginWith(&other).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE((*outer)->active()) << "the refusal must leave the outer transaction open";
+  ASSERT_TRUE((*outer)->Abort().ok());
+  EXPECT_EQ(slot, 1u) << "the outer undo entry survives the refused Begin";
+  EXPECT_FALSE(Transaction::ActiveOnThisThread());
 }
 
 TEST_F(TransactionTest, DeferredFreeRunsAtCommitOnly) {
@@ -230,98 +229,22 @@ TEST_F(TransactionTest, LogGrowsIntoChain) {
   EXPECT_GT(env.released(), 0) << "grown regions returned after commit";
 }
 
-#ifndef PUDDLES_STRICT_API
-
-// ---- Legacy macro shims (deprecated TX_BEGIN surface). ----
-//
-// These stay as regression coverage for out-of-tree code; strict-API builds
-// poison the macros, so the whole section compiles away.
-
-TEST_F(TransactionTest, TxMacrosCommitAndAbort) {
+// A commit that fails at its head (here a deferred free returning an error)
+// reports that status, and the caller's Abort rolls back through the undo
+// log — the contract pool.Run builds on.
+TEST_F(TransactionTest, FailedCommitRollsBackAndReturnsStatus) {
   TxEnv env;
   alignas(64) uint64_t slot = 1;
-
-  TX_BEGIN(env) {
-    TX_ADD(&slot);
-    slot = 42;
-  }
-  TX_END;
-  EXPECT_EQ(slot, 42u);
-
-  TX_BEGIN(env) {
-    TX_ADD(&slot);
-    slot = 77;
-    TxAbort();
-  }
-  TX_END;
-  EXPECT_EQ(slot, 42u) << "TxAbort must roll back";
-  EXPECT_EQ(tx_internal::LastLegacyCommitStatus().code(), StatusCode::kAborted)
-      << "an unwound scope must not leave the previous commit status standing";
-
-  // A user exception aborts and propagates.
-  bool caught = false;
-  try {
-    TX_BEGIN(env) {
-      TX_ADD(&slot);
-      slot = 99;
-      throw std::string("boom");
-    }
-    TX_END;
-  } catch (const std::string&) {
-    caught = true;
-  }
-  EXPECT_TRUE(caught);
-  EXPECT_EQ(slot, 42u);
-}
-
-// Regression (issue 4 satellite): the old macros dereferenced the null
-// thread-local when used outside TX_BEGIN — a guaranteed segfault. The shims
-// must return FailedPrecondition instead.
-TEST_F(TransactionTest, MacroTargetsOutsideTransactionFailCleanly) {
-  alignas(64) uint64_t slot = 7;
-  puddles::Status added = tx_internal::LegacyAddUndo(&slot, sizeof(slot));
-  EXPECT_EQ(added.code(), StatusCode::kFailedPrecondition);
-  const uint64_t next = 9;
-  puddles::Status redone = tx_internal::LegacyRedoSet(&slot, next);
-  EXPECT_EQ(redone.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(slot, 7u) << "failed logging must not touch the target";
-  // The statement forms are safe no-ops as well (this used to crash).
-  TX_ADD(&slot);
-  TX_ADD_RANGE(&slot, sizeof(slot));
-  TX_REDO_SET(&slot, next);
-  EXPECT_EQ(slot, 7u);
-}
-
-// Regression (issue 4 satellite): a commit failure in the macro path used to
-// throw std::runtime_error out of ~TxScope — terminate() territory when the
-// scope unwinds for any other reason. It must abort and record the status.
-TEST_F(TransactionTest, TxScopeCommitFailureDoesNotThrow) {
-  TxEnv env;
-  alignas(64) uint64_t slot = 1;
-  EXPECT_NO_THROW({
-    TX_BEGIN(env) {
-      if (Transaction* tx = tx_internal::ImplicitTransaction()) {
-        tx->DeferFree([] { return InternalError("deferred free exploded"); });
-      }
-      TX_ADD(&slot);
-      slot = 2;
-    }
-    TX_END;
-  });
-  EXPECT_EQ(tx_internal::LastLegacyCommitStatus().code(), StatusCode::kInternal);
+  auto tx = env.BeginTx();
+  ASSERT_TRUE(tx.ok());
+  (*tx)->DeferFree([] { return InternalError("deferred free exploded"); });
+  ASSERT_TRUE((*tx)->AddUndo(&slot, sizeof(slot)).ok());
+  slot = 2;
+  EXPECT_EQ((*tx)->Commit().code(), StatusCode::kInternal);
+  ASSERT_TRUE((*tx)->Abort().ok());
   EXPECT_EQ(slot, 1u) << "failed commit must roll back via the undo log";
-
-  // A clean commit resets the recorded status.
-  TX_BEGIN(env) {
-    TX_ADD(&slot);
-    slot = 3;
-  }
-  TX_END;
-  EXPECT_TRUE(tx_internal::LastLegacyCommitStatus().ok());
-  EXPECT_EQ(slot, 3u);
+  EXPECT_FALSE((*tx)->active());
 }
-
-#endif  // !PUDDLES_STRICT_API
 
 // ---- Fence accounting under batched group persistence (DESIGN.md §10). ----
 

@@ -15,7 +15,6 @@
 #include "src/daemon/client.h"
 #include "src/daemon/daemon.h"
 #include "src/libpuddles/libpuddles.h"
-#include "src/tx/tx.h"
 
 namespace puddles {
 namespace {
