@@ -1,11 +1,11 @@
 // Socket-level YCSB against one live Puddled: N separate client PROCESSES
 // (fork+exec of this binary with --client) hammer a single daemon over its
 // UNIX domain socket with read (GetPtrMap) / update (RegisterPtrMap) mixes,
-// optionally pipelined. The run matrix compares the event-driven server
-// (src/daemon/server.cc, Mode::kEventLoop) against the thread-per-connection
-// baseline it replaced, and emits BENCH_daemon.json (repo root) with
-// throughput + p50/p99 per configuration, the event-vs-baseline speedups,
-// and the standard provenance block — same conventions as BENCH_commit.json.
+// optionally pipelined. The matrix runs the thread-per-connection server
+// (src/daemon/server.cc) at depth 1, the wire pattern of SocketDaemonClient,
+// and at depth 16, and emits BENCH_daemon.json (repo root) with throughput +
+// p50/p99 per configuration under "rows" and the standard provenance block —
+// same conventions as BENCH_epoch.json and BENCH_alloc.json.
 //
 // Workload letters follow YCSB: A = 50/50 read/update, B = 95/5, C = 100%
 // read, uniform key choice over a preloaded ptr-map keyspace. Latency is
@@ -238,7 +238,6 @@ int RunClient(const ClientConfig& config) {
 // ---------------------------------------------------------------------------
 
 struct Row {
-  std::string mode;  // "event" | "thread"
   std::string workload;
   uint64_t clients = 0;
   uint64_t depth = 0;
@@ -251,7 +250,6 @@ struct Row {
 };
 
 struct RunSpec {
-  puddled::Server::Mode mode;
   const char* workload;
   uint64_t clients;
   uint64_t depth;
@@ -264,9 +262,7 @@ std::string Flag(const char* name, uint64_t value) {
 
 Row RunOne(puddled::Daemon* daemon, const std::string& socket_path, const std::string& exe,
            const RunSpec& spec, uint64_t ops_per_client, uint64_t keys) {
-  puddled::Server::Options options;
-  options.mode = spec.mode;
-  auto server = puddled::Server::Start(daemon, socket_path, options);
+  auto server = puddled::Server::Start(daemon, socket_path);
   if (!server.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", server.status().ToString().c_str());
     std::abort();
@@ -366,7 +362,6 @@ Row RunOne(puddled::Daemon* daemon, const std::string& socket_path, const std::s
   }
 
   Row row;
-  row.mode = spec.mode == puddled::Server::Mode::kEventLoop ? "event" : "thread";
   row.workload = spec.workload;
   row.clients = spec.clients;
   row.depth = spec.depth;
@@ -379,10 +374,10 @@ Row RunOne(puddled::Daemon* daemon, const std::string& socket_path, const std::s
   row.ops_per_sec = static_cast<double>(total_ops) / row.wall_s;
   row.p50_ns = latency.p50();
   row.p99_ns = latency.p99();
-  std::printf("  %-6s %-3s %3" PRIu64 " clients  depth %2" PRIu64 "   %10.0f ops/s   p50 %8" PRIu64
+  std::printf("  %-3s %3" PRIu64 " clients  depth %2" PRIu64 "   %10.0f ops/s   p50 %8" PRIu64
               " ns   p99 %8" PRIu64 " ns\n",
-              row.mode.c_str(), row.workload.c_str(), row.clients, row.depth, row.ops_per_sec,
-              row.p50_ns, row.p99_ns);
+              row.workload.c_str(), row.clients, row.depth, row.ops_per_sec, row.p50_ns,
+              row.p99_ns);
   return row;
 }
 
@@ -393,8 +388,7 @@ Row RunOne(puddled::Daemon* daemon, const std::string& socket_path, const std::s
 #define PUDDLES_BUILD_FLAGS "unknown"
 #endif
 
-void WriteJson(const std::vector<Row>& rows, double speedup16, double speedup64,
-               const std::string& path) {
+void WriteJson(const std::vector<Row>& rows, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -403,23 +397,19 @@ void WriteJson(const std::vector<Row>& rows, double speedup16, double speedup64,
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"daemon socket YCSB (multi-process clients)\",\n");
   std::fprintf(out, "  \"generated_by\": \"bench/bench_daemon_ycsb.cc\",\n");
-  std::fprintf(out, "  \"protocol\": \"docs/daemon.md (event-driven server, pipelined wire)\",\n");
+  std::fprintf(out, "  \"protocol\": \"docs/daemon.md (one thread per connection)\",\n");
   std::fprintf(out, "%s",
                bench::ProvenanceJsonLine(PUDDLES_GIT_SHA, PUDDLES_BUILD_FLAGS).c_str());
   std::fprintf(out, "  \"scale\": %.2f,\n", bench::ScaleFactor());
-  // Headline gate: pipelined event-mode vs the synchronous thread-per-
-  // connection baseline at matched client counts (acceptance: >= 3x at 16+).
-  std::fprintf(out, "  \"speedup_event_vs_thread\": {\"clients_16\": %.2f, \"clients_64\": %.2f},\n",
-               speedup16, speedup64);
-  std::fprintf(out, "  \"results\": [\n");
+  std::fprintf(out, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::fprintf(out,
-                 "    {\"mode\": \"%s\", \"workload\": \"%s\", \"clients\": %" PRIu64
+                 "    {\"workload\": \"%s\", \"clients\": %" PRIu64
                  ", \"depth\": %" PRIu64 ", \"read_pct\": %" PRIu64 ", \"ops\": %" PRIu64
                  ", \"wall_s\": %.4f, \"ops_per_sec\": %.0f, \"p50_ns\": %" PRIu64
                  ", \"p99_ns\": %" PRIu64 "}%s\n",
-                 r.mode.c_str(), r.workload.c_str(), r.clients, r.depth, r.read_pct,
+                 r.workload.c_str(), r.clients, r.depth, r.read_pct,
                  r.total_ops, r.wall_s, r.ops_per_sec, r.p50_ns, r.p99_ns,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -480,8 +470,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::PrintHeader("Daemon socket YCSB (event loop vs thread-per-connection)",
-                     "multi-client daemon rebuild; acceptance: event >= 3x baseline at 16+ clients");
+  bench::PrintHeader("Daemon socket YCSB (thread-per-connection server)",
+                     "multi-client daemon; every configuration completes with sane latencies");
   auto dir = bench::ScratchDir("daemonycsb");
   puddled::Daemon::Options daemon_options;
   daemon_options.root_dir = (dir / "root").string();
@@ -506,20 +496,16 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<RunSpec> matrix = {
-      // Baseline: the synchronous thread-per-connection deployment (depth 1,
-      // the old client library never pipelined).
-      {puddled::Server::Mode::kThreadPerConnection, "B", 1, 1, 95},
-      {puddled::Server::Mode::kThreadPerConnection, "B", 16, 1, 95},
-      {puddled::Server::Mode::kThreadPerConnection, "B", 64, 1, 95},
-      // Event loop, synchronous clients (like-for-like RTT comparison).
-      {puddled::Server::Mode::kEventLoop, "B", 1, 1, 95},
-      {puddled::Server::Mode::kEventLoop, "B", 16, 1, 95},
-      {puddled::Server::Mode::kEventLoop, "B", 64, 1, 95},
-      // Event loop, pipelined (the headline configuration).
-      {puddled::Server::Mode::kEventLoop, "B", 16, 16, 95},
-      {puddled::Server::Mode::kEventLoop, "B", 64, 16, 95},
-      {puddled::Server::Mode::kEventLoop, "A", 64, 16, 50},
-      {puddled::Server::Mode::kEventLoop, "C", 64, 16, 100},
+      // Depth 1: SocketDaemonClient holds one request in flight per
+      // connection, so this is the wire pattern of every real client.
+      {"B", 1, 1, 95},
+      {"B", 16, 1, 95},
+      {"B", 64, 1, 95},
+      // Depth 16: pipelined raw clients (the server answers in order).
+      {"B", 16, 16, 95},
+      {"B", 64, 16, 95},
+      {"A", 64, 16, 50},
+      {"C", 64, 16, 100},
   };
   std::vector<Row> rows;
   rows.reserve(matrix.size());
@@ -527,20 +513,7 @@ int main(int argc, char** argv) {
     rows.push_back(RunOne(daemon->get(), socket_path, exe, spec, ops_per_client, keys));
   }
 
-  auto throughput = [&](const char* mode, uint64_t clients, uint64_t depth) {
-    for (const Row& r : rows) {
-      if (r.mode == mode && r.clients == clients && r.depth == depth && r.workload == "B") {
-        return r.ops_per_sec;
-      }
-    }
-    return 0.0;
-  };
-  const double speedup16 = throughput("event", 16, 16) / throughput("thread", 16, 1);
-  const double speedup64 = throughput("event", 64, 16) / throughput("thread", 64, 1);
-  std::printf("speedup (pipelined event vs thread baseline): %.2fx @16 clients, %.2fx @64\n",
-              speedup16, speedup64);
-
-  WriteJson(rows, speedup16, speedup64, out_path);
+  WriteJson(rows, out_path);
   daemon->reset();
   std::filesystem::remove_all(dir);
   return 0;

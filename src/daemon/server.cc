@@ -6,7 +6,7 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
+#include <vector>
 
 #include "src/common/log.h"
 #include "src/daemon/protocol.h"
@@ -14,25 +14,6 @@
 
 namespace puddled {
 namespace {
-
-// Epoll tags for the two non-connection descriptors (connection ids start at
-// 2, see Server::next_conn_id_).
-constexpr uint64_t kListenerTag = 0;
-constexpr uint64_t kWakeupTag = 1;
-
-// Must match the Recv() cap in src/ipc/unix_socket.cc: anything larger is a
-// protocol violation, not a big request.
-constexpr uint32_t kMaxFrameBytes = 64u << 20;
-
-// Read chunking: one recvmsg buffer, and the per-readiness-event budget so a
-// single firehose client cannot starve its neighbours on the loop thread
-// (level-triggered epoll re-reports leftover socket data immediately).
-constexpr size_t kReadChunk = 64 * 1024;
-constexpr size_t kReadBudget = 256 * 1024;
-
-// How long the event loop pauses accepting after a transient accept failure
-// (fd exhaustion): the listener is deregistered and re-armed on this timer.
-constexpr int kAcceptRetryMs = 10;
 
 Credentials ConnCredentials(const puddles::UnixSocket& socket) {
   Credentials creds = Credentials::Self();
@@ -48,32 +29,9 @@ Credentials ConnCredentials(const puddles::UnixSocket& socket) {
 
 puddles::Result<std::unique_ptr<Server>> Server::Start(Daemon* daemon,
                                                        const std::string& socket_path) {
-  return Start(daemon, socket_path, Options{});
-}
-
-puddles::Result<std::unique_ptr<Server>> Server::Start(Daemon* daemon,
-                                                       const std::string& socket_path,
-                                                       const Options& options) {
-  std::unique_ptr<Server> server(new Server(daemon, socket_path, options));
+  std::unique_ptr<Server> server(new Server(daemon, socket_path));
   ASSIGN_OR_RETURN(server->listener_, puddles::UnixSocketServer::Bind(socket_path));
-  if (options.mode == Mode::kEventLoop) {
-    RETURN_IF_ERROR(server->listener_.SetNonBlocking(true));
-    ASSIGN_OR_RETURN(server->epoll_, puddles::EpollSet::Create());
-    ASSIGN_OR_RETURN(server->wakeup_, puddles::EventFd::Create());
-    RETURN_IF_ERROR(server->epoll_.Add(server->listener_.fd(), EPOLLIN, kListenerTag));
-    RETURN_IF_ERROR(server->epoll_.Add(server->wakeup_.fd(), EPOLLIN, kWakeupTag));
-    int workers = options.worker_threads;
-    if (workers <= 0) {
-      workers = std::clamp(static_cast<int>(std::thread::hardware_concurrency()), 2, 8);
-    }
-    server->workers_.reserve(workers);
-    for (int i = 0; i < workers; ++i) {
-      server->workers_.emplace_back([raw = server.get()] { raw->WorkerLoop(); });
-    }
-    server->loop_thread_ = std::thread([raw = server.get()] { raw->EventLoop(); });
-  } else {
-    server->accept_thread_ = std::thread([raw = server.get()] { raw->AcceptLoop(); });
-  }
+  server->accept_thread_ = std::thread([raw = server.get()] { raw->AcceptLoop(); });
   return server;
 }
 
@@ -92,30 +50,8 @@ void Server::Stop() {
   if (stopping_.exchange(true)) {
     return;
   }
-  if (options_.mode == Mode::kEventLoop) {
-    wakeup_.Signal();
-    if (loop_thread_.joinable()) {
-      loop_thread_.join();
-    }
-    {
-      std::lock_guard<std::mutex> lock(work_mu_);
-      workers_stop_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) {
-        worker.join();
-      }
-    }
-    // Responses staged by workers after the loop exited: every connection is
-    // already marked closed, so workers dropped their fds themselves.
-    listener_.Close();
-    return;
-  }
-
-  // Thread-per-connection mode. Shutdown unblocks the accept loop but keeps
-  // the fd alive until the thread is joined — closing first would race
-  // Accept() against fd reuse.
+  // Shutdown unblocks the accept loop but keeps the fd alive until the thread
+  // is joined — closing first would race Accept() against fd reuse.
   listener_.Shutdown();
   if (accept_thread_.joinable()) {
     accept_thread_.join();
@@ -123,19 +59,19 @@ void Server::Stop() {
   listener_.Close();
   std::vector<std::thread> threads;
   {
-    std::lock_guard<std::mutex> lock(tp_mu_);
-    for (auto& [id, entry] : tp_conns_) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [id, entry] : conns_) {
       // Unblock threads parked in recvmsg — but only on still-live fds. A
       // finished thread may already have closed its descriptor, and the
       // number may belong to an unrelated file by now (the fd-reuse bug the
       // finished set exists to prevent).
-      if (tp_finished_.find(id) == tp_finished_.end()) {
+      if (finished_.find(id) == finished_.end()) {
         ::shutdown(entry.fd, SHUT_RDWR);
       }
       threads.push_back(std::move(entry.thread));
     }
-    tp_conns_.clear();
-    tp_finished_.clear();
+    conns_.clear();
+    finished_.clear();
   }
   for (std::thread& thread : threads) {
     if (thread.joinable()) {
@@ -144,491 +80,12 @@ void Server::Stop() {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Event-loop mode
-// ---------------------------------------------------------------------------
-
-void Server::EventLoop() {
-  epoll_event events[64];
-  bool accept_paused = false;
-  while (true) {
-    auto ready = epoll_.Wait(events, 64, accept_paused ? kAcceptRetryMs : -1);
-    if (stopping_.load(std::memory_order_acquire)) {
-      break;
-    }
-    if (!ready.ok()) {
-      PUD_LOG_WARN("event loop wait failed: %s", ready.status().ToString().c_str());
-      break;
-    }
-    if (accept_paused) {
-      // Backoff tick (or unrelated activity): descriptor pressure may have
-      // eased, so try draining the backlog and re-arm the listener.
-      if (AcceptReady() && epoll_.Add(listener_.fd(), EPOLLIN, kListenerTag).ok()) {
-        accept_paused = false;
-      }
-    }
-    for (int i = 0; i < *ready; ++i) {
-      const uint64_t tag = events[i].data.u64;
-      if (tag == kListenerTag) {
-        if (!AcceptReady()) {
-          (void)epoll_.Del(listener_.fd());
-          accept_paused = true;
-        }
-        continue;
-      }
-      if (tag == kWakeupTag) {
-        wakeup_.Drain();
-        FlushStaged();
-        continue;
-      }
-      auto it = conns_.find(tag);
-      if (it == conns_.end()) {
-        continue;  // Closed earlier in this batch.
-      }
-      std::shared_ptr<Connection> conn = it->second;
-      if (events[i].events & EPOLLERR) {
-        CloseConn(conn);
-        continue;
-      }
-      if (events[i].events & (EPOLLIN | EPOLLHUP)) {
-        ReadConn(conn);
-      }
-      if (!conn->closed && (events[i].events & EPOLLOUT)) {
-        (void)FlushConn(conn);
-      }
-    }
-  }
-  // Teardown: drop every live connection. Workers still holding one observe
-  // `closed` under the connection mutex and discard their results.
-  std::vector<std::shared_ptr<Connection>> leftover;
-  leftover.reserve(conns_.size());
-  for (auto& [id, conn] : conns_) {
-    leftover.push_back(conn);
-  }
-  for (auto& conn : leftover) {
-    CloseConn(conn);
-  }
-}
-
-bool Server::AcceptReady() {
-  while (true) {
-    int err = 0;
-    puddles::UnixSocket socket = listener_.TryAccept(&err, /*nonblocking_socket=*/true);
-    if (socket.valid()) {
-      RegisterConn(std::move(socket));
-      continue;
-    }
-    if (err == EAGAIN || err == EWOULDBLOCK) {
-      return true;  // Backlog drained.
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      return true;
-    }
-    accept_retries_.fetch_add(1, std::memory_order_relaxed);
-    PUDDLES_COUNT(kDaemonAcceptRetry);
-    if (err == ECONNABORTED) {
-      continue;  // Peer gave up mid-handshake; nothing to back off for.
-    }
-    // Descriptor/memory pressure (EMFILE, ENFILE, ENOBUFS, ...) or anything
-    // unexpected: pause accepting and retry on a timer. Exiting is the bug
-    // this loop replaced — the daemon would never accept again.
-    PUD_LOG_WARN("accept failed (errno=%d): pausing accepts for %d ms", err, kAcceptRetryMs);
-    return false;
-  }
-}
-
-void Server::RegisterConn(puddles::UnixSocket socket) {
-  auto conn = std::make_shared<Connection>();
-  conn->id = next_conn_id_++;
-  conn->creds = ConnCredentials(socket);
-  conn->socket = std::move(socket);
-  conn->armed_events = EPOLLIN;
-  if (!epoll_.Add(conn->socket.fd(), EPOLLIN, conn->id).ok()) {
-    return;  // Connection dropped; the socket closes on scope exit.
-  }
-  conns_.emplace(conn->id, conn);
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  PUDDLES_COUNT(kDaemonConnAccepted);
-}
-
-void Server::ReadConn(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed || conn->reading_paused || conn->peer_eof) {
-    return;
-  }
-  uint8_t buf[kReadChunk];
-  size_t budget = kReadBudget;
-  while (budget > 0) {
-    std::vector<int> fds;
-    auto progress = conn->socket.RecvSome(buf, std::min(sizeof(buf), budget), &fds);
-    // Requests carry no fds; close any unexpected ones.
-    for (int fd : fds) {
-      ::close(fd);
-    }
-    if (!progress.ok()) {
-      CloseConn(conn);
-      return;
-    }
-    if (progress->would_block) {
-      break;
-    }
-    if (progress->eof) {
-      conn->peer_eof = true;
-      break;
-    }
-    conn->inbuf.insert(conn->inbuf.end(), buf, buf + progress->bytes);
-    budget -= progress->bytes;
-  }
-  ParseFrames(conn);
-  if (conn->closed) {
-    return;
-  }
-  UpdateConnEvents(conn);
-  MaybeClose(conn);
-}
-
-void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed) {
-    return;
-  }
-  size_t backlog;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    backlog = conn->pending.size();
-  }
-  bool queued = false;
-  while (backlog < options_.max_pipelined) {
-    const size_t avail = conn->inbuf.size() - conn->inbuf_off;
-    if (avail < 4) {
-      break;
-    }
-    uint32_t length = 0;
-    std::memcpy(&length, conn->inbuf.data() + conn->inbuf_off, 4);
-    if (length > kMaxFrameBytes) {
-      PUD_LOG_WARN("dropping connection %llu: implausible frame length",
-                   static_cast<unsigned long long>(conn->id));
-      CloseConn(conn);
-      return;
-    }
-    if (avail - 4 < length) {
-      break;
-    }
-    const uint8_t* payload = conn->inbuf.data() + conn->inbuf_off + 4;
-    std::vector<uint8_t> request(payload, payload + length);
-    conn->inbuf_off += 4 + static_cast<size_t>(length);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->pending.push_back(std::move(request));
-      backlog = conn->pending.size();
-    }
-    queued = true;
-  }
-  if (conn->inbuf_off > 0) {
-    conn->inbuf.erase(conn->inbuf.begin(),
-                      conn->inbuf.begin() + static_cast<ptrdiff_t>(conn->inbuf_off));
-    conn->inbuf_off = 0;
-  }
-  if (backlog >= options_.max_pipelined && !conn->reading_paused) {
-    // Pipelining backpressure: stop reading until the dispatch backlog
-    // halves (MaybeResumeReading). Frames already in inbuf wait there.
-    conn->reading_paused = true;
-    UpdateConnEvents(conn);
-  }
-  if (queued) {
-    ScheduleConn(conn);
-  }
-}
-
-void Server::ScheduleConn(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    // At most one worker dispatches a connection at a time — that, plus the
-    // FIFO pending queue, is what keeps pipelined responses in request
-    // order.
-    if (conn->scheduled || conn->closed || conn->pending.empty()) {
-      return;
-    }
-    conn->scheduled = true;
-  }
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_queue_.push_back(conn);
-  }
-  work_cv_.notify_one();
-}
-
-void Server::WorkerLoop() {
-  while (true) {
-    std::shared_ptr<Connection> conn;
-    {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [&] { return workers_stop_ || !work_queue_.empty(); });
-      if (work_queue_.empty()) {
-        return;  // workers_stop_ and nothing left to drain.
-      }
-      conn = std::move(work_queue_.front());
-      work_queue_.pop_front();
-    }
-    DispatchConn(conn);
-  }
-}
-
-void Server::DispatchConn(const std::shared_ptr<Connection>& conn) {
-  while (true) {
-    std::deque<std::vector<uint8_t>> batch;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closed) {
-        conn->scheduled = false;
-        conn->pending.clear();
-        return;
-      }
-      if (conn->pending.empty()) {
-        conn->scheduled = false;
-        break;
-      }
-      batch.swap(conn->pending);
-    }
-    std::deque<OutFrame> responses;
-    for (const std::vector<uint8_t>& request : batch) {
-      DispatchResult result = DispatchRequest(*daemon_, conn->creds, request);
-      OutFrame frame;
-      frame.fd = result.fd;
-      const uint32_t length = static_cast<uint32_t>(result.response.size());
-      frame.bytes.resize(4 + result.response.size());
-      std::memcpy(frame.bytes.data(), &length, 4);
-      std::memcpy(frame.bytes.data() + 4, result.response.data(), result.response.size());
-      responses.push_back(std::move(frame));
-    }
-    bool dropped = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closed) {
-        dropped = true;
-      } else {
-        for (OutFrame& frame : responses) {
-          conn->outbox.push_back(std::move(frame));
-        }
-      }
-    }
-    if (dropped) {
-      for (OutFrame& frame : responses) {
-        if (frame.fd >= 0) {
-          ::close(frame.fd);
-        }
-      }
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->scheduled = false;
-      conn->pending.clear();
-      return;
-    }
-    NotifyFlush(conn);
-  }
-  // Final wake after `scheduled` flipped false: a wake consumed before the
-  // flip would leave an EOF'd connection stranded (MaybeClose would still
-  // see it scheduled and never get another signal).
-  NotifyFlush(conn);
-}
-
-void Server::NotifyFlush(const std::shared_ptr<Connection>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(flush_mu_);
-    flush_queue_.push_back(conn);
-  }
-  wakeup_.Signal();
-}
-
-void Server::FlushStaged() {
-  std::vector<std::shared_ptr<Connection>> batch;
-  {
-    std::lock_guard<std::mutex> lock(flush_mu_);
-    batch.swap(flush_queue_);
-  }
-  for (const std::shared_ptr<Connection>& conn : batch) {
-    if (conn->closed) {
-      continue;
-    }
-    if (FlushConn(conn)) {
-      MaybeResumeReading(conn);
-    }
-  }
-}
-
-bool Server::FlushConn(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed) {
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    while (!conn->outbox.empty()) {
-      conn->writing.push_back(std::move(conn->outbox.front()));
-      conn->outbox.pop_front();
-    }
-  }
-  while (!conn->writing.empty()) {
-    OutFrame& front = conn->writing.front();
-    if (front.fd >= 0) {
-      // fd-carrying frames go alone: the descriptor must ride the ancillary
-      // data of a byte belonging to its own frame.
-      std::vector<int> fds;
-      if (conn->write_off == 0) {
-        fds.push_back(front.fd);
-      }
-      auto progress = conn->socket.SendSome(front.bytes.data() + conn->write_off,
-                                            front.bytes.size() - conn->write_off, fds);
-      if (!progress.ok()) {
-        CloseConn(conn);
-        return false;
-      }
-      if (progress->would_block) {
-        break;
-      }
-      if (progress->bytes > 0 && conn->write_off == 0) {
-        // The kernel duplicated the fd into the peer with the first fragment.
-        ::close(front.fd);
-        front.fd = -1;
-      }
-      conn->write_off += progress->bytes;
-      if (conn->write_off == front.bytes.size()) {
-        conn->writing.pop_front();
-        conn->write_off = 0;
-      }
-      continue;
-    }
-    // Coalesce the leading run of fd-less frames into one vectored send —
-    // a pipelined response backlog costs one sendmsg, not one per frame.
-    struct iovec iov[64];
-    int iovcnt = 0;
-    size_t skip = conn->write_off;
-    for (const OutFrame& frame : conn->writing) {
-      if (frame.fd >= 0 || iovcnt == 64) {
-        break;
-      }
-      iov[iovcnt].iov_base = const_cast<uint8_t*>(frame.bytes.data()) + skip;
-      iov[iovcnt].iov_len = frame.bytes.size() - skip;
-      skip = 0;
-      ++iovcnt;
-    }
-    auto progress = conn->socket.SendSomeV(iov, iovcnt);
-    if (!progress.ok()) {
-      CloseConn(conn);
-      return false;
-    }
-    if (progress->would_block) {
-      break;
-    }
-    size_t sent = progress->bytes;
-    while (sent > 0) {
-      OutFrame& done = conn->writing.front();
-      const size_t remaining = done.bytes.size() - conn->write_off;
-      if (sent >= remaining) {
-        sent -= remaining;
-        conn->writing.pop_front();
-        conn->write_off = 0;
-      } else {
-        conn->write_off += sent;
-        sent = 0;
-      }
-    }
-  }
-  UpdateConnEvents(conn);
-  MaybeClose(conn);
-  return !conn->closed;
-}
-
-void Server::MaybeResumeReading(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed || !conn->reading_paused) {
-    return;
-  }
-  size_t backlog;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    backlog = conn->pending.size();
-  }
-  if (backlog * 2 > options_.max_pipelined) {
-    return;
-  }
-  conn->reading_paused = false;
-  UpdateConnEvents(conn);
-  // Frames that arrived before the pause may still sit fully-buffered in
-  // inbuf; epoll will not re-report them.
-  ParseFrames(conn);
-  if (!conn->closed) {
-    MaybeClose(conn);
-  }
-}
-
-void Server::MaybeClose(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed || !conn->peer_eof || !conn->writing.empty()) {
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->scheduled || !conn->pending.empty() || !conn->outbox.empty()) {
-      return;
-    }
-  }
-  // Peer finished sending and every accepted request has been answered. Any
-  // leftover inbuf bytes are a truncated trailing request — dropped.
-  CloseConn(conn);
-}
-
-void Server::CloseConn(const std::shared_ptr<Connection>& conn) {
-  std::deque<OutFrame> staged;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) {
-      return;
-    }
-    conn->closed = true;
-    staged.swap(conn->outbox);
-    conn->pending.clear();
-  }
-  for (OutFrame& frame : staged) {
-    if (frame.fd >= 0) {
-      ::close(frame.fd);
-    }
-  }
-  for (OutFrame& frame : conn->writing) {
-    if (frame.fd >= 0) {
-      ::close(frame.fd);
-    }
-  }
-  conn->writing.clear();
-  (void)epoll_.Del(conn->socket.fd());
-  conn->socket.Close();
-  conns_.erase(conn->id);
-  closed_.fetch_add(1, std::memory_order_relaxed);
-  PUDDLES_COUNT(kDaemonConnClosed);
-}
-
-void Server::UpdateConnEvents(const std::shared_ptr<Connection>& conn) {
-  if (conn->closed) {
-    return;
-  }
-  uint32_t wanted = 0;
-  if (!conn->reading_paused && !conn->peer_eof) {
-    wanted |= EPOLLIN;
-  }
-  if (!conn->writing.empty()) {
-    wanted |= EPOLLOUT;
-  }
-  if (wanted == conn->armed_events) {
-    return;
-  }
-  conn->armed_events = wanted;
-  (void)epoll_.Mod(conn->socket.fd(), wanted, conn->id);
-}
-
-// ---------------------------------------------------------------------------
-// Thread-per-connection mode (the measured baseline)
-// ---------------------------------------------------------------------------
-
 void Server::AcceptLoop() {
   int backoff_ms = 1;
   while (!stopping_.load(std::memory_order_acquire)) {
     ReapFinished();
     int err = 0;
-    puddles::UnixSocket socket = listener_.TryAccept(&err, /*nonblocking_socket=*/false);
+    puddles::UnixSocket socket = listener_.TryAccept(&err);
     if (!socket.valid()) {
       if (stopping_.load(std::memory_order_acquire)) {
         break;
@@ -651,32 +108,32 @@ void Server::AcceptLoop() {
     backoff_ms = 1;
     accepted_.fetch_add(1, std::memory_order_relaxed);
     PUDDLES_COUNT(kDaemonConnAccepted);
-    std::lock_guard<std::mutex> lock(tp_mu_);
-    const uint64_t id = tp_next_id_++;
-    ThreadConn entry;
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t id = next_id_++;
+    Conn entry;
     entry.fd = socket.fd();
-    auto shared = std::make_shared<puddles::UnixSocket>(std::move(socket));
-    entry.thread =
-        std::thread([this, id, shared]() mutable { ServeConnection(id, std::move(*shared)); });
-    tp_conns_.emplace(id, std::move(entry));
+    entry.thread = std::thread([this, id, socket = std::move(socket)]() mutable {
+      ServeConnection(id, std::move(socket));
+    });
+    conns_.emplace(id, std::move(entry));
   }
 }
 
 void Server::ReapFinished() {
   std::vector<std::thread> done;
   {
-    std::lock_guard<std::mutex> lock(tp_mu_);
-    for (uint64_t id : tp_finished_) {
-      auto it = tp_conns_.find(id);
-      if (it == tp_conns_.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint64_t id : finished_) {
+      auto it = conns_.find(id);
+      if (it == conns_.end()) {
         continue;
       }
       done.push_back(std::move(it->second.thread));
-      tp_conns_.erase(it);
+      conns_.erase(it);
     }
-    tp_finished_.clear();
+    finished_.clear();
   }
-  // Joins happen outside tp_mu_: a finishing thread takes the lock to mark
+  // Joins happen outside mu_: a finishing thread takes the lock to mark
   // itself finished just before exiting.
   for (std::thread& thread : done) {
     if (thread.joinable()) {
@@ -688,6 +145,8 @@ void Server::ReapFinished() {
 void Server::ServeConnection(uint64_t id, puddles::UnixSocket socket) {
   Credentials creds = ConnCredentials(socket);
   while (!stopping_.load(std::memory_order_acquire)) {
+    // Recv rejects frames above 64 MiB: such a length is a corrupt or
+    // hostile stream, and the connection is dropped without a response.
     auto message = socket.Recv();
     if (!message.ok()) {
       break;  // Peer closed (or error): end this connection.
@@ -713,8 +172,8 @@ void Server::ServeConnection(uint64_t id, puddles::UnixSocket socket) {
   // and Stop() treats unfinished entries' fds as live to shutdown() — doing
   // either after close could hit a recycled descriptor number.
   {
-    std::lock_guard<std::mutex> lock(tp_mu_);
-    tp_finished_.insert(id);
+    std::lock_guard<std::mutex> lock(mu_);
+    finished_.insert(id);
   }
   closed_.fetch_add(1, std::memory_order_relaxed);
   PUDDLES_COUNT(kDaemonConnClosed);

@@ -2,43 +2,30 @@
 // and dispatches requests against a Daemon, authenticating each connection
 // via SO_PEERCRED (§4.6).
 //
-// Two serving modes (docs/daemon.md):
-//   * kEventLoop (default): one epoll readiness loop owns every connection
-//     fd and does all socket I/O nonblocking. Parsed requests hand off to a
-//     bounded worker pool that runs DispatchRequest and stages framed
-//     responses back through the loop (eventfd wakeup). Clients may pipeline
-//     any number of requests on one connection; responses always come back
-//     in request order because a connection is dispatched by at most one
-//     worker at a time.
-//   * kThreadPerConnection: blocking recv/dispatch/send loop per connection.
-//     Kept as the measured baseline for bench_daemon_ycsb, with the original
-//     lifecycle bugs fixed: the accept loop survives transient errors
-//     (EMFILE/ECONNABORTED) with backoff instead of exiting, Stop() only
-//     shuts down descriptors of still-live connections (fd numbers recycle),
-//     and finished connection threads are reaped as they complete rather
-//     than accumulating until Stop().
+// One thread per connection (docs/daemon.md): a blocking accept loop hands
+// each connection to its own thread, which reads a request, dispatches it and
+// writes the response before it reads the next. Responses therefore come back
+// in request order, and a client that never reads is throttled by its own
+// socket buffers: the server reads nothing more while its send blocks.
 //
-// Ownership rules (event mode): connection fds are owned exclusively by the
-// loop thread — workers only ever touch a connection's pending/outbox queues
-// under its mutex. Connections are keyed by a monotonically increasing id,
-// never by fd, so a recycled fd number cannot alias a dead peer.
+// Lifecycle rules: the accept loop survives transient errors
+// (EMFILE/ECONNABORTED) with backoff instead of exiting, Stop() only shuts
+// down descriptors of still-live connections (fd numbers recycle), and
+// finished connection threads are reaped as they complete rather than
+// accumulating until Stop().
 #ifndef SRC_DAEMON_SERVER_H_
 #define SRC_DAEMON_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "src/daemon/daemon.h"
-#include "src/ipc/epoll.h"
 #include "src/ipc/unix_socket.h"
 
 namespace puddled {
@@ -55,29 +42,10 @@ struct ServerStats {
 
 class Server {
  public:
-  enum class Mode {
-    kEventLoop,
-    kThreadPerConnection,
-  };
-
-  struct Options {
-    Mode mode = Mode::kEventLoop;
-    // Dispatch threads for the event loop; 0 = hardware_concurrency clamped
-    // into [2, 8]. Ignored in thread-per-connection mode.
-    int worker_threads = 0;
-    // Per-connection cap on parsed-but-undispatched requests. At the cap the
-    // loop stops reading that connection until the backlog halves
-    // (pipelining backpressure, not an error).
-    size_t max_pipelined = 256;
-  };
-
   // Binds `socket_path` and serves `daemon` until Stop(). The daemon must
   // outlive the server.
   static puddles::Result<std::unique_ptr<Server>> Start(Daemon* daemon,
                                                         const std::string& socket_path);
-  static puddles::Result<std::unique_ptr<Server>> Start(Daemon* daemon,
-                                                        const std::string& socket_path,
-                                                        const Options& options);
   ~Server();
 
   Server(const Server&) = delete;
@@ -89,75 +57,24 @@ class Server {
   ServerStats stats() const;
 
  private:
-  // One framed response staged for the loop to write. `fd` rides the first
-  // fragment's SCM_RIGHTS and is closed locally once any byte of the frame
-  // is out (the kernel has duplicated it into the peer) or on teardown.
-  struct OutFrame {
-    std::vector<uint8_t> bytes;  // 4-byte length header + payload.
-    int fd = -1;
-  };
-
-  // Event-mode connection state machine. Loop-private fields are touched by
-  // the loop thread only; the handoff queues are guarded by `mu`.
-  struct Connection {
-    uint64_t id = 0;
-    puddles::UnixSocket socket;  // Loop-owned; workers never do socket I/O.
-    Credentials creds;
-
-    // Loop-private read/write state.
-    std::vector<uint8_t> inbuf;
-    size_t inbuf_off = 0;  // Consumed prefix of inbuf.
-    bool peer_eof = false;
-    bool reading_paused = false;
-    uint32_t armed_events = 0;  // Event mask currently registered in epoll.
-    std::deque<OutFrame> writing;
-    size_t write_off = 0;  // Progress into writing.front().
-
-    // Worker handoff (guarded by mu).
-    std::mutex mu;
-    std::deque<std::vector<uint8_t>> pending;  // Parsed requests to dispatch.
-    std::deque<OutFrame> outbox;               // Responses awaiting flush.
-    bool scheduled = false;  // On the work queue / being dispatched.
-    bool closed = false;     // Loop dropped the connection; workers discard.
-  };
-
-  // Thread-per-connection registry entry. `finished` ids are reaped (joined
-  // and erased) by the accept loop; Stop() only shuts down fds whose serving
-  // thread has not yet marked itself finished — a finished thread may have
-  // already closed the fd, and the number may have been recycled.
-  struct ThreadConn {
+  // Connection registry entry. `finished_` ids are reaped (joined and erased)
+  // by the accept loop; Stop() only shuts down fds whose serving thread has
+  // not yet marked itself finished — a finished thread may have already
+  // closed the fd, and the number may have been recycled.
+  struct Conn {
     int fd = -1;
     std::thread thread;
   };
 
-  Server(Daemon* daemon, std::string socket_path, Options options)
-      : daemon_(daemon), socket_path_(std::move(socket_path)), options_(options) {}
+  Server(Daemon* daemon, std::string socket_path)
+      : daemon_(daemon), socket_path_(std::move(socket_path)) {}
 
-  // ---- Event-loop mode ----
-  void EventLoop();
-  void WorkerLoop();
-  bool AcceptReady();  // Returns false when accepting must pause (backoff).
-  void RegisterConn(puddles::UnixSocket socket);
-  void ReadConn(const std::shared_ptr<Connection>& conn);
-  void ParseFrames(const std::shared_ptr<Connection>& conn);
-  void ScheduleConn(const std::shared_ptr<Connection>& conn);
-  void DispatchConn(const std::shared_ptr<Connection>& conn);
-  void NotifyFlush(const std::shared_ptr<Connection>& conn);
-  void FlushStaged();
-  bool FlushConn(const std::shared_ptr<Connection>& conn);
-  void MaybeResumeReading(const std::shared_ptr<Connection>& conn);
-  void MaybeClose(const std::shared_ptr<Connection>& conn);
-  void CloseConn(const std::shared_ptr<Connection>& conn);
-  void UpdateConnEvents(const std::shared_ptr<Connection>& conn);
-
-  // ---- Thread-per-connection mode ----
   void AcceptLoop();
   void ReapFinished();
   void ServeConnection(uint64_t id, puddles::UnixSocket socket);
 
   Daemon* daemon_;
   std::string socket_path_;
-  Options options_;
   puddles::UnixSocketServer listener_;
   std::atomic<bool> stopping_{false};
 
@@ -165,26 +82,12 @@ class Server {
   std::atomic<uint64_t> closed_{0};
   std::atomic<uint64_t> accept_retries_{0};
 
-  // Event-loop mode.
-  puddles::EpollSet epoll_;
-  puddles::EventFd wakeup_;
-  std::thread loop_thread_;
-  std::vector<std::thread> workers_;
-  std::unordered_map<uint64_t, std::shared_ptr<Connection>> conns_;  // Loop-private.
-  uint64_t next_conn_id_ = 2;  // 0/1 are the listener/wakeup epoll tags.
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<std::shared_ptr<Connection>> work_queue_;
-  bool workers_stop_ = false;  // Guarded by work_mu_.
-  std::mutex flush_mu_;
-  std::vector<std::shared_ptr<Connection>> flush_queue_;
+  std::mutex mu_;
+  std::unordered_map<uint64_t, Conn> conns_;  // Guarded by mu_.
+  std::unordered_set<uint64_t> finished_;     // Guarded by mu_.
+  uint64_t next_id_ = 1;                      // Guarded by mu_.
 
-  // Thread-per-connection mode.
   std::thread accept_thread_;
-  std::mutex tp_mu_;
-  std::unordered_map<uint64_t, ThreadConn> tp_conns_;
-  std::unordered_set<uint64_t> tp_finished_;
-  uint64_t tp_next_id_ = 1;  // Guarded by tp_mu_.
 };
 
 }  // namespace puddled

@@ -1,6 +1,5 @@
 #include "src/ipc/unix_socket.h"
 
-#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -59,18 +58,6 @@ puddles::Status ReadExact(int fd, uint8_t* out, size_t size, std::vector<int>* f
       }
     }
     done += static_cast<size_t>(n);
-  }
-  return OkStatus();
-}
-
-puddles::Status SetFdNonBlocking(int fd, bool enable) {
-  int flags = ::fcntl(fd, F_GETFL);
-  if (flags < 0) {
-    return ErrnoError("fcntl(F_GETFL)", errno);
-  }
-  int wanted = enable ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (wanted != flags && ::fcntl(fd, F_SETFL, wanted) != 0) {
-    return ErrnoError("fcntl(F_SETFL)", errno);
   }
   return OkStatus();
 }
@@ -209,129 +196,6 @@ puddles::Result<IpcMessage> UnixSocket::Recv() {
   return message;
 }
 
-puddles::Status UnixSocket::SetNonBlocking(bool enable) {
-  if (!valid()) {
-    return FailedPreconditionError("socket closed");
-  }
-  return SetFdNonBlocking(fd_, enable);
-}
-
-puddles::Result<IoProgress> UnixSocket::RecvSome(uint8_t* buf, size_t len,
-                                                 std::vector<int>* fds) {
-  if (!valid()) {
-    return FailedPreconditionError("socket closed");
-  }
-  while (true) {
-    msghdr msg{};
-    iovec iov{buf, len};
-    msg.msg_iov = &iov;
-    msg.msg_iovlen = 1;
-    alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int) * kMaxFdsPerMessage)];
-    msg.msg_control = control;
-    msg.msg_controllen = sizeof(control);
-
-    ssize_t n = ::recvmsg(fd_, &msg, MSG_CMSG_CLOEXEC);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        IoProgress progress;
-        progress.would_block = true;
-        return progress;
-      }
-      return ErrnoError("recvmsg", errno);
-    }
-    if (fds != nullptr) {
-      for (cmsghdr* cmsg = CMSG_FIRSTHDR(&msg); cmsg != nullptr;
-           cmsg = CMSG_NXTHDR(&msg, cmsg)) {
-        if (cmsg->cmsg_level == SOL_SOCKET && cmsg->cmsg_type == SCM_RIGHTS) {
-          size_t count = (cmsg->cmsg_len - CMSG_LEN(0)) / sizeof(int);
-          const int* received = reinterpret_cast<const int*>(CMSG_DATA(cmsg));
-          for (size_t i = 0; i < count; ++i) {
-            fds->push_back(received[i]);
-          }
-        }
-      }
-    }
-    IoProgress progress;
-    if (n == 0) {
-      progress.eof = true;
-    } else {
-      progress.bytes = static_cast<size_t>(n);
-    }
-    return progress;
-  }
-}
-
-puddles::Result<IoProgress> UnixSocket::SendSome(const uint8_t* buf, size_t len,
-                                                 const std::vector<int>& fds) {
-  if (!valid()) {
-    return FailedPreconditionError("socket closed");
-  }
-  if (fds.size() > kMaxFdsPerMessage) {
-    return InvalidArgumentError("too many fds in one message");
-  }
-  msghdr msg{};
-  iovec iov{const_cast<uint8_t*>(buf), len};
-  msg.msg_iov = &iov;
-  msg.msg_iovlen = 1;
-  alignas(cmsghdr) char control[CMSG_SPACE(sizeof(int) * kMaxFdsPerMessage)];
-  if (!fds.empty()) {
-    std::memset(control, 0, sizeof(control));
-    msg.msg_control = control;
-    msg.msg_controllen = CMSG_SPACE(sizeof(int) * fds.size());
-    cmsghdr* cmsg = CMSG_FIRSTHDR(&msg);
-    cmsg->cmsg_level = SOL_SOCKET;
-    cmsg->cmsg_type = SCM_RIGHTS;
-    cmsg->cmsg_len = CMSG_LEN(sizeof(int) * fds.size());
-    std::memcpy(CMSG_DATA(cmsg), fds.data(), sizeof(int) * fds.size());
-  }
-  while (true) {
-    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        IoProgress progress;
-        progress.would_block = true;
-        return progress;
-      }
-      return ErrnoError("sendmsg", errno);
-    }
-    IoProgress progress;
-    progress.bytes = static_cast<size_t>(n);
-    return progress;
-  }
-}
-
-puddles::Result<IoProgress> UnixSocket::SendSomeV(const struct iovec* iov, int iovcnt) {
-  if (!valid()) {
-    return FailedPreconditionError("socket closed");
-  }
-  msghdr msg{};
-  msg.msg_iov = const_cast<struct iovec*>(iov);
-  msg.msg_iovlen = static_cast<size_t>(iovcnt);
-  while (true) {
-    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        IoProgress progress;
-        progress.would_block = true;
-        return progress;
-      }
-      return ErrnoError("sendmsg", errno);
-    }
-    IoProgress progress;
-    progress.bytes = static_cast<size_t>(n);
-    return progress;
-  }
-}
-
 puddles::Result<PeerCredentials> UnixSocket::Credentials() const {
   ucred cred{};
   socklen_t len = sizeof(cred);
@@ -403,18 +267,17 @@ puddles::Result<UnixSocketServer> UnixSocketServer::Bind(const std::string& path
 
 puddles::Result<UnixSocket> UnixSocketServer::Accept() {
   int err = 0;
-  UnixSocket socket = TryAccept(&err, /*nonblocking_socket=*/false);
+  UnixSocket socket = TryAccept(&err);
   if (!socket.valid()) {
     return ErrnoError("accept", err);
   }
   return socket;
 }
 
-UnixSocket UnixSocketServer::TryAccept(int* err, bool nonblocking_socket) {
+UnixSocket UnixSocketServer::TryAccept(int* err) {
   *err = 0;
-  const int flags = SOCK_CLOEXEC | (nonblocking_socket ? SOCK_NONBLOCK : 0);
   while (true) {
-    int fd = ::accept4(fd_, nullptr, nullptr, flags);
+    int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd >= 0) {
       return UnixSocket(fd);
     }
@@ -424,13 +287,6 @@ UnixSocket UnixSocketServer::TryAccept(int* err, bool nonblocking_socket) {
     *err = errno;
     return UnixSocket();
   }
-}
-
-puddles::Status UnixSocketServer::SetNonBlocking(bool enable) {
-  if (!valid()) {
-    return FailedPreconditionError("listener closed");
-  }
-  return SetFdNonBlocking(fd_, enable);
 }
 
 }  // namespace puddles

@@ -11,8 +11,6 @@
 #ifndef SRC_IPC_UNIX_SOCKET_H_
 #define SRC_IPC_UNIX_SOCKET_H_
 
-#include <sys/uio.h>
-
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -32,15 +30,6 @@ struct IpcMessage {
   std::vector<int> fds;  // Ownership transfers to the receiver.
 };
 
-// Outcome of one nonblocking I/O attempt (RecvSome/SendSome). Exactly one of
-// {bytes > 0, would_block, eof} describes what happened; errors surface as a
-// non-OK Status instead.
-struct IoProgress {
-  size_t bytes = 0;
-  bool would_block = false;
-  bool eof = false;  // Read side only: orderly shutdown by the peer.
-};
-
 class UnixSocket {
  public:
   UnixSocket() = default;
@@ -58,27 +47,9 @@ class UnixSocket {
   static puddles::Result<std::pair<UnixSocket, UnixSocket>> Pair();
 
   puddles::Status Send(const std::vector<uint8_t>& bytes, const std::vector<int>& fds = {});
+  // Fails with kDataLoss on a length header above 64 MiB: such a frame is a
+  // corrupt or hostile stream, not a real message.
   puddles::Result<IpcMessage> Recv();
-
-  // ---- Nonblocking I/O (event-driven server path) ----
-
-  puddles::Status SetNonBlocking(bool enable);
-
-  // One recvmsg: reads up to `len` bytes into `buf`, appending any SCM_RIGHTS
-  // descriptors to *fds (ownership passes to the caller). EINTR is retried.
-  puddles::Result<IoProgress> RecvSome(uint8_t* buf, size_t len, std::vector<int>* fds);
-
-  // One sendmsg of buf[0..len) with `fds` attached to this fragment. Callers
-  // streaming a frame across several calls must attach fds only until the
-  // first call that reports bytes > 0 — the kernel delivers them with the
-  // first byte, and re-sending would duplicate them into the peer.
-  puddles::Result<IoProgress> SendSome(const uint8_t* buf, size_t len,
-                                       const std::vector<int>& fds = {});
-
-  // Vectored SendSome without ancillary data: one sendmsg over `iovcnt`
-  // buffers, so a backlog of small frames costs one syscall instead of one
-  // each (the event server's response-flush hot path).
-  puddles::Result<IoProgress> SendSomeV(const struct iovec* iov, int iovcnt);
 
   puddles::Result<PeerCredentials> Credentials() const;
 
@@ -109,13 +80,8 @@ class UnixSocketServer {
   // transient failures (EMFILE, ECONNABORTED, descriptor pressure) from
   // fatal ones instead of giving up on the listening socket. EINTR is
   // retried internally. On success *err is 0; on failure the returned socket
-  // is invalid and *err holds the errno (EAGAIN when the listener is
-  // nonblocking and no connection is pending). `nonblocking_socket` accepts
-  // the connection with O_NONBLOCK already set (event-loop connections).
-  UnixSocket TryAccept(int* err, bool nonblocking_socket);
-
-  // Makes Accept()/TryAccept() nonblocking on the listener itself.
-  puddles::Status SetNonBlocking(bool enable);
+  // is invalid and *err holds the errno.
+  UnixSocket TryAccept(int* err);
 
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }

@@ -1,12 +1,13 @@
 // The production transport: Puddled behind a UNIX domain socket, clients
 // authenticated via SO_PEERCRED, puddle fds delivered via SCM_RIGHTS.
 //
-// Also the lifecycle regression suite for the event-driven server rebuild
-// (docs/daemon.md): request pipelining, many-client concurrency with dirty
-// disconnects, shutdown under load, accept-loop survival of fd exhaustion,
-// and thread-per-connection registry reaping.
+// Also the lifecycle regression suite for the server (docs/daemon.md):
+// request pipelining, backpressure on a client that never reads, the frame
+// length cap, many-client concurrency with dirty disconnects, shutdown under
+// load, accept-loop survival of fd exhaustion, and registry reaping.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <fcntl.h>
@@ -37,13 +38,13 @@ class SocketDaemonTest : public ::testing::Test {
     auto daemon = puddled::Daemon::Start({.root_dir = root_.string()});
     ASSERT_TRUE(daemon.ok());
     daemon_ = std::move(*daemon);
-    RestartServer(puddled::Server::Options{});
+    RestartServer();
   }
 
-  // Replaces the running server (tests that exercise a specific mode).
-  void RestartServer(const puddled::Server::Options& options) {
+  // Replaces the running server.
+  void RestartServer() {
     server_.reset();
-    auto server = puddled::Server::Start(daemon_.get(), socket_path_, options);
+    auto server = puddled::Server::Start(daemon_.get(), socket_path_);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(*server);
   }
@@ -296,6 +297,83 @@ TEST_F(SocketDaemonTest, FramesSplitAcrossArbitraryWriteBoundaries) {
   }
 }
 
+TEST_F(SocketDaemonTest, ClientThatNeverReadsIsThrottled) {
+  // Backpressure contract (docs/daemon.md): while a response is blocked in
+  // send, the server reads no further requests from that connection, so a
+  // client that pipelines without reading stalls in its own send() long
+  // before the daemon has buffered megabytes for it.
+  constexpr size_t kLimit = 8u << 20;
+  auto raw = UnixSocket::Connect(socket_path_);
+  ASSERT_TRUE(raw.ok());
+  WireWriter ping;
+  ping.PutU32(static_cast<uint32_t>(puddled::Op::kPing));
+  const auto frame = Frame(ping.Take());
+  std::vector<uint8_t> chunk;
+  while (chunk.size() + frame.size() <= 64 * 1024) {
+    chunk.insert(chunk.end(), frame.begin(), frame.end());
+  }
+
+  // The stream is `chunk` repeated, so resuming at written % chunk.size()
+  // after a partial send keeps frame boundaries intact.
+  std::atomic<size_t> written{0};
+  std::thread writer([&] {
+    size_t total = 0;
+    while (total < kLimit) {
+      const size_t off = total % chunk.size();
+      const ssize_t n = ::send(raw->fd(), chunk.data() + off, chunk.size() - off, MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      if (n <= 0) {
+        return;  // Released by shutdown(2).
+      }
+      total += static_cast<size_t>(n);
+      written.store(total);
+    }
+  });
+
+  bool stalled = false;
+  size_t last = written.load();
+  auto last_change = std::chrono::steady_clock::now();
+  const auto deadline = last_change + std::chrono::seconds(30);
+  while (written.load() < kLimit && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const size_t now = written.load();
+    if (now != last) {
+      last = now;
+      last_change = std::chrono::steady_clock::now();
+    } else if (std::chrono::steady_clock::now() - last_change >= std::chrono::milliseconds(500)) {
+      stalled = true;
+      break;
+    }
+  }
+  const size_t at_stall = written.load();
+  ::shutdown(raw->fd(), SHUT_RDWR);
+  writer.join();
+  EXPECT_TRUE(stalled) << "the daemon accepted " << at_stall
+                       << " bytes from a client that never reads";
+  EXPECT_LT(at_stall, kLimit);
+}
+
+TEST_F(SocketDaemonTest, OversizedFrameHeaderClosesConnection) {
+  // Framing contract (docs/daemon.md): a length header above 64 MiB is a
+  // corrupt or hostile stream. The daemon drops that connection without a
+  // response and keeps serving everyone else.
+  auto raw = UnixSocket::Connect(socket_path_);
+  ASSERT_TRUE(raw.ok());
+  std::vector<uint8_t> header(4);
+  const uint32_t length = (64u << 20) + 1;
+  std::memcpy(header.data(), &length, 4);
+  ASSERT_TRUE(WriteAll(raw->fd(), header));
+  EXPECT_FALSE(raw->Recv().ok());
+
+  auto client = puddled::SocketDaemonClient::Connect(socket_path_);
+  ASSERT_TRUE(client.ok());
+  EXPECT_TRUE((*client)->Ping().ok());
+  EXPECT_TRUE(WaitFor([this] { return server_->stats().closed == 1; }))
+      << "closed=" << server_->stats().closed;
+}
+
 TEST_F(SocketDaemonTest, ManyClientsWithDirtyDisconnects) {
   // 16 concurrent clients: evens run clean request/response traffic, odds
   // pipeline a burst, abandon half their responses, and hang up mid-request
@@ -391,7 +469,7 @@ TEST_F(SocketDaemonTest, ShutdownUnderLoad) {
   EXPECT_EQ(stats.active, 0u) << "accepted=" << stats.accepted << " closed=" << stats.closed;
 
   // The daemon itself survived: a fresh server on the same socket serves.
-  RestartServer(puddled::Server::Options{});
+  RestartServer();
   auto client = puddled::SocketDaemonClient::Connect(socket_path_);
   ASSERT_TRUE(client.ok());
   EXPECT_TRUE((*client)->Ping().ok());
@@ -401,7 +479,7 @@ TEST_F(SocketDaemonTest, ShutdownUnderLoad) {
 // failure (EMFILE here) used to end the loop permanently — the daemon ran
 // but never admitted another client. The loop must log, back off, retry,
 // and serve the queued connection once descriptors free up.
-void ExerciseFdExhaustion(puddled::Server* server, const std::string& socket_path) {
+TEST_F(SocketDaemonTest, AcceptSurvivesFdExhaustion) {
   rlimit old_limit{};
   ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &old_limit), 0);
   size_t used = 0;
@@ -426,13 +504,13 @@ void ExerciseFdExhaustion(puddled::Server* server, const std::string& socket_pat
   ::close(hogs.back());
   hogs.pop_back();
 
-  auto client = puddled::SocketDaemonClient::Connect(socket_path);
+  auto client = puddled::SocketDaemonClient::Connect(socket_path_);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (server->stats().accept_retries == 0 && std::chrono::steady_clock::now() < deadline) {
+  while (server_->stats().accept_retries == 0 && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_GT(server->stats().accept_retries, 0u);
+  EXPECT_GT(server_->stats().accept_retries, 0u);
 
   for (const int fd : hogs) {
     ::close(fd);
@@ -442,27 +520,12 @@ void ExerciseFdExhaustion(puddled::Server* server, const std::string& socket_pat
   EXPECT_TRUE((*client)->Ping().ok());
 }
 
-TEST_F(SocketDaemonTest, AcceptSurvivesFdExhaustion) {
-  ExerciseFdExhaustion(server_.get(), socket_path_);
-}
-
-TEST_F(SocketDaemonTest, ThreadModeAcceptSurvivesFdExhaustion) {
-  puddled::Server::Options options;
-  options.mode = puddled::Server::Mode::kThreadPerConnection;
-  RestartServer(options);
-  ExerciseFdExhaustion(server_.get(), socket_path_);
-}
-
-TEST_F(SocketDaemonTest, ThreadModeRegistryReapsFinishedConnections) {
-  // Regression for the two thread-mode lifecycle leaks: connection threads
+TEST_F(SocketDaemonTest, RegistryReapsFinishedConnections) {
+  // Regression for the two connection-registry leaks: connection threads
   // used to accumulate until Stop(), and Stop() used to shutdown() every fd
   // ever accepted — including numbers long since closed and recycled. The
   // finished-set protocol reaps threads as they complete and only touches
   // live descriptors.
-  puddled::Server::Options options;
-  options.mode = puddled::Server::Mode::kThreadPerConnection;
-  RestartServer(options);
-
   uint64_t total = 0;
   for (int wave = 0; wave < 3; ++wave) {
     for (int c = 0; c < 8; ++c) {
