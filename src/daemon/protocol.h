@@ -46,7 +46,8 @@ puddles::Status DecodeImportResult(puddles::WireReader* reader, ImportResult* re
 // Snapshots this process's telemetry (src/stats) into a wire-ready report:
 // counters and per-opcode totals by name, histogram ticks converted to
 // nanoseconds. Zero-valued counters are included (so dashboards see the full
-// catalog); all-zero builds (-DPUDDLES_STATS=0) produce an all-zero report.
+// catalog); -DPUDDLES_STATS=0 builds report zero for everything but the
+// always-on persistence counters (fences, flush_calls, flush_lines_published).
 StatsReport BuildStatsReport();
 void EncodeStatsReport(puddles::WireWriter* writer, const StatsReport& report);
 puddles::Status DecodeStatsReport(puddles::WireReader* reader, StatsReport* report);

@@ -128,21 +128,24 @@ puddles::Status Pool::Free(void* payload, Transaction* tx) {
   if (!writable_) {
     return FailedPreconditionError("pool opened read-only");
   }
-  Runtime::Entry* entry = runtime_->FindEntryByAddr(reinterpret_cast<uintptr_t>(payload));
-  if (entry == nullptr || !entry->mapped) {
-    return InvalidArgumentError("pointer does not belong to a mapped puddle");
-  }
-  const Uuid uuid = entry->info.uuid;
-
   // FAST PATH: same-thread frees resolve against the calling thread's own
   // arenas without any lock — only the owner mutates its arenas while it is
   // alive (spill, flush, and adoption all run on the owner; orphan handoff
-  // happens only after thread exit), so the probe races with nothing.
+  // happens only after thread exit), so the probe races with nothing. The
+  // probe bounds-checks against the arenas' own puddles, so it needs no
+  // runtime lookup first.
   const void* header_addr = static_cast<const uint8_t*>(payload) - sizeof(ObjectHeader);
   bool arena_owned = arenas_->Local()->OwnsLocally(header_addr);
+  Uuid uuid;
   if (!arena_owned) {
-    // Cross-thread or stale: fall back to the tagged-slab check under the
-    // allocation lock.
+    // Cross-thread, stale or not ours at all: find the puddle (the global
+    // path needs its uuid) and check for a tagged slab under the allocation
+    // lock.
+    Runtime::Entry* entry = runtime_->FindEntryByAddr(reinterpret_cast<uintptr_t>(payload));
+    if (entry == nullptr || !entry->mapped) {
+      return InvalidArgumentError("pointer does not belong to a mapped puddle");
+    }
+    uuid = entry->info.uuid;
     std::lock_guard<std::mutex> lock(alloc_mu_);
     ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap());
     arena_owned = heap.ArenaTagOf(payload) != 0;

@@ -13,9 +13,8 @@
 namespace pmem {
 namespace {
 
-std::atomic<uint64_t> g_flushed_lines{0};
-std::atomic<uint64_t> g_flush_calls{0};
-std::atomic<uint64_t> g_fences{0};
+using puddles::stats::Counter;
+
 std::atomic<PersistObserver*> g_observer{nullptr};
 std::atomic<int> g_observer_inflight{0};
 
@@ -140,10 +139,12 @@ void Flush(const void* addr, size_t size) {
   lines = (end - start + puddles::kCacheLineSize - 1) / puddles::kCacheLineSize;
   std::atomic_thread_fence(std::memory_order_release);
 #endif
-  g_flushed_lines.fetch_add(lines, std::memory_order_relaxed);
-  g_flush_calls.fetch_add(1, std::memory_order_relaxed);
-  PUDDLES_COUNT(kFlushCalls);
-  PUDDLES_COUNT_N(kFlushLinesPublished, lines);
+  // Counted in the calling thread's slot, in every build, with a plain
+  // load+store: a lock-prefixed RMW here would wait for the write-backs just
+  // issued, as an sfence does, and would bounce one line between threads.
+  puddles::stats::ThreadSlot& slot = puddles::stats::LocalSlot();
+  slot.Bump(Counter::kFlushCalls, 1);
+  slot.Bump(Counter::kFlushLinesPublished, lines);
   if (internal::g_shadow_active.load(std::memory_order_acquire)) {
     ShadowRegistry::Instance().OnFlush(addr, size);
   }
@@ -156,8 +157,7 @@ void Fence() {
 #else
   std::atomic_thread_fence(std::memory_order_seq_cst);
 #endif
-  g_fences.fetch_add(1, std::memory_order_relaxed);
-  PUDDLES_COUNT(kFences);
+  puddles::stats::Add(Counter::kFences, 1);  // Every build; see Flush.
   NotifyObserver([](PersistObserver* observer) { observer->OnFence(); });
 }
 
@@ -246,17 +246,11 @@ void FlushBatch::FlushPending() {
 }
 
 PersistStats ReadPersistStats() {
-  PersistStats stats;
-  stats.flushed_lines = g_flushed_lines.load(std::memory_order_relaxed);
-  stats.flush_calls = g_flush_calls.load(std::memory_order_relaxed);
-  stats.fences = g_fences.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void ResetPersistStats() {
-  g_flushed_lines.store(0, std::memory_order_relaxed);
-  g_flush_calls.store(0, std::memory_order_relaxed);
-  g_fences.store(0, std::memory_order_relaxed);
+  static constexpr Counter kCounters[] = {Counter::kFlushLinesPublished,
+                                          Counter::kFlushCalls, Counter::kFences};
+  uint64_t totals[3] = {};
+  puddles::stats::SumCounters(kCounters, totals);
+  return {.flushed_lines = totals[0], .flush_calls = totals[1], .fences = totals[2]};
 }
 
 }  // namespace pmem

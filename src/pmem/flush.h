@@ -37,17 +37,22 @@ void FlushFence(const void* addr, size_t size);
 // canonical primitive for publishing a commit marker.
 void PersistStore64(uint64_t* dst, uint64_t value);
 
-// Persistence traffic counters (relaxed; cheap enough to keep always-on).
-// Tests use them to assert that code paths emit the expected flush/fence
-// pattern; benches report them as derived metrics.
+// Persistence traffic counters, on in every build. Tests use them to assert
+// that code paths emit the expected flush/fence pattern; benches report them
+// as derived metrics. Flush and Fence count in the calling thread's
+// stats::ThreadSlot with a plain load+store, never a process-wide atomic: a
+// lock-prefixed instruction orders earlier clwbs as an sfence does, so one
+// between a Flush and its Fence would wait for the write-back that Flush
+// leaves unordered, and every persisting thread would share its line.
 struct PersistStats {
   uint64_t flushed_lines = 0;
   uint64_t flush_calls = 0;
   uint64_t fences = 0;
 };
 
+// Totals over every thread, live or exited (stats::SumCounters). Exact once
+// the persisting threads are idle; take before/after deltas.
 PersistStats ReadPersistStats();
-void ResetPersistStats();
 
 // Observer of the persistence instruction stream. The crashsim trace recorder
 // implements this to build epoch-delimited persist traces.

@@ -112,6 +112,18 @@ class Registry {
     return out;
   }
 
+  void SumCounters(std::span<const Counter> counters, std::span<uint64_t> out) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < counters.size(); ++i) {
+      const size_t c = static_cast<size_t>(counters[i]);
+      uint64_t total = retired_.counters[c];
+      for (ThreadSlot* slot : slots_) {
+        total += slot->counters[c].load(std::memory_order_relaxed);
+      }
+      out[i] = total;
+    }
+  }
+
   void ResetForTesting() {
     std::lock_guard<std::mutex> lock(mu_);
     retired_ = Snapshot();
@@ -187,6 +199,10 @@ ThreadSlot& Slot() {
 }  // namespace internal
 
 Snapshot Aggregate() { return Registry::Instance().Aggregate(); }
+
+void SumCounters(std::span<const Counter> counters, std::span<uint64_t> out) {
+  Registry::Instance().SumCounters(counters, out);
+}
 
 Snapshot Delta(const Snapshot& after, const Snapshot& before) {
   Snapshot out;

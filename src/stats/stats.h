@@ -12,7 +12,11 @@
 //     until thread exit, and retire their totals into a global accumulator so
 //     Aggregate() is exact over dead threads too.
 //   * Everything compiles to nothing under -DPUDDLES_STATS=0: call sites use
-//     the PUDDLES_* macros below, never the functions directly.
+//     the PUDDLES_* macros below, never the functions directly. The one
+//     exception is the three persistence counters kFences, kFlushCalls and
+//     kFlushLinesPublished: pmem::Flush and pmem::Fence bump them through
+//     LocalSlot() in every build, because pmem::ReadPersistStats() is read
+//     from them and tests assert flush/fence patterns with it.
 //
 // Timers record raw TSC ticks (rdtsc — ~2 ns, vs ~20 ns for clock_gettime)
 // and convert to nanoseconds at report time via TicksToNanos().
@@ -26,6 +30,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "src/stats/histogram.h"
 
@@ -46,7 +51,8 @@ enum class Counter : uint32_t {
   kVolatileAppend,    // Volatile (DRAM) undo entries appended.
   kLogBytes,          // Log bytes staged (entry header + payload, aligned).
   kLogChain,          // Continuation log puddles chained (Fig. 5 growth).
-  // Persistence primitives (src/pmem).
+  // Persistence primitives (src/pmem). The first three are bumped in every
+  // build, -DPUDDLES_STATS=0 included: they back pmem::ReadPersistStats().
   kFences,            // sfence ordering points issued.
   kFlushCalls,        // pmem::Flush invocations (post-dedup runs).
   kFlushLinesPublished,  // Cache lines actually written back.
@@ -126,6 +132,11 @@ struct Snapshot {
 // writer threads have quiesced (joined); during concurrent updates it is a
 // monotonic, slightly-trailing monitoring view.
 Snapshot Aggregate();
+
+// Sets out[i] to the total of counters[i] over every live slot plus the
+// retired accumulator, read under the registry lock: Aggregate() for a few
+// counters, without copying every histogram. Same exactness as Aggregate().
+void SumCounters(std::span<const Counter> counters, std::span<uint64_t> out);
 
 // Subtracts counters/ops bucket-wise (for before/after deltas in benches and
 // tests). Histograms are subtracted bucket-wise too; callers should only

@@ -159,6 +159,7 @@ TEST_F(ApiMisuseTest, LoggingDramPointerRejected) {
               StatusCode::kInvalidArgument)
         << "a stack/heap pointer must not enter the persistent undo log";
     EXPECT_EQ(tx.Set(&dram_cell, uint64_t{12}).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(tx.Free(&dram_cell).code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(tx.LogRange(nullptr, 8).code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(tx.LogVolatile(nullptr, 8).code(), StatusCode::kInvalidArgument);
     // Sizes that would wrap the bounds check or overflow the 32-bit on-media

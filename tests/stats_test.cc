@@ -188,7 +188,8 @@ TEST(ThreadedAggregation, SnapshotEqualsSumAfterJoin) {
 
 // A PersistObserver and the stats counters hook the same Flush/Fence stream;
 // both must see it, and hooking one must not disturb the other (observer
-// callbacks fire once per call, stats counts match ReadPersistStats deltas).
+// callbacks fire once per call and match the ReadPersistStats deltas, which
+// are read from the stats slots).
 class CountingObserver : public pmem::PersistObserver {
  public:
   void OnFlushRange(const void*, size_t) override { ++flush_ranges_; }
@@ -201,7 +202,6 @@ TEST(DoubleHook, ObserverAndStatsCountTheSameStream) {
   alignas(64) static uint8_t buffer[1024];
   CountingObserver observer;
   const pmem::PersistStats persist_before = pmem::ReadPersistStats();
-  const Snapshot stats_before = Aggregate();
 
   pmem::SetPersistObserver(&observer);
   for (int i = 0; i < 10; ++i) {
@@ -214,16 +214,9 @@ TEST(DoubleHook, ObserverAndStatsCountTheSameStream) {
   EXPECT_EQ(observer.flush_ranges_, 10u);
   EXPECT_EQ(observer.fences_, 10u);
   EXPECT_EQ(persist_after.flush_calls - persist_before.flush_calls, 10u);
+  EXPECT_EQ(persist_after.flushed_lines - persist_before.flushed_lines,
+            10u * (sizeof(buffer) / 64));
   EXPECT_EQ(persist_after.fences - persist_before.fences, 10u);
-
-#if PUDDLES_STATS
-  const Snapshot delta = Delta(Aggregate(), stats_before);
-  EXPECT_EQ(delta.counter(Counter::kFlushCalls), 10u);
-  EXPECT_EQ(delta.counter(Counter::kFences), 10u);
-  EXPECT_EQ(delta.counter(Counter::kFlushLinesPublished), 10u * (sizeof(buffer) / 64));
-#else
-  (void)stats_before;
-#endif
 }
 
 TEST(TraceRing, OverwritesOldestAndStaysBounded) {

@@ -39,6 +39,12 @@ EPOCH_COMMIT = (
     "persist call on the epoch commit path: fences belong to the epoch advancer "
     "only (docs/epoch.md)"
 )
+LOCKED = r"fetch_(add|sub|and|or|xor)|exchange|compare_exchange|" + LOCKS
+FLUSH_UNORDERED = (
+    "locked instruction or lock in a flush path: a LOCK-prefixed instruction "
+    "between a clwb and its fence waits for the write-back (DESIGN.md §1); "
+    "count in the thread's stats slot"
+)
 
 RULES = [
     # Batched persistence (DESIGN.md §10): one append stages, never publishes.
@@ -56,6 +62,10 @@ RULES = [
     ("src/pmem/flush.cc", "FlushBatch::FlushPending(", (),
      [r"PUDDLES_(SCOPED_TIMER|RECORD_TICKS|TRACE_SPAN)|ScopedTimer|ScopedSpan|NowTicks"],
      "timer or span in a FlushBatch hot path (counter bumps only)"),
+    # Flush never orders (DESIGN.md §1): nothing locked between clwb and sfence.
+    ("src/pmem/flush.cc", "void Flush(", (), [LOCKED], FLUSH_UNORDERED),
+    ("src/pmem/flush.cc", "void Fence(", (), [LOCKED], FLUSH_UNORDERED),
+    ("src/pmem/flush.cc", "FlushBatch::FlushPending(", (), [LOCKED], FLUSH_UNORDERED),
     ("src/stats", DIR, (),
      [r"pmem::(Flush|Fence|FlushFence|PersistStore64|FlushBatch)|clwb|clflush|sfence"],
      "persistence in src/stats: telemetry is volatile-only (DESIGN.md §11)"),
