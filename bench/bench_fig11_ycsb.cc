@@ -1,8 +1,9 @@
 // Figure 11: KV store under YCSB A–G across five libraries (PMDK-like,
 // Libpuddles, go-pmem-like, Atlas-like, Romulus). The paper loads 1M keys and
 // runs 1M operations per workload; defaults here are scaled (see
-// EXPERIMENTS.md). Expected shape: Puddles at least as fast as PMDK (up to
-// 1.34×), Atlas slowest on write-heavy mixes, Romulus fastest on write-heavy.
+// PUDDLES_BENCH_SCALE in README.md). Expected shape: Puddles at least as fast
+// as PMDK (up to 1.34×), Atlas slowest on write-heavy mixes, Romulus fastest
+// on write-heavy.
 #include "bench/bench_env.h"
 #include "bench/bench_util.h"
 #include "src/workloads/art.h"

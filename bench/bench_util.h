@@ -2,7 +2,7 @@
 // regenerates one table or figure of the paper's evaluation; default sizes
 // are scaled down from the paper's testbed runs so the whole suite completes
 // in minutes — set PUDDLES_BENCH_SCALE=paper (or a number ≥ 1) for larger
-// runs (see EXPERIMENTS.md).
+// runs (see the PUDDLES_BENCH_SCALE paragraph in README.md).
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 

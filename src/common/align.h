@@ -40,33 +40,6 @@ constexpr uint64_t NextPowerOfTwo(uint64_t value) {
   return IsPowerOfTwo(value) ? value : 1ULL << (Log2Floor(value) + 1);
 }
 
-// Intersects the absolute byte range [lo, hi) with the region
-// [region_start, region_start + region_size) and expands the overlap to whole
-// region-relative cache lines. Returns {offset, length} within the region;
-// length 0 means no overlap. The ShadowHeap flush/crash walks and the
-// crashsim trace recorder all use this, and MUST agree on what "one line"
-// means (DESIGN.md §2) — that is why the logic lives here, once.
-struct LineSpan {
-  size_t offset = 0;
-  size_t length = 0;
-};
-
-inline LineSpan ClampToRegionLines(uintptr_t region_start, size_t region_size, uintptr_t lo,
-                                   uintptr_t hi) {
-  const uintptr_t region_end = region_start + region_size;
-  const uintptr_t clamped_lo = lo > region_start ? lo : region_start;
-  const uintptr_t clamped_hi = hi < region_end ? hi : region_end;
-  if (clamped_lo >= clamped_hi) {
-    return {};
-  }
-  const size_t off_lo = AlignDown(clamped_lo - region_start, kCacheLineSize);
-  size_t off_hi = AlignUp(clamped_hi - region_start, kCacheLineSize);
-  if (off_hi > region_size) {
-    off_hi = region_size;
-  }
-  return {off_lo, off_hi - off_lo};
-}
-
 }  // namespace puddles
 
 #endif  // SRC_COMMON_ALIGN_H_

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "src/common/align.h"
@@ -36,6 +39,27 @@ std::set<uint32_t> ThreadsInFlight(const Trace& trace, const RetirementIndex& re
     threads.insert(delta.thread);
   }
   return threads;
+}
+
+// Issue position of a flush delta: (epoch, index in the epoch's deltas).
+using DeltaPosition = std::pair<uint64_t, size_t>;
+
+// Position of the newest write-back of each line, keyed (region, offset),
+// that is retired at a crash just before epoch `crash_epoch`'s closing fence.
+std::map<std::pair<uint32_t, uint64_t>, DeltaPosition> NewestRetiredWriteBacks(
+    const Trace& trace, const RetirementIndex& retirement, uint64_t crash_epoch) {
+  std::map<std::pair<uint32_t, uint64_t>, DeltaPosition> newest;
+  for (uint64_t e = 0; e < crash_epoch; ++e) {
+    const std::vector<FlushDelta>& deltas = trace.epochs[e].deltas;
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      if (retirement.Retired(deltas[i].thread, e, crash_epoch)) {
+        for (size_t off = 0; off < deltas[i].bytes.size(); off += puddles::kCacheLineSize) {
+          newest[{deltas[i].region, deltas[i].offset + off}] = {e, i};
+        }
+      }
+    }
+  }
+  return newest;
 }
 
 }  // namespace
@@ -143,6 +167,19 @@ void MaterializeCrashState(const Trace& trace, const CrashStateSpec& spec, const
   MaterializeInFlight(trace, spec, retirement, apply);
 }
 
+void ApplyCrashState(const Trace& trace, const CrashStateSpec& spec) {
+  auto base = [&](uint32_t region) {
+    return reinterpret_cast<uint8_t*>(trace.regions[region].base);
+  };
+  for (uint32_t i = 0; i < trace.regions.size(); ++i) {
+    std::memcpy(base(i), trace.baseline[i].data(), trace.baseline[i].size());
+  }
+  MaterializeCrashState(trace, spec,
+                        [&](uint32_t region, uint64_t offset, const uint8_t* data, size_t size) {
+                          std::memcpy(base(region) + offset, data, size);
+                        });
+}
+
 void MaterializeInFlight(const Trace& trace, const CrashStateSpec& spec,
                          const RetirementIndex& retirement, const ApplyFn& apply) {
   if (spec.epoch >= trace.epochs.size()) {
@@ -150,6 +187,18 @@ void MaterializeInFlight(const Trace& trace, const CrashStateSpec& spec,
   }
   const uint64_t closed = spec.epoch;
   const Epoch& open = trace.epochs[spec.epoch];
+  // A line's durable content only moves forward in coherence order, so an
+  // un-retired write-back (another thread's flush, not yet fenced) cannot
+  // land over a retired write-back of the same line issued after it. Only
+  // multi-threaded traces have un-retired write-backs: index on first use.
+  std::optional<std::map<std::pair<uint32_t, uint64_t>, DeltaPosition>> newest_retired;
+  auto superseded = [&](const FlushDelta& delta, DeltaPosition position, size_t off) {
+    if (!newest_retired) {
+      newest_retired = NewestRetiredWriteBacks(trace, retirement, spec.epoch);
+    }
+    const auto it = newest_retired->find({delta.region, delta.offset + off});
+    return it != newest_retired->end() && it->second > position;
+  };
   if (spec.evict) {
     // Each maybe-durable line survives independently. Un-retired earlier
     // flushes are drawn first (epoch order — in single-threaded traces there
@@ -160,13 +209,15 @@ void MaterializeInFlight(const Trace& trace, const CrashStateSpec& spec,
     // modeling the later eviction.
     puddles::Xoshiro256 rng(spec.eviction_seed);
     for (uint64_t e = 0; e < closed; ++e) {
-      for (const FlushDelta& delta : trace.epochs[e].deltas) {
+      const std::vector<FlushDelta>& deltas = trace.epochs[e].deltas;
+      for (size_t i = 0; i < deltas.size(); ++i) {
+        const FlushDelta& delta = deltas[i];
         if (retirement.Retired(delta.thread, e, spec.epoch)) {
           continue;
         }
         for (size_t off = 0; off < delta.bytes.size(); off += puddles::kCacheLineSize) {
           const size_t line = std::min(puddles::kCacheLineSize, delta.bytes.size() - off);
-          if (rng.NextDouble() < spec.eviction_probability) {
+          if (rng.NextDouble() < spec.eviction_probability && !superseded(delta, {e, i}, off)) {
             apply(delta.region, delta.offset + off, delta.bytes.data() + off, line);
           }
         }
@@ -194,12 +245,18 @@ void MaterializeInFlight(const Trace& trace, const CrashStateSpec& spec,
   // complete (in issue order); everyone else's vanish. Dirty lines carry no
   // thread attribution and are excluded — seeded eviction subsets cover them.
   for (uint64_t e = 0; e < closed; ++e) {
-    for (const FlushDelta& delta : trace.epochs[e].deltas) {
-      if (retirement.Retired(delta.thread, e, spec.epoch)) {
+    const std::vector<FlushDelta>& deltas = trace.epochs[e].deltas;
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      const FlushDelta& delta = deltas[i];
+      if (retirement.Retired(delta.thread, e, spec.epoch) || delta.thread >= 64 ||
+          (spec.thread_mask & (uint64_t{1} << delta.thread)) == 0) {
         continue;
       }
-      if (delta.thread < 64 && (spec.thread_mask & (uint64_t{1} << delta.thread))) {
-        apply(delta.region, delta.offset, delta.bytes.data(), delta.bytes.size());
+      for (size_t off = 0; off < delta.bytes.size(); off += puddles::kCacheLineSize) {
+        if (!superseded(delta, {e, i}, off)) {
+          apply(delta.region, delta.offset + off, delta.bytes.data() + off,
+                std::min(puddles::kCacheLineSize, delta.bytes.size() - off));
+        }
       }
     }
   }

@@ -10,7 +10,9 @@
 //     closed epoch"),
 //   * every other already-issued flush — the open epoch's, plus any
 //     un-retired flush from a thread that has not fenced again — is
-//     independently maybe-durable at cache-line granularity, and
+//     independently maybe-durable at cache-line granularity, except an
+//     un-retired line that a later retired flush of the line superseded (a
+//     line's durable content never goes back to an older version), and
 //   * each stored-but-unflushed dirty line is independently maybe-durable
 //     (the cache may have evicted it).
 // A CrashStateSpec names one member of this space: a crash epoch plus either
@@ -79,6 +81,17 @@ std::vector<CrashStateSpec> EnumerateCrashStates(const Trace& trace,
 using ApplyFn =
     std::function<void(uint32_t region, uint64_t offset, const uint8_t* data, size_t size)>;
 void MaterializeCrashState(const Trace& trace, const CrashStateSpec& spec, const ApplyFn& apply);
+
+// Writes the durable image of `spec` into the traced regions in place: each
+// region gets its Trace::baseline back, then MaterializeCrashState's writes.
+// The in-memory twin of the crash images the harness writes into puddle
+// files, for tests that recover over the same mappings. "Crash now" is
+// {.epoch = trace.epochs.size() - 1}: the baseline plus every flush whose
+// thread has fenced since; with .evict and a seed, a seeded subset of the
+// in-flight lines (unfenced flushes, dirty lines) survives as well. The
+// trace must come from a stopped TraceRecorder whose regions are still
+// mapped writable.
+void ApplyCrashState(const Trace& trace, const CrashStateSpec& spec);
 
 // The non-guaranteed part of MaterializeCrashState: emits only the writes
 // whose durability is NOT implied by the crash epoch — chosen un-retired

@@ -6,6 +6,36 @@
 #include "src/common/align.h"
 
 namespace crashsim {
+namespace {
+
+// Intersects the absolute byte range [lo, hi) with the region
+// [region_start, region_start + region_size) and expands the overlap to whole
+// region-relative cache lines. Returns {offset, length} within the region;
+// length 0 means no overlap. Region-relative lines equal absolute ones for
+// page-aligned puddle mappings; for test buffers, which need not be
+// line-aligned, they agree with the fence-time dirty scan's line walk.
+struct LineSpan {
+  size_t offset = 0;
+  size_t length = 0;
+};
+
+LineSpan ClampToRegionLines(uintptr_t region_start, size_t region_size, uintptr_t lo,
+                            uintptr_t hi) {
+  const uintptr_t region_end = region_start + region_size;
+  const uintptr_t clamped_lo = lo > region_start ? lo : region_start;
+  const uintptr_t clamped_hi = hi < region_end ? hi : region_end;
+  if (clamped_lo >= clamped_hi) {
+    return {};
+  }
+  const size_t off_lo = puddles::AlignDown(clamped_lo - region_start, puddles::kCacheLineSize);
+  size_t off_hi = puddles::AlignUp(clamped_hi - region_start, puddles::kCacheLineSize);
+  if (off_hi > region_size) {
+    off_hi = region_size;
+  }
+  return {off_lo, off_hi - off_lo};
+}
+
+}  // namespace
 
 uint64_t Trace::TotalDeltaBytes() const {
   uint64_t total = 0;
@@ -112,10 +142,8 @@ void TraceRecorder::OnFlushRange(const void* addr, size_t size) {
   const uint32_t thread = ThreadIdLocked();
   for (uint32_t i = 0; i < trace_.regions.size(); ++i) {
     const TracedRegion& region = trace_.regions[i];
-    // Expand to whole region-relative cache lines (the write-back unit), the
-    // same granularity the ShadowHeap uses.
-    const puddles::LineSpan span =
-        puddles::ClampToRegionLines(region.base, region.size, flush_lo, flush_hi);
+    // Expand to whole region-relative cache lines (the write-back unit).
+    const LineSpan span = ClampToRegionLines(region.base, region.size, flush_lo, flush_hi);
     if (span.length == 0) {
       continue;
     }

@@ -24,10 +24,10 @@
 // pruner (DESIGN.md §12) uses it to build boundary images honestly.
 //
 // The recorder keeps its own model of the durable image (initialized from
-// live contents at Start), so it works with or without the ShadowHeap
-// simulator attached. The untouched trace-start image is preserved in
+// live contents at Start). The untouched trace-start image is preserved in
 // Trace::baseline — the persistence-graph analysis needs it to reconstruct
-// any boundary image offline.
+// any boundary image offline, and ApplyCrashState (state_enumerator.h)
+// restores it before writing a crash image into live memory.
 #ifndef SRC_CRASHSIM_TRACE_H_
 #define SRC_CRASHSIM_TRACE_H_
 
@@ -44,12 +44,13 @@
 namespace crashsim {
 
 // One PM region under observation. `file_path` names the backing puddle file
-// so the harness can materialize crash images onto disk after teardown.
+// so the harness can materialize crash images onto disk after teardown;
+// crash images written in place (ApplyCrashState) need only base and size.
 struct TracedRegion {
   uintptr_t base = 0;
   size_t size = 0;
-  std::string file_path;
-  std::string label;
+  std::string file_path = {};
+  std::string label = {};
 };
 
 // A flushed, region-relative, line-expanded byte range and its content at

@@ -5,9 +5,9 @@
 #endif
 
 #include <algorithm>
+#include <atomic>
 
 #include "src/common/align.h"
-#include "src/pmem/shadow.h"
 #include "src/stats/stats.h"
 
 namespace pmem {
@@ -85,10 +85,6 @@ FlushInstruction CachedFlushInstruction() {
 
 }  // namespace
 
-namespace internal {
-std::atomic<bool> g_shadow_active{false};
-}  // namespace internal
-
 FlushInstruction ActiveFlushInstruction() { return CachedFlushInstruction(); }
 
 const char* FlushInstructionName(FlushInstruction instruction) {
@@ -145,9 +141,6 @@ void Flush(const void* addr, size_t size) {
   puddles::stats::ThreadSlot& slot = puddles::stats::LocalSlot();
   slot.Bump(Counter::kFlushCalls, 1);
   slot.Bump(Counter::kFlushLinesPublished, lines);
-  if (internal::g_shadow_active.load(std::memory_order_acquire)) {
-    ShadowRegistry::Instance().OnFlush(addr, size);
-  }
   NotifyObserver([&](PersistObserver* observer) { observer->OnFlushRange(addr, size); });
 }
 

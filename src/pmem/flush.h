@@ -4,13 +4,12 @@
 // clflushopt), sfence. We emulate PM with mmap'd files (DESIGN.md §1), so the
 // primitives below (a) execute the real x86 flush instructions when available,
 // preserving the instruction-level cost structure, (b) maintain counters so
-// tests can assert ordering discipline, and (c) feed the ShadowHeap crash
-// simulator: a cache line only becomes part of the post-crash durable image
-// once it has been Flush()ed before the simulated failure.
+// tests can assert ordering discipline, and (c) report every flush and fence
+// to the one PersistObserver, crashsim's trace recorder, from whose trace
+// every post-crash durable image is built (DESIGN.md §1, §5).
 #ifndef SRC_PMEM_FLUSH_H_
 #define SRC_PMEM_FLUSH_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -59,8 +58,7 @@ PersistStats ReadPersistStats();
 //
 // Callback-ordering contract (crashsim depends on it; see DESIGN.md §10):
 //   * Callbacks run on the persisting thread, after the flush/fence has taken
-//     effect (and after the ShadowHeap update, so the observer sees the
-//     post-flush durable image).
+//     effect.
 //   * Every cache line written back through this module is reported by exactly
 //     one OnFlushRange before the OnFence that orders it — including lines
 //     flushed through a FlushBatch, whose deduplicated runs are reported as
@@ -92,7 +90,7 @@ void SetPersistObserver(PersistObserver* observer);
 // Lines staged twice are flushed once (with their latest content, since Flush
 // writes back whatever the line holds at flush time). Not thread-safe: each
 // transaction/thread owns its batch. Flushes are issued through pmem::Flush,
-// so counters, ShadowHeap, and the PersistObserver all see them normally.
+// so the counters and the PersistObserver see them normally.
 class FlushBatch {
  public:
   // Stages every cache line overlapping [addr, addr+size). O(1): the range
@@ -134,10 +132,6 @@ class FlushBatch {
   std::vector<std::pair<uintptr_t, uintptr_t>> ranges_;
   size_t staged_bytes_ = 0;
 };
-
-namespace internal {
-extern std::atomic<bool> g_shadow_active;  // Set by the ShadowHeap registry.
-}  // namespace internal
 
 }  // namespace pmem
 

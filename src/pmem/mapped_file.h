@@ -5,7 +5,7 @@
 // On DAX filesystems mmap gives direct media access; on regular filesystems
 // (this repo's emulation) the page cache stands in for the PM media. The
 // crash-consistency work is all expressed through pmem::Flush ordering, which
-// the ShadowHeap simulator interprets — see DESIGN.md §1.
+// crashsim's trace recorder interprets — see DESIGN.md §1.
 #ifndef SRC_PMEM_MAPPED_FILE_H_
 #define SRC_PMEM_MAPPED_FILE_H_
 

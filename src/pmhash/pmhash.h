@@ -34,17 +34,6 @@
 
 namespace puddles {
 
-namespace pmhash_internal {
-// Test-only: invoked after every internal fence so crash-injection tests can
-// abort mid-operation. Null in production.
-extern void (*g_after_fence_hook)();
-inline void AfterFence() {
-  if (g_after_fence_hook != nullptr) {
-    g_after_fence_hook();
-  }
-}
-}  // namespace pmhash_internal
-
 template <typename K, typename V, typename HashFn = std::hash<K>,
           typename EqFn = std::equal_to<K>>
 class PersistentHashMap {
@@ -113,16 +102,12 @@ class PersistentHashMap {
       journal->slot_index = index;
       std::memcpy(journal->image, &image, sizeof(Slot));
       pmem::FlushFence(journal, sizeof(Journal));
-      pmhash_internal::AfterFence();
       journal->valid = 1;
       pmem::FlushFence(&journal->valid, sizeof(journal->valid));
-      pmhash_internal::AfterFence();
       std::memcpy(&slots()[index], &image, sizeof(Slot));
       pmem::FlushFence(&slots()[index], sizeof(Slot));
-      pmhash_internal::AfterFence();
       journal->valid = 0;
       pmem::FlushFence(&journal->valid, sizeof(journal->valid));
-      pmhash_internal::AfterFence();
       return OkStatus();
     }
     if ((size_ + 1) * 10 > header_->capacity * 9) {
@@ -134,10 +119,8 @@ class PersistentHashMap {
     slot->value = value;
     slot->crc = SlotCrcOf(key, value);
     pmem::FlushFence(slot, sizeof(Slot));
-    pmhash_internal::AfterFence();
     slot->state = kUsed;  // Publication point.
     pmem::FlushFence(&slot->state, sizeof(slot->state));
-    pmhash_internal::AfterFence();
     ++size_;
     return OkStatus();
   }
@@ -162,7 +145,6 @@ class PersistentHashMap {
     }
     slots()[index].state = kTombstone;  // Single-byte store: atomic.
     pmem::FlushFence(&slots()[index].state, sizeof(uint8_t));
-    pmhash_internal::AfterFence();
     --size_;
     return OkStatus();
   }

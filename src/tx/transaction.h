@@ -174,8 +174,9 @@ class Transaction {
   static void SetStageHook(void (*hook)(const char* stage));
 
   // Drops all in-flight transaction state without touching PM — what process
-  // death does. Crash-injection tests call this after SimulateCrash(); real
-  // recovery then happens through ReplayLogChain, not through this object.
+  // death does. Crash-injection tests call this after writing the crash image
+  // (crashsim::ApplyCrashState); real recovery then happens through
+  // ReplayLogChain, not through this object.
   static void AbandonCurrentForTesting();
 
  private:

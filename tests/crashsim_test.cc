@@ -5,12 +5,14 @@
 // must recover through the application-independent replay path with all
 // invariants holding, with both fence-boundary and eviction-subset states
 // explored. Plus unit coverage for the trace recorder, the enumerator's
-// determinism and budgeting, and the ShadowHeap's seeded-eviction
-// reproducibility (crashsim replayability depends on it).
+// determinism and budgeting, and ApplyCrashState, the in-place crash images
+// the other crash tests recover from.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "src/crashsim/harness.h"
@@ -18,7 +20,6 @@
 #include "src/crashsim/trace.h"
 #include "src/crashsim/workload_drivers.h"
 #include "src/pmem/flush.h"
-#include "src/pmem/shadow.h"
 
 namespace crashsim {
 namespace {
@@ -363,15 +364,167 @@ TEST(CrashsimEnumerator, EvictionSubsetsDifferAcrossSeedsAndIncludeDirtyLines) {
   EXPECT_GT(dirty_included, 0) << "dirty lines never included in any subset";
 }
 
-// ---- ShadowHeap seeded-eviction determinism (crashsim replayability) ----
+// Write-backs of one line reach the media in coherence order. Thread 1 never
+// fences, so its write-backs stay in flight; thread 0 fences every epoch.
+// Line 0: thread 1's write-back (1) is older than thread 0's (2), so it can
+// never land over it. Line 64: thread 1's write-back (4) is the newer one
+// and may survive.
+TEST(CrashsimEnumerator, InFlightWriteBackNeverLandsOverANewerDurableOne) {
+  auto delta = [](uint32_t thread, uint64_t offset, uint8_t fill) {
+    FlushDelta d;
+    d.offset = offset;
+    d.thread = thread;
+    d.bytes.assign(64, fill);
+    return d;
+  };
+  Trace trace;
+  trace.regions.push_back({.base = 0, .size = 128});
+  trace.num_threads = 2;
+  trace.epochs.resize(3);
+  trace.epochs[0].deltas = {delta(1, 0, 1), delta(0, 64, 3)};
+  trace.epochs[1].deltas = {delta(0, 0, 2), delta(1, 64, 4)};
+  trace.epochs[2].fencing_thread = Epoch::kNoFence;
 
-TEST(CrashsimShadowDeterminism, SeededEvictionYieldsByteIdenticalDurableImages) {
+  EnumerationOptions options;
+  options.max_states = 0;
+  options.eviction_subsets_per_epoch = 16;
+  std::set<uint8_t> line64;
+  for (const CrashStateSpec& spec : EnumerateCrashStates(trace, options)) {
+    if (spec.epoch < 2) {
+      continue;  // Thread 0's write-back of line 0 is not yet fenced.
+    }
+    std::vector<uint8_t> image(128, 0);
+    MaterializeCrashState(trace, spec,
+                          [&](uint32_t, uint64_t offset, const uint8_t* data, size_t size) {
+                            std::memcpy(image.data() + offset, data, size);
+                          });
+    EXPECT_EQ(image[0], 2) << spec.ToString();
+    line64.insert(image[64]);
+  }
+  EXPECT_EQ(line64, (std::set<uint8_t>{3, 4}));
+}
+
+// ---- In-place crash images (ApplyCrashState) ----
+
+TracedRegion Traced(void* base, size_t size) {
+  return {.base = reinterpret_cast<uintptr_t>(base), .size = size};
+}
+
+// Power fails now: the strict image, or with a seed, the strict image plus
+// a seeded subset of the lines in flight.
+void CrashNow(TraceRecorder& recorder, std::optional<uint64_t> seed = std::nullopt) {
+  const Trace trace = recorder.Stop();
+  ApplyCrashState(trace, {.epoch = trace.epochs.size() - 1,
+                          .evict = seed.has_value(),
+                          .eviction_seed = seed.value_or(0)});
+}
+
+TEST(CrashsimApplyCrashState, UnflushedStoreIsLost) {
+  alignas(64) static uint8_t region[4096];
+  std::memset(region, 0xaa, sizeof(region));
+  TraceRecorder recorder;
+  recorder.Start({Traced(region, sizeof(region))});
+  region[100] = 0xbb;
+  CrashNow(recorder);
+  EXPECT_EQ(region[100], 0xaa);
+}
+
+TEST(CrashsimApplyCrashState, FlushedAndFencedStoreSurvives) {
+  alignas(64) static uint8_t region[4096];
+  std::memset(region, 0, sizeof(region));
+  TraceRecorder recorder;
+  recorder.Start({Traced(region, sizeof(region))});
+  region[200] = 0x42;
+  pmem::Flush(&region[200], 1);
+  pmem::Fence();
+  CrashNow(recorder);
+  EXPECT_EQ(region[200], 0x42);
+}
+
+// A write-back is guaranteed only once its thread fences: a model that made
+// the line durable at Flush cannot see a missing fence.
+TEST(CrashsimApplyCrashState, FlushedButUnfencedLineIsLostInTheStrictImage) {
+  alignas(64) static uint8_t region[4096];
+  std::memset(region, 0, sizeof(region));
+  TraceRecorder recorder;
+  recorder.Start({Traced(region, sizeof(region))});
+  region[300] = 0x42;
+  pmem::Flush(&region[300], 1);
+  CrashNow(recorder);
+  EXPECT_EQ(region[300], 0);
+}
+
+TEST(CrashsimApplyCrashState, LinesAreRelativeToTheRegionBase) {
+  alignas(64) static uint8_t storage[4096 + 64];
+  std::memset(storage, 0, sizeof(storage));
+  uint8_t* region = storage + 16;  // Region line 0 straddles two absolute lines.
+  TraceRecorder recorder;
+  recorder.Start({Traced(region, 4096)});
+  region[0] = 1;
+  region[63] = 2;
+  region[64] = 3;
+  pmem::FlushFence(&region[0], 1);
+  CrashNow(recorder);
+  EXPECT_EQ(region[0], 1);
+  EXPECT_EQ(region[63], 2) << "same region line as the flushed byte";
+  EXPECT_EQ(region[64], 0) << "next region line, never flushed";
+}
+
+TEST(CrashsimApplyCrashState, EvictionSubsetDrawsOnlyFromInFlightLines) {
+  alignas(64) static uint8_t region[64 * 100];
+  std::memset(region, 0, sizeof(region));
+  TraceRecorder recorder;
+  recorder.Start({Traced(region, sizeof(region))});
+  region[0] = 0xfe;
+  pmem::FlushFence(&region[0], 1);  // Fenced: durable in every subset.
+  // 50 lines in flight: odd lines stored, every other one flushed unfenced.
+  for (size_t line = 1; line < 100; line += 2) {
+    region[line * 64] = 0xcc;
+    if (line % 4 == 1) {
+      pmem::Flush(&region[line * 64], 1);
+    }
+  }
+  CrashNow(recorder, 12345);
+  EXPECT_EQ(region[0], 0xfe);
+  int survived = 0;
+  for (size_t line = 1; line < 100; ++line) {
+    if (line % 2 == 0) {
+      EXPECT_EQ(region[line * 64], 0) << "untouched line " << line;
+    } else {
+      survived += region[line * 64] == 0xcc;
+    }
+  }
+  EXPECT_GT(survived, 10);
+  EXPECT_LT(survived, 40);
+}
+
+TEST(CrashsimApplyCrashState, TwoRegionsCrashTogether) {
+  alignas(64) static uint8_t a[4096];
+  alignas(64) static uint8_t b[4096];
+  std::memset(a, 0, sizeof(a));
+  std::memset(b, 0, sizeof(b));
+  TraceRecorder recorder;
+  recorder.Start({Traced(a, sizeof(a)), Traced(b, sizeof(b))});
+  a[0] = 1;
+  pmem::FlushFence(&a[0], 1);
+  b[0] = 2;
+  b[64] = 3;
+  pmem::FlushFence(&b[64], 1);
+  CrashNow(recorder);
+  EXPECT_EQ(a[0], 1);
+  EXPECT_EQ(b[0], 0);
+  EXPECT_EQ(b[64], 3);
+}
+
+// crashsim replayability: one seed, one image.
+TEST(CrashsimApplyCrashState, SeededEvictionYieldsByteIdenticalImages) {
   auto run = [](uint64_t seed) {
     alignas(64) static uint8_t region[64 * 64];
     for (size_t i = 0; i < sizeof(region); ++i) {
       region[i] = static_cast<uint8_t>(i * 7);
     }
-    pmem::ShadowRegistry::Instance().Attach(region, sizeof(region));
+    TraceRecorder recorder;
+    recorder.Start({Traced(region, sizeof(region))});
     // Dirty a spread of lines with varied content, flush a few.
     for (int line = 0; line < 64; line += 2) {
       region[static_cast<size_t>(line) * 64 + 3] = static_cast<uint8_t>(0xc0 + line);
@@ -380,17 +533,9 @@ TEST(CrashsimShadowDeterminism, SeededEvictionYieldsByteIdenticalDurableImages) 
       pmem::Flush(&region[static_cast<size_t>(line) * 64], 1);
     }
     pmem::Fence();
-    pmem::ShadowCrashOptions options;
-    options.evict_random_lines = true;
-    options.eviction_probability = 0.4;
-    options.seed = seed;
-    pmem::ShadowRegistry::Instance().SimulateCrash(options);
-    std::vector<uint8_t> image(region, region + sizeof(region));
-    pmem::ShadowRegistry::Instance().Detach(region);
-    return image;
+    CrashNow(recorder, seed);
+    return std::vector<uint8_t>(region, region + sizeof(region));
   };
-
-  // Byte-identical across runs for a fixed seed; different across seeds.
   EXPECT_EQ(run(7), run(7));
   EXPECT_EQ(run(1234), run(1234));
   EXPECT_NE(run(7), run(8));

@@ -5,8 +5,9 @@
 #include <cstring>
 #include <vector>
 
+#include "src/crashsim/state_enumerator.h"
+#include "src/crashsim/trace.h"
 #include "src/pmem/flush.h"
-#include "src/pmem/shadow.h"
 
 namespace puddles {
 namespace {
@@ -165,18 +166,27 @@ TEST_F(LogFormatTest, EntrySpanAligns) {
 //
 // Each test stages appends without publishing, persists some subset of the
 // batch's cache lines by hand (standing in for an arbitrary crash/eviction
-// interleaving), simulates power failure through the ShadowHeap, and checks
-// that replay-side validity degrades exactly like a torn single append:
-// entries are either intact-and-valid or checksum-discarded, never applied
-// torn. 48-byte payloads make every entry span exactly one 64-byte line, so
-// "persist entry k" is a single-line flush.
+// interleaving), crashes with crashsim's strict image (only flushed and
+// fenced lines survive), and checks that replay-side validity degrades
+// exactly like a torn single append: entries are either intact-and-valid or
+// checksum-discarded, never applied torn. 48-byte payloads make every entry
+// span exactly one 64-byte line, so "persist entry k" is a single-line flush.
 
 class LogBatchTest : public LogFormatTest {
  protected:
   // 24-byte entry header + 40-byte payload = one 64-byte line per entry.
   static constexpr uint32_t kLineSizedPayload = 40;
 
-  void TearDown() override { pmem::ShadowRegistry::Instance().DetachAll(); }
+  void SetUp() override {
+    LogFormatTest::SetUp();
+    recorder_.Start({{.base = reinterpret_cast<uintptr_t>(buffer_.data()), .size = kCapacity}});
+  }
+
+  // Power fails now: the log buffer keeps only its flushed-and-fenced lines.
+  void CrashNow() {
+    const crashsim::Trace trace = recorder_.Stop();
+    crashsim::ApplyCrashState(trace, {.epoch = trace.epochs.size() - 1});
+  }
 
   puddles::Status StageOne(uint64_t addr, uint8_t fill, pmem::FlushBatch* batch) {
     std::vector<uint8_t> payload(kLineSizedPayload, fill);
@@ -187,16 +197,17 @@ class LogBatchTest : public LogFormatTest {
   uint8_t* EntryLine(int index) {
     return buffer_.data() + sizeof(LogHeader) + static_cast<size_t>(index) * 64;
   }
+
+  crashsim::TraceRecorder recorder_;
 };
 
 TEST_F(LogBatchTest, UnpublishedBatchInvisibleAfterCrash) {
-  pmem::ScopedShadow shadow(buffer_.data(), buffer_.size());
   pmem::FlushBatch batch;
   ASSERT_TRUE(StageOne(0xA000, 0x11, &batch).ok());
   ASSERT_TRUE(StageOne(0xB000, 0x22, &batch).ok());
   EXPECT_EQ(log_.num_entries(), 2u) << "staged appends are live in the mapped view";
   // Crash with nothing published: neither FlushPending nor a fence ran.
-  pmem::ShadowRegistry::Instance().SimulateCrash();
+  CrashNow();
   auto recovered = LogRegion::Attach(buffer_.data(), kCapacity);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->num_entries(), 0u)
@@ -204,14 +215,13 @@ TEST_F(LogBatchTest, UnpublishedBatchInvisibleAfterCrash) {
 }
 
 TEST_F(LogBatchTest, HeaderEvictedWithTornEntriesIsFullyDiscarded) {
-  pmem::ScopedShadow shadow(buffer_.data(), buffer_.size());
   pmem::FlushBatch batch;
   ASSERT_TRUE(StageOne(0xA000, 0x11, &batch).ok());
   ASSERT_TRUE(StageOne(0xB000, 0x22, &batch).ok());
   // Adversarial eviction: the header line becomes durable (admitting both
   // entries) while no entry byte does.
   pmem::FlushFence(buffer_.data(), sizeof(LogHeader));
-  pmem::ShadowRegistry::Instance().SimulateCrash();
+  CrashNow();
   auto recovered = LogRegion::Attach(buffer_.data(), kCapacity);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->num_entries(), 2u);
@@ -224,7 +234,6 @@ TEST_F(LogBatchTest, HeaderEvictedWithTornEntriesIsFullyDiscarded) {
 }
 
 TEST_F(LogBatchTest, PartiallyPersistedBatchKeepsOnlyIntactEntries) {
-  pmem::ScopedShadow shadow(buffer_.data(), buffer_.size());
   pmem::FlushBatch batch;
   ASSERT_TRUE(StageOne(0xA000, 0x11, &batch).ok());
   ASSERT_TRUE(StageOne(0xB000, 0x22, &batch).ok());
@@ -236,7 +245,7 @@ TEST_F(LogBatchTest, PartiallyPersistedBatchKeepsOnlyIntactEntries) {
   pmem::Flush(buffer_.data(), sizeof(LogHeader));
   pmem::Flush(EntryLine(0), 64);
   pmem::Fence();
-  pmem::ShadowRegistry::Instance().SimulateCrash();
+  CrashNow();
   auto recovered = LogRegion::Attach(buffer_.data(), kCapacity);
   ASSERT_TRUE(recovered.ok());
   std::vector<bool> ok;
@@ -249,13 +258,12 @@ TEST_F(LogBatchTest, PartiallyPersistedBatchKeepsOnlyIntactEntries) {
 }
 
 TEST_F(LogBatchTest, PublishedBatchSurvivesCrashIntact) {
-  pmem::ScopedShadow shadow(buffer_.data(), buffer_.size());
   pmem::FlushBatch batch;
   ASSERT_TRUE(StageOne(0xA000, 0x11, &batch).ok());
   ASSERT_TRUE(StageOne(0xB000, 0x22, &batch).ok());
   batch.FlushPending();  // Publication: one deduplicated pass...
   pmem::Fence();         // ...and one fence for the whole batch.
-  pmem::ShadowRegistry::Instance().SimulateCrash();
+  CrashNow();
   auto recovered = LogRegion::Attach(buffer_.data(), kCapacity);
   ASSERT_TRUE(recovered.ok());
   EXPECT_EQ(recovered->num_entries(), 2u);

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/uuid.h"
-#include "src/pmem/shadow.h"
+#include "src/crashsim/state_enumerator.h"
+#include "src/crashsim/trace.h"
 
 namespace puddles {
 namespace {
@@ -30,11 +32,6 @@ class PmHashTest : public ::testing::Test {
     auto map = Map::Attach(buffer_.data(), buffer_.size());
     ASSERT_TRUE(map.ok());
     map_ = std::make_unique<Map>(std::move(*map));
-  }
-
-  void TearDown() override {
-    pmhash_internal::g_after_fence_hook = nullptr;
-    pmem::ShadowRegistry::Instance().DetachAll();
   }
 
   Map Reattach() {
@@ -160,87 +157,69 @@ TEST_F(PmHashTest, AttachRejectsValueLayoutDrift) {
 
 // ---- Crash atomicity ----
 //
-// Runs every mutation under the ShadowHeap simulator and injects a crash
-// after the N-th fence inside the map. After the crash, Attach must observe
-// either the pre-op or the post-op state — never a mix.
+// crashsim records one Put, and the sweep recovers from every state power
+// could fail in: each fence boundary, plus 16 seeded subsets of the lines in
+// flight at it. After each crash, Attach must observe either the pre-op or
+// the post-op state — never a mix — and the post-op state after the complete
+// run.
 
-struct CrashAtFence {
-  static int countdown;
-  static void Hook() {
-    if (countdown >= 0 && countdown-- == 0) {
-      throw pmem::ShadowCrashOptions{};  // Any type works; caught below.
+crashsim::TracedRegion Traced(const std::vector<uint8_t>& buffer) {
+  return {.base = reinterpret_cast<uintptr_t>(buffer.data()), .size = buffer.size()};
+}
+
+// Records Put(key, value) on the map in `buffer`, then runs `check` on the
+// map recovered from every crash state of that Put; `complete` marks the
+// complete-run state.
+void SweepPut(std::vector<uint8_t>& buffer, uint64_t key, const Record& value,
+              const std::function<void(Map& recovered, bool complete)>& check) {
+  auto map = Map::Attach(buffer.data(), buffer.size());
+  ASSERT_TRUE(map.ok());
+  crashsim::TraceRecorder recorder;
+  recorder.Start({Traced(buffer)});
+  ASSERT_TRUE(map->Put(key, value).ok());
+  const crashsim::Trace trace = recorder.Stop();
+
+  crashsim::EnumerationOptions options;
+  options.max_states = 0;
+  options.eviction_subsets_per_epoch = 16;
+  for (const crashsim::CrashStateSpec& spec : crashsim::EnumerateCrashStates(trace, options)) {
+    SCOPED_TRACE(spec.ToString());
+    crashsim::ApplyCrashState(trace, spec);
+    auto recovered = Map::Attach(buffer.data(), buffer.size());
+    ASSERT_TRUE(recovered.ok());
+    check(*recovered, spec.epoch == trace.epochs.size());
+  }
+}
+
+TEST(PmHashCrashTest, UpdateIsAtomicInEveryCrashState) {
+  std::vector<uint8_t> buffer(Map::RequiredBytes(64));
+  ASSERT_TRUE(Map::Format(buffer.data(), buffer.size(), 64).ok());
+  ASSERT_TRUE(Map::Attach(buffer.data(), buffer.size())->Put(1, {10, 10}).ok());
+  // In-place update (journaled).
+  SweepPut(buffer, 1, {20, 20}, [](Map& recovered, bool complete) {
+    auto got = recovered.Get(1);
+    ASSERT_TRUE(got.ok()) << "key must never disappear during an update";
+    EXPECT_TRUE(*got == (Record{20, 20}) || (!complete && *got == (Record{10, 10})))
+        << "torn update: a=" << got->a;
+  });
+}
+
+TEST(PmHashCrashTest, InsertIsAtomicInEveryCrashState) {
+  std::vector<uint8_t> buffer(Map::RequiredBytes(64));
+  ASSERT_TRUE(Map::Format(buffer.data(), buffer.size(), 64).ok());
+  SweepPut(buffer, 5, {50, 51}, [](Map& recovered, bool complete) {
+    EXPECT_TRUE(recovered.Contains(5) || !complete) << "completed insert lost";
+    if (recovered.Contains(5)) {
+      EXPECT_EQ(*recovered.Get(5), (Record{50, 51})) << "insert must be all-or-nothing";
     }
-  }
-};
-int CrashAtFence::countdown = -1;
-
-class PmHashCrashTest : public ::testing::TestWithParam<int> {
- protected:
-  void TearDown() override {
-    pmhash_internal::g_after_fence_hook = nullptr;
-    pmem::ShadowRegistry::Instance().DetachAll();
-  }
-};
-
-TEST_P(PmHashCrashTest, UpdateIsAtomicUnderCrash) {
-  std::vector<uint8_t> buffer(Map::RequiredBytes(64));
-  ASSERT_TRUE(Map::Format(buffer.data(), buffer.size(), 64).ok());
-  auto map = Map::Attach(buffer.data(), buffer.size());
-  ASSERT_TRUE(map.ok());
-  ASSERT_TRUE(map->Put(1, {10, 10}).ok());
-
-  pmem::ScopedShadow shadow(buffer.data(), buffer.size());
-  CrashAtFence::countdown = GetParam();
-  pmhash_internal::g_after_fence_hook = &CrashAtFence::Hook;
-
-  bool crashed = false;
-  try {
-    ASSERT_TRUE(map->Put(1, {20, 20}).ok());  // In-place update (journaled).
-  } catch (const pmem::ShadowCrashOptions&) {
-    crashed = true;
-  }
-  pmhash_internal::g_after_fence_hook = nullptr;
-  pmem::ShadowRegistry::Instance().SimulateCrash();
-
-  auto recovered = Map::Attach(buffer.data(), buffer.size());
-  ASSERT_TRUE(recovered.ok());
-  auto got = recovered->Get(1);
-  ASSERT_TRUE(got.ok()) << "key must never disappear during an update";
-  EXPECT_TRUE(*got == (Record{10, 10}) || *got == (Record{20, 20}))
-      << "torn update: a=" << got->a << " (crashed=" << crashed << ")";
+  });
 }
-
-TEST_P(PmHashCrashTest, InsertIsAtomicUnderCrash) {
-  std::vector<uint8_t> buffer(Map::RequiredBytes(64));
-  ASSERT_TRUE(Map::Format(buffer.data(), buffer.size(), 64).ok());
-  auto map = Map::Attach(buffer.data(), buffer.size());
-  ASSERT_TRUE(map.ok());
-
-  pmem::ScopedShadow shadow(buffer.data(), buffer.size());
-  CrashAtFence::countdown = GetParam();
-  pmhash_internal::g_after_fence_hook = &CrashAtFence::Hook;
-  try {
-    ASSERT_TRUE(map->Put(5, {50, 51}).ok());
-  } catch (const pmem::ShadowCrashOptions&) {
-  }
-  pmhash_internal::g_after_fence_hook = nullptr;
-  pmem::ShadowRegistry::Instance().SimulateCrash();
-
-  auto recovered = Map::Attach(buffer.data(), buffer.size());
-  ASSERT_TRUE(recovered.ok());
-  if (recovered->Contains(5)) {
-    EXPECT_EQ(*recovered->Get(5), (Record{50, 51})) << "insert must be all-or-nothing";
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(FencePoints, PmHashCrashTest, ::testing::Range(0, 6));
 
 // Randomized history test: interleave mutations with crashes; committed
 // operations (those that returned) must all survive.
 TEST(PmHashCrashHistoryTest, CommittedOpsSurviveRandomCrashes) {
   std::vector<uint8_t> buffer(Map::RequiredBytes(512));
   ASSERT_TRUE(Map::Format(buffer.data(), buffer.size(), 512).ok());
-  pmem::ScopedShadow shadow(buffer.data(), buffer.size());
 
   Xoshiro256 rng(99);
   std::map<uint64_t, Record> model;
@@ -248,6 +227,8 @@ TEST(PmHashCrashHistoryTest, CommittedOpsSurviveRandomCrashes) {
   ASSERT_TRUE(map.ok());
 
   for (int round = 0; round < 30; ++round) {
+    crashsim::TraceRecorder recorder;
+    recorder.Start({Traced(buffer)});
     for (int op = 0; op < 20; ++op) {
       uint64_t key = rng.Below(300);
       if (rng.Below(100) < 70 || model.find(key) == model.end()) {
@@ -261,10 +242,9 @@ TEST(PmHashCrashHistoryTest, CommittedOpsSurviveRandomCrashes) {
       }
     }
     // Crash with adversarial partial eviction and recover.
-    pmem::ShadowCrashOptions options;
-    options.evict_random_lines = true;
-    options.seed = rng();
-    pmem::ShadowRegistry::Instance().SimulateCrash(options);
+    const crashsim::Trace trace = recorder.Stop();
+    crashsim::ApplyCrashState(
+        trace, {.epoch = trace.epochs.size() - 1, .evict = true, .eviction_seed = rng()});
     auto recovered = Map::Attach(buffer.data(), buffer.size());
     ASSERT_TRUE(recovered.ok());
     for (const auto& [key, value] : model) {
@@ -274,7 +254,6 @@ TEST(PmHashCrashHistoryTest, CommittedOpsSurviveRandomCrashes) {
     }
     map = std::move(*recovered);
   }
-  pmem::ShadowRegistry::Instance().DetachAll();
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 
+#include "src/crashsim/state_enumerator.h"
+#include "src/crashsim/trace.h"
 #include "src/libpuddles/libpuddles.h"
-#include "src/pmem/shadow.h"
 
 namespace puddles {
 
@@ -33,7 +35,6 @@ class RecoveryIntegrationTest : public ::testing::Test {
   void TearDown() override {
     Transaction::SetStageHook(nullptr);
     Transaction::AbandonCurrentForTesting();
-    pmem::ShadowRegistry::Instance().DetachAll();
     fs::remove_all(root_);
   }
 
@@ -46,6 +47,48 @@ void CrashAtStage(const char* stage) {
   if (g_stage != nullptr && std::strcmp(stage, g_stage) == 0) {
     throw SimulatedCrash{stage};
   }
+}
+
+// Every writable puddle the runtime has registered (here the pool's data
+// puddle and this thread's log), mapped now so that all of a transaction's
+// stores land in a traced region, as crashsim's pool drivers collect them.
+std::vector<crashsim::TracedRegion> WritablePuddles(Runtime& runtime) {
+  for (Runtime::Entry* entry : runtime.Entries()) {
+    EXPECT_TRUE(runtime.EnsureMapped(entry->info.uuid).ok());
+  }
+  std::vector<crashsim::TracedRegion> regions;
+  for (Runtime::Entry* entry : runtime.Entries()) {
+    if (entry->writable) {
+      regions.push_back({.base = entry->info.base_addr, .size = entry->info.file_size});
+    }
+  }
+  return regions;
+}
+
+// Runs `body` as one transaction with a crash injected at commit stage
+// `stage`, tracing every writable puddle. On a crash, power fails: the data
+// and log puddles keep only their flushed-and-fenced lines, and the
+// transaction state is abandoned. Returns whether the crash fired.
+bool RunCrashingAt(Runtime& runtime, Pool& pool, const char* stage,
+                   const std::function<puddles::Status(Tx&)>& body) {
+  crashsim::TraceRecorder recorder;
+  recorder.Start(WritablePuddles(runtime));
+  g_stage = stage;
+  Transaction::SetStageHook(&CrashAtStage);
+  bool crashed = false;
+  try {
+    EXPECT_TRUE(pool.Run(body).ok());
+  } catch (const SimulatedCrash&) {
+    crashed = true;
+  }
+  Transaction::SetStageHook(nullptr);
+  g_stage = nullptr;
+  const crashsim::Trace trace = recorder.Stop();
+  if (crashed) {
+    crashsim::ApplyCrashState(trace, {.epoch = trace.epochs.size() - 1});
+    Transaction::AbandonCurrentForTesting();
+  }
+  return crashed;
 }
 
 // Drives one crash scenario: writer transaction crashes at `stage`; then the
@@ -70,35 +113,13 @@ std::pair<uint64_t, uint64_t> RunCrashScenario(const fs::path& root, const char*
     pmem::FlushFence(account, sizeof(Account));
     EXPECT_TRUE((*pool)->SetRoot(account).ok());
 
-    // Shadow the data + log puddles so unflushed stores die with the crash.
-    Runtime::Entry* data_entry =
-        (*runtime)->FindEntryByAddr(reinterpret_cast<uintptr_t>(account));
-    EXPECT_NE(data_entry, nullptr);
-    pmem::ShadowRegistry::Instance().Attach(
-        reinterpret_cast<void*>(data_entry->info.base_addr), data_entry->info.file_size);
-
-    g_stage = stage;
-    Transaction::SetStageHook(&CrashAtStage);
-    bool crashed = false;
-    try {
-      EXPECT_TRUE((*pool)->Run([&](Tx& tx) -> puddles::Status {
-        RETURN_IF_ERROR(tx.LogField(account, &Account::balance));
-        account->balance = 250;
-        return tx.Set(&account->version, uint64_t{2});
-      }).ok());
-    } catch (const SimulatedCrash&) {
-      crashed = true;
-    }
-    Transaction::SetStageHook(nullptr);
-    g_stage = nullptr;
-
-    if (crashed) {
-      // Power failure: everything unflushed is lost, then the "machine" goes
-      // down — runtime and daemon are destroyed with no cleanup of the tx.
-      pmem::ShadowRegistry::Instance().SimulateCrash();
-      Transaction::AbandonCurrentForTesting();
-    }
-    pmem::ShadowRegistry::Instance().DetachAll();
+    // Power fails at `stage`, then the "machine" goes down: runtime and
+    // daemon are destroyed with no cleanup of the transaction.
+    RunCrashingAt(**runtime, **pool, stage, [&](Tx& tx) -> puddles::Status {
+      RETURN_IF_ERROR(tx.LogField(account, &Account::balance));
+      account->balance = 250;
+      return tx.Set(&account->version, uint64_t{2});
+    });
     // runtime + daemon destroyed here ("machine off").
   }
 
@@ -182,19 +203,11 @@ TEST_F(RecoveryIntegrationTest, RecoveryConfinedByPermissions) {
         (*runtime)->FindEntryByAddr(reinterpret_cast<uintptr_t>(account));
     data_uuid = entry->info.uuid;
 
-    g_stage = "s1_flushed";
-    Transaction::SetStageHook(&CrashAtStage);
-    try {
-      EXPECT_TRUE((*pool)->Run([&](Tx& tx) -> puddles::Status {
-        RETURN_IF_ERROR(tx.LogField(account, &Account::balance));
-        account->balance = 2;
-        return puddles::OkStatus();
-      }).ok());
-    } catch (const SimulatedCrash&) {
-    }
-    Transaction::SetStageHook(nullptr);
-    g_stage = nullptr;
-    Transaction::AbandonCurrentForTesting();
+    EXPECT_TRUE(RunCrashingAt(**runtime, **pool, "s1_flushed", [&](Tx& tx) -> puddles::Status {
+      RETURN_IF_ERROR(tx.LogField(account, &Account::balance));
+      account->balance = 2;
+      return puddles::OkStatus();
+    }));
   }
 
   // The puddle is freed before recovery runs.
@@ -235,28 +248,11 @@ TEST_F(RecoveryIntegrationTest, RepeatedCrashesStayConsistent) {
     Account* account = *(*pool)->Root<Account>();
     const uint64_t before = account->balance;
 
-    Runtime::Entry* entry = (*runtime)->FindEntryByAddr(reinterpret_cast<uintptr_t>(account));
-    pmem::ShadowRegistry::Instance().Attach(reinterpret_cast<void*>(entry->info.base_addr),
-                                            entry->info.file_size);
-    g_stage = stage;
-    Transaction::SetStageHook(&CrashAtStage);
-    bool crashed = false;
-    try {
-      EXPECT_TRUE((*pool)->Run([&](Tx& tx) -> puddles::Status {
-        RETURN_IF_ERROR(tx.LogField(account, &Account::balance));
-        account->balance = before + 1000;
-        return puddles::OkStatus();
-      }).ok());
-    } catch (const SimulatedCrash&) {
-      crashed = true;
-    }
-    Transaction::SetStageHook(nullptr);
-    g_stage = nullptr;
-    if (crashed) {
-      pmem::ShadowRegistry::Instance().SimulateCrash();
-      Transaction::AbandonCurrentForTesting();
-    }
-    pmem::ShadowRegistry::Instance().DetachAll();
+    RunCrashingAt(**runtime, **pool, stage, [&](Tx& tx) -> puddles::Status {
+      RETURN_IF_ERROR(tx.LogField(account, &Account::balance));
+      account->balance = before + 1000;
+      return puddles::OkStatus();
+    });
     runtime->reset();
     daemon->reset();
 

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/pmem/shadow.h"
+#include "src/crashsim/state_enumerator.h"
+#include "src/crashsim/trace.h"
 #include "src/tx/replay.h"
 
 namespace puddles {
@@ -73,7 +75,6 @@ class TransactionTest : public ::testing::Test {
   void TearDown() override {
     Transaction::SetStageHook(nullptr);
     pmem::SetPersistObserver(nullptr);
-    pmem::ShadowRegistry::Instance().DetachAll();
     // Drop any transaction a failed test left open. The TxEnv (and its log
     // buffer) is already gone, so state is abandoned, not aborted.
     Transaction::AbandonCurrentForTesting();
@@ -369,100 +370,94 @@ TEST_F(TransactionTest, DoubleCommitRejected) {
   EXPECT_EQ(slot, 2u);
 }
 
-// ---- Crash injection at every commit stage (paper §5.1 correctness). ----
+// ---- Crash injection over every crash state of a commit (paper §5.1). ----
 //
 // The scenario mirrors Fig. 7: location A is undo-logged and modified in
-// place; location B is redo-logged. Atomicity demands the post-crash state
-// after recovery is either (A=old, B=old) or (A=new, B=new).
+// place; location B is redo-logged. crashsim records one run and the sweep
+// recovers from every state power could fail in: each fence boundary, plus
+// 16 seeded subsets of the lines in flight at it (with a stage-1 fence
+// dropped, 16 tear 4 states and the default 5 only 1). Atomicity demands
+// (A=old, B=old) or (A=new, B=new) after recovery, and the complete run must
+// be new.
 
-struct CrashPlan {
-  const char* stage;   // Stage hook at which to crash.
-  int countdown;       // Crash at the n-th occurrence of that stage.
-};
-
-class CommitCrashTest : public ::testing::TestWithParam<CrashPlan> {
- protected:
-  void TearDown() override {
-    Transaction::SetStageHook(nullptr);
-    pmem::ShadowRegistry::Instance().DetachAll();
-    // The crashed transaction state is abandoned, as after a real crash.
-    Transaction::AbandonCurrentForTesting();
-  }
-};
-
-const char* g_crash_stage = nullptr;
-int g_crash_countdown = 0;
-
-void CrashingHook(const char* stage) {
-  if (g_crash_stage != nullptr && std::strcmp(stage, g_crash_stage) == 0 &&
-      g_crash_countdown-- == 0) {
-    throw SimulatedCrash{stage};
-  }
+// The log puddle and the data as one recorder sees them.
+std::vector<crashsim::TracedRegion> TxRegions(const std::vector<uint8_t>& log_buffer,
+                                              const void* data, size_t size) {
+  return {{.base = reinterpret_cast<uintptr_t>(log_buffer.data()), .size = log_buffer.size()},
+          {.base = reinterpret_cast<uintptr_t>(data), .size = size}};
 }
 
-TEST_P(CommitCrashTest, RecoveryRestoresAtomicity) {
-  // PM state: one log region + one data region, both shadowed.
+// System-supported recovery, exactly what Puddled does on reboot.
+void RecoverLog(std::vector<uint8_t>& log_buffer) {
+  auto recovered = LogRegion::Attach(log_buffer.data(), log_buffer.size());
+  ASSERT_TRUE(recovered.ok()) << "log header must survive any crash";
+  IdentityResolver resolver;
+  auto stats = ReplayLogChain({*recovered}, resolver);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  recovered->Reset(0, 2);
+}
+
+// Fences issued when each commit stage hook ran: a crash at that stage
+// leaves exactly the fence-boundary image of that epoch.
+std::map<std::string, uint64_t> g_stage_epochs;
+uint64_t g_fences_at_start = 0;
+
+void RecordStageEpoch(const char* stage) {
+  g_stage_epochs.emplace(stage, pmem::ReadPersistStats().fences - g_fences_at_start);
+}
+
+using CommitCrashTest = TransactionTest;
+
+TEST_F(CommitCrashTest, RecoveryRestoresAtomicityInEveryCrashState) {
   std::vector<uint8_t> log_buffer(32 * 1024, 0);
   alignas(64) uint64_t data[8] = {};
   data[0] = 100;  // A: undo-logged.
   data[1] = 200;  // B: redo-logged.
-
   ASSERT_TRUE(LogRegion::Format(log_buffer.data(), log_buffer.size()).ok());
   auto log = LogRegion::Attach(log_buffer.data(), log_buffer.size());
   ASSERT_TRUE(log.ok());
 
-  pmem::ScopedShadow log_shadow(log_buffer.data(), log_buffer.size());
-  pmem::ScopedShadow data_shadow(data, sizeof(data));
-
-  g_crash_stage = GetParam().stage;
-  g_crash_countdown = GetParam().countdown;
-  Transaction::SetStageHook(&CrashingHook);
-
+  crashsim::TraceRecorder recorder;
+  recorder.Start(TxRegions(log_buffer, data, sizeof(data)));
+  g_stage_epochs.clear();
+  g_fences_at_start = pmem::ReadPersistStats().fences;
+  Transaction::SetStageHook(&RecordStageEpoch);
   TxTarget target;
   target.log = &*log;
   auto tx = Transaction::Begin(target);
   ASSERT_TRUE(tx.ok());
-
-  bool crashed = false;
-  try {
-    ASSERT_TRUE((*tx)->AddUndo(&data[0], 8).ok());
-    data[0] = 101;
-    ASSERT_TRUE((*tx)->RedoSet(&data[1], uint64_t{201}).ok());
-    ASSERT_TRUE((*tx)->Commit().ok());
-  } catch (const SimulatedCrash&) {
-    crashed = true;
-  }
+  ASSERT_TRUE((*tx)->AddUndo(&data[0], 8).ok());
+  data[0] = 101;
+  ASSERT_TRUE((*tx)->RedoSet(&data[1], uint64_t{201}).ok());
+  ASSERT_TRUE((*tx)->Commit().ok());
   Transaction::SetStageHook(nullptr);
+  const crashsim::Trace trace = recorder.Stop();
 
-  // Power failure: unflushed lines are lost.
-  pmem::ShadowRegistry::Instance().SimulateCrash();
-
-  // System-supported recovery, exactly what Puddled does on reboot.
-  auto recovered_log = LogRegion::Attach(log_buffer.data(), log_buffer.size());
-  ASSERT_TRUE(recovered_log.ok());
-  IdentityResolver resolver;
-  auto stats = ReplayLogChain({*recovered_log}, resolver);
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  recovered_log->Reset(0, 2);
-
-  const bool old_state = data[0] == 100 && data[1] == 200;
-  const bool new_state = data[0] == 101 && data[1] == 201;
-  EXPECT_TRUE(old_state || new_state)
-      << "atomicity violated at stage " << GetParam().stage << ": A=" << data[0]
-      << " B=" << data[1] << " crashed=" << crashed;
-  if (!crashed) {
-    EXPECT_TRUE(new_state) << "committed transaction must survive the crash";
+  crashsim::EnumerationOptions options;
+  options.max_states = 0;
+  options.eviction_subsets_per_epoch = 16;
+  std::map<uint64_t, bool> boundary_committed;  // Fence-boundary epoch -> new state.
+  for (const crashsim::CrashStateSpec& spec : crashsim::EnumerateCrashStates(trace, options)) {
+    crashsim::ApplyCrashState(trace, spec);
+    RecoverLog(log_buffer);
+    const bool old_state = data[0] == 100 && data[1] == 200;
+    const bool new_state = data[0] == 101 && data[1] == 201;
+    EXPECT_TRUE(old_state || new_state)
+        << "atomicity violated at " << spec.ToString() << ": A=" << data[0] << " B=" << data[1];
+    if (!spec.evict && spec.thread_mask == 0) {
+      boundary_committed[spec.epoch] = new_state;
+    }
+  }
+  EXPECT_TRUE(boundary_committed[trace.epochs.size()])
+      << "committed transaction must survive the crash";
+  // The six commit stage hooks are fence-boundary states of the sweep: only
+  // stage 1 precedes the commit point.
+  ASSERT_EQ(g_stage_epochs.size(), 6u);
+  for (const auto& [stage, epoch] : g_stage_epochs) {
+    ASSERT_TRUE(boundary_committed.count(epoch)) << stage;
+    EXPECT_EQ(boundary_committed[epoch], stage != "s1_flushed") << "crash at " << stage;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Stages, CommitCrashTest,
-    ::testing::Values(CrashPlan{"s1_flushed", 0}, CrashPlan{"range_24", 0},
-                      CrashPlan{"redo_applied_one", 0}, CrashPlan{"s2_applied", 0},
-                      CrashPlan{"s3_marked", 0}, CrashPlan{"reset_done", 0}),
-    [](const ::testing::TestParamInfo<CrashPlan>& info) {
-      return std::string(info.param.stage) + "_" + std::to_string(info.param.countdown);
-    });
 
 // Randomized multi-transaction crash torture with adversarial cache eviction:
 // a linked-list-like structure of counters must stay consistent (sum
@@ -471,7 +466,6 @@ class CrashTortureTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   void TearDown() override {
     Transaction::SetStageHook(nullptr);
-    pmem::ShadowRegistry::Instance().DetachAll();
     Transaction::AbandonCurrentForTesting();
   }
 };
@@ -494,15 +488,14 @@ TEST_P(CrashTortureTest, TransferInvariantHolds) {
 
   ASSERT_TRUE(LogRegion::Format(log_buffer.data(), log_buffer.size()).ok());
 
-  pmem::ScopedShadow log_shadow(log_buffer.data(), log_buffer.size());
-  pmem::ScopedShadow data_shadow(accounts, sizeof(accounts));
-
   Xoshiro256 rng(GetParam());
   Transaction::SetStageHook(&CountdownHook);
 
   for (int round = 0; round < 40; ++round) {
     auto log = LogRegion::Attach(log_buffer.data(), log_buffer.size());
     ASSERT_TRUE(log.ok());
+    crashsim::TraceRecorder recorder;
+    recorder.Start(TxRegions(log_buffer, accounts, sizeof(accounts)));
 
     g_fence_crash_countdown = static_cast<int>(rng.Below(8));  // Crash point.
     TxTarget target;
@@ -521,18 +514,12 @@ TEST_P(CrashTortureTest, TransferInvariantHolds) {
       }
       ASSERT_TRUE((*tx)->Commit().ok());
     } catch (const SimulatedCrash&) {
-      // Crash: lose unflushed lines (with random eviction), then recover.
-      pmem::ShadowCrashOptions options;
-      options.evict_random_lines = true;
-      options.seed = rng();
-      pmem::ShadowRegistry::Instance().SimulateCrash(options);
-
-      auto recovered = LogRegion::Attach(log_buffer.data(), log_buffer.size());
-      ASSERT_TRUE(recovered.ok()) << "log header must survive any crash";
-      IdentityResolver resolver;
-      auto stats = ReplayLogChain({*recovered}, resolver);
-      ASSERT_TRUE(stats.ok());
-      recovered->Reset(0, 2);
+      // Power fails now: the image as of each line's last fence, plus a
+      // seeded subset of the lines in flight. Then recover.
+      const crashsim::Trace trace = recorder.Stop();
+      crashsim::ApplyCrashState(
+          trace, {.epoch = trace.epochs.size() - 1, .evict = true, .eviction_seed = rng()});
+      RecoverLog(log_buffer);
       // Abandon the in-flight transaction state (the process "died").
       Transaction::AbandonCurrentForTesting();
     }

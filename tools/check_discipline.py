@@ -45,6 +45,11 @@ FLUSH_UNORDERED = (
     "between a clwb and its fence waits for the write-back (DESIGN.md §1); "
     "count in the thread's stats slot"
 )
+SECOND_HOOK = r"Registry|Instance\(|\.load\("
+ONE_CRASH_MODEL = (
+    "a second hook is a second crash model (DESIGN.md §1): reach observers "
+    "only through NotifyObserver"
+)
 
 RULES = [
     # Batched persistence (DESIGN.md §10): one append stages, never publishes.
@@ -66,6 +71,9 @@ RULES = [
     ("src/pmem/flush.cc", "void Flush(", (), [LOCKED], FLUSH_UNORDERED),
     ("src/pmem/flush.cc", "void Fence(", (), [LOCKED], FLUSH_UNORDERED),
     ("src/pmem/flush.cc", "FlushBatch::FlushPending(", (), [LOCKED], FLUSH_UNORDERED),
+    # One crash model (DESIGN.md §1): the PersistObserver is the only hook.
+    ("src/pmem/flush.cc", "void Flush(", (), [SECOND_HOOK], ONE_CRASH_MODEL),
+    ("src/pmem/flush.cc", "void Fence(", (), [SECOND_HOOK], ONE_CRASH_MODEL),
     ("src/stats", DIR, (),
      [r"pmem::(Flush|Fence|FlushFence|PersistStore64|FlushBatch)|clwb|clflush|sfence"],
      "persistence in src/stats: telemetry is volatile-only (DESIGN.md §11)"),

@@ -15,8 +15,8 @@
 // class produces the same outcome (the soundness self-test).
 //
 // Usage:
-//   crashsim [--workloads=list,btree,art,kvstore,pmhash,import,mt,epoch] [--ops=N]
-//            [--seed=N] [--max-states=N] [--subsets-per-epoch=N]
+//   crashsim [--workloads=list,btree,art,kvstore,pmhash,import,mt,epoch,allocgc]
+//            [--ops=N] [--seed=N] [--max-states=N] [--subsets-per-epoch=N]
 //            [--evict-probability=P] [--rewrite-batch=N] [--scratch=DIR]
 //            [--prune=graph|none] [--verify-classes] [--json=FILE]
 //            [--log-states] [--verbose]
@@ -77,8 +77,8 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--workloads=list,btree,art,kvstore,pmhash,import,mt,epoch] [--ops=N]\n"
-               "          [--seed=N] [--max-states=N] [--subsets-per-epoch=N]\n"
+               "usage: %s [--workloads=list,btree,art,kvstore,pmhash,import,mt,epoch,allocgc]\n"
+               "          [--ops=N] [--seed=N] [--max-states=N] [--subsets-per-epoch=N]\n"
                "          [--evict-probability=P] [--rewrite-batch=N] [--scratch=DIR]\n"
                "          [--prune=graph|none] [--verify-classes] [--json=FILE]\n"
                "          [--log-states] [--verbose]\n",
