@@ -89,6 +89,38 @@ bool ObjectHeap::IsLiveObject(const void* payload) const {
   return Slab().IsSlabBlock(slab_off);
 }
 
+size_t ObjectHeap::CapacityOf(const void* payload) const {
+  const auto* header = static_cast<const ObjectHeader*>(payload) - 1;
+  if (!InHeap(header)) {
+    return 0;
+  }
+  const int64_t header_off = OffsetOf(header);
+  const SlabAllocator slabs = Slab();
+  if (const size_t block = buddy_.BlockSize(header_off); block != 0) {
+    // Slab slots never start a block: a block start is a buddy object's.
+    return slabs.IsSlabBlock(header_off) ? 0 : block - sizeof(ObjectHeader);
+  }
+  const int64_t slab_off =
+      static_cast<int64_t>(AlignDown(static_cast<uint64_t>(header_off), kSlabBlockSize));
+  if (!slabs.IsSlabBlock(slab_off)) {
+    return 0;
+  }
+  const auto* slab = reinterpret_cast<const SlabHeader*>(AtOffset(slab_off));
+  if (slab->class_index >= kNumSlabClasses) {
+    return 0;
+  }
+  const int64_t first_slot = slab_off + static_cast<int64_t>(sizeof(SlabHeader));
+  if (header_off < first_slot) {
+    return 0;
+  }
+  const uint64_t slot_size = kSlabSlotSizes[slab->class_index];
+  const auto into = static_cast<uint64_t>(header_off - first_slot);
+  if (into % slot_size != 0 || into / slot_size >= slab->num_slots) {
+    return 0;
+  }
+  return slot_size - sizeof(ObjectHeader);
+}
+
 uint16_t ObjectHeap::ArenaTagOf(const void* payload) const {
   const auto* header = static_cast<const ObjectHeader*>(payload) - 1;
   if (!InHeap(header)) {

@@ -69,6 +69,10 @@ class ObjectHeap {
   // True if `payload` points at the start of a live allocation.
   bool IsLiveObject(const void* payload) const;
 
+  // The payload space of the buddy block or slab slot that `payload` starts
+  // (the capacity ForEachObject reports), or 0 when `payload` starts neither.
+  size_t CapacityOf(const void* payload) const;
+
   // Iterates every live object in address order: fn(payload, header,
   // capacity). `capacity` is the payload space the containing slab slot or
   // buddy block actually provides — callers that walk an object by

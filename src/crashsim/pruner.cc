@@ -6,8 +6,8 @@
 #include "src/common/align.h"
 #include "src/common/checksum.h"
 #include "src/puddles/format.h"
-#include "src/tx/log_format.h"
 #include "src/tx/log_space.h"
+#include "src/tx/replay.h"
 
 namespace crashsim {
 namespace {
@@ -140,6 +140,32 @@ bool StateClassifier::ModelReplay() {
     uint64_t offset;
     uint32_t size;
   };
+  // Points replay into the projected image. Only traced data regions
+  // resolve: a target in untraced, log or log-space bytes is either
+  // signature-excluded or able to perturb a later chain's parse
+  // order-dependently, so it fails the replay and the state falls back.
+  // ReplayLogChain resolves every entry before it copies any, so each line
+  // is snapshotted before its first write. Its flushes and fence land on
+  // these DRAM buffers, after the harness has read the run's persist
+  // counters.
+  struct ImageResolver : puddles::AddressResolver {
+    StateClassifier* self;
+    std::vector<Target> targets;
+
+    explicit ImageResolver(StateClassifier* classifier) : self(classifier) {}
+
+    void* Resolve(uint64_t addr, uint32_t size) override {
+      const int32_t region = self->graph_.RegionForAddr(addr, size);
+      if (region < 0 || self->graph_.regions()[region].role != RegionRole::kData) {
+        return nullptr;
+      }
+      const auto index = static_cast<uint32_t>(region);
+      const uint64_t offset = addr - self->graph_.regions()[index].base_addr;
+      self->SnapshotLinesForWrite(index, offset, size);
+      targets.push_back({index, offset, size});
+      return self->image_[index].data() + offset;
+    }
+  };
   std::vector<Target> prior_targets;  // Applied by earlier chains.
 
   for (uint32_t ls_region : logspace_regions_) {
@@ -153,127 +179,45 @@ bool StateClassifier::ModelReplay() {
       return false;
     }
     for (uint32_t entry = 0; entry < view->num_entries(); ++entry) {
-      const puddles::Uuid head = view->entry(entry);
-      if (head.is_nil()) {
-        continue;  // Recovery's puddle lookup fails; the chain is skipped.
+      // Open the chain over the projected image. A link leaving the traced
+      // set falls back: the content of an untraced log varies nothing, but
+      // its existence and linkage cannot be checked. Any other failure is a
+      // chain recovery skips, and so does the model.
+      bool untraced = false;
+      auto chain = puddles::OpenLogChain(
+          view->entry(entry),
+          [&](const puddles::Uuid& uuid) -> puddles::Result<puddles::LogRegion> {
+            const auto it = std::find_if(log_regions_.begin(), log_regions_.end(),
+                                         [&](const auto& log) { return log.first == uuid; });
+            if (it == log_regions_.end()) {
+              untraced = true;
+              return puddles::NotFoundError("untraced log puddle");
+            }
+            ASSIGN_OR_RETURN(puddles::Puddle puddle,
+                             puddles::Puddle::Attach(image_[it->second].data(),
+                                                     trace_.regions[it->second].size));
+            return puddles::LogRegion::Attach(puddle.heap(), puddle.heap_size());
+          });
+      if (untraced) {
+        return false;
       }
-      // Walk the chain. Any link leaving the traced set is a conservative
-      // fallback (the content of an untraced log varies nothing, but its
-      // existence and linkage cannot be checked).
-      std::vector<puddles::LogRegion> chain;
-      bool chain_ok = true;
-      puddles::Uuid cur = head;
-      while (!cur.is_nil()) {
-        int32_t region = -1;
-        for (const auto& [uuid, idx] : log_regions_) {
-          if (uuid == cur) {
-            region = static_cast<int32_t>(idx);
-            break;
-          }
-        }
-        if (region < 0) {
-          return false;  // Untraced (or dangling) chain link.
-        }
-        if (chain.size() > log_regions_.size()) {
-          return false;  // Cycle.
-        }
-        auto puddle = puddles::Puddle::Attach(image_[static_cast<uint32_t>(region)].data(),
-                                              trace_.regions[static_cast<uint32_t>(region)].size);
-        if (!puddle.ok()) {
-          chain_ok = false;  // Recovery skips the whole chain; so do we.
-          break;
-        }
-        auto log = puddles::LogRegion::Attach(puddle->heap(), puddle->heap_size());
-        if (!log.ok()) {
-          chain_ok = false;
-          break;
-        }
-        chain.push_back(*log);
-        cur = log->next_log();
-      }
-      if (!chain_ok || chain.empty()) {
-        continue;
-      }
-
-      // Mirror recovery's epoch gate (docs/epoch.md): a chain tagged at or
-      // below the log space's retirement record is reset without replay. If
-      // the classifier did not model this, it would merge crash states that
-      // real recovery treats differently (replayed vs. gated).
-      const uint64_t tag = chain.front().epoch_tag();
-      if (tag != 0 && tag <= view->retired_epoch()) {
+      if (!chain.ok() || chain->empty() ||
+          puddles::RetiredByEpoch(chain->front(), view->retired_epoch())) {
         continue;
       }
       ++stats_.chains_modeled;
 
-      // Mirror ReplayLogChain: the head's sequence range governs the chain;
-      // valid non-volatile entries split into undo (newest-first) and redo
-      // (oldest-first) rolls; a truncated region keeps its parsed prefix and
-      // ends the chain walk.
-      const auto [seq_lo, seq_hi] = chain.front().seq_range();
-      struct Pending {
-        uint64_t addr;
-        const uint8_t* data;
-        uint32_t size;
-      };
-      std::vector<Pending> reverse_entries;
-      std::vector<Pending> forward_entries;
-      for (const puddles::LogRegion& log : chain) {
-        const bool intact = log.ForEachEntry([&](const puddles::LogRegion::EntryView& view) {
-          if (!view.checksum_ok) {
-            return;
-          }
-          if (!(view.header->seq > seq_lo && view.header->seq < seq_hi)) {
-            return;
-          }
-          if ((view.header->flags & puddles::kLogEntryVolatile) != 0) {
-            return;
-          }
-          Pending pending{view.header->addr, view.data, view.header->size};
-          if (static_cast<puddles::ReplayOrder>(view.header->order) ==
-              puddles::ReplayOrder::kReverse) {
-            reverse_entries.push_back(pending);
-          } else {
-            forward_entries.push_back(pending);
-          }
-        });
-        if (!intact) {
-          break;
-        }
+      ImageResolver resolver(this);
+      auto replayed = puddles::ReplayLogChain(*chain, resolver);
+      if (!replayed.ok()) {
+        return false;
       }
-
-      std::vector<Target> chain_targets;
-      auto apply_entry = [&](const Pending& pending) -> bool {
-        const int32_t region = graph_.RegionForAddr(pending.addr, pending.size);
-        if (region < 0) {
-          return false;  // Outside the traced set: unresolvable or untracked.
-        }
-        if (graph_.regions()[region].role != RegionRole::kData) {
-          // Targets log or log-space bytes: either signature-excluded or able
-          // to perturb a later chain's parse order-dependently.
-          return false;
-        }
-        const uint64_t offset = pending.addr - graph_.regions()[region].base_addr;
-        PatchWrite(static_cast<uint32_t>(region), offset, pending.data, pending.size);
-        chain_targets.push_back(
-            {static_cast<uint32_t>(region), offset, pending.size});
-        ++stats_.entries_modeled;
-        return true;
-      };
-      for (size_t i = reverse_entries.size(); i-- > 0;) {
-        if (!apply_entry(reverse_entries[i])) {
-          return false;
-        }
-      }
-      for (const Pending& pending : forward_entries) {
-        if (!apply_entry(pending)) {
-          return false;
-        }
-      }
+      stats_.entries_modeled += replayed->applied;
 
       // Replay order *across* chains is the daemon's registry order, which
       // the model does not reproduce — overlapping targets from different
       // chains are therefore order-dependent and fall back.
-      for (const Target& t : chain_targets) {
+      for (const Target& t : resolver.targets) {
         for (const Target& p : prior_targets) {
           if (t.region == p.region && t.offset < p.offset + p.size &&
               p.offset < t.offset + t.size) {
@@ -281,7 +225,8 @@ bool StateClassifier::ModelReplay() {
           }
         }
       }
-      prior_targets.insert(prior_targets.end(), chain_targets.begin(), chain_targets.end());
+      prior_targets.insert(prior_targets.end(), resolver.targets.begin(),
+                           resolver.targets.end());
     }
   }
   return true;

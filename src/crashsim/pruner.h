@@ -12,11 +12,11 @@
 //   2. Patch in the spec's surviving in-flight lines — via the exact same
 //      MaterializeInFlight walk the harness uses to build the on-disk image,
 //      so model and materializer cannot diverge.
-//   3. Model recovery's log replay on the patched image with the production
-//      on-PM parsers (Puddle / LogSpaceView / LogRegion::ForEachEntry) and
-//      the exact ReplayLogChain semantics: head region's sequence range
-//      governs the chain, torn entries fail their generation-bound checksums,
-//      undo entries apply newest-first then redo oldest-first.
+//   3. Run recovery's log replay on the patched image through recovery's own
+//      reader (src/tx/replay.h): OpenLogChain over the image's log puddles,
+//      the RetiredByEpoch gate, and ReplayLogChain with a resolver that
+//      points into the image. Only the opener and the resolver are the
+//      model's own, so the replay cannot drift from the daemon's.
 //   4. Hash every non-excluded line of the result. Excluded lines are log
 //      puddle heaps: recovery's own post-replay writes (range flips, resets)
 //      land there, and no application read ever observes them afterwards —
@@ -24,11 +24,12 @@
 //
 // Equal signatures ⇒ byte-identical recovery-relevant images ⇒ identical
 // recovery outcome, so the harness explores one representative per class.
-// Anything the model cannot prove — a valid entry targeting untraced or
-// log-heap bytes, a chain linking outside the traced set, cross-chain target
-// overlap (replay-order dependence), an unparseable log space — degrades to a
-// unique signature: the state is always explored. Pruning can only skip work,
-// never verification coverage.
+// A chain recovery skips (broken or cyclic link, unparseable log region) is
+// skipped here too. Anything the model cannot prove — a valid entry
+// targeting untraced or log bytes, a chain linking outside the traced set,
+// cross-chain target overlap (replay-order dependence), an unparseable log
+// space — degrades to a unique signature: the state is always explored.
+// Pruning can only skip work, never verification coverage.
 #ifndef SRC_CRASHSIM_PRUNER_H_
 #define SRC_CRASHSIM_PRUNER_H_
 
@@ -84,7 +85,7 @@ class StateClassifier {
   void AdvanceBoundary(uint64_t epoch);
   void SnapshotLinesForWrite(uint32_t region, uint64_t offset, uint64_t size);
   void PatchWrite(uint32_t region, uint64_t offset, const uint8_t* data, size_t size);
-  // Models recovery's replay of every traced log chain on image_. Returns
+  // Runs recovery's replay of every traced log chain on image_. Returns
   // false when a conservative fallback is required.
   bool ModelReplay();
   ClassSignature SignatureFromTouched();

@@ -23,6 +23,17 @@ namespace fs = std::filesystem;
 
 constexpr uint64_t kManifestMagic = 0x5444504d414e4946ULL;  // "FINAMPDT"
 
+// Registry capacities (slots; powers of two).
+constexpr uint64_t kPuddleTableSlots = 1 << 14;
+constexpr uint64_t kPoolTableSlots = 1 << 10;
+constexpr uint64_t kLogSpaceTableSlots = 1 << 10;
+// Lock/table shards for the hot per-key paths (puddle and pointer-map
+// registries). Each shard owns slots/shards table slots in its own file, so
+// the shard count is part of the on-disk layout.
+constexpr uint32_t kShards = 8;
+static_assert(puddles::IsPowerOfTwo(kShards), "shard routing masks the key hash");
+static_assert(kPuddleTableSlots % kShards == 0, "table slots must divide evenly across shards");
+
 uint64_t NameKey(const std::string& name) {
   return puddles::Fnv1a64(name.data(), name.size());
 }
@@ -63,11 +74,7 @@ puddles::Result<std::unique_ptr<Daemon>> Daemon::Start(const Options& options) {
   if (options.root_dir.empty()) {
     return puddles::InvalidArgumentError("daemon needs a root directory");
   }
-  if (options.shards == 0 || !puddles::IsPowerOfTwo(options.shards)) {
-    return puddles::InvalidArgumentError("daemon shard count must be a power of two");
-  }
-  if (options.puddle_table_slots % options.shards != 0 ||
-      options.ptrmap_table_slots % options.shards != 0) {
+  if (options.ptrmap_table_slots % kShards != 0) {
     return puddles::InvalidArgumentError("table slots must divide evenly across shards");
   }
   std::unique_ptr<Daemon> daemon(new Daemon(options));
@@ -96,23 +103,22 @@ puddles::Status Daemon::Initialize() {
 
 puddles::Status Daemon::OpenTables() {
   const std::string root = options_.root_dir + "/";
-  const uint64_t puddle_slots = options_.puddle_table_slots / options_.shards;
-  const uint64_t ptrmap_slots = options_.ptrmap_table_slots / options_.shards;
+  const uint64_t puddle_slots = kPuddleTableSlots / kShards;
+  const uint64_t ptrmap_slots = options_.ptrmap_table_slots / kShards;
   // Shard choice is part of the on-disk layout: hash routing and file naming
   // both depend on it. A reopen with a different count must fail loudly —
   // opening a subset (or expecting extra shards) would silently hide the
   // records living in the other files.
   if (fs::exists(root + "puddles.0.tbl")) {
-    const bool extra = fs::exists(root + "puddles." + std::to_string(options_.shards) + ".tbl");
-    const bool missing =
-        !fs::exists(root + "puddles." + std::to_string(options_.shards - 1) + ".tbl");
+    const bool extra = fs::exists(root + "puddles." + std::to_string(kShards) + ".tbl");
+    const bool missing = !fs::exists(root + "puddles." + std::to_string(kShards - 1) + ".tbl");
     if (extra || missing) {
       return puddles::FailedPreconditionError(
           "daemon root was created with a different shard count");
     }
   }
   shards_.clear();
-  for (uint32_t i = 0; i < options_.shards; ++i) {
+  for (uint32_t i = 0; i < kShards; ++i) {
     auto shard = std::make_unique<Shard>();
     const std::string suffix = "." + std::to_string(i) + ".tbl";
     RETURN_IF_ERROR(OpenTable(root + "puddles" + suffix, puddle_slots, &shard->puddle_file,
@@ -121,9 +127,8 @@ puddles::Status Daemon::OpenTables() {
                               &shard->ptrmaps));
     shards_.push_back(std::move(shard));
   }
-  RETURN_IF_ERROR(
-      OpenTable(root + "pools.tbl", options_.pool_table_slots, &pool_table_file_, &pools_));
-  RETURN_IF_ERROR(OpenTable(root + "logspaces.tbl", options_.logspace_table_slots,
+  RETURN_IF_ERROR(OpenTable(root + "pools.tbl", kPoolTableSlots, &pool_table_file_, &pools_));
+  RETURN_IF_ERROR(OpenTable(root + "logspaces.tbl", kLogSpaceTableSlots,
                             &logspace_table_file_, &logspaces_));
   return puddles::OkStatus();
 }
@@ -659,55 +664,28 @@ puddles::Result<RecoveryReport> Daemon::RunRecoveryLocked() {
 
     for (uint32_t i = 0; i < ls_view->num_entries(); ++i) {
       ++report.logs_scanned;
-      // Follow the chain of log puddles (Fig. 5).
+      // Follow the chain of log puddles (Fig. 5). A broken or cyclic chain
+      // is skipped whole.
       std::vector<pmem::PmemFile> chain_files;
-      std::vector<puddles::LogRegion> chain;
-      Uuid cursor = ls_view->entry(i);
-      bool chain_ok = true;
-      while (!cursor.is_nil()) {
-        auto record = LookupPuddleUnlocked(cursor);
-        if (!record.ok() ||
-            record->kind != static_cast<uint32_t>(PuddleKind::kLog)) {
-          chain_ok = false;
-          break;
-        }
-        auto file = pmem::PmemFile::Open(PuddlePath(cursor));
-        if (!file.ok()) {
-          chain_ok = false;
-          break;
-        }
-        auto base = file->Map();
-        if (!base.ok()) {
-          chain_ok = false;
-          break;
-        }
-        auto puddle = puddles::Puddle::Attach(*base, file->size());
-        if (!puddle.ok()) {
-          chain_ok = false;
-          break;
-        }
-        auto region = puddles::LogRegion::Attach(puddle->heap(), puddle->heap_size());
-        if (!region.ok()) {
-          chain_ok = false;
-          break;
-        }
-        cursor = region->next_log();
-        chain.push_back(*region);
-        chain_files.push_back(std::move(*file));
-      }
-      if (!chain_ok || chain.empty()) {
+      auto chain = puddles::OpenLogChain(
+          ls_view->entry(i), [&](const Uuid& uuid) -> puddles::Result<puddles::LogRegion> {
+            ASSIGN_OR_RETURN(PuddleRecord record, LookupPuddleUnlocked(uuid));
+            if (record.kind != static_cast<uint32_t>(PuddleKind::kLog)) {
+              return puddles::FailedPreconditionError("log chain links a non-log puddle");
+            }
+            ASSIGN_OR_RETURN(pmem::PmemFile file, pmem::PmemFile::Open(PuddlePath(uuid)));
+            ASSIGN_OR_RETURN(void* base, file.Map());
+            ASSIGN_OR_RETURN(puddles::Puddle puddle, puddles::Puddle::Attach(base, file.size()));
+            chain_files.push_back(std::move(file));
+            return puddles::LogRegion::Attach(puddle.heap(), puddle.heap_size());
+          });
+      if (!chain.ok() || chain->empty()) {
         continue;
       }
-
-      // Epoch gate (docs/epoch.md): a chain tagged with an epoch at or below
-      // the log space's retirement record belongs to an epoch whose drain
-      // fence completed — every mutation it would undo is already durable.
-      // Replaying it would roll back committed transactions, so reset it
-      // without replay. (Tag 0 = immediate mode, never gated.)
-      const uint64_t tag = chain.front().epoch_tag();
-      if (tag != 0 && tag <= ls_view->retired_epoch()) {
+      if (puddles::RetiredByEpoch(chain->front(), ls_view->retired_epoch())) {
+        // Its epoch is durable whole: replay would roll committed work back.
         ++report.logs_gated_retired;
-        chain.front().Reset(0, 2);
+        chain->front().Reset(0, 2);
         continue;
       }
 
@@ -715,11 +693,11 @@ puddles::Result<RecoveryReport> Daemon::RunRecoveryLocked() {
           &addr_alloc_, &by_base_,
           [this](const Uuid& uuid) { return LookupPuddleUnlocked(uuid); },
           [this](const Uuid& uuid) { return PuddlePath(uuid); }, owner);
-      auto stats = puddles::ReplayLogChain(chain, resolver);
+      auto stats = puddles::ReplayLogChain(*chain, resolver);
       if (!stats.ok()) {
         // Poisoned log: mark invalid, never replay (§4.6). Range (0,0) keeps
         // all entries out of range until the owner resets it.
-        chain.front().SetSeqRange(0, 0);
+        chain->front().SetSeqRange(0, 0);
         ++report.logs_marked_invalid;
         continue;
       }
@@ -728,7 +706,7 @@ puddles::Result<RecoveryReport> Daemon::RunRecoveryLocked() {
       if (stats->applied > 0) {
         ++report.logs_replayed;
       }
-      chain.front().Reset(0, 2);
+      chain->front().Reset(0, 2);
     }
   }
   return report;

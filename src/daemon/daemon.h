@@ -64,16 +64,11 @@ class Daemon {
   struct Options {
     std::string root_dir;
     bool run_recovery = true;
-    // Registry capacities (power of two) — sized for tests/benches.
-    uint64_t puddle_table_slots = 1 << 14;
-    uint64_t pool_table_slots = 1 << 10;
+    // Pointer-map registry capacity (a power of two, split across the
+    // daemon's 8 shards). Sized for type registries; bench_daemon_ycsb
+    // raises it to hold its keyspace. Every slot is formatted when a root
+    // is created, so a larger default slows each fresh daemon start.
     uint64_t ptrmap_table_slots = 1 << 10;
-    uint64_t logspace_table_slots = 1 << 10;
-    // Lock/table shards for the hot per-key paths (puddle and pointer-map
-    // registries). Power of two; each shard owns slots/shards table slots in
-    // its own file, so the shard choice is part of the on-disk layout and the
-    // count must match across reopens of the same root.
-    uint32_t shards = 8;
   };
 
   static puddles::Result<std::unique_ptr<Daemon>> Start(const Options& options);

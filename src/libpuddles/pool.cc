@@ -796,44 +796,23 @@ puddles::Result<std::vector<const void*>> Pool::Reachable(bool strict) {
       continue;  // Raw byte buffers carry no pointers by contract.
     }
     auto map = TypeRegistry::Instance().Lookup(header->type_id);
-    if (!map.ok() && strict) {
-      return FailedPreconditionError(
-          "reachable object has a type with no registered pointer map; its edges are "
-          "unknown");
-    }
-    if (!map.ok() || map->object_size == 0 ||
-        (map->num_fields == 0 && map->repeat_count == 0)) {
+    if (!map.ok()) {
+      if (strict) {
+        return FailedPreconditionError(
+            "reachable object has a type with no registered pointer map; its edges are "
+            "unknown");
+      }
       continue;
     }
-    // Arrays of T stride by sizeof(T); same bounded walk as relocation.
-    const uint64_t count = header->size / map->object_size;
     const auto* bytes = static_cast<const uint8_t*>(payload);
-    for (uint64_t element = 0; element < count; ++element) {
-      const uint8_t* element_bytes = bytes + element * map->object_size;
-      for (uint32_t field = 0; field < map->num_fields; ++field) {
-        if (map->field_offsets[field] + sizeof(uint64_t) > map->object_size) {
-          continue;
-        }
-        uint64_t target;
-        std::memcpy(&target, element_bytes + map->field_offsets[field], sizeof(target));
-        if (target != 0) {
-          stack.push_back(reinterpret_cast<const void*>(target));
-        }
-      }
-      if (map->repeat_count != 0 &&
-          map->repeat_offset +
-                  static_cast<uint64_t>(map->repeat_count) * sizeof(uint64_t) <=
-              map->object_size) {
-        for (uint32_t r = 0; r < map->repeat_count; ++r) {
-          uint64_t target;
-          std::memcpy(&target, element_bytes + map->repeat_offset + r * sizeof(uint64_t),
-                      sizeof(target));
-          if (target != 0) {
-            stack.push_back(reinterpret_cast<const void*>(target));
-          }
-        }
-      }
-    }
+    ForEachPointerSlot(*map, std::min<uint64_t>(header->size, heap.CapacityOf(payload)),
+                       [&](uint64_t offset) {
+                         uint64_t target;
+                         std::memcpy(&target, bytes + offset, sizeof(target));
+                         if (target != 0) {
+                           stack.push_back(reinterpret_cast<const void*>(target));
+                         }
+                       });
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -89,10 +89,9 @@ puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& tr
         ++stats.objects_without_map;
         return;
       }
-      if ((map->num_fields == 0 && map->repeat_count == 0) || map->object_size == 0) {
-        return;
-      }
-      auto translate_slot = [&](uint64_t* slot) {
+      auto* bytes = static_cast<uint8_t*>(payload);
+      ForEachPointerSlot(*map, std::min<uint64_t>(header.size, capacity), [&](uint64_t offset) {
+        auto* slot = reinterpret_cast<uint64_t*>(bytes + offset);
         ++stats.pointers_visited;
         const uint64_t value = *slot;
         if (value == 0) {
@@ -105,35 +104,7 @@ puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& tr
         *slot = translated;
         ++stats.pointers_rewritten;
         note_dirty(slot);
-      };
-      // Arrays of T stride by sizeof(T). Bound the walk by the container's
-      // real capacity as well as the recorded size: a corrupt or inflated
-      // header.size must not send the walk into allocator slack or a
-      // neighboring slot, where garbage bytes that happen to fall in a moved
-      // old range would get "translated".
-      const uint64_t extent = std::min<uint64_t>(header.size, capacity);
-      const uint64_t count = extent / map->object_size;
-      auto* bytes = static_cast<uint8_t*>(payload);
-      for (uint64_t element = 0; element < count; ++element) {
-        uint8_t* element_bytes = bytes + static_cast<size_t>(element) * map->object_size;
-        for (uint32_t field = 0; field < map->num_fields; ++field) {
-          if (map->field_offsets[field] + sizeof(uint64_t) > map->object_size) {
-            continue;  // Corrupt map: field would read past its element.
-          }
-          translate_slot(
-              reinterpret_cast<uint64_t*>(element_bytes + map->field_offsets[field]));
-        }
-        // Homogeneous pointer-array region (wide nodes past kMaxPtrFields).
-        if (map->repeat_count != 0 &&
-            map->repeat_offset +
-                    static_cast<uint64_t>(map->repeat_count) * sizeof(uint64_t) <=
-                map->object_size) {
-          for (uint32_t r = 0; r < map->repeat_count; ++r) {
-            translate_slot(reinterpret_cast<uint64_t*>(element_bytes + map->repeat_offset +
-                                                       r * sizeof(uint64_t)));
-          }
-        }
-      }
+      });
     };
     translate_object();
     if (index - durable_frontier >= batch) {

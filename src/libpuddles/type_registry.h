@@ -56,6 +56,39 @@ struct PtrFieldSpec {
   size_t repeat_count = 0;
 };
 
+// Visits every pointer slot of an object laid out by `map`: fn(offset) gets
+// each slot's byte offset from the object's start. Arrays of T stride by
+// sizeof(T); each element's fields come first, then its repeat region. The
+// walk covers whole elements within the first `extent` bytes, and callers
+// pass min(header size, allocation capacity): a corrupt or inflated size must
+// not send the walk into allocator slack or a neighboring slot. A field or
+// repeat region that a malformed map places past object_size is skipped.
+// Relocation and reachability both walk objects through this one function.
+template <typename Fn>
+void ForEachPointerSlot(const puddled::PtrMapRecord& map, uint64_t extent, Fn&& fn) {
+  if (map.object_size == 0 || (map.num_fields == 0 && map.repeat_count == 0)) {
+    return;
+  }
+  const bool repeat_fits =
+      map.repeat_count != 0 &&
+      map.repeat_offset + static_cast<uint64_t>(map.repeat_count) * sizeof(uint64_t) <=
+          map.object_size;
+  const uint64_t count = extent / map.object_size;
+  for (uint64_t element = 0; element < count; ++element) {
+    const uint64_t start = element * map.object_size;
+    for (uint32_t field = 0; field < map.num_fields; ++field) {
+      if (map.field_offsets[field] + sizeof(uint64_t) <= map.object_size) {
+        fn(start + map.field_offsets[field]);
+      }
+    }
+    if (repeat_fits) {
+      for (uint32_t r = 0; r < map.repeat_count; ++r) {
+        fn(start + map.repeat_offset + r * sizeof(uint64_t));
+      }
+    }
+  }
+}
+
 class TypeRegistry {
  public:
   static TypeRegistry& Instance();

@@ -1,21 +1,41 @@
 #include "src/tx/replay.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/pmem/flush.h"
 
 namespace puddles {
 
+puddles::Result<std::vector<LogRegion>> OpenLogChain(const Uuid& head, const LogOpener& open) {
+  std::vector<LogRegion> chain;
+  std::vector<Uuid> visited;
+  for (Uuid cursor = head; !cursor.is_nil();) {
+    if (std::find(visited.begin(), visited.end(), cursor) != visited.end()) {
+      return DataLossError("log chain links back to one of its own puddles");
+    }
+    visited.push_back(cursor);
+    ASSIGN_OR_RETURN(LogRegion region, open(cursor));
+    cursor = region.next_log();
+    chain.push_back(region);
+  }
+  return chain;
+}
+
+bool RetiredByEpoch(const LogRegion& head, uint64_t retired_epoch) {
+  const uint64_t tag = head.epoch_tag();
+  return tag != 0 && tag <= retired_epoch;
+}
+
 puddles::Result<ReplayStats> ReplayLogChain(const std::vector<LogRegion>& chain,
-                                            AddressResolver& resolver,
-                                            const ReplayOptions& options) {
+                                            AddressResolver& resolver) {
   ReplayStats stats;
 
   struct PendingEntry {
     uint64_t addr;
     const uint8_t* data;
     uint32_t size;
-    ReplayOrder order;
+    void* target;
   };
   std::vector<PendingEntry> reverse_entries;  // Undo-style.
   std::vector<PendingEntry> forward_entries;  // Redo-style.
@@ -43,13 +63,12 @@ puddles::Result<ReplayStats> ReplayLogChain(const std::vector<LogRegion>& chain,
         ++stats.skipped_out_of_range;
         return;
       }
-      if ((view.header->flags & kLogEntryVolatile) != 0 && !options.include_volatile) {
+      if ((view.header->flags & kLogEntryVolatile) != 0) {
         ++stats.skipped_volatile;
         return;
       }
-      PendingEntry entry{view.header->addr, view.data, view.header->size,
-                         static_cast<ReplayOrder>(view.header->order)};
-      if (entry.order == ReplayOrder::kReverse) {
+      PendingEntry entry{view.header->addr, view.data, view.header->size, nullptr};
+      if (static_cast<ReplayOrder>(view.header->order) == ReplayOrder::kReverse) {
         reverse_entries.push_back(entry);
       } else {
         forward_entries.push_back(entry);
@@ -64,45 +83,24 @@ puddles::Result<ReplayStats> ReplayLogChain(const std::vector<LogRegion>& chain,
 
   // Resolve everything first so a permission failure can poison the log
   // before any byte is copied.
-  auto resolve_all = [&](std::vector<PendingEntry>& entries,
-                         std::vector<void*>& targets) -> puddles::Status {
-    targets.reserve(entries.size());
-    for (const PendingEntry& entry : entries) {
-      void* target = resolver.Resolve(entry.addr, entry.size);
-      if (target == nullptr) {
-        ++stats.unresolvable;
-        if (options.fail_on_unresolvable) {
-          return PermissionDeniedError("log entry targets unwritable address");
-        }
+  for (auto* entries : {&reverse_entries, &forward_entries}) {
+    for (PendingEntry& entry : *entries) {
+      entry.target = resolver.Resolve(entry.addr, entry.size);
+      if (entry.target == nullptr) {
+        return PermissionDeniedError("log entry targets unwritable address");
       }
-      targets.push_back(target);
     }
-    return OkStatus();
+  }
+
+  auto apply = [&](const PendingEntry& entry) {
+    std::memcpy(entry.target, entry.data, entry.size);
+    pmem::Flush(entry.target, entry.size);
+    ++stats.applied;
   };
-
-  std::vector<void*> reverse_targets;
-  std::vector<void*> forward_targets;
-  RETURN_IF_ERROR(resolve_all(reverse_entries, reverse_targets));
-  RETURN_IF_ERROR(resolve_all(forward_entries, forward_targets));
-
   // Roll back: undo entries newest-first (Fig. 7 recovery stage 1).
-  for (size_t i = reverse_entries.size(); i-- > 0;) {
-    if (reverse_targets[i] == nullptr) {
-      continue;
-    }
-    std::memcpy(reverse_targets[i], reverse_entries[i].data, reverse_entries[i].size);
-    pmem::Flush(reverse_targets[i], reverse_entries[i].size);
-    ++stats.applied;
-  }
+  std::for_each(reverse_entries.rbegin(), reverse_entries.rend(), apply);
   // Roll forward: redo entries oldest-first (Fig. 7 recovery stage 2).
-  for (size_t i = 0; i < forward_entries.size(); ++i) {
-    if (forward_targets[i] == nullptr) {
-      continue;
-    }
-    std::memcpy(forward_targets[i], forward_entries[i].data, forward_entries[i].size);
-    pmem::Flush(forward_targets[i], forward_entries[i].size);
-    ++stats.applied;
-  }
+  std::for_each(forward_entries.begin(), forward_entries.end(), apply);
   pmem::Fence();
   return stats;
 }

@@ -597,6 +597,63 @@ TEST_F(ArenaTest, OpenTimeGcFollowsPointersIntoUnmappedPuddles) {
   ExpectHeapsValid();
 }
 
+// One pointer: 8 bytes + the 16-byte header fill a 32-byte slab slot, whose
+// payload capacity is 16 bytes.
+struct TinyRoot {
+  Node* slot;
+};
+
+// The reachability walk bounds an object by its slot or block, not by its
+// recorded size alone, as relocation's rewrite does: an inflated size must
+// neither run the walk off the mapping nor read the slots after the root.
+class ArenaInflatedRootTest : public ArenaTest {
+ protected:
+  void SetUp() override {
+    ArenaTest::SetUp();
+    (void)TypeRegistry::Instance().Register<TinyRoot>(&TinyRoot::slot);
+    ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(root_, tx.Alloc<TinyRoot>());
+      ASSIGN_OR_RETURN(neighbor_, tx.Alloc<TinyRoot>());
+      ASSIGN_OR_RETURN(hidden_, tx.Alloc<Node>());
+      root_->slot = nullptr;
+      neighbor_->slot = hidden_;  // Reached by no one: `neighbor_` is garbage.
+      return pool_->SetRoot(root_);
+    }).ok());
+    header_ = reinterpret_cast<ObjectHeader*>(root_) - 1;
+  }
+
+  void TearDown() override {
+    if (header_ != nullptr) {
+      header_->size = sizeof(TinyRoot);
+    }
+    ArenaTest::TearDown();
+  }
+
+  TinyRoot* root_ = nullptr;
+  TinyRoot* neighbor_ = nullptr;
+  Node* hidden_ = nullptr;
+  ObjectHeader* header_ = nullptr;
+};
+
+TEST_F(ArenaInflatedRootTest, HugeSizeStopsAtTheSlot) {
+  header_->size = 0xFFFFFF00u;
+  auto reachable = pool_->ReachableObjects();
+  ASSERT_TRUE(reachable.ok()) << reachable.status().ToString();
+  EXPECT_EQ(*reachable, std::vector<const void*>{root_});
+}
+
+TEST_F(ArenaInflatedRootTest, PointerPastTheSlotIsNotAnEdge) {
+  // The next slot holds `neighbor_`; its pointer sits 32 bytes past the
+  // root's payload, 16 past the root's capacity, where the fifth 8-byte
+  // element of a 40-byte root would be.
+  ASSERT_EQ(reinterpret_cast<uint8_t*>(neighbor_), reinterpret_cast<uint8_t*>(root_) + 32)
+      << "the two roots must share a slab, in adjacent slots";
+  header_->size = 5 * sizeof(TinyRoot);
+  auto reachable = pool_->ReachableObjects();
+  ASSERT_TRUE(reachable.ok()) << reachable.status().ToString();
+  EXPECT_EQ(*reachable, std::vector<const void*>{root_});
+}
+
 // Clean teardown: the runtime flushes this thread's arenas and adopts and
 // flushes those of exited threads, so the reopen finds no active directory
 // entry and runs no GC.

@@ -9,6 +9,8 @@
 
 #include "src/pmem/mapped_file.h"
 #include "src/puddles/format.h"
+#include "src/tx/log_format.h"
+#include "src/tx/log_space.h"
 
 namespace puddled {
 namespace {
@@ -277,7 +279,7 @@ TEST_F(DaemonTest, ShardedRegistriesUnderConcurrentMutation) {
   }
   ASSERT_EQ(failures.load(), 0);
 
-  // Every shard file exists on disk (default Options{}.shards == 8).
+  // Every shard file exists on disk (the daemon runs 8 shards).
   for (uint32_t s = 0; s < 8; ++s) {
     EXPECT_TRUE(fs::exists(root_ / ("puddles." + std::to_string(s) + ".tbl")));
     EXPECT_TRUE(fs::exists(root_ / ("ptrmaps." + std::to_string(s) + ".tbl")));
@@ -300,15 +302,85 @@ TEST_F(DaemonTest, ShardedRegistriesUnderConcurrentMutation) {
 }
 
 TEST_F(DaemonTest, ReopenWithDifferentShardCountIsRejected) {
-  // Shard count is baked into the on-disk layout; a mismatched reopen would
-  // silently hide the records in the missing/extra shard files.
+  // Shard count is baked into the on-disk layout; a root with an extra or a
+  // missing shard file was written with another count, and opening it would
+  // silently hide the records in the files that do not match.
   daemon_.reset();
-  for (uint32_t shards : {4u, 16u}) {
-    auto reopened = Daemon::Start({.root_dir = root_.string(), .shards = shards});
-    EXPECT_EQ(reopened.status().code(), puddles::StatusCode::kFailedPrecondition) << shards;
-  }
-  auto same = Daemon::Start({.root_dir = root_.string(), .shards = 8});
+  const fs::path last = root_ / "puddles.7.tbl";
+  const fs::path extra = root_ / "puddles.8.tbl";
+  fs::copy_file(last, extra);
+  auto with_extra = Daemon::Start({.root_dir = root_.string()});
+  EXPECT_EQ(with_extra.status().code(), puddles::StatusCode::kFailedPrecondition);
+  fs::remove(extra);
+
+  const fs::path aside = root_ / "puddles.7.tbl.aside";
+  fs::rename(last, aside);
+  auto with_missing = Daemon::Start({.root_dir = root_.string()});
+  EXPECT_EQ(with_missing.status().code(), puddles::StatusCode::kFailedPrecondition);
+  fs::rename(aside, last);
+
+  auto same = Daemon::Start({.root_dir = root_.string()});
   EXPECT_TRUE(same.ok()) << same.status().ToString();
+}
+
+// A puddle created through the daemon and mapped into this process (at any
+// address; recovery maps data puddles at their assigned bases itself).
+struct MappedPuddle {
+  PuddleInfo info;
+  pmem::PmemFile file;
+  puddles::Puddle puddle;
+};
+
+MappedPuddle CreateMapped(Daemon& daemon, PuddleKind kind, const Credentials& creds) {
+  auto created = daemon.CreatePuddle(kind, 1 << 16, creds);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  auto file = pmem::PmemFile::FromFd(created->second);
+  EXPECT_TRUE(file.ok());
+  auto base = file->Map();
+  EXPECT_TRUE(base.ok());
+  auto puddle = puddles::Puddle::Attach(*base, file->size());
+  EXPECT_TRUE(puddle.ok());
+  return {created->first, std::move(*file), *puddle};
+}
+
+puddles::LogRegion FormatLog(const MappedPuddle& log) {
+  EXPECT_TRUE(puddles::LogRegion::Format(log.puddle.heap(), log.puddle.heap_size()).ok());
+  return *puddles::LogRegion::Attach(log.puddle.heap(), log.puddle.heap_size());
+}
+
+// A log whose next_log names itself must not stall recovery (each pass of
+// an unbounded walk opens and maps the same file again) or stop it: that
+// chain is skipped, and the other logs of the log space still replay.
+TEST_F(DaemonTest, RecoverySkipsSelfLinkedLogAndReplaysTheRest) {
+  MappedPuddle data = CreateMapped(*daemon_, PuddleKind::kData, alice_);
+  auto* word = reinterpret_cast<uint64_t*>(data.puddle.heap());
+  *word = 0xbad;
+  pmem::FlushFence(word, sizeof(*word));
+  const uint64_t word_addr = data.puddle.heap_addr_at_base();
+
+  MappedPuddle cyclic = CreateMapped(*daemon_, PuddleKind::kLog, alice_);
+  FormatLog(cyclic).SetNextLog(cyclic.info.uuid);
+  MappedPuddle valid = CreateMapped(*daemon_, PuddleKind::kLog, alice_);
+  const uint64_t old_value = 42;
+  ASSERT_TRUE(FormatLog(valid)
+                  .Append(word_addr, &old_value, sizeof(old_value), puddles::kUndoSeq,
+                          puddles::ReplayOrder::kReverse)
+                  .ok());
+
+  MappedPuddle space = CreateMapped(*daemon_, PuddleKind::kLogSpace, alice_);
+  ASSERT_TRUE(puddles::LogSpaceView::Format(space.puddle).ok());
+  auto view = puddles::LogSpaceView::Attach(space.puddle);
+  ASSERT_TRUE(view.ok());
+  ASSERT_TRUE(view->AddLog(cyclic.info.uuid).ok());
+  ASSERT_TRUE(view->AddLog(valid.info.uuid).ok());
+  ASSERT_TRUE(daemon_->RegisterLogSpace(space.info.uuid, alice_).ok());
+
+  auto report = daemon_->RunRecovery();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->logs_scanned, 2u);
+  EXPECT_EQ(report->logs_replayed, 1u);
+  EXPECT_EQ(report->entries_applied, 1u);
+  EXPECT_EQ(*word, old_value);
 }
 
 TEST(DaemonAccessTest, CheckAccessBits) {

@@ -143,6 +143,23 @@ TEST_F(ObjectHeapTest, HeaderOfRejectsGarbagePointers) {
   EXPECT_EQ(heap_.HeaderOf(&stack_var), nullptr);
 }
 
+TEST_F(ObjectHeapTest, CapacityOfMatchesForEachObject) {
+  auto small = heap_.AllocateTyped<TestNode>();  // 16 + 16 B: a 32 B slab slot.
+  auto big = heap_.AllocateTyped<BigRecord>();   // 1016 B: a 1 KiB buddy block.
+  ASSERT_TRUE(small.ok() && big.ok());
+  std::map<const void*, size_t> reported;
+  heap_.ForEachObject([&](void* payload, const ObjectHeader&, size_t capacity) {
+    reported[payload] = capacity;
+  });
+  EXPECT_EQ(heap_.CapacityOf(*small), 32u - sizeof(ObjectHeader));
+  EXPECT_EQ(heap_.CapacityOf(*big), 1024u - sizeof(ObjectHeader));
+  EXPECT_EQ(heap_.CapacityOf(*small), reported[*small]);
+  EXPECT_EQ(heap_.CapacityOf(*big), reported[*big]);
+  // Inside an object, not at the start of a slot or block: no capacity.
+  EXPECT_EQ(heap_.CapacityOf(reinterpret_cast<uint8_t*>(*small) + 8), 0u);
+  EXPECT_EQ(heap_.CapacityOf(reinterpret_cast<uint8_t*>(*big) + 64), 0u);
+}
+
 TEST_F(ObjectHeapTest, ExhaustionReportsOutOfMemory) {
   std::vector<void*> allocations;
   while (true) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
+#include <utility>
 #include <vector>
 
 namespace puddles {
@@ -100,17 +102,10 @@ TEST_F(ReplayTest, VolatileEntriesSkippedByRecovery) {
                           kLogEntryVolatile)
                   .ok());
   IdentityResolver resolver;
-  ReplayOptions options;
-  options.include_volatile = false;  // Daemon recovery.
-  auto stats = ReplayLogChain({log_}, resolver, options);
+  auto stats = ReplayLogChain({log_}, resolver);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->applied, 0u);
   EXPECT_EQ(stats->skipped_volatile, 1u);
-
-  options.include_volatile = true;  // In-process abort.
-  stats = ReplayLogChain({log_}, resolver, options);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->applied, 1u);
 }
 
 TEST_F(ReplayTest, CorruptEntrySkipped) {
@@ -143,20 +138,6 @@ TEST_F(ReplayTest, UnresolvableAddressPoisonsLog) {
   EXPECT_EQ(at0, 0u) << "nothing may be applied from a poisoned log";
 }
 
-TEST_F(ReplayTest, UnresolvableSkippedWhenLenient) {
-  uint64_t inside = 5, outside = 6;
-  ASSERT_TRUE(log_.Append(Addr(0), &inside, 8, kUndoSeq, ReplayOrder::kReverse).ok());
-  ASSERT_TRUE(log_.Append(0xdead0000, &outside, 8, kUndoSeq, ReplayOrder::kReverse).ok());
-
-  RangeResolver resolver(reinterpret_cast<uint64_t>(data_.data()), data_.size());
-  ReplayOptions options;
-  options.fail_on_unresolvable = false;
-  auto stats = ReplayLogChain({log_}, resolver, options);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->applied, 1u);
-  EXPECT_EQ(stats->unresolvable, 1u);
-}
-
 TEST_F(ReplayTest, ChainedRegionsReplayAsOneLog) {
   // Build a two-region chain; the head's range governs both.
   std::vector<uint8_t> second_buffer(kLogCapacity);
@@ -186,6 +167,99 @@ TEST_F(ReplayTest, EmptyChainIsNoop) {
   auto stats = ReplayLogChain({}, resolver);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->applied, 0u);
+}
+
+// Log regions keyed by puddle UUID, linked as a test arranges: the opener
+// OpenLogChain follows, counting its calls.
+class LogChainTest : public ::testing::Test {
+ protected:
+  static constexpr size_t kLogCapacity = 4096;
+
+  Uuid AddLog() {
+    const Uuid uuid = Uuid::Generate();
+    auto& buffer = buffers_.emplace_back(kLogCapacity);
+    EXPECT_TRUE(LogRegion::Format(buffer.data(), kLogCapacity).ok());
+    logs_.emplace_back(uuid, *LogRegion::Attach(buffer.data(), kLogCapacity));
+    return uuid;
+  }
+
+  LogRegion* Find(const Uuid& uuid) {
+    for (auto& [key, log] : logs_) {
+      if (key == uuid) {
+        return &log;
+      }
+    }
+    return nullptr;
+  }
+
+  Result<std::vector<LogRegion>> Open(const Uuid& head) {
+    return OpenLogChain(head, [this](const Uuid& uuid) -> Result<LogRegion> {
+      ++opens_;
+      LogRegion* log = Find(uuid);
+      if (log == nullptr) {
+        return NotFoundError("no such log puddle");
+      }
+      return *log;
+    });
+  }
+
+  std::deque<std::vector<uint8_t>> buffers_;
+  std::vector<std::pair<Uuid, LogRegion>> logs_;
+  int opens_ = 0;
+};
+
+TEST_F(LogChainTest, NilHeadIsAnEmptyChain) {
+  auto chain = Open(Uuid::Nil());
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  EXPECT_TRUE(chain->empty());
+  EXPECT_EQ(opens_, 0);
+}
+
+TEST_F(LogChainTest, FollowsLinksInOrder) {
+  const Uuid a = AddLog();
+  const Uuid b = AddLog();
+  Find(a)->SetNextLog(b);
+  auto chain = Open(a);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_EQ(chain->size(), 2u);
+  EXPECT_EQ((*chain)[0].base(), Find(a)->base());
+  EXPECT_EQ((*chain)[1].base(), Find(b)->base());
+}
+
+TEST_F(LogChainTest, SelfLinkFailsAfterOneOpen) {
+  const Uuid a = AddLog();
+  Find(a)->SetNextLog(a);
+  EXPECT_FALSE(Open(a).ok());
+  EXPECT_EQ(opens_, 1);
+}
+
+TEST_F(LogChainTest, TwoPuddleCycleFailsAfterTwoOpens) {
+  const Uuid a = AddLog();
+  const Uuid b = AddLog();
+  Find(a)->SetNextLog(b);
+  Find(b)->SetNextLog(a);
+  EXPECT_FALSE(Open(a).ok());
+  EXPECT_EQ(opens_, 2);
+}
+
+TEST_F(LogChainTest, MissingLinkFails) {
+  const Uuid a = AddLog();
+  Find(a)->SetNextLog(Uuid::Generate());
+  auto chain = Open(a);
+  EXPECT_EQ(chain.status().code(), StatusCode::kNotFound) << chain.status().ToString();
+  EXPECT_EQ(opens_, 2);
+}
+
+TEST(RetiredByEpochTest, GatesTaggedChainsAtOrBelowTheRecord) {
+  std::vector<uint8_t> buffer(4096);
+  ASSERT_TRUE(LogRegion::Format(buffer.data(), buffer.size()).ok());
+  auto log = LogRegion::Attach(buffer.data(), buffer.size());
+  ASSERT_TRUE(log.ok());
+  EXPECT_FALSE(RetiredByEpoch(*log, 7)) << "tag 0 (immediate mode) is never gated";
+  log->SetEpochTagVolatile(7);
+  EXPECT_TRUE(RetiredByEpoch(*log, 7));
+  EXPECT_TRUE(RetiredByEpoch(*log, 8));
+  EXPECT_FALSE(RetiredByEpoch(*log, 6));
 }
 
 TEST(RangeResolverTest, InRangeResolves) {

@@ -51,6 +51,9 @@ ONE_CRASH_MODEL = (
     "only through NotifyObserver"
 )
 
+LOG_CHAIN = r"ForEachEntry\(|epoch_tag\(|next_log\(|seq_range\("
+ONE_LOG_READER = "log chains are read only through src/tx/replay.h (DESIGN.md §12)"
+
 RULES = [
     # Batched persistence (DESIGN.md §10): one append stages, never publishes.
     ("src/tx/log_format.cc", "LogRegion::AppendStaged(", (), [PERSIST],
@@ -107,6 +110,10 @@ RULES = [
      ARENA_FAST_PATH),
     ("src/alloc/arena.cc", FILE, (), [PUBLISH],
      "persistence call in the volatile arena layer (docs/alloc.md)"),
+    # One log reader (DESIGN.md §12): recovery and the crash-state classifier
+    # read log chains only through src/tx/replay.h.
+    ("src/crashsim", DIR, (), [LOG_CHAIN], ONE_LOG_READER),
+    ("src/daemon", DIR, (), [LOG_CHAIN], ONE_LOG_READER),
     # Pointer maps come from member-pointer registration (DESIGN.md §9).
     ("src/workloads", DIR, (), ["offsetof"],
      "hand-written offsetof pointer map: register member pointers instead"),
