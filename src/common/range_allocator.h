@@ -1,7 +1,7 @@
 // Pure-bookkeeping interval allocator over [base, base+size). Puddled uses one
-// to hand out non-overlapping base addresses in the global puddle space; it
-// never touches memory itself (contrast pmem::AddressReservation, which owns
-// the local PROT_NONE mapping).
+// to hand out non-overlapping base addresses in the global puddle space, and
+// pmem::AddressReservation keeps its process-local claims in one. It never
+// touches memory itself: the reservation owns the PROT_NONE mapping.
 #ifndef SRC_COMMON_RANGE_ALLOCATOR_H_
 #define SRC_COMMON_RANGE_ALLOCATOR_H_
 
@@ -41,7 +41,7 @@ class RangeAllocator {
 
   puddles::Status Claim(uint64_t addr, uint64_t size) {
     size = AlignUp(size, kPageSize);
-    if (addr < base_ || addr + size > base_ + size_) {
+    if (!Within(addr, size)) {
       return OutOfRangeError("claim outside managed range");
     }
     if (!IsFree(addr, size)) {
@@ -52,7 +52,7 @@ class RangeAllocator {
   }
 
   bool IsFree(uint64_t addr, uint64_t size) const {
-    if (addr < base_ || addr + size > base_ + size_) {
+    if (!Within(addr, size)) {
       return false;
     }
     auto it = claimed_.upper_bound(addr);
@@ -90,6 +90,12 @@ class RangeAllocator {
   size_t count() const { return claimed_.size(); }
 
  private:
+  // [addr, addr+size) lies inside the managed range. Written without
+  // addr + size, which a hostile base near 2^64 would wrap.
+  bool Within(uint64_t addr, uint64_t size) const {
+    return addr >= base_ && addr - base_ <= size_ && size <= size_ - (addr - base_);
+  }
+
   uint64_t base_ = 0;
   uint64_t size_ = 0;
   std::map<uint64_t, uint64_t> claimed_;

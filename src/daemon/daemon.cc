@@ -38,6 +38,16 @@ uint64_t NameKey(const std::string& name) {
   return puddles::Fnv1a64(name.data(), name.size());
 }
 
+// A pool name must fit PoolRecord::name with its terminator. OpenPool
+// compares the stored name with the full requested one, so a longer name
+// could be created or imported but never opened.
+puddles::Status CheckPoolName(const std::string& name) {
+  if (name.size() >= sizeof(PoolRecord::name)) {
+    return puddles::InvalidArgumentError("pool name too long");
+  }
+  return puddles::OkStatus();
+}
+
 // Creates-or-opens one registry table file.
 template <typename Table>
 puddles::Status OpenTable(const std::string& path, uint64_t slots, pmem::PmemFile* file,
@@ -388,6 +398,7 @@ puddles::Status Daemon::DeletePuddle(const Uuid& uuid, const Credentials& creds)
 
 puddles::Result<PoolInfo> Daemon::CreatePool(const std::string& name, const Credentials& creds,
                                              uint32_t mode) {
+  RETURN_IF_ERROR(CheckPoolName(name));
   {
     std::shared_lock<std::shared_mutex> structure(structure_mu_);
     std::lock_guard<std::mutex> lock(pools_mu_);
@@ -794,6 +805,7 @@ puddles::Status Daemon::ExportPool(const std::string& pool_name, const std::stri
 puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
                                                  const std::string& new_name,
                                                  const Credentials& creds, uint32_t mode) {
+  RETURN_IF_ERROR(CheckPoolName(new_name));
   // Imports mutate the address map, multiple shards, and the pool directory
   // as one logical step: exclusive structure lock, no fine-grained locks.
   std::unique_lock<std::shared_mutex> structure(structure_mu_);
@@ -843,14 +855,34 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     Uuid old_uuid;
     Uuid new_uuid;
     uint64_t old_base = 0;  // Non-zero if relocated.
-    PuddleRecord record;
+    PuddleRecord record{};
   };
   std::vector<Imported> imported;
   bool any_moved = false;
   std::error_code ec;
 
+  // A failed import leaves nothing behind: every copy is unlinked, its
+  // address claim freed and its record, if already written, erased.
+  bool complete = false;
+  struct UndoUnlessComplete {
+    std::function<void()> undo;
+    ~UndoUnlessComplete() { undo(); }
+  } undo_unless_complete{[&] {
+    if (complete) {
+      return;
+    }
+    for (const Imported& entry : imported) {
+      if (entry.record.base_addr != 0) {
+        (void)addr_alloc_.Free(entry.record.base_addr);
+        by_base_.erase(entry.record.base_addr);
+      }
+      (void)ShardFor(entry.new_uuid).puddles->Erase(entry.new_uuid);
+      ::unlink(PuddlePath(entry.new_uuid).c_str());
+    }
+  }};
+
   auto import_one = [&](const Uuid& old_uuid) -> puddles::Status {
-    Imported entry;
+    Imported& entry = imported.emplace_back();
     entry.old_uuid = old_uuid;
     entry.new_uuid = Uuid::Generate();
     fs::path src = fs::path(src_dir) / (old_uuid.ToString() + ".pud");
@@ -893,7 +925,6 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     record.prev_base = puddle.header()->prev_base_addr;
     record.flags = puddle.header()->flags;
     entry.record = record;
-    imported.push_back(entry);
     return puddles::OkStatus();
   };
 
@@ -982,6 +1013,7 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
   std::strncpy(result.pool.name, pool_record.name, sizeof(result.pool.name) - 1);
   result.members_imported = static_cast<uint32_t>(imported.size()) - 1;
   result.members_relocated = members_relocated;
+  complete = true;
   return result;
 }
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "src/stats/stats.h"
-#include "src/stats/trace_ring.h"
 
 namespace puddled {
 
@@ -237,7 +236,6 @@ DispatchResult DispatchRequest(Daemon& daemon, const Credentials& creds,
     out.response = ErrorResponse(s);
     return out;
   }
-  PUDDLES_TRACE_SPAN("daemon_request");
   PUDDLES_SCOPED_TIMER(kDaemonServiceTicks);
   PUDDLES_COUNT(kDaemonRequest);
   PUDDLES_COUNT_DAEMON_OP(op_raw);

@@ -9,7 +9,6 @@
 #include "src/pmem/flush.h"
 #include "src/pmem/global_space.h"
 #include "src/stats/stats.h"
-#include "src/stats/trace_ring.h"
 
 namespace puddles {
 namespace {
@@ -35,7 +34,6 @@ LogSink TxSink(Transaction* tx) {
 }  // namespace
 
 puddles::Status Pool::AddDataPuddle() {
-  PUDDLES_TRACE_SPAN("pool_grow");
   PUDDLES_COUNT(kPoolGrow);
   ASSIGN_OR_RETURN(auto created,
                    runtime_->client().CreatePuddle(PuddleKind::kData, kDefaultHeapSize,

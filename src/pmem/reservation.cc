@@ -32,6 +32,8 @@ puddles::Status AddressReservation::Reserve(uintptr_t base_hint, size_t size) {
   }
   base_ = reinterpret_cast<uintptr_t>(base);
   size_ = size;
+  std::lock_guard<std::mutex> lock(mu_);
+  claims_ = puddles::RangeAllocator(base_, size_);
   return puddles::OkStatus();
 }
 
@@ -41,98 +43,43 @@ void AddressReservation::Release() {
     base_ = 0;
     size_ = 0;
     std::lock_guard<std::mutex> lock(mu_);
-    claimed_.clear();
+    claims_ = puddles::RangeAllocator();
   }
-}
-
-puddles::Result<uintptr_t> AddressReservation::AllocateRange(size_t size) {
-  if (!reserved()) {
-    return puddles::FailedPreconditionError("no reservation");
-  }
-  size = puddles::AlignUp(size, puddles::kPageSize);
-  std::lock_guard<std::mutex> lock(mu_);
-  // First fit over the gaps between claimed ranges.
-  uintptr_t cursor = base_;
-  for (const auto& [start, len] : claimed_) {
-    if (start - cursor >= size) {
-      claimed_[cursor] = size;
-      return cursor;
-    }
-    cursor = start + len;
-  }
-  if (base_ + size_ - cursor >= size) {
-    claimed_[cursor] = size;
-    return cursor;
-  }
-  return puddles::OutOfMemoryError("puddle address space exhausted");
 }
 
 puddles::Status AddressReservation::ClaimRange(uintptr_t addr, size_t size) {
   if (!reserved()) {
     return puddles::FailedPreconditionError("no reservation");
   }
-  size = puddles::AlignUp(size, puddles::kPageSize);
-  if (!Contains(addr) || addr + size > base_ + size_) {
-    return puddles::OutOfRangeError("range outside puddle space");
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  // Check overlap against the neighbor below and every range starting inside.
-  auto it = claimed_.upper_bound(addr);
-  if (it != claimed_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second > addr) {
-      return puddles::AlreadyExistsError("range overlaps existing claim");
-    }
-  }
-  if (it != claimed_.end() && it->first < addr + size) {
-    return puddles::AlreadyExistsError("range overlaps existing claim");
-  }
-  claimed_[addr] = size;
-  return puddles::OkStatus();
-}
-
-bool AddressReservation::RangeFree(uintptr_t addr, size_t size) const {
-  if (!Contains(addr) || addr + size > base_ + size_) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = claimed_.upper_bound(addr);
-  if (it != claimed_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->first + prev->second > addr) {
-      return false;
-    }
-  }
-  return it == claimed_.end() || it->first >= addr + size;
+  return claims_.Claim(addr, size);
 }
 
 puddles::Status AddressReservation::FreeRange(uintptr_t addr) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = claimed_.find(addr);
-  if (it == claimed_.end()) {
+  auto range = claims_.Containing(addr);
+  if (!range.ok() || range->first != addr) {
     return puddles::NotFoundError("range not claimed");
   }
   // Return the pages to PROT_NONE so stray pointers fault rather than read
   // stale puddle contents.
-  void* remapped = ::mmap(reinterpret_cast<void*>(addr), it->second, PROT_NONE,
+  void* remapped = ::mmap(reinterpret_cast<void*>(addr), range->second, PROT_NONE,
                           MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED, -1, 0);
   if (remapped == MAP_FAILED) {
     return puddles::ErrnoError("remap range to PROT_NONE", errno);
   }
-  claimed_.erase(it);
-  return puddles::OkStatus();
+  return claims_.Free(addr);
 }
 
 puddles::Status AddressReservation::MapFileAt(int fd, uintptr_t addr, size_t size,
                                               bool writable) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = claimed_.upper_bound(addr);
-    if (it == claimed_.begin()) {
+    auto range = claims_.Containing(addr);
+    if (!range.ok()) {
       return puddles::FailedPreconditionError("mapping target not claimed");
     }
-    auto range = std::prev(it);
-    if (addr < range->first || addr + size > range->first + range->second) {
+    if (addr + size > range->first + range->second) {
       return puddles::FailedPreconditionError("mapping exceeds claimed range");
     }
   }
@@ -155,7 +102,7 @@ puddles::Status AddressReservation::UnmapToReserved(uintptr_t addr, size_t size)
 
 size_t AddressReservation::claimed_ranges() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return claimed_.size();
+  return claims_.count();
 }
 
 }  // namespace pmem

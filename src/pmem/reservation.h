@@ -4,19 +4,20 @@
 // virtual address, disregarding Linux's ASLR for the address range."
 //
 // AddressReservation mmaps a PROT_NONE / MAP_NORESERVE region at a fixed base
-// hint, hands out page-aligned sub-ranges, maps puddle files into them with
-// MAP_FIXED, and returns ranges to PROT_NONE when puddles are unmapped. Any
-// access to a reserved-but-unmapped range raises SIGSEGV, which the fault
-// handler (src/libpuddles/fault_handler.h) turns into on-demand puddle
-// mapping — the cascading relocation mechanism of §4.2.
+// hint, claims the page-aligned sub-ranges the daemon assigned to puddles,
+// maps puddle files into them with MAP_FIXED, and returns ranges to PROT_NONE
+// when puddles are unmapped. Any access to a reserved-but-unmapped range
+// raises SIGSEGV, which the fault handler (src/libpuddles/fault_handler.h)
+// turns into on-demand puddle mapping — the cascading relocation mechanism of
+// §4.2.
 #ifndef SRC_PMEM_RESERVATION_H_
 #define SRC_PMEM_RESERVATION_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <mutex>
 
+#include "src/common/range_allocator.h"
 #include "src/common/status.h"
 
 namespace pmem {
@@ -47,21 +48,13 @@ class AddressReservation {
   bool Contains(uintptr_t addr) const { return addr >= base_ && addr < base_ + size_; }
   bool Contains(const void* addr) const { return Contains(reinterpret_cast<uintptr_t>(addr)); }
 
-  // Allocates a page-aligned sub-range of `size` bytes from the reservation
-  // (first fit). Returns its start address. The range stays PROT_NONE until
-  // MapFileAt.
-  puddles::Result<uintptr_t> AllocateRange(size_t size);
-
-  // Claims a specific sub-range (used when a puddle already has an assigned
-  // address). Fails if any part is already claimed.
+  // Claims the sub-range a puddle was assigned, rounded up to whole pages.
+  // Fails if any part is already claimed or lies outside the reservation.
+  // The range stays PROT_NONE until MapFileAt.
   puddles::Status ClaimRange(uintptr_t addr, size_t size);
 
-  // True if [addr, addr+size) is entirely unclaimed and inside the
-  // reservation.
-  bool RangeFree(uintptr_t addr, size_t size) const;
-
-  // Releases a claimed range back to the free pool (must exactly match a
-  // prior AllocateRange/ClaimRange).
+  // Returns a claimed range to PROT_NONE and unclaims it (must exactly match
+  // a prior ClaimRange).
   puddles::Status FreeRange(uintptr_t addr);
 
   // Maps `fd` (whole file of `size` bytes) at `addr`, which must be a claimed
@@ -79,8 +72,7 @@ class AddressReservation {
   size_t size_ = 0;
 
   mutable std::mutex mu_;
-  // claimed ranges: start -> size.
-  std::map<uintptr_t, size_t> claimed_;
+  puddles::RangeAllocator claims_;
 };
 
 }  // namespace pmem

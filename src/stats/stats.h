@@ -1,5 +1,7 @@
-// Runtime telemetry: per-thread lock-free counters, latency histograms, and
-// scoped trace spans, aggregated on demand into a process-wide snapshot.
+// Runtime telemetry: per-thread lock-free counters and latency histograms,
+// aggregated on demand into a process-wide snapshot. Every timing is a
+// histogram here, read through stats::Aggregate(), the daemon STATS opcode
+// and puddlestat.
 //
 // Design rules (DESIGN.md §11):
 //   * Stats writes are VOLATILE-ONLY. Nothing in this subsystem may flush,

@@ -6,7 +6,6 @@
 #include "src/pmem/flush.h"
 #include "src/tx/epoch_port.h"
 #include "src/stats/stats.h"
-#include "src/stats/trace_ring.h"
 
 namespace puddles {
 namespace {
@@ -294,7 +293,6 @@ puddles::Status Transaction::Commit() {
   if (!active()) {
     return FailedPreconditionError("no active transaction");
   }
-  PUDDLES_TRACE_SPAN("tx_commit");
   PUDDLES_SCOPED_TIMER(kTxCommitTicks);
   PUDDLES_COUNT(kTxCommit);
   // Deferred frees run first, while undo logging is live: their metadata

@@ -204,6 +204,82 @@ TEST_F(RelocationTest, ImportIntoFreshSpaceNeedsNoRewrite) {
   EXPECT_EQ(SumList(**pool), expected);
 }
 
+// OpenPool matches the full requested name against PoolRecord::name, which
+// keeps 63 bytes: a longer name is refused before anything is copied.
+TEST_F(RelocationTest, ImportRefusesNamesThatCannotBeOpened) {
+  Pool* source = BuildListPool("source", 10);
+  const uint64_t expected = SumList(*source);
+  ASSERT_TRUE(runtime_->ExportPool("source", (base_ / "export").string()).ok());
+  const uint64_t puddles_before = daemon_->puddle_count();
+
+  auto refused = runtime_->client().ImportPool((base_ / "export").string(), std::string(64, 'n'));
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << refused.status().ToString();
+  EXPECT_EQ(daemon_->puddle_count(), puddles_before);
+
+  const std::string longest(63, 'n');
+  auto import = runtime_->client().ImportPool((base_ / "export").string(), longest);
+  ASSERT_TRUE(import.ok()) << import.status().ToString();
+  auto copy = runtime_->OpenPool(longest);
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  EXPECT_EQ(SumList(**copy), expected);
+}
+
+// An import that fails part way leaves nothing behind: no copied file, no
+// record and no address claim. Into an empty space, the repaired export then
+// keeps every original address; a leaked claim would relocate its puddle.
+TEST_F(RelocationTest, FailedImportLeavesNoCopyOrClaim) {
+  Pool* source = BuildListPool("source", 30);
+  const uint64_t expected = SumList(*source);
+  const Uuid meta = source->info().meta_puddle;
+  const fs::path export_dir = base_ / "export";
+  ASSERT_TRUE(runtime_->ExportPool("source", export_dir.string()).ok());
+  runtime_.reset();
+  daemon_.reset();
+
+  auto daemon = puddled::Daemon::Start({.root_dir = (base_ / "root2").string()});
+  ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+  daemon_ = std::move(*daemon);
+  auto runtime =
+      Runtime::Create(std::make_shared<puddled::EmbeddedDaemonClient>(daemon_.get()));
+  ASSERT_TRUE(runtime.ok());
+  runtime_ = std::move(*runtime);
+
+  auto count_puddle_files = [&] {
+    size_t files = 0;
+    for (const auto& entry : fs::directory_iterator(base_ / "root2")) {
+      files += entry.path().extension() == ".pud" ? 1 : 0;
+    }
+    return files;
+  };
+  const size_t files_before = count_puddle_files();
+  const uint64_t puddles_before = daemon_->puddle_count();
+
+  // Hide one data member: the meta puddle is copied before its turn comes.
+  fs::path member;
+  for (const auto& entry : fs::directory_iterator(export_dir)) {
+    if (entry.path().extension() == ".pud" && entry.path().stem() != meta.ToString()) {
+      member = entry.path();
+      break;
+    }
+  }
+  ASSERT_FALSE(member.empty());
+  const fs::path hidden = member.string() + ".hidden";
+  fs::rename(member, hidden);
+
+  auto failed = runtime_->client().ImportPool(export_dir.string(), "migrated");
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(count_puddle_files(), files_before);
+  EXPECT_EQ(daemon_->puddle_count(), puddles_before);
+
+  fs::rename(hidden, member);
+  auto import = runtime_->client().ImportPool(export_dir.string(), "migrated");
+  ASSERT_TRUE(import.ok()) << import.status().ToString();
+  EXPECT_EQ(import->members_relocated, 0u) << "a failed import's claim outlived it";
+  auto pool = runtime_->OpenPool("migrated");
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  EXPECT_EQ(SumList(**pool), expected);
+}
+
 TEST_F(RelocationTest, MultiPuddleListRelocatesOnDemand) {
   // A list large enough to span puddles: importing a conflicting copy forces
   // relocation; traversal then faults in and rewrites each puddle on demand

@@ -49,6 +49,9 @@ TEST(RangeAllocatorTest, ClaimRejectsOverlap) {
   EXPECT_FALSE(alloc.Claim(0x8000, 0x10000).ok());
   EXPECT_TRUE(alloc.Claim(0x20000, 0x1000).ok());
   EXPECT_FALSE(alloc.Claim(0x200000, 0x1000).ok()) << "outside managed range";
+  // A base near 2^64 whose end wraps past zero is outside too.
+  EXPECT_FALSE(alloc.Claim(~uint64_t{0xfff}, 0x2000).ok());
+  EXPECT_FALSE(alloc.IsFree(~uint64_t{0xfff}, 0x2000));
 }
 
 TEST(RangeAllocatorTest, ContainingLookup) {
@@ -67,7 +70,28 @@ TEST(RangeAllocatorTest, Exhaustion) {
   ASSERT_TRUE(alloc.Allocate(0x1000).ok());
   ASSERT_TRUE(alloc.Allocate(0x1000).ok());
   ASSERT_TRUE(alloc.Allocate(0x1000).ok());
-  EXPECT_FALSE(alloc.Allocate(0x1000).ok());
+  auto full = alloc.Allocate(0x1000);
+  EXPECT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), StatusCode::kOutOfMemory);
+}
+
+// First fit skips a gap too small for the request and never overlaps an
+// existing claim; allocations come back page-aligned and disjoint.
+TEST(RangeAllocatorTest, AllocateRoutesAroundClaims) {
+  RangeAllocator alloc(0x1000000, 0x400000);
+  const uint64_t claimed = 0x1000000 + 0x100000;
+  ASSERT_TRUE(alloc.Claim(claimed, 0x100000).ok());
+  auto big = alloc.Allocate(0x180000);  // Larger than the gap below the claim.
+  ASSERT_TRUE(big.ok());
+  EXPECT_GE(*big, claimed + 0x100000);
+  auto small = alloc.Allocate(0x1001);  // Fits below the claim; rounds to 2 pages.
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(*small, 0x1000000u);
+  EXPECT_FALSE(alloc.IsFree(*small + 0x1000, 0x1000));
+  auto next = alloc.Allocate(0x1000);
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, *small + 0x2000);
+  EXPECT_EQ(alloc.count(), 4u);
 }
 
 TEST(TranslatorTest, TranslatesOnlyOldRanges) {

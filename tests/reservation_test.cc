@@ -43,51 +43,32 @@ TEST(ReservationTest, TwoReservationsCoexist) {
   EXPECT_NE(a.base(), b.base());
 }
 
-TEST(ReservationTest, AllocateRangesAreDisjoint) {
-  AddressReservation reservation;
-  ASSERT_TRUE(reservation.Reserve(kDefaultPuddleSpaceBase, kSpace).ok());
-  auto r1 = reservation.AllocateRange(1 << 20);
-  auto r2 = reservation.AllocateRange(1 << 20);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_NE(*r1, *r2);
-  // Ranges must not overlap.
-  uintptr_t lo = std::min(*r1, *r2);
-  uintptr_t hi = std::max(*r1, *r2);
-  EXPECT_GE(hi, lo + (1 << 20));
-}
-
 TEST(ReservationTest, ClaimSpecificRange) {
   AddressReservation reservation;
   ASSERT_TRUE(reservation.Reserve(kDefaultPuddleSpaceBase, kSpace).ok());
   uintptr_t target = reservation.base() + (8 << 20);
   ASSERT_TRUE(reservation.ClaimRange(target, 1 << 20).ok());
-  EXPECT_FALSE(reservation.RangeFree(target, 1 << 20));
+  EXPECT_EQ(reservation.claimed_ranges(), 1u);
+  EXPECT_FALSE(reservation.ClaimRange(target, 1 << 20).ok());
   // Overlapping claim fails.
   EXPECT_FALSE(reservation.ClaimRange(target + 4096, 4096).ok());
-  // AllocateRange must route around it.
-  auto r = reservation.AllocateRange(16 << 20);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(*r + (16 << 20) <= target || *r >= target + (1 << 20));
+  EXPECT_FALSE(reservation.ClaimRange(target - 4096, 8192).ok());
+  // So does one that runs past the reservation, or whose end wraps past zero.
+  EXPECT_EQ(reservation.ClaimRange(reservation.base() + kSpace - 4096, 8192).code(),
+            puddles::StatusCode::kOutOfRange);
+  EXPECT_EQ(reservation.ClaimRange(~uintptr_t{0xfff}, 8192).code(),
+            puddles::StatusCode::kOutOfRange);
 }
 
 TEST(ReservationTest, FreeRangeAllowsReclaim) {
   AddressReservation reservation;
   ASSERT_TRUE(reservation.Reserve(kDefaultPuddleSpaceBase, kSpace).ok());
-  auto r = reservation.AllocateRange(1 << 20);
-  ASSERT_TRUE(r.ok());
-  ASSERT_TRUE(reservation.FreeRange(*r).ok());
-  EXPECT_TRUE(reservation.RangeFree(*r, 1 << 20));
-  ASSERT_TRUE(reservation.ClaimRange(*r, 1 << 20).ok());
-}
-
-TEST(ReservationTest, ExhaustionReported) {
-  AddressReservation reservation;
-  ASSERT_TRUE(reservation.Reserve(kDefaultPuddleSpaceBase, 1 << 20).ok());
-  ASSERT_TRUE(reservation.AllocateRange(1 << 20).ok());
-  auto r = reservation.AllocateRange(4096);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), puddles::StatusCode::kOutOfMemory);
+  const uintptr_t target = reservation.base() + (4 << 20);
+  ASSERT_TRUE(reservation.ClaimRange(target, 1 << 20).ok());
+  EXPECT_FALSE(reservation.FreeRange(target + 4096).ok()) << "not a claim's start";
+  ASSERT_TRUE(reservation.FreeRange(target).ok());
+  EXPECT_EQ(reservation.claimed_ranges(), 0u);
+  ASSERT_TRUE(reservation.ClaimRange(target, 1 << 20).ok());
 }
 
 TEST(ReservationTest, MapFileIntoReservation) {
@@ -102,20 +83,22 @@ TEST(ReservationTest, MapFileIntoReservation) {
   auto file = PmemFile::Create((dir / "pud.bin").string(), kFileSize);
   ASSERT_TRUE(file.ok());
 
-  auto range = reservation.AllocateRange(kFileSize);
-  ASSERT_TRUE(range.ok());
-  ASSERT_TRUE(reservation.MapFileAt(file->fd(), *range, kFileSize, /*writable=*/true).ok());
+  const uintptr_t range = reservation.base() + (2 << 20);
+  ASSERT_TRUE(reservation.ClaimRange(range, kFileSize).ok());
+  ASSERT_TRUE(reservation.MapFileAt(file->fd(), range, kFileSize, /*writable=*/true).ok());
+  EXPECT_FALSE(reservation.MapFileAt(file->fd(), range, kFileSize + 4096, true).ok())
+      << "mapping past the claim";
 
-  auto* data = reinterpret_cast<uint8_t*>(*range);
+  auto* data = reinterpret_cast<uint8_t*>(range);
   std::memset(data, 0x3c, kFileSize);
   EXPECT_EQ(data[kFileSize - 1], 0x3c);
 
   // Unmapping returns the range to PROT_NONE but keeps it claimed.
-  ASSERT_TRUE(reservation.UnmapToReserved(*range, kFileSize).ok());
-  EXPECT_FALSE(reservation.RangeFree(*range, kFileSize));
+  ASSERT_TRUE(reservation.UnmapToReserved(range, kFileSize).ok());
+  EXPECT_FALSE(reservation.ClaimRange(range, kFileSize).ok());
 
   // Remap and verify contents survived in the file.
-  ASSERT_TRUE(reservation.MapFileAt(file->fd(), *range, kFileSize, /*writable=*/true).ok());
+  ASSERT_TRUE(reservation.MapFileAt(file->fd(), range, kFileSize, /*writable=*/true).ok());
   EXPECT_EQ(data[100], 0x3c);
 
   fs::remove_all(dir);

@@ -1,7 +1,8 @@
 // Telemetry subsystem tests: histogram correctness against a sorted-vector
 // oracle, exact multi-threaded counter aggregation (run under TSan in CI's
-// concurrency job), trace-ring bounds and Chrome-trace structure, the
-// PersistObserver/stats double-hook contract, and the daemon STATS opcode.
+// concurrency job), the PersistObserver/stats double-hook contract, one
+// latency sample per commit and per daemon request, and the daemon STATS
+// opcode.
 #include "src/stats/stats.h"
 
 #include <gtest/gtest.h>
@@ -16,9 +17,9 @@
 #include "src/daemon/client.h"
 #include "src/daemon/daemon.h"
 #include "src/daemon/protocol.h"
+#include "src/libpuddles/libpuddles.h"
 #include "src/pmem/flush.h"
 #include "src/stats/histogram.h"
-#include "src/stats/trace_ring.h"
 
 namespace puddles {
 namespace stats {
@@ -219,68 +220,6 @@ TEST(DoubleHook, ObserverAndStatsCountTheSameStream) {
   EXPECT_EQ(persist_after.fences - persist_before.fences, 10u);
 }
 
-TEST(TraceRing, OverwritesOldestAndStaysBounded) {
-  ResetTraceForTesting();
-  const uint64_t kPushes = kTraceRingCap + 500;
-  for (uint64_t i = 0; i < kPushes; ++i) {
-    PushSpan("overflow_span", i, 1);
-  }
-  TraceRing& ring = internal::Ring();
-  EXPECT_EQ(ring.pushed() % kTraceRingCap, kPushes % kTraceRingCap);
-  EXPECT_EQ(ring.size(), kTraceRingCap);  // Bounded: old events overwritten.
-}
-
-TEST(TraceRing, ChromeExportIsStructurallyValid) {
-  ResetTraceForTesting();
-  {
-    PUDDLES_TRACE_SPAN("test_span_a");
-    PUDDLES_TRACE_SPAN("test_span_b");
-  }
-  PushSpan("test_span_c", NowTicks(), 42);
-
-  std::string json;
-  const size_t events = WriteChromeTrace(&json);
-#if PUDDLES_STATS
-  EXPECT_GE(events, 3u);
-  EXPECT_NE(json.find("test_span_a"), std::string::npos);
-  EXPECT_NE(json.find("test_span_c"), std::string::npos);
-#else
-  EXPECT_GE(events, 1u);  // PushSpan called directly still lands.
-#endif
-  // Chrome Trace Event envelope: object with displayTimeUnit and a
-  // traceEvents array of "X" (complete) events.
-  EXPECT_EQ(json.rfind("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", 0), 0u);
-  EXPECT_EQ(json.substr(json.size() - 3), "]}\n");
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"pid\":"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":"), std::string::npos);
-  // Balanced braces/brackets (no parser available; structural smoke).
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
-
-  // Events from exited threads survive into the export.
-  std::thread([] { PushSpan("retired_thread_span", NowTicks(), 7); }).join();
-  WriteChromeTrace(&json);
-  EXPECT_NE(json.find("retired_thread_span"), std::string::npos);
-}
-
-TEST(TraceRing, WriteChromeTraceFileRoundTrips) {
-  ResetTraceForTesting();
-  PushSpan("file_span", NowTicks(), 5);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "puddles_trace_test.json").string();
-  ASSERT_TRUE(WriteChromeTraceFile(path));
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char head[16] = {};
-  ASSERT_GT(std::fread(head, 1, sizeof(head) - 1, f), 0u);
-  std::fclose(f);
-  std::filesystem::remove(path);
-  EXPECT_EQ(std::string(head).rfind("{\"display", 0), 0u);
-}
-
 class StatsOpcodeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -360,6 +299,58 @@ TEST_F(StatsOpcodeTest, UnknownOpStillRejected) {
   Status status;
   ASSERT_TRUE(reader.GetStatus(&status).ok());
   EXPECT_FALSE(status.ok());
+}
+
+// tx_commit_ns and daemon_service_ns are the only timers on the commit and
+// dispatch scopes: each committed pool.Run and each dispatched request adds
+// exactly one sample, beside the counter that counts it.
+struct CommitCell {
+  uint64_t value;
+};
+
+TEST_F(StatsOpcodeTest, OneLatencySamplePerCommitAndPerRequest) {
+  if (!PUDDLES_STATS) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  (void)TypeRegistry::Instance().RegisterLeaf<CommitCell>();
+  auto runtime = Runtime::Create(std::make_shared<puddled::EmbeddedDaemonClient>(daemon_.get()));
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  auto pool = (*runtime)->CreatePool("stats");
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  CommitCell* cell = nullptr;
+  ASSERT_TRUE((*pool)->Run([&](Tx& tx) -> Status {
+    ASSIGN_OR_RETURN(cell, tx.Alloc<CommitCell>());
+    cell->value = 0;
+    return OkStatus();
+  }).ok());
+
+  constexpr uint64_t kCommits = 25;
+  const Snapshot before_commits = Aggregate();
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    ASSERT_TRUE((*pool)->Run([&](Tx& tx) -> Status {
+      RETURN_IF_ERROR(tx.Log(cell));
+      cell->value = i + 1;
+      return OkStatus();
+    }).ok());
+  }
+  const Snapshot commits = Delta(Aggregate(), before_commits);
+  EXPECT_EQ(commits.hist(Hist::kTxCommitTicks).count(), kCommits);
+  EXPECT_EQ(commits.counter(Counter::kTxCommit), kCommits);
+
+  constexpr uint64_t kPings = 40;
+  WireWriter ping;
+  ping.PutU32(static_cast<uint32_t>(puddled::Op::kPing));
+  const Snapshot before_pings = Aggregate();
+  for (uint64_t i = 0; i < kPings; ++i) {
+    auto out = puddled::DispatchRequest(*daemon_, puddled::Credentials::Self(), ping.bytes());
+    WireReader reader(out.response);
+    Status status;
+    ASSERT_TRUE(reader.GetStatus(&status).ok());
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+  const Snapshot pings = Delta(Aggregate(), before_pings);
+  EXPECT_EQ(pings.hist(Hist::kDaemonServiceTicks).count(), kPings);
+  EXPECT_EQ(pings.counter(Counter::kDaemonRequest), kPings);
 }
 
 TEST(StatsReportWire, EncodeDecodeRoundTrip) {

@@ -370,7 +370,7 @@ void WriteCrashsimJson(const std::vector<CrashsimRow>& rows, const std::string& 
                                          /*with_hostname=*/false)
                    .c_str());
   std::fprintf(out, "  \"workload\": \"list\",\n");
-  std::fprintf(out, "  \"results\": [\n");
+  std::fprintf(out, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const crashsim::HarnessReport& r = rows[i].report;
     const double ratio = r.states_explored != 0
@@ -404,7 +404,7 @@ void WriteJson(const Runner& runner, const std::string& path) {
   std::fprintf(out, "  \"flush_instruction\": \"%s\",\n",
                pmem::FlushInstructionName(pmem::ActiveFlushInstruction()));
   std::fprintf(out, "  \"scale\": %.2f,\n", bench::ScaleFactor());
-  std::fprintf(out, "  \"results\": [\n");
+  std::fprintf(out, "  \"rows\": [\n");
   const auto& rows = runner.rows();
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
