@@ -85,9 +85,12 @@ int main() {
   // Recovery latency: crash one transaction, time the daemon-side replay.
   {
     bench::PuddlesEnv env(dir / "recovery");
-    uint64_t* cell = *env.pool->Malloc<uint64_t>();
-    *cell = 1;
-    pmem::FlushFence(cell, 8);
+    uint64_t* cell = nullptr;
+    (void)env.pool->Run([&](puddles::Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(cell, tx.Alloc<uint64_t>());
+      *cell = 1;
+      return puddles::OkStatus();
+    });
     puddles::Transaction::SetStageHook(+[](const char* stage) {
       if (std::string_view(stage) == "s1_flushed") {
         throw puddles::SimulatedCrash{stage};

@@ -111,16 +111,19 @@ int main(int argc, char** argv) {
   bench::PuddlesEnv env(dir);
 
   std::vector<double*> segments;
-  for (uint64_t allocated = 0; allocated < elements; allocated += kSegmentDoubles) {
-    auto segment = env.pool->Malloc<double>(kSegmentDoubles);
-    if (!segment.ok()) {
-      std::fprintf(stderr, "alloc failed: %s\n", segment.status().ToString().c_str());
-      return 1;
+  puddles::Status allocated = env.pool->Run([&](puddles::Tx& tx) -> puddles::Status {
+    for (uint64_t n = 0; n < elements; n += kSegmentDoubles) {
+      ASSIGN_OR_RETURN(double* segment, tx.Alloc<double>(kSegmentDoubles));
+      for (uint64_t i = 0; i < kSegmentDoubles; ++i) {
+        segment[i] = 0.0;
+      }
+      segments.push_back(segment);
     }
-    for (uint64_t i = 0; i < kSegmentDoubles; ++i) {
-      (*segment)[i] = 0.0;
-    }
-    segments.push_back(*segment);
+    return puddles::OkStatus();
+  });
+  if (!allocated.ok()) {
+    std::fprintf(stderr, "alloc failed: %s\n", allocated.ToString().c_str());
+    return 1;
   }
 
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());

@@ -86,16 +86,18 @@ int main() {
   for (uint64_t bytes : {16ULL, 16ULL << 10, 1ULL << 20, 16ULL << 20}) {
     fs::path pool_dir = dir / ("size" + std::to_string(bytes));
     bench::PuddlesEnv env(pool_dir);
-    // Fill with raw byte objects.
-    uint64_t remaining = bytes;
-    while (remaining > 0) {
-      uint64_t chunk = std::min<uint64_t>(remaining, 64 << 10);
-      auto obj = env.pool->MallocBytes(chunk, puddles::kRawBytesTypeId);
-      if (!obj.ok()) {
-        break;
+    // Fill with raw byte objects, in one transaction.
+    puddles::Status filled = env.pool->Run([&](puddles::Tx& tx) -> puddles::Status {
+      for (uint64_t remaining = bytes; remaining > 0;) {
+        const uint64_t chunk = std::min<uint64_t>(remaining, 64 << 10);
+        ASSIGN_OR_RETURN(void* obj, tx.AllocBytes(chunk, puddles::kRawBytesTypeId));
+        std::memset(obj, 0x7e, chunk);
+        remaining -= chunk;
       }
-      std::memset(*obj, 0x7e, chunk);
-      remaining -= chunk;
+      return puddles::OkStatus();
+    });
+    if (!filled.ok()) {
+      std::fprintf(stderr, "fill failed: %s\n", filled.ToString().c_str());
     }
     fs::path export_dir = pool_dir / "export";
     Timer timer;

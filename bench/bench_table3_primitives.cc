@@ -33,8 +33,17 @@ struct Scratch {
 
 Scratch AllocScratch(puddles::Pool& pool) {
   Scratch scratch;
-  scratch.small = static_cast<uint8_t*>(*pool.MallocBytes(8, puddles::kRawBytesTypeId));
-  scratch.big = static_cast<uint8_t*>(*pool.MallocBytes(4096, puddles::kRawBytesTypeId));
+  puddles::Status allocated = pool.Run([&](puddles::Tx& tx) -> puddles::Status {
+    ASSIGN_OR_RETURN(void* small, tx.AllocBytes(8, puddles::kRawBytesTypeId));
+    ASSIGN_OR_RETURN(void* big, tx.AllocBytes(4096, puddles::kRawBytesTypeId));
+    scratch.small = static_cast<uint8_t*>(small);
+    scratch.big = static_cast<uint8_t*>(big);
+    return puddles::OkStatus();
+  });
+  if (!allocated.ok()) {
+    std::fprintf(stderr, "scratch allocation failed: %s\n", allocated.ToString().c_str());
+    std::abort();
+  }
   return scratch;
 }
 

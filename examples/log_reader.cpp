@@ -81,9 +81,11 @@ int main() {
       std::printf("  #%llu: %s\n", static_cast<unsigned long long>(log->events[i].sequence),
                   log->events[i].message);
     }
-    // Writes are rejected at the API...
-    bool write_refused = !(*pool)->MallocBytes(8, puddles::kRawBytesTypeId).ok();
-    std::printf("reader write attempt refused: %s\n", write_refused ? "yes" : "NO (bug!)");
+    // Writes are rejected at the API: a read-only pool starts no transaction.
+    puddles::Status write = (*pool)->Run([](puddles::Tx& tx) {
+      return tx.AllocBytes(8, puddles::kRawBytesTypeId).status();
+    });
+    std::printf("reader write attempt refused: %s\n", write.ok() ? "NO (bug!)" : "yes");
   }
 
   server->get()->Stop();

@@ -38,6 +38,8 @@ class ObjectHeap {
 
   static puddles::Status Format(void* meta, void* heap, size_t heap_size);
 
+  // Writes through a view without a LogSink are neither atomic nor durable;
+  // Pool never makes them (its sinkless views only read).
   static puddles::Result<ObjectHeap> Attach(void* meta, void* heap, size_t heap_size,
                                             LogSink sink = {});
 

@@ -6,7 +6,6 @@
 
 #include "src/libpuddles/runtime.h"
 #include "src/libpuddles/type_registry.h"
-#include "src/pmem/flush.h"
 #include "src/pmem/global_space.h"
 #include "src/stats/stats.h"
 
@@ -17,11 +16,8 @@ namespace {
 // (Fig. 8: "This new node is automatically undo-logged by the allocator").
 // The transaction is threaded explicitly — the allocator never consults
 // thread-local state.
-LogSink TxSink(Transaction* tx) {
-  if (tx == nullptr) {
-    return {};
-  }
-  return LogSink{tx,
+LogSink TxSink(Transaction& tx) {
+  return LogSink{&tx,
                  [](void* ctx, void* addr, size_t size) {
                    (void)static_cast<Transaction*>(ctx)->AddUndoDeferred(addr, size);
                  },
@@ -62,18 +58,11 @@ bool Pool::CoversPmRange(const void* addr, size_t size) const {
   return start >= base && size <= space && start - base <= space - size;
 }
 
-puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id) {
-  if (Transaction::ActiveOnThisThread()) {
-    return FailedPreconditionError("pool.Malloc inside a transaction: use tx.Alloc");
-  }
-  return MallocBytes(size, type_id, nullptr);
-}
-
-puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transaction* tx) {
+puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transaction& tx) {
   if (!writable_) {
     return FailedPreconditionError("pool opened read-only");
   }
-  if (tx != nullptr && size > 0 && size + sizeof(ObjectHeader) <= kMaxSlabSlot) {
+  if (size > 0 && size + sizeof(ObjectHeader) <= kMaxSlabSlot) {
     auto served = ArenaMalloc(size, type_id, tx);
     if (served.ok() || served.status().code() != StatusCode::kUnavailable) {
       return served;
@@ -94,16 +83,9 @@ puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transactio
     ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap(sink));
     auto allocated = heap.Allocate(size, type_id);
     if (allocated.ok()) {
-      if (tx == nullptr) {
-        // Outside a transaction: persist the metadata state now. (Non-TX
-        // allocations are not crash-atomic — same contract as PMDK.)
-        pmem::FlushFence(reinterpret_cast<uint8_t*>(entry->view.header()) +
-                             entry->view.header()->meta_offset,
-                         entry->view.header()->meta_size);
-      }
-      // Inside a transaction the allocator already announced the fresh block
-      // through the sink (NoteFresh), so the caller's stores into it are
-      // flushed at commit stage 1 — no extra bookkeeping here.
+      // The allocator already announced the fresh block through the sink
+      // (NoteFresh), so the caller's stores into it are flushed at commit
+      // stage 1 — no extra bookkeeping here.
       return *allocated;
     }
     if (allocated.status().code() != StatusCode::kOutOfMemory) {
@@ -115,14 +97,7 @@ puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transactio
   return OutOfMemoryError("pool exhausted");
 }
 
-puddles::Status Pool::Free(void* payload) {
-  if (Transaction::ActiveOnThisThread()) {
-    return FailedPreconditionError("pool.Free inside a transaction: use tx.Free");
-  }
-  return Free(payload, nullptr);
-}
-
-puddles::Status Pool::Free(void* payload, Transaction* tx) {
+puddles::Status Pool::Free(void* payload, Transaction& tx) {
   if (!writable_) {
     return FailedPreconditionError("pool opened read-only");
   }
@@ -162,48 +137,28 @@ puddles::Status Pool::Free(void* payload, Transaction* tx) {
     // until the transaction can no longer roll back — hence the post-commit
     // publication (which re-checks ownership; the slab may be flushed to the
     // global heap in between).
-    if (tx != nullptr) {
-      tx->DeferPostCommit([this, payload]() { PublishArenaFree(payload); });
-      return OkStatus();
-    }
-    PublishArenaFree(payload);
+    tx.DeferPostCommit([this, payload]() { PublishArenaFree(payload); });
     return OkStatus();
   }
 
-  if (tx != nullptr) {
-    // Deferred to commit: freed blocks must not be reused within this
-    // transaction (rollback safety), and the allocator mutations become part
-    // of the transaction's undo log.
-    Pool* pool = this;
-    tx->DeferFree([pool, uuid, payload, tx]() -> puddles::Status {
-      ASSIGN_OR_RETURN(Runtime::Entry * e, pool->runtime_->EnsureMapped(uuid));
-      std::lock_guard<std::mutex> lock(pool->alloc_mu_);
-      ASSIGN_OR_RETURN(ObjectHeap heap, e->view.object_heap(TxSink(tx)));
-      if (heap.ArenaTagOf(payload) != 0) {
-        // The slab was adopted into an arena between Free() and commit:
-        // route through the arena publication once this commit succeeds.
-        tx->DeferPostCommit([pool, payload]() { pool->PublishArenaFree(payload); });
-        return puddles::OkStatus();
-      }
-      RETURN_IF_ERROR(heap.Free(payload));
-      pool->RewindCursorLocked(uuid);
+  // Deferred to commit: freed blocks must not be reused within this
+  // transaction (rollback safety), and the allocator mutations become part
+  // of the transaction's undo log.
+  Pool* pool = this;
+  tx.DeferFree([pool, uuid, payload, &tx]() -> puddles::Status {
+    ASSIGN_OR_RETURN(Runtime::Entry * e, pool->runtime_->EnsureMapped(uuid));
+    std::lock_guard<std::mutex> lock(pool->alloc_mu_);
+    ASSIGN_OR_RETURN(ObjectHeap heap, e->view.object_heap(TxSink(tx)));
+    if (heap.ArenaTagOf(payload) != 0) {
+      // The slab was adopted into an arena between Free() and commit:
+      // route through the arena publication once this commit succeeds.
+      tx.DeferPostCommit([pool, payload]() { pool->PublishArenaFree(payload); });
       return puddles::OkStatus();
-    });
-    return OkStatus();
-  }
-
-  std::lock_guard<std::mutex> lock(alloc_mu_);
-  return FreeGlobalLocked(uuid, payload);
-}
-
-puddles::Status Pool::FreeGlobalLocked(const Uuid& uuid, void* payload) {
-  ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(uuid));
-  ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap());
-  RETURN_IF_ERROR(heap.Free(payload));
-  pmem::FlushFence(reinterpret_cast<uint8_t*>(entry->view.header()) +
-                       entry->view.header()->meta_offset,
-                   entry->view.header()->meta_size);
-  RewindCursorLocked(uuid);
+    }
+    RETURN_IF_ERROR(heap.Free(payload));
+    pool->RewindCursorLocked(uuid);
+    return puddles::OkStatus();
+  });
   return OkStatus();
 }
 
@@ -303,20 +258,20 @@ uint64_t Pool::CurrentEpochTag() const {
   return es == nullptr ? 0 : es->current_epoch();
 }
 
-void Pool::HookArenaTx(Transaction* tx, ThreadArena* ta) {
-  tx->DeferPostCommit([ta]() { ta->OnTxCommitted(); });
-  tx->DeferOnAbort([ta]() { ta->OnTxAborted(); });
+void Pool::HookArenaTx(Transaction& tx, ThreadArena* ta) {
+  tx.DeferPostCommit([ta]() { ta->OnTxCommitted(); });
+  tx.DeferOnAbort([ta]() { ta->OnTxAborted(); });
 }
 
 // FAST PATH (tools/check_discipline.py): no lock, no persistence call,
 // no undo append. The slot is fresh to this transaction — commit stage 1
 // flushes its contents, abort restores the shadow state via the arena hooks —
 // so the header stores below are plain stores.
-puddles::Result<void*> Pool::ArenaMalloc(size_t size, TypeId type_id, Transaction* tx) {
+puddles::Result<void*> Pool::ArenaMalloc(size_t size, TypeId type_id, Transaction& tx) {
   const size_t total = size + sizeof(ObjectHeader);
   const int class_index = SlabAllocator::ClassForSize(total);
   ThreadArena* ta = arenas_->Local();
-  if (ta->NoteTxUse(tx)) {
+  if (ta->NoteTxUse(&tx)) {
     HookArenaTx(tx, ta);
   }
   ThreadArena::AllocResult res;
@@ -327,7 +282,7 @@ puddles::Result<void*> Pool::ArenaMalloc(size_t size, TypeId type_id, Transactio
     }
   }
   ta->RecordPop(res);
-  tx->NoteFreshRange(res.addr, total);
+  tx.NoteFreshRange(res.addr, total);
   auto* header = static_cast<ObjectHeader*>(res.addr);
   header->magic = kObjectMagic;
   header->size = static_cast<uint32_t>(size);
@@ -339,7 +294,7 @@ puddles::Result<void*> Pool::ArenaMalloc(size_t size, TypeId type_id, Transactio
   return static_cast<void*>(header + 1);
 }
 
-puddles::Status Pool::ArenaRefill(int class_index, Transaction* tx) {
+puddles::Status Pool::ArenaRefill(int class_index, Transaction& tx) {
   std::lock_guard<std::mutex> lock(alloc_mu_);
   ThreadArena* ta = arenas_->Local();
   arenas_->AdoptOrphansInto(ta);
@@ -368,7 +323,7 @@ puddles::Status Pool::ArenaRefill(int class_index, Transaction* tx) {
 }
 
 puddles::Result<int> Pool::AcquireIntoPuddle(ThreadArena* ta, const Uuid& uuid,
-                                             int class_index, Transaction* tx) {
+                                             int class_index, Transaction& tx) {
   ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(uuid));
   LogSink sink = TxSink(tx);
   ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap(sink));
@@ -455,7 +410,7 @@ puddles::Result<int> Pool::AcquireIntoPuddle(ThreadArena* ta, const Uuid& uuid,
   return acquired;
 }
 
-puddles::Status Pool::DrainArenaQueuesLocked(ThreadArena* ta, Transaction* tx) {
+puddles::Status Pool::DrainArenaQueuesLocked(ThreadArena* ta, Transaction& tx) {
   const uint64_t retired = RetiredEpochForReuse();
   ta->DrainPendingFrees(retired);
   std::vector<ArenaManager::RemoteFree> unowned = arenas_->DrainRemoteInto(ta);
@@ -480,10 +435,6 @@ puddles::Status Pool::DrainArenaQueuesLocked(ThreadArena* ta, Transaction* tx) {
     if (heap.HeaderOf(payload) == nullptr) {
       continue;  // The flush-back's occupancy write already freed it.
     }
-    if (tx == nullptr) {
-      RETURN_IF_ERROR(FreeGlobalLocked(rf.uuid, payload));
-      continue;
-    }
     // The slab went global between free and drain. The record itself is a
     // committed free — the object is garbage — but applying it with a logged
     // heap.Free joins the CALLER's still-open transaction, so it must obey
@@ -493,7 +444,7 @@ puddles::Status Pool::DrainArenaQueuesLocked(ThreadArena* ta, Transaction* tx) {
     // requeue the record on abort so the slot cannot leak.
     auto consumed = std::make_shared<bool>(false);
     Pool* pool = this;
-    tx->DeferFree([pool, rf, tx, consumed]() -> puddles::Status {
+    tx.DeferFree([pool, rf, &tx, consumed]() -> puddles::Status {
       ASSIGN_OR_RETURN(Runtime::Entry * e, pool->runtime_->EnsureMapped(rf.uuid));
       std::lock_guard<std::mutex> lock(pool->alloc_mu_);
       ASSIGN_OR_RETURN(ObjectHeap h, e->view.object_heap(TxSink(tx)));
@@ -514,7 +465,7 @@ puddles::Status Pool::DrainArenaQueuesLocked(ThreadArena* ta, Transaction* tx) {
       pool->RewindCursorLocked(rf.uuid);
       return puddles::OkStatus();
     });
-    tx->DeferOnAbort([arenas = arenas_, rf, consumed]() {
+    tx.DeferOnAbort([arenas = arenas_, rf, consumed]() {
       if (!*consumed) {
         arenas->Requeue(rf);
       }
@@ -555,7 +506,7 @@ puddles::Status UnlinkArenaSlab(const ObjectHeap& heap, LogSink& sink,
 
 }  // namespace
 
-puddles::Status Pool::SpillExcess(Transaction* tx) {
+puddles::Status Pool::SpillExcess(Transaction& tx) {
   std::lock_guard<std::mutex> lock(alloc_mu_);
   ThreadArena* ta = arenas_->Local();
   ta->DrainPendingFrees(RetiredEpochForReuse());
@@ -580,7 +531,7 @@ puddles::Status Pool::SpillExcess(Transaction* tx) {
     // the freeing transaction.
     const Uuid slab_uuid = pa->uuid;
     Pool* pool = this;
-    tx->DeferFree([pool, slab_uuid, slab_offset, tx]() -> puddles::Status {
+    tx.DeferFree([pool, slab_uuid, slab_offset, &tx]() -> puddles::Status {
       ASSIGN_OR_RETURN(Runtime::Entry * e, pool->runtime_->EnsureMapped(slab_uuid));
       std::lock_guard<std::mutex> lock(pool->alloc_mu_);
       ASSIGN_OR_RETURN(ObjectHeap h, e->view.object_heap(TxSink(tx)));
@@ -613,15 +564,19 @@ void Pool::PublishArenaFree(void* payload) {
     return;  // Unmapped since the free was issued; recovery GC reclaims it.
   }
   const Uuid uuid = entry->info.uuid;
-  std::lock_guard<std::mutex> lock(alloc_mu_);
+  std::unique_lock<std::mutex> lock(alloc_mu_);
   auto heap_or = entry->view.object_heap();
   if (!heap_or.ok()) {
     return;
   }
   if (heap_or->ArenaTagOf(payload) == 0) {
-    // The slab was flushed to the global heap between free and publication:
-    // ordinary logged free. Failure means it is already gone — inert.
-    (void)FreeGlobalLocked(uuid, payload);
+    // The slab was flushed to the global heap between free and publication,
+    // so the free writes global-heap metadata: it runs as a transaction of
+    // its own (the committing one is already reset when its post-commit
+    // hooks run), whose deferred free re-checks arena ownership. Failure
+    // means the object is already gone — inert.
+    lock.unlock();
+    (void)Run([payload](Tx& tx) { return tx.FreeBytes(payload); });
     return;
   }
   const ObjectHeader* hdr = heap_or->HeaderOf(payload);
@@ -653,7 +608,7 @@ puddles::Status Pool::FlushThreadArena() {
     // Queued frees of this thread's slots land before the slabs leave.
     RETURN_IF_ERROR(Run([&](Tx& txh) -> puddles::Status {
       std::lock_guard<std::mutex> lock(alloc_mu_);
-      return DrainArenaQueuesLocked(ta, txh.tx_);
+      return DrainArenaQueuesLocked(ta, *txh.tx_);
     }));
   }
   for (PuddleArena* pa : ta->PuddleArenas()) {
@@ -700,7 +655,7 @@ puddles::Status Pool::ReleaseArenaChunk(const Uuid& uuid, size_t slot,
                                         const OccupancyFn& occupancy,
                                         std::vector<int64_t>* released, int64_t* head) {
   return Run([&](Tx& txh) -> puddles::Status {
-    LogSink sink = TxSink(txh.tx_);
+    LogSink sink = TxSink(*txh.tx_);
     std::lock_guard<std::mutex> lock(alloc_mu_);
     ASSIGN_OR_RETURN(Runtime::Entry * entry, runtime_->EnsureMapped(uuid));
     ASSIGN_OR_RETURN(ObjectHeap heap, entry->view.object_heap(sink));

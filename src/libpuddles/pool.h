@@ -1,6 +1,6 @@
-// Pools: named collections of puddles with a malloc/free interface, a
-// designated root object (paper §3.1, §4.4), and the typed transaction
-// entry point `Pool::Run` (DESIGN.md §9).
+// Pools: named collections of puddles with a designated root object (paper
+// §3.1, §4.4) and the typed transaction entry point `Pool::Run` (DESIGN.md
+// §9), the only way to allocate and free.
 //
 // "Pools in the Puddle system are named collections of persistent memory and
 // act as the programmer's interface to allocate and deallocate objects on PM
@@ -14,7 +14,6 @@
 #include <mutex>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "src/alloc/arena.h"
@@ -39,17 +38,9 @@ enum class Durability {
   // Commits are buffered into the open epoch; the background advancer makes
   // whole epochs durable with one fence, amortized across threads. A commit
   // is durable once its epoch retires — within EpochOptions::max_epoch_age_us,
-  // on Pool::Sync(), or with RunOptions::sync. Recovery is all-or-nothing per
-  // epoch: a crash mid-epoch rolls back every transaction in it.
+  // or on Pool::Sync(). Recovery is all-or-nothing per epoch: a crash
+  // mid-epoch rolls back every transaction in it.
   kEpoch,
-};
-
-// Per-Run knobs (the plain Run(fn) overload uses the defaults).
-struct RunOptions {
-  // Under Durability::kEpoch: block after a successful commit until the
-  // transaction's epoch is persistently retired (sync-on-demand). No effect
-  // in immediate mode, where every commit is already durable.
-  bool sync = false;
 };
 
 class Pool {
@@ -58,27 +49,6 @@ class Pool {
   const puddled::PoolInfo& info() const { return info_; }
   bool writable() const { return writable_; }
   const Translator& translator() const { return translator_; }
-
-  // ---- Allocation (§4.5) ----
-  //
-  // "pool's malloc() API takes as input the object's type in addition to its
-  // size. Allocations using this API can be serviced from any puddle in the
-  // pool with enough free space."
-  //
-  // These are the non-transactional forms: the object comes from the global
-  // heap and its metadata is persisted immediately (not crash-atomic, as in
-  // PMDK). Inside a transaction allocate and free through the Tx handle
-  // (tx.Alloc / tx.Free); called while the thread has a transaction open,
-  // these return FailedPrecondition.
-  puddles::Result<void*> MallocBytes(size_t size, TypeId type_id);
-
-  template <typename T>
-  puddles::Result<T*> Malloc(size_t count = 1) {
-    ASSIGN_OR_RETURN(void* raw, MallocBytes(sizeof(T) * count, TypeIdOf<T>()));
-    return static_cast<T*>(raw);
-  }
-
-  puddles::Status Free(void* payload);
 
   // ---- Root object ----
   puddles::Result<void*> RootBytes();
@@ -112,11 +82,6 @@ class Pool {
   // explicit ordering points).
   template <typename Fn>
   puddles::Status Run(Fn&& fn);
-
-  // As above, with per-Run knobs: `Run({.sync = true}, fn)` blocks until the
-  // commit is persistently durable even under Durability::kEpoch.
-  template <typename Fn>
-  puddles::Status Run(const RunOptions& options, Fn&& fn);
 
   // ---- Durability mode (docs/epoch.md) ----
   //
@@ -193,33 +158,37 @@ class Pool {
   // this pool's durability mode; FailedPrecondition while one is open.
   puddles::Result<Transaction*> BeginTx();
 
-  // The allocation paths behind the public forms and Tx: `tx` is the
-  // transaction the allocation joins (fresh contents are flushed at commit
-  // stage 1; small objects come from the thread's arena with no logging,
-  // larger ones from the global heap with undo-logged metadata), or nullptr
-  // for a non-transactional allocation. Inside a transaction a free is
-  // deferred to commit (no reuse within the transaction, so rollback can
-  // never resurrect recycled bytes).
-  puddles::Result<void*> MallocBytes(size_t size, TypeId type_id, Transaction* tx);
-  puddles::Status Free(void* payload, Transaction* tx);
+  // ---- Allocation (§4.5), reached only through Tx ----
+  //
+  // "pool's malloc() API takes as input the object's type in addition to its
+  // size. Allocations using this API can be serviced from any puddle in the
+  // pool with enough free space."
+  //
+  // `tx` is the transaction the allocation joins: fresh contents are flushed
+  // at its commit stage 1; small objects come from the thread's arena with
+  // no logging, larger ones from the global heap with undo-logged metadata.
+  // A free is deferred to commit (no reuse within the transaction, so
+  // rollback can never resurrect recycled bytes). Allocator metadata thus
+  // reaches PM only through a transaction's undo log and commit.
+  puddles::Result<void*> MallocBytes(size_t size, TypeId type_id, Transaction& tx);
+  puddles::Status Free(void* payload, Transaction& tx);
 
   // ---- Arena plumbing (pool.cc; see docs/alloc.md for the contracts) ----
   // Fast path: serves a small transactional allocation from the thread's
   // arena. Returns kUnavailable when the arena cannot serve even after a
   // refill (caller falls back to the global path).
-  puddles::Result<void*> ArenaMalloc(size_t size, TypeId type_id, Transaction* tx);
+  puddles::Result<void*> ArenaMalloc(size_t size, TypeId type_id, Transaction& tx);
   // Slow path: acquires slabs for `class_index` under alloc_mu_, fully
   // logged into `tx`, after draining remote/pending/orphan housekeeping.
-  puddles::Status ArenaRefill(int class_index, Transaction* tx);
+  puddles::Status ArenaRefill(int class_index, Transaction& tx);
   puddles::Result<int> AcquireIntoPuddle(ThreadArena* ta, const Uuid& uuid,
-                                         int class_index, Transaction* tx);
+                                         int class_index, Transaction& tx);
   // Returns whole-empty slabs beyond the retention floor to the shared heap.
-  puddles::Status SpillExcess(Transaction* tx);
+  puddles::Status SpillExcess(Transaction& tx);
   // Publishes a free of an arena-owned object once its transaction can no
-  // longer roll back (post-commit hook, or immediately outside transactions).
+  // longer roll back (a post-commit hook).
   void PublishArenaFree(void* payload);
-  puddles::Status DrainArenaQueuesLocked(ThreadArena* ta, Transaction* tx);
-  puddles::Status FreeGlobalLocked(const Uuid& uuid, void* payload);
+  puddles::Status DrainArenaQueuesLocked(ThreadArena* ta, Transaction& tx);
   // Space in `uuid` was just freed: let allocation resume from it.
   void RewindCursorLocked(const Uuid& uuid);
   // Returns one directory entry's slabs to the global heap, occupancy from
@@ -249,7 +218,7 @@ class Pool {
   // type has no pointer map, or a pointer into no registered puddle, fails
   // the walk instead of being skipped.
   puddles::Result<std::vector<const void*>> Reachable(bool strict);
-  void HookArenaTx(Transaction* tx, ThreadArena* ta);
+  void HookArenaTx(Transaction& tx, ThreadArena* ta);
   // Epoch gate for slot reuse: pending frees mature once their epoch has
   // persistently retired (everything matures when no epoch system runs).
   uint64_t RetiredEpochForReuse() const;
@@ -341,7 +310,7 @@ class Tx {
 
   puddles::Result<void*> AllocBytes(size_t size, TypeId type_id) {
     RETURN_IF_ERROR(CheckLive());
-    return pool_->MallocBytes(size, type_id, tx_);
+    return pool_->MallocBytes(size, type_id, *tx_);
   }
 
   // Frees `payload` at commit (deferred, so rollback can never resurrect
@@ -357,7 +326,7 @@ class Tx {
 
   puddles::Status FreeSized(void* payload, size_t size) {
     RETURN_IF_ERROR(CheckLive());
-    RETURN_IF_ERROR(pool_->Free(payload, tx_));
+    RETURN_IF_ERROR(pool_->Free(payload, *tx_));
     tx_->NoteFreedRange(payload, size);
     return puddles::OkStatus();
   }
@@ -426,15 +395,6 @@ puddles::Status Pool::Run(Fn&& fn) {
     (void)raw->Abort();
   }
   return committed;
-}
-
-template <typename Fn>
-puddles::Status Pool::Run(const RunOptions& options, Fn&& fn) {
-  puddles::Status status = Run(std::forward<Fn>(fn));
-  if (status.ok() && options.sync && durability_ == Durability::kEpoch) {
-    Sync();
-  }
-  return status;
 }
 
 }  // namespace puddles

@@ -109,18 +109,6 @@ puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
   return tx;
 }
 
-puddles::Result<Transaction*> Transaction::Begin(const TxTarget& target) {
-  if (ActiveOnThisThread()) {
-    return BeginWith(&target);  // Refused there, before owned_target_ changes.
-  }
-  if (tls_transaction == nullptr) {
-    (void)tls_transaction_owner;  // Register the thread-exit deleter.
-    tls_transaction = new Transaction();
-  }
-  tls_transaction->owned_target_ = target;
-  return BeginWith(&tls_transaction->owned_target_);
-}
-
 const uint8_t* Transaction::EntryData(const EntryRef& ref) const {
   return static_cast<const uint8_t*>(ref.region->base()) + ref.offset + sizeof(LogEntryHeader);
 }
@@ -279,7 +267,8 @@ bool Transaction::IntersectsFreedRange(const void* addr, size_t size) const {
 // while the transaction can still roll back. Captured at the success exits —
 // after the deferred frees have run, so hooks they register are included —
 // and dropped on failure (the caller's Abort() runs the on-abort hooks
-// instead).
+// instead). The state is reset before the hooks run, so a hook may begin a
+// transaction of its own (Pool::PublishArenaFree does).
 void Transaction::RunPostCommitHooks() {
   std::vector<std::function<void()>> post_commit = std::move(post_commit_);
   post_commit_.clear();

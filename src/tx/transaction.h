@@ -1,6 +1,6 @@
 // Failure-atomic transactions over Puddles logs (paper §4.1, Figs. 7 & 8).
 //
-// One transaction per thread at a time; a Begin while it is open is refused
+// One transaction per thread at a time; a BeginWith while it is open is refused
 // (transactions do not nest). The runtime writes undo entries (AddUndo)
 // before locations are modified and redo entries (RedoWrite) holding
 // deferred new values; commit walks the three hybrid stages of Fig. 7,
@@ -56,7 +56,7 @@ struct TxTarget {
   std::function<void(LogRegion*)> release;
   // Non-null selects epoch mode (docs/epoch.md): publication is delegated to
   // the epoch advancer, the log accumulates entries across the epoch's
-  // transactions (so it need not be empty at Begin, only armed at (0,2)),
+  // transactions (so it need not be empty at BeginWith, only armed at (0,2)),
   // and the commit tail is deferred to the epoch boundary.
   EpochPort* epoch = nullptr;
 };
@@ -70,15 +70,12 @@ class Transaction {
  public:
   // True while the calling thread has a transaction open. The only view of
   // the thread's transaction outside this class: callers receive the
-  // transaction itself from Begin (`pool.Run` wraps it in a typed Tx).
+  // transaction itself from BeginWith (`pool.Run` wraps it in a typed Tx).
   static bool ActiveOnThisThread();
 
   // Starts the thread's transaction; FailedPrecondition while one is open.
-  // The by-reference overload copies the target; BeginWith borrows a
-  // caller-owned target that must outlive the transaction (the
-  // allocation-free fast path used by Pool::Run with the thread's cached
-  // target).
-  static puddles::Result<Transaction*> Begin(const TxTarget& target);
+  // The target is borrowed and must outlive the transaction (Pool::Run
+  // passes the thread's cached target).
   static puddles::Result<Transaction*> BeginWith(const TxTarget* target);
 
   // Undo-logs [addr, addr+size): the current contents are captured and the
@@ -204,8 +201,7 @@ class Transaction {
   void ResetState();
   static void StageHook(const char* stage);
 
-  TxTarget owned_target_;            // Storage for the by-value Begin path.
-  const TxTarget* target_ = nullptr;  // Active target (owned or borrowed).
+  const TxTarget* target_ = nullptr;  // Active target (borrowed).
   std::vector<LogRegion*> chain_;  // chain_[0] == target_->log.
   std::vector<EntryRef> entries_;  // Append order.
   // Staged-but-unpublished log lines (entries + headers); per-thread because

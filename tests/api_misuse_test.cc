@@ -9,7 +9,6 @@
 #include <filesystem>
 
 #include "src/libpuddles/libpuddles.h"
-#include "src/pmem/flush.h"
 
 namespace puddles {
 
@@ -48,6 +47,18 @@ class ApiMisuseTest : public ::testing::Test {
     fs::remove_all(root_);
   }
 
+  // A node holding `value`, allocated and committed in a transaction of its own.
+  static MisuseNode* NewNode(Pool* pool, uint64_t value) {
+    MisuseNode* node = nullptr;
+    EXPECT_TRUE(pool->Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(node, tx.Alloc<MisuseNode>());
+      node->next = nullptr;
+      node->value = value;
+      return OkStatus();
+    }).ok());
+    return node;
+  }
+
   fs::path root_;
   std::unique_ptr<puddled::Daemon> daemon_;
   std::unique_ptr<Runtime> runtime_;
@@ -55,9 +66,7 @@ class ApiMisuseTest : public ::testing::Test {
 };
 
 TEST_F(ApiMisuseTest, NestedRunRejected) {
-  MisuseNode* node = *pool_->Malloc<MisuseNode>();
-  node->value = 1;
-  pmem::FlushFence(node, sizeof(*node));
+  MisuseNode* node = NewNode(pool_, 1);
 
   puddles::Status outer = pool_->Run([&](Tx& tx) -> puddles::Status {
     RETURN_IF_ERROR(tx.LogField(node, &MisuseNode::value));
@@ -81,32 +90,8 @@ TEST_F(ApiMisuseTest, NestedRunRejected) {
   EXPECT_EQ(node->value, 3u);
 }
 
-// The pool's own Malloc/Free are non-transactional. Inside Run they must be
-// refused rather than silently bypass the open transaction: an allocation
-// that abort cannot roll back, or a free that commits before the body does.
-TEST_F(ApiMisuseTest, TxlessAllocationInsideRunRejected) {
-  MisuseNode* node = *pool_->Malloc<MisuseNode>();
-  node->value = 1;
-  pmem::FlushFence(node, sizeof(*node));
-
-  puddles::Status run = pool_->Run([&](Tx& tx) -> puddles::Status {
-    EXPECT_EQ(pool_->Malloc<MisuseNode>().status().code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(pool_->MallocBytes(64, kRawBytesTypeId).status().code(),
-              StatusCode::kFailedPrecondition);
-    EXPECT_EQ(pool_->Free(node).code(), StatusCode::kFailedPrecondition);
-    RETURN_IF_ERROR(tx.LogField(node, &MisuseNode::value));
-    node->value = 2;
-    return OkStatus();
-  });
-  EXPECT_TRUE(run.ok()) << run.ToString();
-  EXPECT_EQ(node->value, 2u) << "the refused calls leave the transaction usable";
-  EXPECT_TRUE(pool_->Free(node).ok()) << "outside Run the free goes through";
-}
-
 TEST_F(ApiMisuseTest, StaleTxHandleRejected) {
-  MisuseNode* node = *pool_->Malloc<MisuseNode>();
-  node->value = 1;
-  pmem::FlushFence(node, sizeof(*node));
+  MisuseNode* node = NewNode(pool_, 1);
 
   // "Double commit" in the typed API: the callback's return commits; a Tx
   // handle copied out of its Run must fail afterwards, even once a NEW
@@ -137,9 +122,7 @@ TEST_F(ApiMisuseTest, StaleTxHandleRejected) {
 }
 
 TEST_F(ApiMisuseTest, FreeThenLogSameObjectRejected) {
-  MisuseNode* node = *pool_->Malloc<MisuseNode>();
-  node->value = 77;
-  pmem::FlushFence(node, sizeof(*node));
+  MisuseNode* node = NewNode(pool_, 77);
 
   puddles::Status run = pool_->Run([&](Tx& tx) -> puddles::Status {
     RETURN_IF_ERROR(tx.Free(node));
@@ -181,9 +164,7 @@ TEST_F(ApiMisuseTest, CrossPoolLoggingIsSupported) {
   // to any arbitrary PM data and are not limited to a single pool" (§3.6).
   auto other = runtime_->CreatePool("sibling");
   ASSERT_TRUE(other.ok());
-  MisuseNode* foreign = *(*other)->Malloc<MisuseNode>();
-  foreign->value = 1;
-  pmem::FlushFence(foreign, sizeof(*foreign));
+  MisuseNode* foreign = NewNode(*other, 1);
 
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
     RETURN_IF_ERROR(tx.LogField(foreign, &MisuseNode::value));
@@ -194,9 +175,7 @@ TEST_F(ApiMisuseTest, CrossPoolLoggingIsSupported) {
 }
 
 TEST_F(ApiMisuseTest, RunCallbackExceptionAbortsAndRethrows) {
-  MisuseNode* node = *pool_->Malloc<MisuseNode>();
-  node->value = 4;
-  pmem::FlushFence(node, sizeof(*node));
+  MisuseNode* node = NewNode(pool_, 4);
 
   bool caught = false;
   try {

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -402,6 +403,51 @@ TEST_F(ArenaTest, CrossThreadFreeReachesOwner) {
   auto report = pool_->RecoverArenas();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(ReachableCount(), 1u);
+}
+
+// A free issued while the owner still holds the slab, whose slab the owner
+// then flushes back to the global heap before the freeing transaction
+// commits: the free now changes global-heap metadata, so it must run as a
+// transaction of its own (undo-logged, atomic and durable), not as an
+// unlogged write from the post-commit hook.
+TEST_F(ArenaTest, FreeOfSlabFlushedBeforeCommitRunsItsOwnTransaction) {
+  if (!PUDDLES_STATS) {
+    GTEST_SKIP() << "the free's transaction is observed through the telemetry counters";
+  }
+  Node* node = nullptr;
+  std::promise<void> allocated, flush, flushed;
+  std::thread owner([&]() {
+    EXPECT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(node, tx.Alloc<Node>());
+      node->value = 900;
+      return OkStatus();
+    }).ok());
+    allocated.set_value();
+    flush.get_future().wait();
+    EXPECT_TRUE(pool_->FlushThreadArena().ok());
+    flushed.set_value();
+  });
+  allocated.get_future().wait();
+
+  stats::Snapshot before = stats::Aggregate();
+  puddles::Status freed = pool_->Run([&](Tx& tx) -> puddles::Status {
+    puddles::Status status = tx.Free(node);  // Arena-owned: published after commit.
+    flush.set_value();
+    flushed.get_future().wait();  // The slab is global from here on.
+    before = stats::Aggregate();
+    return status;
+  });
+  owner.join();
+  ASSERT_TRUE(freed.ok()) << freed.ToString();
+
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kTxCommit), 2u)
+      << "the freeing transaction's commit, then the free's own";
+  Runtime::Entry* entry = runtime_->FindEntryByAddr(reinterpret_cast<uintptr_t>(node));
+  ASSERT_NE(entry, nullptr);
+  auto heap = entry->view.object_heap();
+  ASSERT_TRUE(heap.ok()) << heap.status().ToString();
+  EXPECT_EQ(heap->HeaderOf(node), nullptr) << "the object is freed";
+  ExpectHeapsValid();
 }
 
 // The 8-thread malloc/free storm with exact leak accounting. Every thread

@@ -158,20 +158,17 @@ TEST_F(EpochTest, SyncRetiresBeforeReturning) {
   ExpectRound(Root(), 0, 1);
 }
 
-// Per-Run sync-on-demand: Run(RunOptions{.sync=true}, fn) is transaction +
-// Sync in one call — the "this one must be durable before we ack" idiom.
-TEST_F(EpochTest, RunWithSyncOption) {
+// Sync-on-demand for one transaction: Run then Sync — the "this one must be
+// durable before we ack" idiom. Sync covers every commit made before it.
+TEST_F(EpochTest, SyncAfterRunMakesItDurable) {
   Shard* shard = InitShard();
   ASSERT_TRUE(pool_->SetDurability(Durability::kEpoch).ok());
-  ASSERT_TRUE(pool_
-                  ->Run(RunOptions{.sync = true},
-                        [&](Tx& tx) -> puddles::Status {
-                          RETURN_IF_ERROR(
-                              tx.LogRange(&shard->committed_rounds[1], sizeof(uint64_t)));
-                          shard->committed_rounds[1] = 7;
-                          return OkStatus();
-                        })
-                  .ok());
+  ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
+    RETURN_IF_ERROR(tx.LogRange(&shard->committed_rounds[1], sizeof(uint64_t)));
+    shard->committed_rounds[1] = 7;
+    return OkStatus();
+  }).ok());
+  pool_->Sync();
   Reopen();
   Shard* reopened = Root();
   ASSERT_NE(reopened, nullptr);

@@ -107,11 +107,15 @@ std::pair<uint64_t, uint64_t> RunCrashScenario(const fs::path& root, const char*
     auto pool = (*runtime)->CreatePool("bank");
     EXPECT_TRUE(pool.ok());
 
-    account = *(*pool)->Malloc<Account>();
-    account->balance = 100;
-    account->version = 1;
-    pmem::FlushFence(account, sizeof(Account));
-    EXPECT_TRUE((*pool)->SetRoot(account).ok());
+    EXPECT_TRUE((*pool)->Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(account, tx.Alloc<Account>());
+      account->balance = 100;
+      account->version = 1;
+      return (*pool)->SetRoot(account);
+    }).ok());
+    // Hand the arena slab back to the global heap: the crash below then
+    // leaves only the log to recover (the arena GC at open is arena_test's).
+    EXPECT_TRUE((*pool)->FlushThreadArena().ok());
 
     // Power fails at `stage`, then the "machine" goes down: runtime and
     // daemon are destroyed with no cleanup of the transaction.
@@ -195,9 +199,13 @@ TEST_F(RecoveryIntegrationTest, RecoveryConfinedByPermissions) {
     ASSERT_TRUE(runtime.ok());
     auto pool = (*runtime)->CreatePool("bank");
     ASSERT_TRUE(pool.ok());
-    Account* account = *(*pool)->Malloc<Account>();
-    account->balance = 1;
-    pmem::FlushFence(account, sizeof(Account));
+    Account* account = nullptr;
+    ASSERT_TRUE((*pool)->Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(account, tx.Alloc<Account>());
+      account->balance = 1;
+      return puddles::OkStatus();
+    }).ok());
+    ASSERT_TRUE((*pool)->FlushThreadArena().ok());  // Only the log is left to recover.
 
     Runtime::Entry* entry =
         (*runtime)->FindEntryByAddr(reinterpret_cast<uintptr_t>(account));

@@ -38,6 +38,18 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// One T holding `init`, allocated and committed in a transaction of its own.
+template <typename T>
+T* NewCommitted(Pool& pool, const T& init) {
+  T* object = nullptr;
+  EXPECT_TRUE(pool.Run([&](Tx& tx) -> puddles::Status {
+    ASSIGN_OR_RETURN(object, tx.Alloc<T>());
+    *object = init;
+    return OkStatus();
+  }).ok());
+  return object;
+}
+
 class RuntimePoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -82,11 +94,9 @@ TEST_F(RuntimePoolTest, CreatePoolAndAllocate) {
   auto pool = runtime_->CreatePool("p1");
   ASSERT_TRUE(pool.ok()) << pool.status().ToString();
 
-  auto node = (*pool)->Malloc<ListNode>();
-  ASSERT_TRUE(node.ok()) << node.status().ToString();
-  (*node)->value = 42;
-  (*node)->next = nullptr;
-  EXPECT_GE(reinterpret_cast<uintptr_t>(*node), pmem::GlobalPuddleSpace().base());
+  ListNode* node = NewCommitted(**pool, ListNode{nullptr, 42});
+  ASSERT_NE(node, nullptr);
+  EXPECT_GE(reinterpret_cast<uintptr_t>(node), pmem::GlobalPuddleSpace().base());
   EXPECT_EQ((*pool)->member_count(), 1u);
 }
 
@@ -94,13 +104,8 @@ TEST_F(RuntimePoolTest, RootSurvivesRestart) {
   {
     auto pool = runtime_->CreatePool("p1");
     ASSERT_TRUE(pool.ok());
-    auto head = (*pool)->Malloc<ListHead>();
-    ASSERT_TRUE(head.ok());
-    (*head)->head = nullptr;
-    (*head)->tail = nullptr;
-    (*head)->count = 7;
-    pmem::FlushFence(*head, sizeof(ListHead));
-    ASSERT_TRUE((*pool)->SetRoot(*head).ok());
+    ListHead* head = NewCommitted(**pool, ListHead{nullptr, nullptr, 7});
+    ASSERT_TRUE((*pool)->SetRoot(head).ok());
   }
   RestartStack();
   auto pool = runtime_->OpenPool("p1");
@@ -188,9 +193,7 @@ TEST_F(RuntimePoolTest, FreeInsideTxIsDeferredAndRollbackSafe) {
   ASSERT_TRUE(pool_result.ok());
   Pool& pool = **pool_result;
 
-  ListNode* node = *pool.Malloc<ListNode>();
-  node->value = 123;
-  pmem::FlushFence(node, sizeof(*node));
+  ListNode* node = NewCommitted(pool, ListNode{nullptr, 123});
 
   // Aborted free: object must survive with contents intact.
   puddles::Status aborted = pool.Run([&](Tx& tx) -> puddles::Status {
@@ -203,7 +206,7 @@ TEST_F(RuntimePoolTest, FreeInsideTxIsDeferredAndRollbackSafe) {
 
   // Committed free: object is gone; allocation can reuse the slot.
   ASSERT_TRUE(pool.Run([&](Tx& tx) { return tx.Free(node); }).ok());
-  ListNode* reused = *pool.Malloc<ListNode>();
+  ListNode* reused = NewCommitted(pool, ListNode{nullptr, 0});
   EXPECT_EQ(reused, node) << "slab slot should be reusable after committed free";
 }
 
@@ -216,9 +219,12 @@ TEST_F(RuntimePoolTest, PoolGrowsAcrossPuddles) {
   constexpr int kCount = 4000;
   std::vector<void*> objects;
   for (int i = 0; i < kCount; ++i) {
-    auto obj = pool.MallocBytes(1024, kRawBytesTypeId);
-    ASSERT_TRUE(obj.ok()) << "allocation " << i << ": " << obj.status().ToString();
-    objects.push_back(*obj);
+    puddles::Status allocated = pool.Run([&](Tx& tx) -> puddles::Status {
+      ASSIGN_OR_RETURN(void* obj, tx.AllocBytes(1024, kRawBytesTypeId));
+      objects.push_back(obj);
+      return OkStatus();
+    });
+    ASSERT_TRUE(allocated.ok()) << "allocation " << i << ": " << allocated.ToString();
   }
   EXPECT_GT(pool.member_count(), 1u) << "pool must span puddles (§3.1)";
 
@@ -262,15 +268,14 @@ TEST_F(RuntimePoolTest, OnDemandMappingViaFault) {
     ASSERT_TRUE(pool_result.ok());
     Pool& pool = **pool_result;
     // Force a second puddle and remember an address inside it.
-    std::vector<void*> objs;
     while (pool.member_count() < 2) {
-      auto obj = pool.MallocBytes(64 * 1024, kRawBytesTypeId);
-      ASSERT_TRUE(obj.ok());
-      objs.push_back(*obj);
+      ASSERT_TRUE(pool.Run([&](Tx& tx) -> puddles::Status {
+        ASSIGN_OR_RETURN(void* obj, tx.AllocBytes(64 * 1024, kRawBytesTypeId));
+        std::memset(obj, 0x5d, 64 * 1024);
+        probe_addr = reinterpret_cast<uintptr_t>(obj);
+        return OkStatus();
+      }).ok());
     }
-    void* last = objs.back();
-    std::memset(last, 0x5d, 64 * 1024);
-    probe_addr = reinterpret_cast<uintptr_t>(last);
   }
 
   RestartStack();
@@ -296,12 +301,8 @@ TEST_F(RuntimePoolTest, CrossPoolTransaction) {
   auto pool_b = runtime_->CreatePool("b");
   ASSERT_TRUE(pool_a.ok() && pool_b.ok());
 
-  ListNode* in_a = *(*pool_a)->Malloc<ListNode>();
-  ListNode* in_b = *(*pool_b)->Malloc<ListNode>();
-  in_a->value = 1;
-  in_b->value = 2;
-  pmem::FlushFence(in_a, sizeof(*in_a));
-  pmem::FlushFence(in_b, sizeof(*in_b));
+  ListNode* in_a = NewCommitted(**pool_a, ListNode{nullptr, 1});
+  ListNode* in_b = NewCommitted(**pool_b, ListNode{nullptr, 2});
 
   ASSERT_TRUE((*pool_a)->Run([&](Tx& tx) -> puddles::Status {
     RETURN_IF_ERROR(tx.Log(in_a));
@@ -335,9 +336,7 @@ TEST_F(RuntimePoolTest, ReadOnlyOpenRejectsWrites) {
   {
     auto pool = runtime_->CreatePool("ro", 0644);
     ASSERT_TRUE(pool.ok());
-    ListNode* n = *(*pool)->Malloc<ListNode>();
-    n->value = 9;
-    pmem::FlushFence(n, sizeof(*n));
+    ListNode* n = NewCommitted(**pool, ListNode{nullptr, 9});
     ASSERT_TRUE((*pool)->SetRoot(n).ok());
   }
   RestartStack();
@@ -346,8 +345,7 @@ TEST_F(RuntimePoolTest, ReadOnlyOpenRejectsWrites) {
   auto root = (*pool)->Root<ListNode>();
   ASSERT_TRUE(root.ok());
   EXPECT_EQ((*root)->value, 9u);
-  EXPECT_FALSE((*pool)->Malloc<ListNode>().ok());
-  EXPECT_EQ((*pool)->Run([](Tx&) -> puddles::Status { return OkStatus(); }).code(),
+  EXPECT_EQ((*pool)->Run([](Tx& tx) { return tx.Alloc<ListNode>().status(); }).code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -356,9 +354,7 @@ TEST_F(RuntimePoolTest, RedoSetAppliesAtCommit) {
   ASSERT_TRUE(pool_result.ok());
   Pool& pool = **pool_result;
 
-  ListHead* head = *pool.Malloc<ListHead>();
-  head->count = 1;
-  pmem::FlushFence(head, sizeof(*head));
+  ListHead* head = NewCommitted(pool, ListHead{nullptr, nullptr, 1});
 
   ASSERT_TRUE(pool.Run([&](Tx& tx) -> puddles::Status {
     RETURN_IF_ERROR(tx.Set(&head->count, uint64_t{2}));

@@ -168,11 +168,13 @@ TEST_F(SocketDaemonTest, FullRuntimeOverSocketTransport) {
   struct Counter {
     uint64_t value;
   };
-  Counter* counter = reinterpret_cast<Counter*>(
-      *(*pool)->MallocBytes(sizeof(Counter), kRawBytesTypeId));
-  counter->value = 0;
-  pmem::FlushFence(counter, sizeof(Counter));
-  ASSERT_TRUE((*pool)->SetRootBytes(counter).ok());
+  Counter* counter = nullptr;
+  ASSERT_TRUE((*pool)->Run([&](Tx& tx) -> puddles::Status {
+    ASSIGN_OR_RETURN(void* raw, tx.AllocBytes(sizeof(Counter), kRawBytesTypeId));
+    counter = static_cast<Counter*>(raw);
+    counter->value = 0;
+    return (*pool)->SetRootBytes(counter);
+  }).ok());
 
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE((*pool)->Run([&](Tx& tx) -> puddles::Status {

@@ -27,12 +27,8 @@ class TxEnv {
     auto log = LogRegion::Attach(log_buffer_.data(), log_buffer_.size());
     EXPECT_TRUE(log.ok());
     log_ = *log;
-  }
-
-  puddles::Result<Transaction*> BeginTx() {
-    TxTarget target;
-    target.log = &log_;
-    target.grow = [this]() -> puddles::Result<std::pair<LogRegion*, Uuid>> {
+    target_.log = &log_;
+    target_.grow = [this]() -> puddles::Result<std::pair<LogRegion*, Uuid>> {
       grown_buffers_.push_back(std::make_unique<std::vector<uint8_t>>(log_buffer_.size()));
       auto& buf = *grown_buffers_.back();
       RETURN_IF_ERROR(LogRegion::Format(buf.data(), buf.size()));
@@ -41,9 +37,13 @@ class TxEnv {
       grown_regions_.push_back(std::make_unique<LogRegion>(*region));
       return std::make_pair(grown_regions_.back().get(), Uuid::Generate());
     };
-    target.release = [this](LogRegion* region) { ++released_; };
-    return Transaction::Begin(target);
+    target_.release = [this](LogRegion*) { ++released_; };
   }
+  // The target captures `this` and transactions borrow it: pinned in place.
+  TxEnv(const TxEnv&) = delete;
+  TxEnv& operator=(const TxEnv&) = delete;
+
+  puddles::Result<Transaction*> BeginTx() { return Transaction::BeginWith(&target_); }
 
   LogRegion& log() { return log_; }
   std::vector<LogRegion> Chain() {
@@ -58,6 +58,7 @@ class TxEnv {
  private:
   std::vector<uint8_t> log_buffer_;
   LogRegion log_;
+  TxTarget target_;
   std::vector<std::unique_ptr<std::vector<uint8_t>>> grown_buffers_;
   std::vector<std::unique_ptr<LogRegion>> grown_regions_;
   int released_ = 0;
@@ -424,7 +425,7 @@ TEST_F(CommitCrashTest, RecoveryRestoresAtomicityInEveryCrashState) {
   Transaction::SetStageHook(&RecordStageEpoch);
   TxTarget target;
   target.log = &*log;
-  auto tx = Transaction::Begin(target);
+  auto tx = Transaction::BeginWith(&target);
   ASSERT_TRUE(tx.ok());
   ASSERT_TRUE((*tx)->AddUndo(&data[0], 8).ok());
   data[0] = 101;
@@ -500,7 +501,7 @@ TEST_P(CrashTortureTest, TransferInvariantHolds) {
     g_fence_crash_countdown = static_cast<int>(rng.Below(8));  // Crash point.
     TxTarget target;
     target.log = &*log;
-    auto tx = Transaction::Begin(target);
+    auto tx = Transaction::BeginWith(&target);
     ASSERT_TRUE(tx.ok());
     try {
       uint64_t amount = rng.Below(accounts[0] + 1);

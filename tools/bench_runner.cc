@@ -214,14 +214,19 @@ class Runner {
 void RunTable3(Runner& runner) {
   std::printf("table3 primitives (typed Tx API):\n");
   puddles::Pool& pool = *runner.env().pool;
-  auto small_alloc = pool.MallocBytes(8, puddles::kRawBytesTypeId);
-  auto big_alloc = pool.MallocBytes(4096, puddles::kRawBytesTypeId);
-  if (!small_alloc.ok() || !big_alloc.ok()) {
-    std::fprintf(stderr, "scratch allocation failed\n");
+  uint8_t* small = nullptr;
+  uint8_t* big = nullptr;
+  puddles::Status allocated = pool.Run([&](puddles::Tx& tx) -> puddles::Status {
+    ASSIGN_OR_RETURN(void* small_alloc, tx.AllocBytes(8, puddles::kRawBytesTypeId));
+    ASSIGN_OR_RETURN(void* big_alloc, tx.AllocBytes(4096, puddles::kRawBytesTypeId));
+    small = static_cast<uint8_t*>(small_alloc);
+    big = static_cast<uint8_t*>(big_alloc);
+    return puddles::OkStatus();
+  });
+  if (!allocated.ok()) {
+    std::fprintf(stderr, "scratch allocation failed: %s\n", allocated.ToString().c_str());
     std::abort();
   }
-  uint8_t* small = static_cast<uint8_t*>(*small_alloc);
-  uint8_t* big = static_cast<uint8_t*>(*big_alloc);
   const uint64_t iters = runner.iters();
 
   runner.Measure("table3", "tx_nop", iters, [&] {

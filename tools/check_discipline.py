@@ -110,6 +110,10 @@ RULES = [
      ARENA_FAST_PATH),
     ("src/alloc/arena.cc", FILE, (), [PUBLISH],
      "persistence call in the volatile arena layer (docs/alloc.md)"),
+    # One way to allocate (docs/alloc.md): the pool persists nothing itself.
+    ("src/libpuddles/pool.cc", FILE, (), [PERSIST],
+     "allocator metadata reaches PM only through a transaction's undo log and "
+     "commit (docs/alloc.md)"),
     # One log reader (DESIGN.md §12): recovery and the crash-state classifier
     # read log chains only through src/tx/replay.h.
     ("src/crashsim", DIR, (), [LOG_CHAIN], ONE_LOG_READER),
