@@ -283,6 +283,27 @@ void BuddyAllocator::ForEachAllocated(const std::function<void(int64_t, size_t)>
   }
 }
 
+puddles::Status BuddyAllocator::TrimFreeTail(size_t min_size) {
+  while (header_->num_orders > 1 && heap_size_ / 2 >= min_size) {
+    const uint32_t order = header_->num_orders - 2;  // Order of one half.
+    const auto upper = static_cast<int64_t>(heap_size_ / 2);
+    const FreeNode* node = NodeAt(upper);
+    if (state_[BlockIndex(upper)] != kStateFreeStart || node->order != order ||
+        node->check != ~order) {
+      return OkStatus();  // The upper half holds an allocated block.
+    }
+    if (header_->free_head[order] != upper || node->next != -1 || node->prev != -1) {
+      return DataLossError("buddy trim: top free block is not alone in its list");
+    }
+    header_->free_head[order] = -1;
+    header_->free_bytes -= heap_size_ / 2;
+    heap_size_ /= 2;
+    header_->heap_size = heap_size_;
+    --header_->num_orders;
+  }
+  return OkStatus();
+}
+
 puddles::Status BuddyAllocator::Validate() const {
   if (header_->magic != kMetaMagic) {
     return DataLossError("validate: bad magic");

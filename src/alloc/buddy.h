@@ -75,6 +75,15 @@ class BuddyAllocator {
   // Invokes `fn(offset, size)` for every allocated block, in address order.
   void ForEachAllocated(const std::function<void(int64_t, size_t)>& fn) const;
 
+  // Halves the heap while its upper half is one free block of the top order
+  // and the half stays >= `min_size`: that block leaves its free list and
+  // the byte count, and heap_size and the order count shrink. No block
+  // moves, so every offset stays valid. The stores are neither logged nor
+  // flushed: callers trim a private copy (an export). DataLoss when the top
+  // free block is not the sole entry of its list — the lower half is not
+  // free, or the two halves would have coalesced.
+  puddles::Status TrimFreeTail(size_t min_size);
+
   // Exhaustive invariant check (free lists ↔ state bytes ↔ byte accounting).
   // Returns error describing the first inconsistency found.
   puddles::Status Validate() const;

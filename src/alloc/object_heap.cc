@@ -33,6 +33,14 @@ puddles::Result<ObjectHeap> ObjectHeap::Attach(void* meta, void* heap, size_t he
   return ObjectHeap(m, std::move(buddy), sink);
 }
 
+puddles::Status ObjectHeap::TrimFreeTail() {
+  // A slab block is also the page size, so a trimmed puddle file stays
+  // page-aligned for MapFileAt.
+  RETURN_IF_ERROR(buddy_.TrimFreeTail(kSlabBlockSize));
+  meta_->heap_size = buddy_.heap_size();
+  return OkStatus();
+}
+
 puddles::Result<void*> ObjectHeap::Allocate(size_t payload_size, TypeId type_id) {
   if (payload_size == 0) {
     return InvalidArgumentError("zero-size allocation");

@@ -87,6 +87,11 @@ class ObjectHeap {
   size_t heap_size() const { return buddy_.heap_size(); }
   void* heap_base() const { return buddy_.heap(); }
 
+  // Cuts the heap's free tail (BuddyAllocator::TrimFreeTail), never below
+  // one slab block, and records the new size in the metadata. Unlogged: for
+  // a private copy only (Daemon::ExportPool).
+  puddles::Status TrimFreeTail();
+
   // ---- Per-thread arena support (src/alloc/arena.h, docs/alloc.md) ----
 
   // The puddle's persistent arena directory (NVMMgr-style recovery root).

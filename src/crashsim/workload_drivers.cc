@@ -1201,15 +1201,24 @@ class ImportCrashDriver : public WorkloadDriver {
       // Map every imported puddle at its assigned base (outside the runtime:
       // the stock rewrite-on-map path would consume the protocol before
       // tracing starts) and assemble the pool translation table. The meta
-      // puddle goes first — the same order the runtime maps in — and its
-      // traced op exercises the non-data CompleteRewrite fast path.
-      ASSIGN_OR_RETURN(Mapped meta, MapPuddle(import.pool.meta_puddle));
-      members_.push_back(meta);
+      // segments go first — the same order the runtime maps in — and their
+      // traced ops exercise the non-data CompleteRewrite fast path.
       ASSIGN_OR_RETURN(puddles::PoolMetaView meta_view,
-                       puddles::PoolMetaView::Attach(members_[0].view));
+                       puddles::PoolMetaView::Attach(
+                           import.pool.meta_puddle,
+                           [&](const puddles::Uuid& uuid) -> puddles::Result<puddles::Puddle> {
+                             ASSIGN_OR_RETURN(Mapped segment, MapPuddle(uuid));
+                             members_.push_back(segment);
+                             return segment.view;
+                           }));
       for (uint32_t i = 0; i < meta_view.num_members(); ++i) {
         ASSIGN_OR_RETURN(Mapped member, MapPuddle(meta_view.member(i)));
         members_.push_back(member);
+        // Exports ship a data member's live extent only (Puddle::TrimHeap):
+        // the copy rewritten here must be a trimmed one.
+        if (member.view.heap_size() >= puddles::kDefaultHeapSize) {
+          return puddles::InternalError("import crash driver: exported data member not trimmed");
+        }
         const uint64_t old_base = meta_view.member_old_base(i);
         if (old_base != 0) {
           RETURN_IF_ERROR(

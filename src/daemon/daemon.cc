@@ -21,7 +21,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr uint64_t kManifestMagic = 0x5444504d414e4946ULL;  // "FINAMPDT"
+// Version 2 lists the pool meta's segment chain before the data members.
+constexpr uint64_t kManifestMagic = 0x3254464e414d4450ULL;  // "PDMANFT2"
 
 // Registry capacities (slots; powers of two).
 constexpr uint64_t kPuddleTableSlots = 1 << 14;
@@ -47,6 +48,37 @@ puddles::Status CheckPoolName(const std::string& name) {
   }
   return puddles::OkStatus();
 }
+
+// Reads a u32-counted UUID list from an export manifest, refusing a count
+// longer than the bytes left could hold.
+puddles::Status GetUuidList(puddles::WireReader* reader, std::vector<Uuid>* out) {
+  uint32_t count = 0;
+  RETURN_IF_ERROR(reader->GetU32(&count));
+  if (count > reader->remaining() / sizeof(Uuid)) {
+    return puddles::DataLossError("export manifest: list longer than the manifest");
+  }
+  out->resize(count);
+  for (Uuid& uuid : *out) {
+    RETURN_IF_ERROR(reader->GetUuid(&uuid));
+  }
+  return puddles::OkStatus();
+}
+
+// Maps puddle files for PoolMetaView::Attach, keeping each mapping alive as
+// long as the opener.
+class FileSegmentOpener {
+ public:
+  puddles::Result<puddles::Puddle> Open(const std::string& path) {
+    ASSIGN_OR_RETURN(pmem::PmemFile file, pmem::PmemFile::Open(path));
+    ASSIGN_OR_RETURN(void* base, file.Map());
+    ASSIGN_OR_RETURN(puddles::Puddle puddle, puddles::Puddle::Attach(base, file.size()));
+    files_.push_back(std::move(file));
+    return puddle;
+  }
+
+ private:
+  std::vector<pmem::PmemFile> files_;
+};
 
 // Creates-or-opens one registry table file.
 template <typename Table>
@@ -407,9 +439,10 @@ puddles::Result<PoolInfo> Daemon::CreatePool(const std::string& name, const Cred
     }
   }
   const Uuid pool_uuid = Uuid::Generate();
-  // The pool's metadata puddle (member directory + translation table).
-  ASSIGN_OR_RETURN(auto created, CreatePuddle(PuddleKind::kPoolMeta, 1 << 20, creds, pool_uuid,
-                                              mode));
+  // The pool's metadata puddle (member directory + translation table): its
+  // first segment, one page; Pool::AddDataPuddle chains more when it fills.
+  ASSIGN_OR_RETURN(auto created, CreatePuddle(PuddleKind::kPoolMeta, puddles::kPoolMetaHeapSize,
+                                              creds, pool_uuid, mode));
   auto [meta_info, fd] = created;
   auto format_meta = [&]() -> puddles::Status {
     auto file = pmem::PmemFile::FromFd(fd);
@@ -745,36 +778,54 @@ puddles::Status Daemon::ExportPool(const std::string& pool_name, const std::stri
     return puddles::IoError("create export dir: " + ec.message());
   }
 
-  // Read the member list from the pool meta puddle.
-  auto meta_file = pmem::PmemFile::Open(PuddlePath(pool->meta_puddle));
-  RETURN_IF_ERROR(meta_file.status());
-  ASSIGN_OR_RETURN(void* meta_base, meta_file->Map());
-  ASSIGN_OR_RETURN(puddles::Puddle meta_puddle,
-                   puddles::Puddle::Attach(meta_base, meta_file->size()));
-  ASSIGN_OR_RETURN(puddles::PoolMetaView meta, puddles::PoolMetaView::Attach(meta_puddle));
+  // Read the member list from the pool meta's segment chain.
+  FileSegmentOpener segment_files;
+  ASSIGN_OR_RETURN(puddles::PoolMetaView meta,
+                   puddles::PoolMetaView::Attach(pool->meta_puddle, [&](const Uuid& uuid) {
+                     return segment_files.Open(PuddlePath(uuid));
+                   }));
 
   puddles::WireWriter manifest;
   manifest.PutU64(kManifestMagic);
   manifest.PutString(pool_name);
   manifest.PutUuid(pool->pool_uuid);
-  manifest.PutUuid(pool->meta_puddle);
-  manifest.PutU32(meta.num_members());
 
   // Copy files byte-for-byte: "Exporting pools in Puddles does not require
   // any serialization and exports the raw in-memory data structures."
-  auto copy_puddle = [&](const Uuid& uuid) -> puddles::Status {
-    fs::copy_file(PuddlePath(uuid), fs::path(dest_dir) / (uuid.ToString() + ".pud"),
-                  fs::copy_options::overwrite_existing, ec);
+  auto copy_puddle = [&](const Uuid& uuid) -> puddles::Result<fs::path> {
+    fs::path dest = fs::path(dest_dir) / (uuid.ToString() + ".pud");
+    fs::copy_file(PuddlePath(uuid), dest, fs::copy_options::overwrite_existing, ec);
     if (ec) {
       return puddles::IoError("copy puddle: " + ec.message());
+    }
+    return dest;
+  };
+  // A data member ships only its live extent: the copy's heap loses its
+  // free tail (Puddle::TrimHeap), decided from the copy's own metadata, and
+  // the file is cut to match. Offsets and pointers are unchanged.
+  auto copy_member = [&](const Uuid& uuid) -> puddles::Status {
+    ASSIGN_OR_RETURN(fs::path dest, copy_puddle(uuid));
+    ASSIGN_OR_RETURN(pmem::PmemFile file, pmem::PmemFile::Open(dest.string()));
+    ASSIGN_OR_RETURN(void* base, file.Map());
+    ASSIGN_OR_RETURN(puddles::Puddle puddle, puddles::Puddle::Attach(base, file.size()));
+    RETURN_IF_ERROR(puddle.TrimHeap());
+    const size_t trimmed = puddle.file_size();
+    file.Unmap();
+    if (::ftruncate(file.fd(), static_cast<off_t>(trimmed)) != 0) {
+      return puddles::ErrnoError("truncate exported puddle", errno);
     }
     return puddles::OkStatus();
   };
 
-  RETURN_IF_ERROR(copy_puddle(pool->meta_puddle));
+  manifest.PutU32(meta.num_segments());
+  for (uint32_t s = 0; s < meta.num_segments(); ++s) {
+    manifest.PutUuid(meta.segment(s));
+    RETURN_IF_ERROR(copy_puddle(meta.segment(s)).status());
+  }
+  manifest.PutU32(meta.num_members());
   for (uint32_t i = 0; i < meta.num_members(); ++i) {
     manifest.PutUuid(meta.member(i));
-    RETURN_IF_ERROR(copy_puddle(meta.member(i)));
+    RETURN_IF_ERROR(copy_member(meta.member(i)));
   }
 
   // Pointer maps travel with the data (§4.2): export them all.
@@ -820,32 +871,32 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
   ASSIGN_OR_RETURN(void* mbase, manifest_file->Map());
   puddles::WireReader reader(static_cast<const uint8_t*>(mbase), manifest_file->size());
 
-  uint64_t magic;
+  uint64_t magic = 0;
   RETURN_IF_ERROR(reader.GetU64(&magic));
   if (magic != kManifestMagic) {
     return puddles::DataLossError("bad export manifest");
   }
   std::string old_name;
-  Uuid old_pool_uuid, old_meta_uuid;
-  uint32_t num_members;
+  Uuid old_pool_uuid;
+  std::vector<Uuid> old_segments;
+  std::vector<Uuid> old_members;
   RETURN_IF_ERROR(reader.GetString(&old_name));
   RETURN_IF_ERROR(reader.GetUuid(&old_pool_uuid));
-  RETURN_IF_ERROR(reader.GetUuid(&old_meta_uuid));
-  RETURN_IF_ERROR(reader.GetU32(&num_members));
-  std::vector<Uuid> old_members(num_members);
-  for (auto& member : old_members) {
-    RETURN_IF_ERROR(reader.GetUuid(&member));
+  RETURN_IF_ERROR(GetUuidList(&reader, &old_segments));
+  if (old_segments.empty()) {
+    return puddles::DataLossError("export manifest lists no pool meta segment");
   }
-  uint32_t num_maps;
+  RETURN_IF_ERROR(GetUuidList(&reader, &old_members));
+  uint32_t num_maps = 0;
   RETURN_IF_ERROR(reader.GetU32(&num_maps));
-  std::vector<PtrMapRecord> maps(num_maps);
-  for (auto& map : maps) {
+  std::vector<PtrMapRecord> maps;
+  for (uint32_t i = 0; i < num_maps; ++i) {
     std::vector<uint8_t> blob;
     RETURN_IF_ERROR(reader.GetBytes(&blob));
     if (blob.size() != sizeof(PtrMapRecord)) {
       return puddles::DataLossError("bad pointer map blob in manifest");
     }
-    std::memcpy(&map, blob.data(), sizeof(PtrMapRecord));
+    std::memcpy(&maps.emplace_back(), blob.data(), sizeof(PtrMapRecord));
   }
 
   const Uuid new_pool_uuid = Uuid::Generate();
@@ -881,7 +932,11 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     }
   }};
 
-  auto import_one = [&](const Uuid& old_uuid) -> puddles::Status {
+  // The copies are untrusted input (§4.6): each must be the kind the
+  // manifest lists it as, and a data member must have a data puddle's
+  // geometry — exports trim heaps, so the header decides the extent —
+  // before its range is claimed.
+  auto import_one = [&](const Uuid& old_uuid, PuddleKind kind) -> puddles::Status {
     Imported& entry = imported.emplace_back();
     entry.old_uuid = old_uuid;
     entry.new_uuid = Uuid::Generate();
@@ -894,6 +949,12 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     RETURN_IF_ERROR(file.status());
     ASSIGN_OR_RETURN(void* base, file->Map());
     ASSIGN_OR_RETURN(puddles::Puddle puddle, puddles::Puddle::Attach(base, file->size()));
+    if (puddle.kind() != kind) {
+      return puddles::DataLossError("exported puddle is not of its manifest kind");
+    }
+    if (kind == PuddleKind::kData) {
+      RETURN_IF_ERROR(puddle.CheckDataGeometry());
+    }
 
     // Re-identify the copy.
     puddle.header()->uuid = entry.new_uuid;
@@ -928,9 +989,30 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     return puddles::OkStatus();
   };
 
-  RETURN_IF_ERROR(import_one(old_meta_uuid));
+  for (const Uuid& segment : old_segments) {
+    RETURN_IF_ERROR(import_one(segment, PuddleKind::kPoolMeta));
+  }
   for (const Uuid& member : old_members) {
-    RETURN_IF_ERROR(import_one(member));
+    RETURN_IF_ERROR(import_one(member, PuddleKind::kData));
+  }
+
+  // The copied segment chain must be exactly the manifest's: the opener
+  // hands out the copies in manifest order and refuses any other link, and
+  // Attach refuses a link back into the chain.
+  FileSegmentOpener segment_files;
+  size_t segments_opened = 0;
+  auto chain = puddles::PoolMetaView::Attach(
+      old_segments[0], [&](const Uuid& uuid) -> puddles::Result<puddles::Puddle> {
+        if (segments_opened == old_segments.size() ||
+            imported[segments_opened].old_uuid != uuid) {
+          return puddles::DataLossError("pool meta chain does not match the export manifest");
+        }
+        return segment_files.Open(PuddlePath(imported[segments_opened++].new_uuid));
+      });
+  RETURN_IF_ERROR(chain.status());
+  puddles::PoolMetaView& meta = *chain;
+  if (segments_opened != old_segments.size() || meta.num_members() != old_members.size()) {
+    return puddles::DataLossError("pool meta chain does not match the export manifest");
   }
 
   // If anything moved, every data member's content is suspect: pointers may
@@ -964,32 +1046,22 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     by_base_[entry.record.base_addr] = entry.new_uuid;
   }
 
-  // Fix the pool meta copy: new identity, remapped member UUIDs, translation
-  // table with the old bases of moved members.
-  const Imported& meta_entry = imported[0];
-  {
-    auto file = pmem::PmemFile::Open(PuddlePath(meta_entry.new_uuid));
-    RETURN_IF_ERROR(file.status());
-    ASSIGN_OR_RETURN(void* base, file->Map());
-    ASSIGN_OR_RETURN(puddles::Puddle puddle, puddles::Puddle::Attach(base, file->size()));
-    ASSIGN_OR_RETURN(puddles::PoolMetaView meta, puddles::PoolMetaView::Attach(puddle));
-
-    auto* header = reinterpret_cast<puddles::PoolMetaHeader*>(puddle.heap());
-    header->pool_uuid = new_pool_uuid;
-    std::memset(header->name, 0, sizeof(header->name));
-    std::strncpy(header->name, new_name.c_str(), sizeof(header->name) - 1);
-    pmem::FlushFence(header, sizeof(puddles::PoolMetaHeader));
-
-    for (uint32_t i = 0; i < meta.num_members(); ++i) {
-      for (size_t j = 1; j < imported.size(); ++j) {
-        if (imported[j].old_uuid == meta.member(i)) {
-          RETURN_IF_ERROR(meta.ReplaceMember(i, imported[j].new_uuid));
-          meta.SetMemberOldBase(i, imported[j].old_base);
-          if (meta.root_puddle() == imported[j].old_uuid) {
-            meta.SetRoot(imported[j].new_uuid, meta.root_offset());
-          }
-          break;
+  // Fix the pool meta copy: new identity, segment links to the copies,
+  // remapped member UUIDs, translation table with the old bases of moved
+  // members.
+  RETURN_IF_ERROR(meta.SetIdentity(new_pool_uuid, new_name.c_str()));
+  for (uint32_t s = 0; s < meta.num_segments(); ++s) {
+    meta.RenameSegment(s, imported[s].new_uuid);
+  }
+  for (uint32_t i = 0; i < meta.num_members(); ++i) {
+    for (size_t j = old_segments.size(); j < imported.size(); ++j) {
+      if (imported[j].old_uuid == meta.member(i)) {
+        RETURN_IF_ERROR(meta.ReplaceMember(i, imported[j].new_uuid));
+        meta.SetMemberOldBase(i, imported[j].old_base);
+        if (meta.root_puddle() == imported[j].old_uuid) {
+          meta.SetRoot(imported[j].new_uuid, meta.root_offset());
         }
+        break;
       }
     }
   }
@@ -998,6 +1070,7 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     RETURN_IF_ERROR(ShardForType(map.type_id).ptrmaps->Put(map.type_id, map));
   }
 
+  const Imported& meta_entry = imported[0];
   PoolRecord pool_record{};
   pool_record.pool_uuid = new_pool_uuid;
   pool_record.meta_puddle = meta_entry.new_uuid;
@@ -1011,7 +1084,7 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
   result.pool.pool_uuid = new_pool_uuid;
   result.pool.meta_puddle = meta_entry.new_uuid;
   std::strncpy(result.pool.name, pool_record.name, sizeof(result.pool.name) - 1);
-  result.members_imported = static_cast<uint32_t>(imported.size()) - 1;
+  result.members_imported = static_cast<uint32_t>(old_members.size());
   result.members_relocated = members_relocated;
   complete = true;
   return result;

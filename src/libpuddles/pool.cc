@@ -31,6 +31,18 @@ LogSink TxSink(Transaction& tx) {
 
 puddles::Status Pool::AddDataPuddle() {
   PUDDLES_COUNT(kPoolGrow);
+  if (meta_.full()) {
+    // Chain a member-table segment of twice the tail's heap. It is mapped
+    // and formatted before the tail's link to it persists (AppendSegment).
+    ASSIGN_OR_RETURN(auto segment, runtime_->client().CreatePuddle(
+                                       PuddleKind::kPoolMeta, 2 * meta_.tail_heap_size(),
+                                       info_.pool_uuid));
+    RETURN_IF_ERROR(runtime_->RegisterPuddle(segment.first, segment.second, /*writable=*/true,
+                                             nullptr)
+                        .status());
+    ASSIGN_OR_RETURN(Runtime::Entry * mapped, runtime_->EnsureMapped(segment.first.uuid));
+    RETURN_IF_ERROR(meta_.AppendSegment(segment.first.uuid, mapped->view));
+  }
   ASSIGN_OR_RETURN(auto created,
                    runtime_->client().CreatePuddle(PuddleKind::kData, kDefaultHeapSize,
                                                    info_.pool_uuid));

@@ -141,8 +141,12 @@ class Pool {
   // for tests and the crashsim differential oracle.
   puddles::Result<std::vector<const void*>> ReachableObjects();
 
-  // Number of member data puddles (diagnostics / tests).
-  uint32_t member_count() const { return meta_.num_members(); }
+  // Number of member data puddles (diagnostics / tests). Takes alloc_mu_:
+  // the member table's segment list grows under it.
+  uint32_t member_count() {
+    std::lock_guard<std::mutex> lock(alloc_mu_);
+    return meta_.num_members();
+  }
 
  private:
   friend class Runtime;
@@ -151,7 +155,8 @@ class Pool {
   Pool(Runtime* runtime, puddled::PoolInfo info, bool writable)
       : runtime_(runtime), info_(info), name_(info.name), writable_(writable) {}
 
-  // Grows the pool by one data puddle.
+  // Grows the pool by one data puddle, first chaining a pool meta segment
+  // when the member table's tail is full (alloc_mu_ held).
   puddles::Status AddDataPuddle();
 
   // Starts the calling thread's transaction on its cached log puddle, with

@@ -73,20 +73,27 @@ puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& tr
     ++stats.frontier_advances;
   };
 
+  // The walk index of the first object whose type has no pointer map: its
+  // pointers cannot be found, so the rewrite may not pass it.
+  bool stopped = false;
+  uint64_t stop_index = 0;
   heap.ForEachObject([&](void* payload, const ObjectHeader& header, size_t capacity) {
+    if (stopped) {
+      return;
+    }
     const uint64_t my_index = index++;
     if (my_index < resume_from) {
       ++stats.objects_skipped_resume;
       return;
     }
-    ++stats.objects_visited;
     auto translate_object = [&]() {
       if (header.type_id == kRawBytesTypeId) {
         return;  // Raw byte buffers carry no pointers by contract.
       }
       auto map = registry.Lookup(header.type_id);
       if (!map.ok()) {
-        ++stats.objects_without_map;
+        stopped = true;
+        stop_index = my_index;
         return;
       }
       auto* bytes = static_cast<uint8_t*>(payload);
@@ -107,10 +114,23 @@ puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& tr
       });
     };
     translate_object();
+    if (stopped) {
+      return;
+    }
+    ++stats.objects_visited;
     if (index - durable_frontier >= batch) {
       persist_progress(index);
     }
   });
+
+  if (stopped) {
+    // Everything before the untranslatable object is durable and never
+    // revisited; the flag stays set, so a later attempt with the map
+    // registered resumes right at that object.
+    persist_progress(stop_index);
+    return FailedPreconditionError(
+        "relocation: an object's type has no registered pointer map; register it and reopen");
+  }
 
   // Persist the final frontier before clearing the rewrite obligation: a
   // crash between the two leaves (flag set, frontier = object count), and the

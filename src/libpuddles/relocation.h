@@ -145,7 +145,6 @@ struct RewriteStats {
   uint64_t objects_skipped_resume = 0;  // Below the persisted frontier.
   uint64_t pointers_visited = 0;
   uint64_t pointers_rewritten = 0;
-  uint64_t objects_without_map = 0;
   uint64_t lines_flushed = 0;      // Dirtied cache lines streamed out.
   uint64_t frontier_advances = 0;  // Persisted batch boundaries.
 };
@@ -153,8 +152,10 @@ struct RewriteStats {
 // Rewrites all pointers in `puddle`'s heap (which must be mapped writable and
 // attached), resuming from the persisted frontier after a crash. Marks the
 // puddle clean (CompleteRewrite) on success. The type registry supplies
-// pointer maps; unknown types are assumed pointer-free (counted in stats so
-// callers can warn).
+// pointer maps. The walk stops at the first object whose type has none: it
+// persists the frontier at that object and returns FailedPrecondition with
+// the rewrite flag still set, so the puddle is never marked clean while one
+// of its objects may hold an untranslated pointer.
 puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& translator,
                                             const TypeRegistry& registry,
                                             const RewriteOptions& options = {});

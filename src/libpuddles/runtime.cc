@@ -121,16 +121,24 @@ puddles::Status Runtime::MapEntryLocked(Entry* entry) {
   ++stats_.puddles_mapped;
 
   // Incremental relocation (§4.2): translate this puddle's pointers before
-  // the application can see them.
+  // the application can see them. A puddle that cannot be translated in full
+  // goes back to the reservation with its flag and frontier kept, so a later
+  // open (with the missing pointer map registered) resumes the rewrite.
   if (entry->view.needs_rewrite()) {
-    if (!entry->writable) {
-      return FailedPreconditionError("puddle needs pointer rewrite but is mapped read-only");
+    puddles::Result<RewriteStats> rewrite =
+        FailedPreconditionError("puddle needs pointer rewrite but is mapped read-only");
+    if (entry->writable) {
+      Translator identity;
+      rewrite = RewritePuddle(entry->view,
+                              entry->translator != nullptr ? *entry->translator : identity,
+                              TypeRegistry::Instance());
     }
-    Translator identity;
-    const Translator* translator =
-        entry->translator != nullptr ? entry->translator : &identity;
-    auto rewrite = RewritePuddle(entry->view, *translator, TypeRegistry::Instance());
-    RETURN_IF_ERROR(rewrite.status());
+    if (!rewrite.ok()) {
+      (void)space.UnmapToReserved(entry->info.base_addr, entry->info.file_size);
+      entry->view = Puddle();
+      entry->mapped = false;
+      return rewrite.status();
+    }
     ++stats_.rewrites;
     stats_.pointers_rewritten += rewrite->pointers_rewritten;
     // Tell the daemon this puddle is clean (frees the frontier hold).
@@ -231,34 +239,70 @@ puddles::Result<Pool*> Runtime::FinishOpenPool(const puddled::PoolInfo& info, bo
   RETURN_IF_ERROR(UploadPointerMaps());
 
   std::unique_ptr<Pool> pool(new Pool(this, info, writable));
-
-  // Map the pool metadata eagerly.
-  ASSIGN_OR_RETURN(Entry * meta_entry, FetchAndRegister(info.meta_puddle, writable, nullptr));
-  ASSIGN_OR_RETURN(Entry * mapped_meta, EnsureMapped(info.meta_puddle));
-  ASSIGN_OR_RETURN(pool->meta_, PoolMetaView::Attach(mapped_meta->view));
-  (void)meta_entry;
-
-  // Register all members (lazily mapped) and assemble the pool's relocation
-  // translation table from the pool meta's persistent old-base array.
-  const uint32_t members = pool->meta_.num_members();
-  struct Pending {
-    puddled::PuddleInfo info;
-    int fd;
-  };
-  std::vector<Pending> pending;
-  for (uint32_t i = 0; i < members; ++i) {
-    const Uuid member = pool->meta_.member(i);
-    pool->data_members_.push_back(member);
-    ASSIGN_OR_RETURN(auto fetched, client_->GetPuddle(member, writable));
-    pending.push_back({fetched.first, fetched.second});
-    const uint64_t old_base = pool->meta_.member_old_base(i);
-    if (old_base != 0) {
-      RETURN_IF_ERROR(
-          pool->translator_.Add(old_base, fetched.first.file_size, fetched.first.base_addr));
-    }
+  // A failed open drops the entries it registered: the members' entries
+  // point at this Pool's translator, which dies with it, and a later open
+  // must register them afresh.
+  std::vector<Uuid> registered;
+  puddles::Status attached = AttachPool(pool.get(), &registered);
+  if (!attached.ok()) {
+    DropEntries(registered);
+    return attached;
   }
-  for (Pending& p : pending) {
-    RETURN_IF_ERROR(RegisterPuddle(p.info, p.fd, writable, &pool->translator_).status());
+
+  Pool* raw = pool.get();
+  std::lock_guard<std::mutex> lock(mu_);
+  pools_.push_back(std::move(pool));
+  return raw;
+}
+
+puddles::Status Runtime::AttachPool(Pool* pool, std::vector<Uuid>* registered) {
+  const puddled::PoolInfo& info = pool->info();
+  const bool writable = pool->writable();
+  auto note_new = [&](const Uuid& uuid) {
+    if (FindEntryByUuid(uuid) == nullptr) {
+      registered->push_back(uuid);
+    }
+  };
+
+  // Map the pool metadata's segment chain eagerly.
+  ASSIGN_OR_RETURN(pool->meta_,
+                   PoolMetaView::Attach(info.meta_puddle,
+                                        [&](const Uuid& uuid) -> puddles::Result<Puddle> {
+                                          note_new(uuid);
+                                          RETURN_IF_ERROR(
+                                              FetchAndRegister(uuid, writable, nullptr).status());
+                                          ASSIGN_OR_RETURN(Entry * mapped, EnsureMapped(uuid));
+                                          return mapped->view;
+                                        }));
+
+  // Register all members (lazily mapped) once the pool's relocation
+  // translation table, assembled from the pool meta's persistent old-base
+  // array, is complete.
+  const uint32_t members = pool->meta_.num_members();
+  std::vector<std::pair<puddled::PuddleInfo, int>> pending;
+  auto fetch_members = [&]() -> puddles::Status {
+    for (uint32_t i = 0; i < members; ++i) {
+      const Uuid member = pool->meta_.member(i);
+      pool->data_members_.push_back(member);
+      ASSIGN_OR_RETURN(auto fetched, client_->GetPuddle(member, writable));
+      pending.push_back(fetched);
+      const uint64_t old_base = pool->meta_.member_old_base(i);
+      if (old_base != 0) {
+        RETURN_IF_ERROR(
+            pool->translator_.Add(old_base, fetched.first.file_size, fetched.first.base_addr));
+      }
+    }
+    return OkStatus();
+  };
+  if (puddles::Status fetched = fetch_members(); !fetched.ok()) {
+    for (const auto& [member_info, fd] : pending) {
+      ::close(fd);
+    }
+    return fetched;
+  }
+  for (const auto& [member_info, fd] : pending) {
+    note_new(member_info.uuid);
+    RETURN_IF_ERROR(RegisterPuddle(member_info, fd, writable, &pool->translator_).status());
   }
 
   // "Puddles support relocation on import by first mapping the root puddle."
@@ -281,11 +325,29 @@ puddles::Result<Pool*> Runtime::FinishOpenPool(const puddled::PoolInfo& info, bo
                    info.name, gc.status().ToString().c_str());
     }
   }
+  return OkStatus();
+}
 
-  Pool* raw = pool.get();
+void Runtime::DropEntries(const std::vector<Uuid>& uuids) {
   std::lock_guard<std::mutex> lock(mu_);
-  pools_.push_back(std::move(pool));
-  return raw;
+  auto& space = pmem::GlobalPuddleSpace();
+  for (const Uuid& uuid : uuids) {
+    auto it = entries_by_uuid_.find(uuid);
+    if (it == entries_by_uuid_.end()) {
+      continue;
+    }
+    const Entry* entry = it->second;
+    const uint64_t base = entry->info.base_addr;
+    if (entry->mapped) {
+      (void)space.UnmapToReserved(base, entry->info.file_size);
+    }
+    (void)space.FreeRange(base);
+    if (entry->fd >= 0) {
+      ::close(entry->fd);
+    }
+    entries_by_uuid_.erase(it);
+    entries_by_base_.erase(base);
+  }
 }
 
 Pool* Runtime::FindOpenPool(const Uuid& pool_uuid) {

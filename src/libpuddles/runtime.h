@@ -119,6 +119,11 @@ class Runtime {
 
   puddles::Status MapEntryLocked(Entry* entry);
   puddles::Result<Pool*> FinishOpenPool(const puddled::PoolInfo& info, bool writable);
+  // Maps the pool meta chain, registers the members and runs the open-time
+  // steps; `registered` receives every entry this call created.
+  puddles::Status AttachPool(Pool* pool, std::vector<Uuid>* registered);
+  // Unmaps and forgets the entries named in `uuids` (a failed open's).
+  void DropEntries(const std::vector<Uuid>& uuids);
   // This runtime's open Pool for `pool_uuid`, or nullptr.
   Pool* FindOpenPool(const Uuid& pool_uuid);
   puddles::Status EnsureLogSpace();

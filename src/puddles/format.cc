@@ -72,7 +72,9 @@ puddles::Result<Puddle> Puddle::Attach(void* base, size_t file_size) {
   if (header->file_size != file_size) {
     return DataLossError("puddle file size mismatch");
   }
-  if (header->heap_offset + header->heap_size > file_size) {
+  // Overflow-safe: both fields come from the file, and an export's file is
+  // outside input (§4.6).
+  if (header->heap_offset > file_size || header->heap_size > file_size - header->heap_offset) {
     return DataLossError("puddle heap extends past file end");
   }
   return Puddle(header);
@@ -85,6 +87,34 @@ puddles::Result<ObjectHeap> Puddle::object_heap(LogSink sink) const {
   auto* bytes = reinterpret_cast<uint8_t*>(header_);
   return ObjectHeap::Attach(bytes + header_->meta_offset, bytes + header_->heap_offset,
                             header_->heap_size, sink);
+}
+
+puddles::Status Puddle::CheckDataGeometry() const {
+  const PuddleHeader& h = *header_;
+  if (h.kind != PuddleKind::kData) {
+    return DataLossError("not a data puddle");
+  }
+  if (!IsPowerOfTwo(h.heap_size) || h.heap_size < kPageSize) {
+    return DataLossError("data puddle heap size is not a power of two of at least a page");
+  }
+  if (h.meta_offset != kPuddleHeaderPage || h.meta_size >= h.file_size ||
+      h.meta_size < AlignUp(ObjectHeap::MetaSize(h.heap_size), kPageSize)) {
+    return DataLossError("data puddle metadata region does not fit its heap");
+  }
+  if (h.heap_offset != kPuddleHeaderPage + h.meta_size || h.heap_size > h.file_size ||
+      h.heap_offset != h.file_size - h.heap_size) {
+    return DataLossError("data puddle heap does not span metadata end to file end");
+  }
+  return object_heap().status();
+}
+
+puddles::Status Puddle::TrimHeap() {
+  ASSIGN_OR_RETURN(ObjectHeap heap, object_heap());
+  RETURN_IF_ERROR(heap.TrimFreeTail());
+  header_->heap_size = heap.heap_size();
+  header_->file_size = header_->heap_offset + header_->heap_size;
+  pmem::FlushFence(header_, header_->heap_offset);
+  return OkStatus();
 }
 
 void Puddle::AssignNewBase(uint64_t new_base) {

@@ -119,6 +119,19 @@ class Puddle {
   // Object allocator over this puddle's heap (data puddles only).
   puddles::Result<ObjectHeap> object_heap(LogSink sink = {}) const;
 
+  // Checks the geometry every data puddle has, on an untrusted header
+  // (import, §4.6): a power-of-two heap of at least one page, a metadata
+  // region that holds its allocator state, the heap right after that region
+  // and ending at the file's end, and an object heap that attaches.
+  puddles::Status CheckDataGeometry() const;
+
+  // Cuts a data puddle's free heap tail (ObjectHeap::TrimFreeTail) and
+  // records the smaller heap_size and file_size in the header; meta_offset,
+  // meta_size and heap_offset stay, so no heap offset or pointer changes.
+  // The caller truncates the file to file_size() afterwards. Meant for an
+  // export's private copy, whose live extent is all an importer needs.
+  puddles::Status TrimHeap();
+
   // Updates the persistent base-address assignment, recording the previous
   // one, setting the needs-rewrite flag, and resetting the rewrite frontier
   // (relocation step 1, §4.2).

@@ -14,69 +14,136 @@ uint32_t CapacityFor(size_t heap_size) {
 
 }  // namespace
 
-puddles::Status PoolMetaView::Format(const Puddle& meta_puddle, const Uuid& pool_uuid,
+puddles::Status PoolMetaView::Format(const Puddle& puddle, const Uuid& pool_uuid,
                                      const char* name) {
-  if (meta_puddle.kind() != PuddleKind::kPoolMeta) {
+  if (puddle.kind() != PuddleKind::kPoolMeta) {
     return InvalidArgumentError("pool meta must live in a kPoolMeta puddle");
+  }
+  if (puddle.heap_size() < sizeof(PoolMetaHeader) + kPerMemberBytes) {
+    return InvalidArgumentError("pool meta heap too small");
   }
   if (std::strlen(name) >= kPoolNameMax) {
     return InvalidArgumentError("pool name too long");
   }
-  auto* header = reinterpret_cast<PoolMetaHeader*>(meta_puddle.heap());
+  auto* header = reinterpret_cast<PoolMetaHeader*>(puddle.heap());
   std::memset(header, 0, sizeof(PoolMetaHeader));
   header->magic = kPoolMetaMagic;
   header->pool_uuid = pool_uuid;
   std::strncpy(header->name, name, kPoolNameMax - 1);
   header->root_puddle = Uuid::Nil();
-  header->root_offset = 0;
-  header->num_members = 0;
+  header->next_segment = Uuid::Nil();
   // Zero the translation table region.
-  const uint32_t capacity = CapacityFor(meta_puddle.heap_size());
-  auto* members = reinterpret_cast<Uuid*>(header + 1);
-  auto* old_bases = reinterpret_cast<uint64_t*>(members + capacity);
+  const uint32_t capacity = CapacityFor(puddle.heap_size());
+  auto* old_bases = reinterpret_cast<uint64_t*>(reinterpret_cast<Uuid*>(header + 1) + capacity);
   std::memset(old_bases, 0, capacity * sizeof(uint64_t));
   pmem::FlushFence(header, sizeof(PoolMetaHeader));
   pmem::FlushFence(old_bases, capacity * sizeof(uint64_t));
   return OkStatus();
 }
 
-puddles::Result<PoolMetaView> PoolMetaView::Attach(const Puddle& meta_puddle) {
-  if (meta_puddle.kind() != PuddleKind::kPoolMeta) {
-    return InvalidArgumentError("not a pool meta puddle");
+puddles::Result<PoolMetaView::Segment> PoolMetaView::AttachSegment(const Uuid& uuid,
+                                                                   const Puddle& puddle) {
+  if (puddle.kind() != PuddleKind::kPoolMeta) {
+    return DataLossError("pool meta: segment is not a pool meta puddle");
   }
-  auto* header = reinterpret_cast<PoolMetaHeader*>(meta_puddle.heap());
-  if (header->magic != kPoolMetaMagic) {
+  if (puddle.heap_size() < sizeof(PoolMetaHeader) + kPerMemberBytes) {
+    return DataLossError("pool meta: segment heap too small");
+  }
+  Segment segment;
+  segment.uuid = uuid;
+  segment.header = reinterpret_cast<PoolMetaHeader*>(puddle.heap());
+  if (segment.header->magic != kPoolMetaMagic) {
     return DataLossError("pool meta: bad magic");
   }
-  const uint32_t capacity = CapacityFor(meta_puddle.heap_size());
-  auto* members = reinterpret_cast<Uuid*>(header + 1);
-  auto* old_bases = reinterpret_cast<uint64_t*>(members + capacity);
-  if (header->num_members > capacity) {
+  segment.capacity = CapacityFor(puddle.heap_size());
+  segment.heap_size = puddle.heap_size();
+  segment.members = reinterpret_cast<Uuid*>(segment.header + 1);
+  segment.old_bases = reinterpret_cast<uint64_t*>(segment.members + segment.capacity);
+  if (segment.header->num_members > segment.capacity) {
     return DataLossError("pool meta: member count exceeds capacity");
   }
-  return PoolMetaView(header, members, old_bases, capacity);
+  return segment;
+}
+
+puddles::Result<PoolMetaView> PoolMetaView::Attach(const Uuid& head, const SegmentOpener& open) {
+  if (head.is_nil()) {
+    return InvalidArgumentError("pool meta: nil head segment");
+  }
+  PoolMetaView view;
+  for (Uuid uuid = head; !uuid.is_nil();) {
+    for (const Segment& seen : view.segments_) {
+      if (seen.uuid == uuid) {
+        return DataLossError("pool meta: segment chain revisits a segment");
+      }
+    }
+    ASSIGN_OR_RETURN(Puddle puddle, open(uuid));
+    ASSIGN_OR_RETURN(Segment segment, AttachSegment(uuid, puddle));
+    view.segments_.push_back(segment);
+    uuid = segment.header->next_segment;
+  }
+  view.header_ = view.segments_.front().header;
+  return view;
+}
+
+const PoolMetaView::Segment* PoolMetaView::Locate(uint32_t* i) const {
+  for (const Segment& segment : segments_) {
+    if (*i < segment.header->num_members) {
+      return &segment;
+    }
+    *i -= segment.header->num_members;
+  }
+  return nullptr;
+}
+
+uint32_t PoolMetaView::num_members() const {
+  uint32_t total = 0;
+  for (const Segment& segment : segments_) {
+    total += segment.header->num_members;
+  }
+  return total;
+}
+
+uint32_t PoolMetaView::capacity() const {
+  uint32_t total = 0;
+  for (const Segment& segment : segments_) {
+    total += segment.capacity;
+  }
+  return total;
+}
+
+Uuid PoolMetaView::member(uint32_t i) const {
+  const Segment* segment = Locate(&i);
+  return segment == nullptr ? Uuid::Nil() : segment->members[i];
+}
+
+bool PoolMetaView::full() const {
+  const Segment& tail = segments_.back();
+  return tail.header->num_members >= tail.capacity;
 }
 
 puddles::Status PoolMetaView::AddMember(const Uuid& uuid) {
-  if (header_->num_members >= capacity_) {
+  if (full()) {
     return OutOfMemoryError("pool meta member list full");
   }
   // Publish ordering: slot first, count after.
-  members_[header_->num_members] = uuid;
-  old_bases_[header_->num_members] = 0;
-  pmem::Flush(&members_[header_->num_members], sizeof(Uuid));
-  pmem::FlushFence(&old_bases_[header_->num_members], sizeof(uint64_t));
-  header_->num_members++;
-  pmem::FlushFence(&header_->num_members, sizeof(header_->num_members));
+  const Segment& tail = segments_.back();
+  const uint32_t slot = tail.header->num_members;
+  tail.members[slot] = uuid;
+  tail.old_bases[slot] = 0;
+  pmem::Flush(&tail.members[slot], sizeof(Uuid));
+  pmem::FlushFence(&tail.old_bases[slot], sizeof(uint64_t));
+  tail.header->num_members++;
+  pmem::FlushFence(&tail.header->num_members, sizeof(tail.header->num_members));
   return OkStatus();
 }
 
 puddles::Status PoolMetaView::ReplaceMember(uint32_t i, const Uuid& uuid) {
-  if (i >= header_->num_members) {
+  const Segment* segment = Locate(&i);
+  if (segment == nullptr) {
     return OutOfRangeError("pool meta member index");
   }
-  members_[i] = uuid;
-  pmem::FlushFence(&members_[i], sizeof(Uuid));
+  segment->members[i] = uuid;
+  pmem::FlushFence(&segment->members[i], sizeof(Uuid));
   return OkStatus();
 }
 
@@ -86,37 +153,87 @@ void PoolMetaView::SetRoot(const Uuid& puddle, uint64_t heap_offset) {
   pmem::FlushFence(&header_->root_puddle, sizeof(Uuid) + sizeof(uint64_t));
 }
 
+puddles::Status PoolMetaView::SetIdentity(const Uuid& pool_uuid, const char* name) {
+  if (std::strlen(name) >= kPoolNameMax) {
+    return InvalidArgumentError("pool name too long");
+  }
+  header_->pool_uuid = pool_uuid;
+  std::memset(header_->name, 0, sizeof(header_->name));
+  std::strncpy(header_->name, name, kPoolNameMax - 1);
+  pmem::FlushFence(header_, sizeof(PoolMetaHeader));
+  return OkStatus();
+}
+
 void PoolMetaView::SetArenasActive(bool active) {
   header_->flags = active ? header_->flags | kPoolFlagArenas : header_->flags & ~kPoolFlagArenas;
   pmem::FlushFence(&header_->flags, sizeof(header_->flags));
 }
 
 bool PoolMetaView::HasMember(const Uuid& uuid) const {
-  for (uint32_t i = 0; i < header_->num_members; ++i) {
-    if (members_[i] == uuid) {
-      return true;
+  for (const Segment& segment : segments_) {
+    for (uint32_t i = 0; i < segment.header->num_members; ++i) {
+      if (segment.members[i] == uuid) {
+        return true;
+      }
     }
   }
   return false;
+}
+
+uint64_t PoolMetaView::member_old_base(uint32_t i) const {
+  const Segment* segment = Locate(&i);
+  return segment == nullptr ? 0 : segment->old_bases[i];
 }
 
 void PoolMetaView::SetMemberOldBase(uint32_t i, uint64_t old_base) {
-  old_bases_[i] = old_base;
-  pmem::FlushFence(&old_bases_[i], sizeof(uint64_t));
+  const Segment* segment = Locate(&i);
+  if (segment == nullptr) {
+    return;
+  }
+  segment->old_bases[i] = old_base;
+  pmem::FlushFence(&segment->old_bases[i], sizeof(uint64_t));
 }
 
 void PoolMetaView::ClearTranslationTable() {
-  std::memset(old_bases_, 0, header_->num_members * sizeof(uint64_t));
-  pmem::FlushFence(old_bases_, header_->num_members * sizeof(uint64_t));
+  for (const Segment& segment : segments_) {
+    std::memset(segment.old_bases, 0, segment.header->num_members * sizeof(uint64_t));
+    pmem::FlushFence(segment.old_bases, segment.header->num_members * sizeof(uint64_t));
+  }
 }
 
 bool PoolMetaView::HasTranslations() const {
-  for (uint32_t i = 0; i < header_->num_members; ++i) {
-    if (old_bases_[i] != 0) {
-      return true;
+  for (const Segment& segment : segments_) {
+    for (uint32_t i = 0; i < segment.header->num_members; ++i) {
+      if (segment.old_bases[i] != 0) {
+        return true;
+      }
     }
   }
   return false;
+}
+
+puddles::Status PoolMetaView::AppendSegment(const Uuid& uuid, const Puddle& segment) {
+  for (const Segment& seen : segments_) {
+    if (seen.uuid == uuid) {
+      return InvalidArgumentError("pool meta: segment already in the chain");
+    }
+  }
+  RETURN_IF_ERROR(Format(segment, Uuid::Nil(), ""));
+  ASSIGN_OR_RETURN(Segment attached, AttachSegment(uuid, segment));
+  PoolMetaHeader* tail = segments_.back().header;
+  tail->next_segment = uuid;
+  pmem::FlushFence(&tail->next_segment, sizeof(Uuid));
+  segments_.push_back(attached);
+  return OkStatus();
+}
+
+void PoolMetaView::RenameSegment(uint32_t s, const Uuid& uuid) {
+  segments_[s].uuid = uuid;
+  if (s > 0) {
+    PoolMetaHeader* prev = segments_[s - 1].header;
+    prev->next_segment = uuid;
+    pmem::FlushFence(&prev->next_segment, sizeof(Uuid));
+  }
 }
 
 }  // namespace puddles

@@ -20,8 +20,9 @@
 //     LocalSlot() in every build, because pmem::ReadPersistStats() is read
 //     from them and tests assert flush/fence patterns with it.
 //
-// Timers record raw TSC ticks (rdtsc — ~2 ns, vs ~20 ns for clock_gettime)
-// and convert to nanoseconds at report time via TicksToNanos().
+// Timers record raw TSC ticks and convert to nanoseconds at report time via
+// TicksToNanos(). A tick read (rdtsc) measured 16–30 ns on a 4-vCPU
+// virtualized x86 guest, depending on load, not the few ns of bare metal.
 #ifndef SRC_STATS_STATS_H_
 #define SRC_STATS_STATS_H_
 

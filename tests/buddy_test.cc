@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -129,6 +130,58 @@ TEST_F(BuddyTest, AttachRejectsCorruptMeta) {
 TEST_F(BuddyTest, AttachRejectsWrongGeometry) {
   auto attached = BuddyAllocator::Attach(meta_.data(), heap_.data(), kHeapSize / 2);
   EXPECT_FALSE(attached.ok());
+}
+
+TEST_F(BuddyTest, TrimKeepsAHeapWithAnAllocationInItsUpperHalf) {
+  auto lower = buddy_.Allocate(kHeapSize / 2);
+  auto upper = buddy_.Allocate(256);
+  ASSERT_TRUE(lower.ok() && upper.ok());
+  ASSERT_GE(static_cast<size_t>(*upper), kHeapSize / 2);
+  ASSERT_TRUE(buddy_.Free(*lower).ok());
+  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  EXPECT_EQ(buddy_.heap_size(), kHeapSize);
+  EXPECT_EQ(buddy_.free_bytes(), kHeapSize - 256);
+  EXPECT_TRUE(buddy_.Validate().ok());
+}
+
+TEST_F(BuddyTest, TrimShrinksToTheSmallestPowerOfTwoHoldingTheHighestBlock) {
+  auto small = buddy_.Allocate(256);
+  auto big = buddy_.Allocate(40 << 10);  // A 64 KiB block, ending at 128 KiB.
+  ASSERT_TRUE(small.ok() && big.ok());
+  ASSERT_EQ(*big + (64 << 10), 128 << 10);
+  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  EXPECT_EQ(buddy_.heap_size(), 128u << 10);
+  EXPECT_EQ(buddy_.free_bytes(), (128u << 10) - 256 - (64 << 10));
+  ASSERT_TRUE(buddy_.Validate().ok()) << buddy_.Validate().ToString();
+  EXPECT_TRUE(buddy_.IsAllocatedStart(*small));
+  EXPECT_TRUE(buddy_.IsAllocatedStart(*big));
+
+  // The trimmed metadata attaches at the new size, and frees coalesce up to
+  // its single top-order block.
+  auto reattached = BuddyAllocator::Attach(meta_.data(), heap_.data(), 128 << 10);
+  ASSERT_TRUE(reattached.ok()) << reattached.status().ToString();
+  ASSERT_TRUE(reattached->Free(*big).ok());
+  ASSERT_TRUE(reattached->Free(*small).ok());
+  EXPECT_EQ(reattached->free_bytes(), 128u << 10);
+  EXPECT_TRUE(reattached->Validate().ok());
+  EXPECT_FALSE(reattached->CanAllocate((128 << 10) + 1));
+  EXPECT_TRUE(reattached->CanAllocate(128 << 10));
+}
+
+TEST_F(BuddyTest, TrimStopsAtTheMinimumSize) {
+  ASSERT_TRUE(buddy_.Allocate(256).ok());
+  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  EXPECT_EQ(buddy_.heap_size(), 4096u);
+  EXPECT_TRUE(buddy_.Validate().ok());
+}
+
+TEST_F(BuddyTest, TrimRefusesATopFreeBlockThatIsNotAloneInItsList) {
+  ASSERT_TRUE(buddy_.Allocate(256).ok());
+  // Corrupt the upper half's free node: it now claims a successor.
+  int64_t bogus_next = 0;
+  std::memcpy(heap_.data() + kHeapSize / 2, &bogus_next, sizeof(bogus_next));
+  EXPECT_EQ(buddy_.TrimFreeTail(4096).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(buddy_.heap_size(), kHeapSize);
 }
 
 TEST_F(BuddyTest, LogSinkSeesMetadataWrites) {

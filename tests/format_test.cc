@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 namespace puddles {
@@ -80,8 +81,46 @@ TEST(PuddleFormatTest, AttachRejectsCorruption) {
   ASSERT_TRUE(Puddle::Format(file.data(), file_size, params).ok());
 
   EXPECT_FALSE(Puddle::Attach(file.data(), file_size - 4096).ok());  // Size mismatch.
+
+  // A heap offset whose sum with the heap size wraps past 2^64.
+  auto* header = reinterpret_cast<PuddleHeader*>(file.data());
+  const uint64_t heap_offset = header->heap_offset;
+  header->heap_offset = ~uint64_t{0} - 4095;
+  EXPECT_EQ(Puddle::Attach(file.data(), file_size).status().code(), StatusCode::kDataLoss);
+  header->heap_offset = heap_offset;
+  ASSERT_TRUE(Puddle::Attach(file.data(), file_size).ok());
+
   file[0] ^= 0x1;                                                    // Magic corruption.
   EXPECT_FALSE(Puddle::Attach(file.data(), file_size).ok());
+}
+
+// The geometry import requires of a data puddle (§4.6): a fresh one has it,
+// and each broken field fails it with DataLoss.
+TEST(PuddleFormatTest, CheckDataGeometry) {
+  PuddleParams params = DataParams();
+  size_t file_size = Puddle::FileSizeFor(params.kind, params.heap_size);
+  std::vector<uint8_t> file(file_size);
+  ASSERT_TRUE(Puddle::Format(file.data(), file_size, params).ok());
+  auto puddle = Puddle::Attach(file.data(), file_size);
+  ASSERT_TRUE(puddle.ok());
+  EXPECT_TRUE(puddle->CheckDataGeometry().ok());
+
+  PuddleHeader* header = puddle->header();
+  const PuddleHeader pristine = *header;
+  auto broken = [&](const std::function<void(PuddleHeader*)>& edit) {
+    *header = pristine;
+    edit(header);
+    return puddle->CheckDataGeometry().code() == StatusCode::kDataLoss;
+  };
+  EXPECT_TRUE(broken([](PuddleHeader* h) { h->heap_size -= 4096; }));
+  EXPECT_TRUE(broken([](PuddleHeader* h) { h->heap_size = 2048; }));
+  EXPECT_TRUE(broken([](PuddleHeader* h) { h->meta_size = 4096; }));
+  EXPECT_TRUE(broken([](PuddleHeader* h) { h->meta_size = ~uint64_t{0}; }));
+  EXPECT_TRUE(broken([](PuddleHeader* h) { h->heap_offset += 4096; }));
+  EXPECT_TRUE(broken([](PuddleHeader* h) { h->file_size += 4096; }));
+  EXPECT_TRUE(broken([](PuddleHeader* h) { h->kind = PuddleKind::kLog; }));
+  *header = pristine;
+  EXPECT_TRUE(puddle->CheckDataGeometry().ok());
 }
 
 TEST(PuddleFormatTest, FormatRejectsBadGeometry) {

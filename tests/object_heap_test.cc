@@ -160,6 +160,36 @@ TEST_F(ObjectHeapTest, CapacityOfMatchesForEachObject) {
   EXPECT_EQ(heap_.CapacityOf(reinterpret_cast<uint8_t*>(*big) + 64), 0u);
 }
 
+// An export's trim: every object stays where it was, the metadata agrees
+// with the new size, and the heap validates before and after re-attaching.
+TEST_F(ObjectHeapTest, TrimFreeTailKeepsEveryObject) {
+  std::set<const void*> live;
+  for (int i = 0; i < 200; ++i) {
+    auto node = heap_.AllocateTyped<TestNode>();
+    ASSERT_TRUE(node.ok());
+    live.insert(*node);
+  }
+  auto big = heap_.AllocateTyped<BigRecord>(40);  // A buddy block past the slabs.
+  ASSERT_TRUE(big.ok());
+  live.insert(*big);
+  const int64_t end = heap_.OffsetOf(*big) + static_cast<int64_t>(sizeof(BigRecord) * 40);
+
+  ASSERT_TRUE(heap_.TrimFreeTail().ok());
+  EXPECT_LT(heap_.heap_size(), kHeapSize);
+  EXPECT_GE(static_cast<int64_t>(heap_.heap_size()), end);
+  EXPECT_LT(static_cast<int64_t>(heap_.heap_size()) / 2, end) << "not the smallest such size";
+  ASSERT_TRUE(heap_.Validate().ok()) << heap_.Validate().ToString();
+
+  auto reattached = ObjectHeap::Attach(meta_.data(), heap_buf_.data(), heap_.heap_size());
+  ASSERT_TRUE(reattached.ok()) << reattached.status().ToString();
+  ASSERT_TRUE(reattached->Validate().ok());
+  std::set<const void*> seen;
+  reattached->ForEachObject(
+      [&](void* payload, const ObjectHeader&, size_t) { seen.insert(payload); });
+  EXPECT_EQ(seen, live);
+  EXPECT_TRUE(reattached->AllocateTyped<TestNode>().ok()) << "the trimmed heap still allocates";
+}
+
 TEST_F(ObjectHeapTest, ExhaustionReportsOutOfMemory) {
   std::vector<void*> allocations;
   while (true) {

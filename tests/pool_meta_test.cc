@@ -2,12 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
+#include <deque>
+#include <memory>
+#include <set>
 #include <vector>
 
+#include "src/common/align.h"
+#include "src/crashsim/state_enumerator.h"
+#include "src/crashsim/trace.h"
 #include "src/tx/log_space.h"
 
 namespace puddles {
 namespace {
+
+// Opens a one-segment chain whose head is `puddle`.
+SegmentOpener Only(const Puddle& puddle) {
+  return [puddle](const Uuid&) -> puddles::Result<Puddle> { return puddle; };
+}
 
 class PoolMetaTest : public ::testing::Test {
  protected:
@@ -24,6 +37,10 @@ class PoolMetaTest : public ::testing::Test {
     puddle_ = *puddle;
   }
 
+  puddles::Result<PoolMetaView> Attach() {
+    return PoolMetaView::Attach(params_.uuid, Only(puddle_));
+  }
+
   PuddleParams params_;
   std::vector<uint8_t> file_;
   Puddle puddle_;
@@ -32,7 +49,7 @@ class PoolMetaTest : public ::testing::Test {
 TEST_F(PoolMetaTest, FormatAttachRoundTrip) {
   Uuid pool_uuid = Uuid::Generate();
   ASSERT_TRUE(PoolMetaView::Format(puddle_, pool_uuid, "accounts").ok());
-  auto meta = PoolMetaView::Attach(puddle_);
+  auto meta = Attach();
   ASSERT_TRUE(meta.ok());
   EXPECT_EQ(meta->pool_uuid(), pool_uuid);
   EXPECT_STREQ(meta->name(), "accounts");
@@ -51,7 +68,7 @@ TEST_F(PoolMetaTest, RejectsWrongKind) {
   auto puddle = Puddle::Attach(data_file.data(), file_size);
   ASSERT_TRUE(puddle.ok());
   EXPECT_FALSE(PoolMetaView::Format(*puddle, Uuid::Generate(), "x").ok());
-  EXPECT_FALSE(PoolMetaView::Attach(*puddle).ok());
+  EXPECT_FALSE(PoolMetaView::Attach(data_params.uuid, Only(*puddle)).ok());
 }
 
 TEST_F(PoolMetaTest, RejectsOverlongName) {
@@ -61,7 +78,7 @@ TEST_F(PoolMetaTest, RejectsOverlongName) {
 
 TEST_F(PoolMetaTest, MembersAppendAndReplace) {
   ASSERT_TRUE(PoolMetaView::Format(puddle_, Uuid::Generate(), "p").ok());
-  auto meta = PoolMetaView::Attach(puddle_);
+  auto meta = Attach();
   ASSERT_TRUE(meta.ok());
 
   std::vector<Uuid> members;
@@ -86,7 +103,7 @@ TEST_F(PoolMetaTest, MembersAppendAndReplace) {
 
 TEST_F(PoolMetaTest, RootDesignation) {
   ASSERT_TRUE(PoolMetaView::Format(puddle_, Uuid::Generate(), "p").ok());
-  auto meta = PoolMetaView::Attach(puddle_);
+  auto meta = Attach();
   ASSERT_TRUE(meta.ok());
   Uuid root_puddle = Uuid::Generate();
   meta->SetRoot(root_puddle, 4096);
@@ -95,14 +112,14 @@ TEST_F(PoolMetaTest, RootDesignation) {
   EXPECT_EQ(meta->root_offset(), 4096u);
 
   // Persists across reattach.
-  auto reattached = PoolMetaView::Attach(puddle_);
+  auto reattached = Attach();
   ASSERT_TRUE(reattached.ok());
   EXPECT_EQ(reattached->root_puddle(), root_puddle);
 }
 
 TEST_F(PoolMetaTest, TranslationTable) {
   ASSERT_TRUE(PoolMetaView::Format(puddle_, Uuid::Generate(), "p").ok());
-  auto meta = PoolMetaView::Attach(puddle_);
+  auto meta = Attach();
   ASSERT_TRUE(meta.ok());
   ASSERT_TRUE(meta->AddMember(Uuid::Generate()).ok());
   ASSERT_TRUE(meta->AddMember(Uuid::Generate()).ok());
@@ -115,6 +132,180 @@ TEST_F(PoolMetaTest, TranslationTable) {
 
   meta->ClearTranslationTable();
   EXPECT_FALSE(meta->HasTranslations());
+}
+
+// ---- The segment chain ----
+
+// Page-aligned in-memory pool meta segments, found by UUID.
+class Segments {
+ public:
+  struct Segment {
+    Uuid uuid;
+    uint8_t* base = nullptr;
+    size_t size = 0;
+    Puddle view;
+  };
+
+  ~Segments() {
+    for (Segment& segment : segments_) {
+      std::free(segment.base);
+    }
+  }
+
+  Segment& Add(size_t heap_size) {
+    Segment& segment = segments_.emplace_back();
+    PuddleParams params;
+    params.kind = PuddleKind::kPoolMeta;
+    params.heap_size = heap_size;
+    params.uuid = Uuid::Generate();
+    segment.uuid = params.uuid;
+    segment.size = Puddle::FileSizeFor(params.kind, heap_size);
+    segment.base = static_cast<uint8_t*>(std::aligned_alloc(kPageSize, segment.size));
+    std::memset(segment.base, 0, segment.size);
+    EXPECT_TRUE(Puddle::Format(segment.base, segment.size, params).ok());
+    segment.view = *Puddle::Attach(segment.base, segment.size);
+    return segment;
+  }
+
+  SegmentOpener Opener() {
+    return [this](const Uuid& uuid) -> puddles::Result<Puddle> {
+      for (const Segment& segment : segments_) {
+        if (segment.uuid == uuid) {
+          return segment.view;
+        }
+      }
+      return NotFoundError("no such segment");
+    };
+  }
+
+  puddles::Result<PoolMetaView> Attach() {
+    return PoolMetaView::Attach(segments_.front().uuid, Opener());
+  }
+
+ private:
+  std::deque<Segment> segments_;
+};
+
+TEST(PoolMetaChainTest, MembersAddressTheWholeChain) {
+  Segments segments;
+  ASSERT_TRUE(PoolMetaView::Format(segments.Add(kPoolMetaHeapSize).view, Uuid::Generate(), "p")
+                  .ok());
+  auto meta = segments.Attach();
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  EXPECT_EQ(meta->capacity(), 165u) << "one page holds 165 members";
+
+  std::vector<Uuid> members;
+  while (!meta->full()) {
+    members.push_back(Uuid::Generate());
+    ASSERT_TRUE(meta->AddMember(members.back()).ok());
+  }
+  EXPECT_EQ(meta->AddMember(Uuid::Generate()).code(), StatusCode::kOutOfMemory);
+
+  // Two continuations, each twice its predecessor's heap.
+  for (size_t heap = 2 * kPoolMetaHeapSize; meta->num_segments() < 3; heap *= 2) {
+    auto& next = segments.Add(heap);
+    ASSERT_EQ(meta->tail_heap_size() * 2, heap);
+    ASSERT_TRUE(meta->AppendSegment(next.uuid, next.view).ok());
+    while (!meta->full()) {
+      members.push_back(Uuid::Generate());
+      ASSERT_TRUE(meta->AddMember(members.back()).ok());
+    }
+  }
+  members.push_back(Uuid::Generate());
+  auto& last = segments.Add(8 * kPoolMetaHeapSize);
+  ASSERT_TRUE(meta->AppendSegment(last.uuid, last.view).ok());
+  ASSERT_TRUE(meta->AddMember(members.back()).ok());
+
+  // Indices, old bases and replacement cross segment boundaries.
+  const uint32_t boundary = 165;
+  meta->SetMemberOldBase(boundary, 0x30000000000ULL);
+  const Uuid replacement = Uuid::Generate();
+  ASSERT_TRUE(meta->ReplaceMember(boundary - 1, replacement).ok());
+  members[boundary - 1] = replacement;
+  meta->SetRoot(members.back(), 64);
+
+  auto reattached = segments.Attach();
+  ASSERT_TRUE(reattached.ok()) << reattached.status().ToString();
+  EXPECT_EQ(reattached->num_segments(), 4u);
+  ASSERT_EQ(reattached->num_members(), members.size());
+  for (uint32_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(reattached->member(i), members[i]) << i;
+    EXPECT_EQ(reattached->member_old_base(i), i == boundary ? 0x30000000000ULL : 0u) << i;
+  }
+  EXPECT_TRUE(reattached->member(reattached->num_members()).is_nil());
+  EXPECT_TRUE(reattached->HasMember(members.back()));
+  EXPECT_TRUE(reattached->HasTranslations());
+  EXPECT_EQ(reattached->root_puddle(), members.back());
+  reattached->ClearTranslationTable();
+  EXPECT_FALSE(reattached->HasTranslations());
+}
+
+TEST(PoolMetaChainTest, AttachRejectsRevisitsAndTheUnchainedLayout) {
+  Segments segments;
+  auto& head = segments.Add(kPoolMetaHeapSize);
+  ASSERT_TRUE(PoolMetaView::Format(head.view, Uuid::Generate(), "p").ok());
+  auto* header = reinterpret_cast<PoolMetaHeader*>(head.view.heap());
+
+  header->next_segment = head.uuid;
+  EXPECT_EQ(segments.Attach().status().code(), StatusCode::kDataLoss) << "self-link";
+
+  auto& next = segments.Add(2 * kPoolMetaHeapSize);
+  header->next_segment = Uuid::Nil();
+  auto meta = segments.Attach();
+  ASSERT_TRUE(meta.ok());
+  ASSERT_TRUE(meta->AppendSegment(next.uuid, next.view).ok());
+  reinterpret_cast<PoolMetaHeader*>(next.view.heap())->next_segment = head.uuid;
+  EXPECT_EQ(segments.Attach().status().code(), StatusCode::kDataLoss) << "two-segment cycle";
+
+  reinterpret_cast<PoolMetaHeader*>(next.view.heap())->next_segment = Uuid::Generate();
+  EXPECT_EQ(segments.Attach().status().code(), StatusCode::kNotFound) << "dangling link";
+
+  header->next_segment = Uuid::Nil();
+  header->magic = 0x4154454d4c4f4f50ULL;  // "POOLMETA": the layout before segments.
+  EXPECT_EQ(segments.Attach().status().code(), StatusCode::kDataLoss);
+}
+
+// Growth persists the new segment formatted before the tail's link to it:
+// every fence-boundary crash state, with seeded evictions, attaches to a
+// chain of one or two segments holding a prefix of the member list.
+TEST(PoolMetaChainTest, SegmentLinkCrashStatesAttachToAMemberPrefix) {
+  Segments segments;
+  auto& head = segments.Add(kPoolMetaHeapSize);
+  ASSERT_TRUE(PoolMetaView::Format(head.view, Uuid::Generate(), "p").ok());
+  auto meta = segments.Attach();
+  ASSERT_TRUE(meta.ok());
+  std::vector<Uuid> members;
+  while (!meta->full()) {
+    members.push_back(Uuid::Generate());
+    ASSERT_TRUE(meta->AddMember(members.back()).ok());
+  }
+  auto& next = segments.Add(2 * kPoolMetaHeapSize);
+
+  crashsim::TraceRecorder recorder;
+  recorder.Start({{.base = reinterpret_cast<uintptr_t>(head.base), .size = head.size},
+                  {.base = reinterpret_cast<uintptr_t>(next.base), .size = next.size}});
+  ASSERT_TRUE(meta->AppendSegment(next.uuid, next.view).ok());
+  members.push_back(Uuid::Generate());
+  ASSERT_TRUE(meta->AddMember(members.back()).ok());
+  const crashsim::Trace trace = recorder.Stop();
+
+  const auto states = crashsim::EnumerateCrashStates(trace, {});
+  ASSERT_FALSE(states.empty());
+  std::set<uint32_t> chain_lengths;
+  std::set<uint32_t> member_counts;
+  for (const crashsim::CrashStateSpec& spec : states) {
+    crashsim::ApplyCrashState(trace, spec);
+    auto recovered = segments.Attach();
+    ASSERT_TRUE(recovered.ok()) << spec.ToString() << ": " << recovered.status().ToString();
+    ASSERT_LE(recovered->num_members(), members.size()) << spec.ToString();
+    for (uint32_t i = 0; i < recovered->num_members(); ++i) {
+      ASSERT_EQ(recovered->member(i), members[i]) << spec.ToString() << " member " << i;
+    }
+    chain_lengths.insert(recovered->num_segments());
+    member_counts.insert(recovered->num_members());
+  }
+  EXPECT_EQ(chain_lengths, (std::set<uint32_t>{1, 2})) << "the sweep must cross the link";
+  EXPECT_EQ(member_counts.size(), 2u) << "and the appended member's publication";
 }
 
 // ---- Log space (Fig. 5 directory) ----

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 
@@ -26,9 +27,12 @@ namespace fs = std::filesystem;
 class RecoveryIntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // A parameterized test's name holds a '/': flatten it, so root_ is one
+    // directory and TearDown's remove_all leaves nothing behind.
+    std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
     root_ = fs::temp_directory_path() /
-            ("recovery_test_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+            ("recovery_test_" + std::to_string(::getpid()) + "_" + name);
     fs::remove_all(root_);
   }
 

@@ -6,11 +6,16 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
+#include <memory>
 
 #include "src/libpuddles/fault_router.h"
 #include "src/libpuddles/libpuddles.h"
 #include "src/pmem/flush.h"
 #include "src/pmem/mapped_file.h"
+#include "src/puddles/pool_meta.h"
+#include "src/workloads/adapters.h"
+#include "src/workloads/list.h"
 
 namespace puddles {
 
@@ -94,6 +99,27 @@ class RelocationTest : public ::testing::Test {
       }).ok()) << i;
     }
     return &p;
+  }
+
+  // Restarts the daemon (and a fresh runtime) on `root`.
+  void Restart(const fs::path& root) {
+    runtime_.reset();
+    daemon_.reset();
+    auto daemon = puddled::Daemon::Start({.root_dir = root.string()});
+    ASSERT_TRUE(daemon.ok()) << daemon.status().ToString();
+    daemon_ = std::move(*daemon);
+    auto runtime =
+        Runtime::Create(std::make_shared<puddled::EmbeddedDaemonClient>(daemon_.get()));
+    ASSERT_TRUE(runtime.ok());
+    runtime_ = std::move(*runtime);
+  }
+
+  size_t CountPuddleFiles(const fs::path& dir) {
+    size_t files = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      files += entry.path().extension() == ".pud" ? 1 : 0;
+    }
+    return files;
   }
 
   static uint64_t SumList(Pool& pool) {
@@ -400,6 +426,309 @@ TEST_F(RelocationTest, RewriteStatsCountPointers) {
   auto stats = runtime_->stats();
   // 64 nodes (1 pointer each; tail's next is null) + head object (2 pointers).
   EXPECT_GE(stats.pointers_rewritten - before.pointers_rewritten, 64u);
+}
+
+// A pool meta chain mapped straight from a daemon's (or an export's) files.
+struct MappedChain {
+  std::vector<pmem::PmemFile> files;
+  PoolMetaView meta;
+};
+
+std::unique_ptr<MappedChain> MapChain(const std::function<std::string(const Uuid&)>& path_of,
+                                      const Uuid& head) {
+  auto chain = std::make_unique<MappedChain>();
+  auto meta = PoolMetaView::Attach(head, [&](const Uuid& uuid) -> puddles::Result<Puddle> {
+    ASSIGN_OR_RETURN(pmem::PmemFile file, pmem::PmemFile::Open(path_of(uuid)));
+    ASSIGN_OR_RETURN(void* base, file.Map());
+    ASSIGN_OR_RETURN(Puddle puddle, Puddle::Attach(base, file.size()));
+    chain->files.push_back(std::move(file));
+    return puddle;
+  });
+  EXPECT_TRUE(meta.ok()) << meta.status().ToString();
+  if (meta.ok()) {
+    chain->meta = *meta;
+  }
+  return chain;
+}
+
+// Calls `fn` on every puddle file of an export directory, mapped writable.
+void ForEachExportedPuddle(const fs::path& dir, const std::function<void(Puddle&)>& fn) {
+  for (const auto& dirent : fs::directory_iterator(dir)) {
+    if (dirent.path().extension() != ".pud") {
+      continue;
+    }
+    auto file = pmem::PmemFile::Open(dirent.path().string());
+    ASSERT_TRUE(file.ok());
+    auto mapped = file->Map();
+    ASSERT_TRUE(mapped.ok());
+    auto puddle = Puddle::Attach(*mapped, file->size());
+    ASSERT_TRUE(puddle.ok()) << puddle.status().ToString();
+    fn(*puddle);
+  }
+}
+
+// Paper Fig. 14's shipped state, as bench/e2e's ship-list seeds it: a
+// 16,384-variable list whose allocations end near 536 KiB of a 2 MiB heap.
+// Its export carries that member with a 1 MiB heap, and the importer maps
+// and relocates the trimmed copy with every pointer intact.
+TEST_F(RelocationTest, ShipListSeedImportHasAOneMiBHeap) {
+  using StateList = workloads::PersistentList<workloads::PuddlesAdapter>;
+  constexpr uint64_t kVars = 16384;
+  StateList::RegisterTypes();
+  auto pool = runtime_->CreatePool("state");
+  ASSERT_TRUE(pool.ok());
+  StateList list{workloads::PuddlesAdapter(*pool)};
+  ASSERT_TRUE(list.Init().ok());
+  uint64_t expected = 0;
+  for (uint64_t i = 0; i < kVars; ++i) {
+    ASSERT_TRUE(list.InsertTail(i).ok());
+    expected += i;
+  }
+  ASSERT_EQ((*pool)->member_count(), 1u);
+  ASSERT_TRUE(runtime_->ExportPool("state", (base_ / "export").string()).ok());
+
+  auto import = runtime_->client().ImportPool((base_ / "export").string(), "copy");
+  ASSERT_TRUE(import.ok()) << import.status().ToString();
+  EXPECT_GT(import->members_relocated, 0u);
+  auto copy = runtime_->OpenPool("copy");
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  auto chain = MapChain([&](const Uuid& uuid) { return daemon_->PuddlePath(uuid); },
+                        import->pool.meta_puddle);
+  ASSERT_EQ(chain->meta.num_members(), 1u);
+  auto member = daemon_->StatPuddle(chain->meta.member(0), puddled::Credentials::Self());
+  ASSERT_TRUE(member.ok());
+  EXPECT_EQ(member->heap_size, 1u << 20);
+  EXPECT_EQ(member->file_size, 1u << 20 | 16u << 10) << "header page + metadata + heap";
+  auto meta_segment = daemon_->StatPuddle(import->pool.meta_puddle, puddled::Credentials::Self());
+  ASSERT_TRUE(meta_segment.ok());
+  EXPECT_EQ(meta_segment->file_size, 8192u) << "a one-page pool meta";
+
+  auto* head = *(*copy)->Root<StateList::Head>();
+  uint64_t sum = 0;
+  uint64_t count = 0;
+  for (StateList::Node* n = head->head; n != nullptr; n = n->next) {
+    Runtime::Entry* entry = runtime_->FindEntryByAddr(reinterpret_cast<uintptr_t>(n));
+    ASSERT_NE(entry, nullptr);
+    ASSERT_EQ(entry->info.pool_uuid, (*copy)->info().pool_uuid) << "node " << count;
+    sum += n->value;
+    ++count;
+  }
+  EXPECT_EQ(count, kVars);
+  EXPECT_EQ(sum, expected);
+}
+
+// A member table grown past two continuation segments (with small data
+// puddles made through the daemon) survives export, import into another
+// root where its addresses are taken, relocation, and a daemon restart.
+TEST_F(RelocationTest, ChainedPoolMetaRoundTripsThroughExportImportAndRestart) {
+  const puddled::Credentials creds = puddled::Credentials::Self();
+  Pool* source = BuildListPool("source", 50);
+  const uint64_t expected = SumList(*source);
+  const Uuid pool_uuid = source->info().pool_uuid;
+  const Uuid head = source->info().meta_puddle;
+  runtime_.reset();  // The pool's cached meta view would go stale below.
+
+  {
+    auto path_of = [&](const Uuid& uuid) { return daemon_->PuddlePath(uuid); };
+    auto chain = MapChain(path_of, head);
+    PoolMetaView& meta = chain->meta;
+    while (meta.num_segments() < 3 || meta.num_members() < 165 + 335 + 10) {
+      if (meta.full()) {
+        auto segment = daemon_->CreatePuddle(PuddleKind::kPoolMeta, 2 * meta.tail_heap_size(),
+                                             creds, pool_uuid);
+        ASSERT_TRUE(segment.ok()) << segment.status().ToString();
+        ::close(segment->second);
+        auto file = pmem::PmemFile::Open(path_of(segment->first.uuid));
+        ASSERT_TRUE(file.ok());
+        auto mapped = file->Map();
+        ASSERT_TRUE(mapped.ok());
+        auto puddle = Puddle::Attach(*mapped, file->size());
+        ASSERT_TRUE(puddle.ok());
+        ASSERT_TRUE(meta.AppendSegment(segment->first.uuid, *puddle).ok());
+        chain->files.push_back(std::move(*file));
+      }
+      auto member = daemon_->CreatePuddle(PuddleKind::kData, 4096, creds, pool_uuid);
+      ASSERT_TRUE(member.ok()) << member.status().ToString();
+      ::close(member->second);
+      ASSERT_TRUE(meta.AddMember(member->first.uuid).ok());
+    }
+  }
+  const fs::path export_dir = base_ / "export";
+  ASSERT_TRUE(daemon_->ExportPool("source", export_dir.string(), creds).ok());
+
+  // Another root, whose first pool takes the source's first addresses.
+  Restart(base_ / "root2");
+  BuildListPool("filler", 1);
+  auto import = runtime_->client().ImportPool(export_dir.string(), "copy");
+  ASSERT_TRUE(import.ok()) << import.status().ToString();
+  EXPECT_GT(import->members_relocated, 0u);
+  EXPECT_EQ(import->members_imported, 1u + 165 + 335 + 9);
+
+  auto check_copy = [&](std::vector<Uuid>* members, std::vector<uint64_t>* old_bases) {
+    auto copy = runtime_->OpenPool("copy");
+    ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+    EXPECT_EQ(SumList(**copy), expected);
+    EXPECT_EQ((*copy)->member_count(), import->members_imported);
+    EXPECT_FALSE((*copy)->translator().empty());
+    auto chain = MapChain([&](const Uuid& uuid) { return daemon_->PuddlePath(uuid); },
+                          (*copy)->info().meta_puddle);
+    EXPECT_EQ(chain->meta.num_segments(), 3u);
+    members->clear();
+    old_bases->clear();
+    for (uint32_t i = 0; i < chain->meta.num_members(); ++i) {
+      auto info = daemon_->StatPuddle(chain->meta.member(i), puddled::Credentials::Self());
+      ASSERT_TRUE(info.ok()) << "member " << i << " is not the copy's";
+      EXPECT_EQ(info->pool_uuid, (*copy)->info().pool_uuid);
+      members->push_back(chain->meta.member(i));
+      old_bases->push_back(chain->meta.member_old_base(i));
+    }
+    EXPECT_NE(old_bases->front(), 0u) << "the root's member was relocated";
+  };
+  std::vector<Uuid> members;
+  std::vector<uint64_t> old_bases;
+  check_copy(&members, &old_bases);
+
+  Restart(base_ / "root2");
+  std::vector<Uuid> members_after;
+  std::vector<uint64_t> old_bases_after;
+  check_copy(&members_after, &old_bases_after);
+  EXPECT_EQ(members_after, members);
+  EXPECT_EQ(old_bases_after, old_bases);
+}
+
+// Import treats an export as untrusted input (§4.6): each corruption fails
+// with DataLoss and leaves no copied file, no record and no address claim —
+// the repaired export then imports into the same root with every original
+// address.
+struct ImportCorruption {
+  const char* name;
+  // Edits the export; `meta_uuid` names its pool meta's first segment.
+  std::function<void(const fs::path&, const Uuid& meta_uuid)> corrupt;
+};
+
+class ImportCorruptionTest : public RelocationTest,
+                             public ::testing::WithParamInterface<ImportCorruption> {};
+
+void CorruptDataMember(const fs::path& dir, const std::function<void(PuddleHeader*)>& edit) {
+  ForEachExportedPuddle(dir, [&](Puddle& puddle) {
+    if (puddle.kind() == PuddleKind::kData) {
+      edit(puddle.header());
+      pmem::FlushFence(puddle.header(), sizeof(PuddleHeader));
+    }
+  });
+}
+
+void LinkFirstSegment(const fs::path& dir, const Uuid& meta_uuid, const Uuid& next) {
+  ForEachExportedPuddle(dir, [&](Puddle& puddle) {
+    if (puddle.uuid() == meta_uuid) {
+      reinterpret_cast<PoolMetaHeader*>(puddle.heap())->next_segment = next;
+      pmem::FlushFence(puddle.heap(), sizeof(PoolMetaHeader));
+    }
+  });
+}
+
+TEST_P(ImportCorruptionTest, FailsWithDataLossAndLeavesNothing) {
+  Pool* source = BuildListPool("source", 30);
+  const uint64_t expected = SumList(*source);
+  const Uuid meta = source->info().meta_puddle;
+  const fs::path export_dir = base_ / "export";
+  const fs::path pristine = base_ / "pristine";
+  ASSERT_TRUE(runtime_->ExportPool("source", export_dir.string()).ok());
+  fs::copy(export_dir, pristine);
+  Restart(base_ / "root2");
+  const size_t files_before = CountPuddleFiles(base_ / "root2");
+  const uint64_t puddles_before = daemon_->puddle_count();
+
+  GetParam().corrupt(export_dir, meta);
+  auto failed = runtime_->client().ImportPool(export_dir.string(), "migrated");
+  EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss) << failed.status().ToString();
+  EXPECT_EQ(CountPuddleFiles(base_ / "root2"), files_before);
+  EXPECT_EQ(daemon_->puddle_count(), puddles_before);
+  EXPECT_FALSE(runtime_->OpenPool("migrated").ok());
+
+  auto import = runtime_->client().ImportPool(pristine.string(), "migrated");
+  ASSERT_TRUE(import.ok()) << import.status().ToString();
+  EXPECT_EQ(import->members_relocated, 0u) << "a failed import's claim outlived it";
+  auto pool = runtime_->OpenPool("migrated");
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  EXPECT_EQ(SumList(**pool), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, ImportCorruptionTest,
+    ::testing::Values(
+        ImportCorruption{"HeapSizeNotAPowerOfTwo",
+                         [](const fs::path& dir, const Uuid&) {
+                           CorruptDataMember(dir, [](PuddleHeader* h) { h->heap_size -= 4096; });
+                         }},
+        ImportCorruption{"HeapPastTheFileEnd",
+                         [](const fs::path& dir, const Uuid&) {
+                           CorruptDataMember(dir, [](PuddleHeader* h) { h->heap_size *= 2; });
+                         }},
+        ImportCorruption{"MetadataSmallerThanItsHeapNeeds",
+                         [](const fs::path& dir, const Uuid&) {
+                           CorruptDataMember(dir, [](PuddleHeader* h) { h->meta_size = 4096; });
+                         }},
+        ImportCorruption{"SegmentLinksToItself",
+                         [](const fs::path& dir, const Uuid& meta) {
+                           LinkFirstSegment(dir, meta, meta);
+                         }},
+        ImportCorruption{"ChainLongerThanTheManifest",
+                         [](const fs::path& dir, const Uuid& meta) {
+                           LinkFirstSegment(dir, meta, Uuid::Generate());
+                         }}),
+    [](const ::testing::TestParamInfo<ImportCorruption>& info) { return info.param.name; });
+
+struct UnmappedHead {
+  RelocNode* first;
+};
+
+// Relocation never passes an object whose type has no pointer map (the
+// importer never registered UnmappedHead): the open fails and the member
+// keeps its rewrite obligation. Once the map is registered, the reopen
+// resumes and the root's pointer lands in the copy.
+TEST_F(RelocationTest, OpenFailsUntilAnUnmappedRootTypeIsRegistered) {
+  auto created = runtime_->CreatePool("source");
+  ASSERT_TRUE(created.ok());
+  Pool& source = **created;
+  ASSERT_TRUE(source.Run([&](Tx& tx) -> puddles::Status {
+    ASSIGN_OR_RETURN(UnmappedHead * head, tx.Alloc<UnmappedHead>());
+    ASSIGN_OR_RETURN(RelocNode * node, tx.Alloc<RelocNode>());
+    node->next = nullptr;
+    node->value = 42;
+    head->first = node;
+    return source.SetRoot(head);
+  }).ok());
+  ASSERT_TRUE(runtime_->ExportPool("source", (base_ / "export").string()).ok());
+  auto import = runtime_->client().ImportPool((base_ / "export").string(), "copy");
+  ASSERT_TRUE(import.ok()) << import.status().ToString();
+  ASSERT_GT(import->members_relocated, 0u);
+
+  auto refused = runtime_->OpenPool("copy");
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+      << refused.status().ToString();
+  auto chain = MapChain([&](const Uuid& uuid) { return daemon_->PuddlePath(uuid); },
+                        import->pool.meta_puddle);
+  ASSERT_EQ(chain->meta.num_members(), 1u);
+  {
+    auto file = pmem::PmemFile::Open(daemon_->PuddlePath(chain->meta.member(0)));
+    ASSERT_TRUE(file.ok());
+    auto mapped = file->Map();
+    ASSERT_TRUE(mapped.ok());
+    auto member = Puddle::Attach(*mapped, file->size());
+    ASSERT_TRUE(member.ok());
+    EXPECT_TRUE(member->needs_rewrite()) << "the failed open must keep the rewrite flag";
+  }
+
+  ASSERT_TRUE(TypeRegistry::Instance().Register<UnmappedHead>(&UnmappedHead::first).ok());
+  auto copy = runtime_->OpenPool("copy");
+  ASSERT_TRUE(copy.ok()) << copy.status().ToString();
+  UnmappedHead* head = *(*copy)->Root<UnmappedHead>();
+  Runtime::Entry* entry = runtime_->FindEntryByAddr(reinterpret_cast<uintptr_t>(head->first));
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->info.pool_uuid, (*copy)->info().pool_uuid)
+      << "the root's pointer still aims at the source";
+  EXPECT_EQ(head->first->value, 42u);
 }
 
 }  // namespace

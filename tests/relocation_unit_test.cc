@@ -292,20 +292,50 @@ TEST_F(RewriteTest, RawBytesNeverTouched) {
   EXPECT_EQ(words[0], 0x1100u);
 }
 
-TEST_F(RewriteTest, UnknownTypesCountedNotTouched) {
+// An object whose type has no pointer map may hold pointers nothing can
+// find. The rewrite must not pass it: the frontier persists at that object
+// and the puddle stays flagged, so a run that has the map resumes there.
+TEST_F(RewriteTest, UnknownTypeStopsTheRewriteAtItsObject) {
+  struct Unmapped {
+    RelNode* next;
+    uint64_t a;
+    uint64_t b;
+  };
+  static_assert(sizeof(Unmapped) == sizeof(RelNode), "one slab class keeps walk order");
+  TypeRegistry& registry = TypeRegistry::Instance();  // Unmapped: registered below.
+
   auto heap = puddle_.object_heap();
   ASSERT_TRUE(heap.ok());
-  auto obj = heap->Allocate(32, /*type_id=*/0xdeadbeefcafeULL);  // Unregistered.
-  ASSERT_TRUE(obj.ok());
-  auto* words = static_cast<uint64_t*>(*obj);
-  words[0] = 0x1100;
+  auto before = heap->AllocateTyped<RelNode>();
+  auto unmapped = heap->AllocateTyped<Unmapped>();
+  auto after = heap->AllocateTyped<RelNode>();
+  ASSERT_TRUE(before.ok() && unmapped.ok() && after.ok());
+  (*before)->next = reinterpret_cast<RelNode*>(0x1100);
+  (*unmapped)->next = reinterpret_cast<RelNode*>(0x1300);
+  (*after)->next = reinterpret_cast<RelNode*>(0x1200);
 
   Translator translator;
-  ASSERT_TRUE(translator.Add(0x1000, 0x1000, 0x300000).ok());
-  auto stats = RewritePuddle(puddle_, translator, TypeRegistry::Instance());
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->objects_without_map, 1u);
-  EXPECT_EQ(words[0], 0x1100u);
+  ASSERT_TRUE(translator.Add(0x1000, 0x1000, 0x100000).ok());
+  puddle_.AssignNewBase(puddle_.base_addr() + 0x1000000);
+
+  auto stopped = RewritePuddle(puddle_, translator, registry);
+  EXPECT_EQ(stopped.status().code(), StatusCode::kFailedPrecondition)
+      << stopped.status().ToString();
+  EXPECT_TRUE(puddle_.needs_rewrite());
+  EXPECT_EQ(puddle_.rewrite_frontier(), 1u) << "durable up to the unmapped object";
+  EXPECT_EQ((*before)->next, reinterpret_cast<RelNode*>(0x100100));
+  EXPECT_EQ((*unmapped)->next, reinterpret_cast<RelNode*>(0x1300));
+  EXPECT_EQ((*after)->next, reinterpret_cast<RelNode*>(0x1200)) << "nothing past the stop";
+
+  ASSERT_TRUE(registry.Register<Unmapped>(&Unmapped::next).ok());
+  auto resumed = RewritePuddle(puddle_, translator, registry);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  EXPECT_EQ(resumed->objects_skipped_resume, 1u);
+  EXPECT_EQ(resumed->pointers_rewritten, 2u);
+  EXPECT_EQ((*before)->next, reinterpret_cast<RelNode*>(0x100100)) << "not translated twice";
+  EXPECT_EQ((*unmapped)->next, reinterpret_cast<RelNode*>(0x100300));
+  EXPECT_EQ((*after)->next, reinterpret_cast<RelNode*>(0x100200));
+  EXPECT_FALSE(puddle_.needs_rewrite());
 }
 
 TEST_F(RewriteTest, ResumesFromPersistedFrontier) {
