@@ -1,20 +1,28 @@
 // Socket-level YCSB against one live Puddled: N separate client PROCESSES
 // (fork+exec of this binary with --client) hammer a single daemon over its
-// UNIX domain socket with read (GetPtrMap) / update (RegisterPtrMap) mixes,
-// optionally pipelined. The matrix runs the thread-per-connection server
-// (src/daemon/server.cc) at depth 1, the wire pattern of SocketDaemonClient,
-// and at depth 16, and emits BENCH_daemon.json (repo root) with throughput +
-// p50/p99 per configuration under "rows" and the standard provenance block —
-// same conventions as BENCH_epoch.json and BENCH_alloc.json.
+// UNIX domain socket with a read / update mix of the per-puddle requests the
+// runtime sends, optionally pipelined. A read is a writable GetPuddle, the
+// fetch of a member's record and file descriptor when a pool opens; an update
+// is CompleteRewrite, the record write after a member's pointer rewrite. The
+// matrix runs the thread-per-connection server (src/daemon/server.cc) at
+// depth 1, the wire pattern of SocketDaemonClient, and at depth 16, and emits
+// BENCH_daemon.json (repo root) with throughput + p50/p99 per configuration
+// under "rows" and the standard provenance block — same conventions as
+// BENCH_epoch.json and BENCH_alloc.json.
 //
-// Workload letters follow YCSB: A = 50/50 read/update, B = 95/5, C = 100%
-// read, uniform key choice over a preloaded ptr-map keyspace. Latency is
-// measured per request at the client (send→matching response, so pipelined
-// configs report queue+service time) into mergeable log-bucket histograms
-// that children ship back over a pipe for exact cross-process percentiles.
+// The mix, workload "S", is the one bench/e2e's ship-list workload sends:
+// counted per opcode over its traced window, each copy sends 2 GetPuddle and
+// 1.875 CompleteRewrite, so 52% of these requests are reads. (Each copy also
+// sends one ImportPool and one OpenPool, pool-level requests that bench/e2e
+// times itself; its KV windows send none.) Keys are chosen uniformly, as in
+// YCSB, over a preloaded keyspace of data puddles. Latency is measured per
+// request at the client (send→matching response, so pipelined configs report
+// queue+service time) into mergeable log-bucket histograms that children ship
+// back over a pipe for exact cross-process percentiles.
 //
 // Usage: bench_daemon_ycsb [--out=BENCH_daemon.json] [--ops=N] [--keys=K]
-//        (--client + flags is the internal child-process mode)
+//        (--client + flags is the internal child-process mode; the parent
+//        hands children the keyspace as a file of puddle uuids)
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -24,13 +32,13 @@
 #include <cstring>
 #include <deque>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_provenance.h"
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
-#include "src/daemon/client.h"
 #include "src/daemon/protocol.h"
 #include "src/daemon/server.h"
 #include "src/ipc/wire.h"
@@ -90,14 +98,15 @@ bool WriteFull(int fd, const void* buf, size_t len) {
   return true;
 }
 
-puddled::PtrMapRecord RecordFor(uint64_t type_id) {
-  puddled::PtrMapRecord record{};
-  record.type_id = type_id;
-  record.num_fields = 2;
-  record.object_size = 64;
-  record.field_offsets[0] = 0;
-  record.field_offsets[1] = 8;
-  return record;
+// The keyspace: one preloaded data puddle per key, named by its uuid.
+std::vector<puddles::Uuid> ReadKeyspace(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<puddles::Uuid> keys;
+  puddles::Uuid key;
+  while (in.read(reinterpret_cast<char*>(&key), sizeof(key))) {
+    keys.push_back(key);
+  }
+  return keys;
 }
 
 // ---------------------------------------------------------------------------
@@ -106,10 +115,10 @@ puddled::PtrMapRecord RecordFor(uint64_t type_id) {
 
 struct ClientConfig {
   std::string socket_path;
+  std::string keyspace_path;
   uint64_t ops = 0;
-  uint64_t keys = 0;
   uint64_t depth = 1;      // Pipelining window (1 = synchronous RTTs).
-  uint64_t read_pct = 95;  // YCSB mix: % of ops that are reads.
+  uint64_t read_pct = 52;  // % of ops that are reads.
   uint64_t seed = 1;
   int ready_fd = -1;
   int go_fd = -1;
@@ -117,6 +126,11 @@ struct ClientConfig {
 };
 
 int RunClient(const ClientConfig& config) {
+  const std::vector<puddles::Uuid> keys = ReadKeyspace(config.keyspace_path);
+  if (keys.empty()) {
+    std::fprintf(stderr, "client: empty keyspace %s\n", config.keyspace_path.c_str());
+    return 1;
+  }
   auto socket = puddles::UnixSocket::Connect(config.socket_path);
   if (!socket.ok()) {
     std::fprintf(stderr, "client: connect failed: %s\n", socket.status().ToString().c_str());
@@ -135,12 +149,14 @@ int RunClient(const ClientConfig& config) {
   std::vector<uint8_t> batch;
   auto stage_one = [&] {
     puddles::WireWriter writer;
+    const puddles::Uuid& key = keys[rng.Below(keys.size())];
     if (rng.Below(100) < config.read_pct) {
-      writer.PutU32(static_cast<uint32_t>(puddled::Op::kGetPtrMap));
-      writer.PutU64(1 + rng.Below(config.keys));
+      writer.PutU32(static_cast<uint32_t>(puddled::Op::kGetPuddle));
+      writer.PutUuid(key);
+      writer.PutU8(1);  // Writable, as a writable pool's open asks.
     } else {
-      writer.PutU32(static_cast<uint32_t>(puddled::Op::kRegisterPtrMap));
-      puddled::EncodePtrMap(&writer, RecordFor(1 + rng.Below(config.keys)));
+      writer.PutU32(static_cast<uint32_t>(puddled::Op::kCompleteRewrite));
+      writer.PutUuid(key);
     }
     const uint32_t length = static_cast<uint32_t>(writer.bytes().size());
     const auto* header = reinterpret_cast<const uint8_t*>(&length);
@@ -261,7 +277,7 @@ std::string Flag(const char* name, uint64_t value) {
 }
 
 Row RunOne(puddled::Daemon* daemon, const std::string& socket_path, const std::string& exe,
-           const RunSpec& spec, uint64_t ops_per_client, uint64_t keys) {
+           const RunSpec& spec, uint64_t ops_per_client, const std::string& keyspace_path) {
   auto server = puddled::Server::Start(daemon, socket_path);
   if (!server.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", server.status().ToString().c_str());
@@ -285,8 +301,8 @@ Row RunOne(puddled::Daemon* daemon, const std::string& socket_path, const std::s
         exe,
         "--client",
         "--socket=" + socket_path,
+        "--keyspace=" + keyspace_path,
         Flag("--ops", ops_per_client),
-        Flag("--keys", keys),
         Flag("--depth", spec.depth),
         Flag("--read-pct", spec.read_pct),
         Flag("--seed", 0x5eed0000 + c),
@@ -432,10 +448,10 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg.rfind("--socket=", 0) == 0) {
         config.socket_path = arg.substr(9);
+      } else if (arg.rfind("--keyspace=", 0) == 0) {
+        config.keyspace_path = arg.substr(11);
       } else if (arg.rfind("--ops=", 0) == 0) {
         config.ops = FlagValue(arg);
-      } else if (arg.rfind("--keys=", 0) == 0) {
-        config.keys = FlagValue(arg);
       } else if (arg.rfind("--depth=", 0) == 0) {
         config.depth = FlagValue(arg);
       } else if (arg.rfind("--read-pct=", 0) == 0) {
@@ -475,9 +491,6 @@ int main(int argc, char** argv) {
   auto dir = bench::ScratchDir("daemonycsb");
   puddled::Daemon::Options daemon_options;
   daemon_options.root_dir = (dir / "root").string();
-  // Headroom for the preloaded keyspace (the default ptr-map table is sized
-  // for type registries, not a bench keyspace).
-  daemon_options.ptrmap_table_slots = 4 * keys;
   auto daemon = puddled::Daemon::Start(daemon_options);
   if (!daemon.ok()) {
     std::fprintf(stderr, "daemon start failed: %s\n", daemon.status().ToString().c_str());
@@ -486,31 +499,41 @@ int main(int argc, char** argv) {
   const std::string socket_path = (dir / "puddled.sock").string();
   const std::string exe = "/proc/self/exe";
 
-  // Preload the keyspace so reads always hit.
-  puddled::EmbeddedDaemonClient loader(daemon->get());
-  for (uint64_t k = 1; k <= keys; ++k) {
-    if (!loader.RegisterPtrMap(RecordFor(k)).ok()) {
-      std::fprintf(stderr, "keyspace preload failed\n");
-      return 1;
+  // Preload the keyspace, one smallest data puddle per key, so every read
+  // finds a puddle and every update a record. (A read's descriptor reaches
+  // the client as ancillary data, which its plain read() discards, closing
+  // it.)
+  const std::string keyspace_path = (dir / "keyspace.bin").string();
+  {
+    std::ofstream keyspace(keyspace_path, std::ios::binary);
+    for (uint64_t k = 0; k < keys; ++k) {
+      auto created = (*daemon)->CreatePuddle(puddles::PuddleKind::kData, puddles::kPageSize,
+                                             puddled::Credentials::Self());
+      if (!created.ok()) {
+        std::fprintf(stderr, "keyspace preload failed: %s\n",
+                     created.status().ToString().c_str());
+        return 1;
+      }
+      ::close(created->second);
+      keyspace.write(reinterpret_cast<const char*>(&created->first.uuid),
+                     sizeof(puddles::Uuid));
     }
   }
 
   const std::vector<RunSpec> matrix = {
       // Depth 1: SocketDaemonClient holds one request in flight per
       // connection, so this is the wire pattern of every real client.
-      {"B", 1, 1, 95},
-      {"B", 16, 1, 95},
-      {"B", 64, 1, 95},
+      {"S", 1, 1, 52},
+      {"S", 16, 1, 52},
+      {"S", 64, 1, 52},
       // Depth 16: pipelined raw clients (the server answers in order).
-      {"B", 16, 16, 95},
-      {"B", 64, 16, 95},
-      {"A", 64, 16, 50},
-      {"C", 64, 16, 100},
+      {"S", 16, 16, 52},
+      {"S", 64, 16, 52},
   };
   std::vector<Row> rows;
   rows.reserve(matrix.size());
   for (const RunSpec& spec : matrix) {
-    rows.push_back(RunOne(daemon->get(), socket_path, exe, spec, ops_per_client, keys));
+    rows.push_back(RunOne(daemon->get(), socket_path, exe, spec, ops_per_client, keyspace_path));
   }
 
   WriteJson(rows, out_path);

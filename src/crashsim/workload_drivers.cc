@@ -1227,6 +1227,11 @@ class ImportCrashDriver : public WorkloadDriver {
       }
       copy_root_puddle_ = meta_view.root_puddle();
       copy_root_offset_ = meta_view.root_offset();
+      // The copy's own pointer maps drive the traced rewrite, as they drive
+      // the runtime's (Pool::LookupPtrMap).
+      for (uint32_t i = 0; i < meta_view.num_ptr_maps(); ++i) {
+        RETURN_IF_ERROR(copy_maps_.Add(meta_view.ptr_map(i)));
+      }
 
       std::vector<TracedRegion> regions;
       for (const Mapped& member : members_) {
@@ -1251,9 +1256,10 @@ class ImportCrashDriver : public WorkloadDriver {
     puddles::RewriteOptions rewrite_options;
     rewrite_options.batch_objects = options_.rewrite_batch_objects;
     ASSIGN_OR_RETURN(puddles::RewriteStats stats,
-                     puddles::RewritePuddle(member.view, translator_,
-                                            puddles::TypeRegistry::Instance(),
-                                            rewrite_options));
+                     puddles::RewritePuddle(
+                         member.view, translator_,
+                         [this](puddles::TypeId type_id) { return copy_maps_.Lookup(type_id); },
+                         rewrite_options));
     (void)stats;
     return runtime_->client().CompleteRewrite(member.info.uuid);
   }
@@ -1485,6 +1491,7 @@ class ImportCrashDriver : public WorkloadDriver {
   std::unique_ptr<puddles::Runtime> runtime_;
   puddles::Pool* src_pool_ = nullptr;
   puddles::Translator translator_;
+  puddles::TypeRegistry copy_maps_;  // The copy's recorded maps.
   std::vector<Mapped> members_;
   puddles::Uuid copy_root_puddle_;
   uint64_t copy_root_offset_ = 0;

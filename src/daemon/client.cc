@@ -154,27 +154,6 @@ puddles::Status SocketDaemonClient::RegisterLogSpace(const Uuid& uuid) {
   return TakeStatus(message, reader);
 }
 
-puddles::Status SocketDaemonClient::RegisterPtrMap(const PtrMapRecord& record) {
-  WireWriter writer;
-  writer.PutU32(static_cast<uint32_t>(Op::kRegisterPtrMap));
-  EncodePtrMap(&writer, record);
-  ASSIGN_OR_RETURN(auto message, RoundTrip(writer.bytes()));
-  WireReader reader(message.bytes);
-  return TakeStatus(message, reader);
-}
-
-puddles::Result<PtrMapRecord> SocketDaemonClient::GetPtrMap(uint64_t type_id) {
-  WireWriter writer;
-  writer.PutU32(static_cast<uint32_t>(Op::kGetPtrMap));
-  writer.PutU64(type_id);
-  ASSIGN_OR_RETURN(auto message, RoundTrip(writer.bytes()));
-  WireReader reader(message.bytes);
-  RETURN_IF_ERROR(TakeStatus(message, reader));
-  PtrMapRecord record;
-  RETURN_IF_ERROR(DecodePtrMap(&reader, &record));
-  return record;
-}
-
 puddles::Status SocketDaemonClient::CompleteRewrite(const Uuid& uuid) {
   WireWriter writer;
   writer.PutU32(static_cast<uint32_t>(Op::kCompleteRewrite));

@@ -33,8 +33,6 @@ class DaemonClient {
                                                uint32_t mode = 0600) = 0;
   virtual puddles::Result<PoolInfo> OpenPool(const std::string& name) = 0;
   virtual puddles::Status RegisterLogSpace(const Uuid& uuid) = 0;
-  virtual puddles::Status RegisterPtrMap(const PtrMapRecord& record) = 0;
-  virtual puddles::Result<PtrMapRecord> GetPtrMap(uint64_t type_id) = 0;
   virtual puddles::Status CompleteRewrite(const Uuid& uuid) = 0;
   virtual puddles::Status ExportPool(const std::string& name, const std::string& dest) = 0;
   virtual puddles::Result<ImportResult> ImportPool(const std::string& src,
@@ -79,12 +77,6 @@ class EmbeddedDaemonClient : public DaemonClient {
   puddles::Status RegisterLogSpace(const Uuid& uuid) override {
     return daemon_->RegisterLogSpace(uuid, creds_);
   }
-  puddles::Status RegisterPtrMap(const PtrMapRecord& record) override {
-    return daemon_->RegisterPtrMap(record);
-  }
-  puddles::Result<PtrMapRecord> GetPtrMap(uint64_t type_id) override {
-    return daemon_->GetPtrMap(type_id);
-  }
   puddles::Status CompleteRewrite(const Uuid& uuid) override {
     return daemon_->CompleteRewrite(uuid, creds_);
   }
@@ -118,8 +110,6 @@ class SocketDaemonClient : public DaemonClient {
   puddles::Result<PoolInfo> CreatePool(const std::string& name, uint32_t mode) override;
   puddles::Result<PoolInfo> OpenPool(const std::string& name) override;
   puddles::Status RegisterLogSpace(const Uuid& uuid) override;
-  puddles::Status RegisterPtrMap(const PtrMapRecord& record) override;
-  puddles::Result<PtrMapRecord> GetPtrMap(uint64_t type_id) override;
   puddles::Status CompleteRewrite(const Uuid& uuid) override;
   puddles::Status ExportPool(const std::string& name, const std::string& dest) override;
   puddles::Result<ImportResult> ImportPool(const std::string& src, const std::string& new_name,

@@ -21,16 +21,17 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Version 2 lists the pool meta's segment chain before the data members.
-constexpr uint64_t kManifestMagic = 0x3254464e414d4450ULL;  // "PDMANFT2"
+// Version 2 lists the pool meta's segment chain before the data members;
+// version 3 drops the pointer-map section (the maps ride in the segments).
+constexpr uint64_t kManifestMagic = 0x3354464e414d4450ULL;  // "PDMANFT3"
 
 // Registry capacities (slots; powers of two).
 constexpr uint64_t kPuddleTableSlots = 1 << 14;
 constexpr uint64_t kPoolTableSlots = 1 << 10;
 constexpr uint64_t kLogSpaceTableSlots = 1 << 10;
-// Lock/table shards for the hot per-key paths (puddle and pointer-map
-// registries). Each shard owns slots/shards table slots in its own file, so
-// the shard count is part of the on-disk layout.
+// Lock/table shards for the hot per-key path (the puddle registry). Each
+// shard owns slots/shards table slots in its own file, so the shard count is
+// part of the on-disk layout.
 constexpr uint32_t kShards = 8;
 static_assert(puddles::IsPowerOfTwo(kShards), "shard routing masks the key hash");
 static_assert(kPuddleTableSlots % kShards == 0, "table slots must divide evenly across shards");
@@ -116,9 +117,6 @@ puddles::Result<std::unique_ptr<Daemon>> Daemon::Start(const Options& options) {
   if (options.root_dir.empty()) {
     return puddles::InvalidArgumentError("daemon needs a root directory");
   }
-  if (options.ptrmap_table_slots % kShards != 0) {
-    return puddles::InvalidArgumentError("table slots must divide evenly across shards");
-  }
   std::unique_ptr<Daemon> daemon(new Daemon(options));
   RETURN_IF_ERROR(daemon->Initialize());
   if (options.run_recovery) {
@@ -146,7 +144,6 @@ puddles::Status Daemon::Initialize() {
 puddles::Status Daemon::OpenTables() {
   const std::string root = options_.root_dir + "/";
   const uint64_t puddle_slots = kPuddleTableSlots / kShards;
-  const uint64_t ptrmap_slots = options_.ptrmap_table_slots / kShards;
   // Shard choice is part of the on-disk layout: hash routing and file naming
   // both depend on it. A reopen with a different count must fail loudly —
   // opening a subset (or expecting extra shards) would silently hide the
@@ -165,8 +162,6 @@ puddles::Status Daemon::OpenTables() {
     const std::string suffix = "." + std::to_string(i) + ".tbl";
     RETURN_IF_ERROR(OpenTable(root + "puddles" + suffix, puddle_slots, &shard->puddle_file,
                               &shard->puddles));
-    RETURN_IF_ERROR(OpenTable(root + "ptrmaps" + suffix, ptrmap_slots, &shard->ptrmap_file,
-                              &shard->ptrmaps));
     shards_.push_back(std::move(shard));
   }
   RETURN_IF_ERROR(OpenTable(root + "pools.tbl", kPoolTableSlots, &pool_table_file_, &pools_));
@@ -177,17 +172,6 @@ puddles::Status Daemon::OpenTables() {
 
 Daemon::Shard& Daemon::ShardFor(const Uuid& uuid) {
   return *shards_[puddles::UuidHash{}(uuid) & (shards_.size() - 1)];
-}
-
-Daemon::Shard& Daemon::ShardForType(uint64_t type_id) {
-  // splitmix64 finalizer: type ids are often small sequential integers, so
-  // mix before masking. The result must stay stable across processes — the
-  // shard choice decides which table file holds the record.
-  uint64_t x = type_id + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return *shards_[x & (shards_.size() - 1)];
 }
 
 void Daemon::ForEachPuddle(bool exclusive,
@@ -521,32 +505,6 @@ puddles::Status Daemon::RegisterLogSpace(const Uuid& uuid, const Credentials& cr
   return logspaces_->Put(uuid, ls);
 }
 
-puddles::Status Daemon::RegisterPtrMap(const PtrMapRecord& record) {
-  std::shared_lock<std::shared_mutex> structure(structure_mu_);
-  if (record.num_fields > kMaxPtrFields) {
-    return puddles::InvalidArgumentError("too many pointer fields");
-  }
-  if (record.repeat_count != 0 &&
-      (record.repeat_offset + static_cast<uint64_t>(record.repeat_count) * sizeof(uint64_t) >
-       record.object_size)) {
-    return puddles::InvalidArgumentError("pointer-array region outside object");
-  }
-  Shard& shard = ShardForType(record.type_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.ptrmaps->Put(record.type_id, record);
-}
-
-puddles::Result<PtrMapRecord> Daemon::GetPtrMap(uint64_t type_id) {
-  std::shared_lock<std::shared_mutex> structure(structure_mu_);
-  Shard& shard = ShardForType(type_id);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto record = shard.ptrmaps->Get(type_id);
-  if (!record.ok()) {
-    return puddles::NotFoundError("no pointer map for type");
-  }
-  return *record;
-}
-
 puddles::Status Daemon::CompleteRewrite(const Uuid& uuid, const Credentials& creds) {
   std::shared_lock<std::shared_mutex> structure(structure_mu_);
   Shard& shard = ShardFor(uuid);
@@ -828,27 +786,20 @@ puddles::Status Daemon::ExportPool(const std::string& pool_name, const std::stri
     RETURN_IF_ERROR(copy_member(meta.member(i)));
   }
 
-  // Pointer maps travel with the data (§4.2): export them all.
-  std::vector<PtrMapRecord> maps;
-  for (auto& shard : shards_) {
-    shard->ptrmaps->ForEach([&](const uint64_t&, const PtrMapRecord& r) { maps.push_back(r); });
-  }
-  manifest.PutU32(static_cast<uint32_t>(maps.size()));
-  for (const PtrMapRecord& r : maps) {
-    manifest.PutBytes(&r, sizeof(r));
-  }
-
   // Manifest written last: a partial export without a manifest is invisible.
+  // fwrite only buffers the bytes; fclose flushes them, so its result is the
+  // write's, and a manifest that failed to reach the file is removed.
   std::string manifest_path = (fs::path(dest_dir) / "manifest.bin").string();
   FILE* f = std::fopen(manifest_path.c_str(), "wb");
   if (f == nullptr) {
     return puddles::ErrnoError("write manifest", errno);
   }
   const auto& bytes = manifest.bytes();
-  size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  std::fclose(f);
-  if (written != bytes.size()) {
-    return puddles::IoError("short manifest write");
+  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
+  if (std::fclose(f) != 0 || written != bytes.size()) {
+    const int error = errno;
+    std::remove(manifest_path.c_str());
+    return puddles::ErrnoError("write manifest", error);
   }
   return puddles::OkStatus();
 }
@@ -887,17 +838,6 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     return puddles::DataLossError("export manifest lists no pool meta segment");
   }
   RETURN_IF_ERROR(GetUuidList(&reader, &old_members));
-  uint32_t num_maps = 0;
-  RETURN_IF_ERROR(reader.GetU32(&num_maps));
-  std::vector<PtrMapRecord> maps;
-  for (uint32_t i = 0; i < num_maps; ++i) {
-    std::vector<uint8_t> blob;
-    RETURN_IF_ERROR(reader.GetBytes(&blob));
-    if (blob.size() != sizeof(PtrMapRecord)) {
-      return puddles::DataLossError("bad pointer map blob in manifest");
-    }
-    std::memcpy(&maps.emplace_back(), blob.data(), sizeof(PtrMapRecord));
-  }
 
   const Uuid new_pool_uuid = Uuid::Generate();
 
@@ -1064,10 +1004,6 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
         break;
       }
     }
-  }
-
-  for (const PtrMapRecord& map : maps) {
-    RETURN_IF_ERROR(ShardForType(map.type_id).ptrmaps->Put(map.type_id, map));
   }
 
   const Imported& meta_entry = imported[0];

@@ -17,7 +17,8 @@
 //     conflicts, persistent frontier state so interrupted relocations resume.
 //   * Pool export/import (§4.2 "Relocation on import"): exports copy raw
 //     puddle files plus a manifest (no serialization); imports register the
-//     copies under fresh UUIDs and build the pool's translation table.
+//     copies under fresh UUIDs and build the pool's translation table. The
+//     pool's pointer maps travel inside its meta segments (DESIGN.md §7).
 //
 // This class is the daemon's entire brain. The socket server (server.h) is a
 // thin marshalling layer over it; embedded-mode clients call it directly —
@@ -64,11 +65,6 @@ class Daemon {
   struct Options {
     std::string root_dir;
     bool run_recovery = true;
-    // Pointer-map registry capacity (a power of two, split across the
-    // daemon's 8 shards). Sized for type registries; bench_daemon_ycsb
-    // raises it to hold its keyspace. Every slot is formatted when a root
-    // is created, so a larger default slows each fresh daemon start.
-    uint64_t ptrmap_table_slots = 1 << 10;
   };
 
   static puddles::Result<std::unique_ptr<Daemon>> Start(const Options& options);
@@ -107,11 +103,6 @@ class Daemon {
   puddles::Status RegisterLogSpace(const Uuid& uuid, const Credentials& creds);
   puddles::Result<RecoveryReport> RunRecovery();
 
-  // ---- Pointer maps (§4.2) ----
-
-  puddles::Status RegisterPtrMap(const PtrMapRecord& record);
-  puddles::Result<PtrMapRecord> GetPtrMap(uint64_t type_id);
-
   // ---- Relocation ----
 
   // Marks puddle `uuid` rewritten; when the whole pool is clean, frees the
@@ -144,18 +135,15 @@ class Daemon {
  private:
   using PuddleTable = puddles::PersistentHashMap<Uuid, PuddleRecord, puddles::UuidHash>;
   using PoolTable = puddles::PersistentHashMap<uint64_t, PoolRecord>;
-  using PtrMapTable = puddles::PersistentHashMap<uint64_t, PtrMapRecord>;
   using LogSpaceTable = puddles::PersistentHashMap<Uuid, LogSpaceRecord, puddles::UuidHash>;
 
-  // One lock-and-table shard of the hot per-key registries. Each shard's
-  // tables live in their own files (puddles.<i>.tbl / ptrmaps.<i>.tbl) so two
-  // shards never serialize on one PersistentHashMap journal.
+  // One lock-and-table shard of the puddle registry. Each shard's table
+  // lives in its own file (puddles.<i>.tbl) so two shards never serialize on
+  // one PersistentHashMap journal.
   struct Shard {
     std::mutex mu;
     pmem::PmemFile puddle_file;
-    pmem::PmemFile ptrmap_file;
     std::unique_ptr<PuddleTable> puddles;
-    std::unique_ptr<PtrMapTable> ptrmaps;
   };
 
   explicit Daemon(Options options) : options_(std::move(options)) {}
@@ -164,10 +152,10 @@ class Daemon {
   puddles::Status OpenTables();
   puddles::Status RebuildAddressMap();
 
-  // Shard routing: stable functions of the key bits (the shard choice is part
-  // of the persistent layout, so nothing here may depend on process state).
+  // Shard routing: a stable function of the key bits (the shard choice is
+  // part of the persistent layout, so nothing here may depend on process
+  // state).
   Shard& ShardFor(const Uuid& uuid);
-  Shard& ShardForType(uint64_t type_id);
 
   // Single-key record access. The *Unlocked variants take no shard lock: the
   // caller must either hold the owning shard's mutex or hold structure_mu_

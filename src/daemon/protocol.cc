@@ -30,10 +30,6 @@ const char* OpName(Op op) {
       return "open_pool";
     case Op::kRegisterLogSpace:
       return "register_log_space";
-    case Op::kRegisterPtrMap:
-      return "register_ptr_map";
-    case Op::kGetPtrMap:
-      return "get_ptr_map";
     case Op::kCompleteRewrite:
       return "complete_rewrite";
     case Op::kExportPool:
@@ -81,20 +77,6 @@ puddles::Status DecodePoolInfo(WireReader* reader, PoolInfo* info) {
   RETURN_IF_ERROR(reader->GetString(&name));
   std::memset(info->name, 0, sizeof(info->name));
   std::strncpy(info->name, name.c_str(), sizeof(info->name) - 1);
-  return puddles::OkStatus();
-}
-
-void EncodePtrMap(WireWriter* writer, const PtrMapRecord& record) {
-  writer->PutBytes(&record, sizeof(record));
-}
-
-puddles::Status DecodePtrMap(WireReader* reader, PtrMapRecord* record) {
-  std::vector<uint8_t> blob;
-  RETURN_IF_ERROR(reader->GetBytes(&blob));
-  if (blob.size() != sizeof(PtrMapRecord)) {
-    return puddles::DataLossError("pointer map blob size mismatch");
-  }
-  std::memcpy(record, blob.data(), sizeof(PtrMapRecord));
   return puddles::OkStatus();
 }
 
@@ -356,28 +338,6 @@ DispatchResult DispatchRequest(Daemon& daemon, const Credentials& creds,
         return out;
       }
       writer.PutStatus(daemon.RegisterLogSpace(uuid, creds));
-      break;
-    }
-    case Op::kRegisterPtrMap: {
-      PtrMapRecord record;
-      if (puddles::Status s = DecodePtrMap(&reader, &record); !s.ok()) {
-        out.response = ErrorResponse(s);
-        return out;
-      }
-      writer.PutStatus(daemon.RegisterPtrMap(record));
-      break;
-    }
-    case Op::kGetPtrMap: {
-      uint64_t type_id;
-      if (puddles::Status s = reader.GetU64(&type_id); !s.ok()) {
-        out.response = ErrorResponse(s);
-        return out;
-      }
-      auto result = daemon.GetPtrMap(type_id);
-      writer.PutStatus(result.status());
-      if (result.ok()) {
-        EncodePtrMap(&writer, *result);
-      }
       break;
     }
     case Op::kCompleteRewrite: {

@@ -22,8 +22,8 @@ enum class Op : uint32_t {
   kCreatePool = 7,
   kOpenPool = 8,
   kRegisterLogSpace = 9,
-  kRegisterPtrMap = 10,
-  kGetPtrMap = 11,
+  // 10 and 11 are retired (pools carry their own pointer maps, DESIGN.md §7):
+  // the dispatcher rejects them like any unknown opcode.
   kCompleteRewrite = 12,
   kExportPool = 13,
   kImportPool = 14,
@@ -38,8 +38,6 @@ void EncodePuddleInfo(puddles::WireWriter* writer, const PuddleInfo& info);
 puddles::Status DecodePuddleInfo(puddles::WireReader* reader, PuddleInfo* info);
 void EncodePoolInfo(puddles::WireWriter* writer, const PoolInfo& info);
 puddles::Status DecodePoolInfo(puddles::WireReader* reader, PoolInfo* info);
-void EncodePtrMap(puddles::WireWriter* writer, const PtrMapRecord& record);
-puddles::Status DecodePtrMap(puddles::WireReader* reader, PtrMapRecord* record);
 void EncodeImportResult(puddles::WireWriter* writer, const ImportResult& result);
 puddles::Status DecodeImportResult(puddles::WireReader* reader, ImportResult* result);
 

@@ -51,22 +51,6 @@ struct PoolRecord {
   uint32_t reserved;
 };
 
-// Pointer map for one type (§4.2): "each element contains the offset of a
-// pointer within the object".
-inline constexpr uint32_t kMaxPtrFields = 30;
-
-struct PtrMapRecord {
-  uint64_t type_id;
-  uint32_t num_fields;
-  uint32_t object_size;  // sizeof(T): pointer discovery in arrays strides by this.
-  uint32_t field_offsets[kMaxPtrFields];
-  // Optional homogeneous pointer-array region, for wide nodes whose fan-out
-  // exceeds kMaxPtrFields (e.g. an ART Node256's 256 child slots): pointers
-  // additionally live at repeat_offset + i*8 for i in [0, repeat_count).
-  uint32_t repeat_offset;
-  uint32_t repeat_count;  // 0 = no repeat region.
-};
-
 struct LogSpaceRecord {
   Uuid uuid;
   uint32_t owner_uid;

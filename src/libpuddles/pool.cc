@@ -29,31 +29,58 @@ LogSink TxSink(Transaction& tx) {
 
 }  // namespace
 
+puddles::Status Pool::AppendMetaSegment() {
+  // The segment is mapped and formatted before the tail's link to it
+  // persists (AppendSegment).
+  ASSIGN_OR_RETURN(auto segment,
+                   runtime_->client().CreatePuddle(PuddleKind::kPoolMeta,
+                                                   2 * meta_.tail_heap_size(), info_.pool_uuid));
+  RETURN_IF_ERROR(
+      runtime_->RegisterPuddle(segment.first, segment.second, /*writable=*/true, nullptr)
+          .status());
+  ASSIGN_OR_RETURN(Runtime::Entry * mapped, runtime_->EnsureMapped(segment.first.uuid));
+  return meta_.AppendSegment(segment.first.uuid, mapped->view);
+}
+
 puddles::Status Pool::AddDataPuddle() {
   PUDDLES_COUNT(kPoolGrow);
   if (meta_.full()) {
-    // Chain a member-table segment of twice the tail's heap. It is mapped
-    // and formatted before the tail's link to it persists (AppendSegment).
-    ASSIGN_OR_RETURN(auto segment, runtime_->client().CreatePuddle(
-                                       PuddleKind::kPoolMeta, 2 * meta_.tail_heap_size(),
-                                       info_.pool_uuid));
-    RETURN_IF_ERROR(runtime_->RegisterPuddle(segment.first, segment.second, /*writable=*/true,
-                                             nullptr)
-                        .status());
-    ASSIGN_OR_RETURN(Runtime::Entry * mapped, runtime_->EnsureMapped(segment.first.uuid));
-    RETURN_IF_ERROR(meta_.AppendSegment(segment.first.uuid, mapped->view));
+    RETURN_IF_ERROR(AppendMetaSegment());
   }
   ASSIGN_OR_RETURN(auto created,
                    runtime_->client().CreatePuddle(PuddleKind::kData, kDefaultHeapSize,
                                                    info_.pool_uuid));
   auto [info, fd] = created;
-  ASSIGN_OR_RETURN(Runtime::Entry * entry,
-                   runtime_->RegisterPuddle(info, fd, /*writable=*/true, &translator_));
+  RETURN_IF_ERROR(runtime_->RegisterPuddle(info, fd, /*writable=*/true, this).status());
   RETURN_IF_ERROR(runtime_->EnsureMapped(info.uuid).status());
-  (void)entry;
   RETURN_IF_ERROR(meta_.AddMember(info.uuid));
   data_members_.push_back(info.uuid);
   return OkStatus();
+}
+
+const PtrMapRecord* Pool::LookupPtrMap(TypeId type_id) const {
+  const PtrMapRecord* map = maps_.Lookup(type_id);
+  return map != nullptr ? map : TypeRegistry::Instance().Lookup(type_id);
+}
+
+puddles::Status Pool::RecordPtrMap(TypeId type_id) {
+  const PtrMapRecord* map = TypeRegistry::Instance().Lookup(type_id);
+  if (map == nullptr) {
+    return OkStatus();  // Unregistered: a relocation stops at its objects.
+  }
+  std::lock_guard<std::mutex> lock(alloc_mu_);
+  if (maps_.Lookup(type_id) != nullptr) {
+    return OkStatus();  // Another thread recorded it first.
+  }
+  // Persisted by ordering, not logged: an aborted transaction leaves a
+  // record that describes no object.
+  puddles::Status added = meta_.AddPtrMap(*map);
+  if (added.code() == StatusCode::kOutOfMemory) {
+    RETURN_IF_ERROR(AppendMetaSegment());
+    added = meta_.AddPtrMap(*map);
+  }
+  RETURN_IF_ERROR(added);
+  return maps_.Add(*map);
 }
 
 bool Pool::CoversPmRange(const void* addr, size_t size) const {
@@ -73,6 +100,9 @@ bool Pool::CoversPmRange(const void* addr, size_t size) const {
 puddles::Result<void*> Pool::MallocBytes(size_t size, TypeId type_id, Transaction& tx) {
   if (!writable_) {
     return FailedPreconditionError("pool opened read-only");
+  }
+  if (type_id != kRawBytesTypeId && maps_.Lookup(type_id) == nullptr) {
+    RETURN_IF_ERROR(RecordPtrMap(type_id));
   }
   if (size > 0 && size + sizeof(ObjectHeader) <= kMaxSlabSlot) {
     auto served = ArenaMalloc(size, type_id, tx);
@@ -760,12 +790,11 @@ puddles::Result<std::vector<const void*>> Pool::Reachable(bool strict) {
     if (header->type_id == kRawBytesTypeId) {
       continue;  // Raw byte buffers carry no pointers by contract.
     }
-    auto map = TypeRegistry::Instance().Lookup(header->type_id);
-    if (!map.ok()) {
+    const PtrMapRecord* map = LookupPtrMap(header->type_id);
+    if (map == nullptr) {
       if (strict) {
         return FailedPreconditionError(
-            "reachable object has a type with no registered pointer map; its edges are "
-            "unknown");
+            "reachable object has a type with no pointer map; its edges are unknown");
       }
       continue;
     }

@@ -125,7 +125,7 @@ class Pool {
   };
 
   // Arena GC: computes the reachable object set from the pool root through
-  // the registered pointer maps, then rebuilds every active directory
+  // the pool's pointer maps, then rebuilds every active directory
   // entry's slabs from it — live slots keep their objects, leaked in-flight
   // slots are reclaimed — and returns the slabs to the global allocator.
   // Runs in the same bounded transactions as a flush, so it is idempotent
@@ -137,9 +137,14 @@ class Pool {
   puddles::Result<ArenaRecoveryReport> RecoverArenas();
 
   // Payload addresses of every object reachable from the pool root via the
-  // type registry's pointer maps, sorted. The GC's view of liveness, exposed
-  // for tests and the crashsim differential oracle.
+  // pool's pointer maps, sorted. The GC's view of liveness, exposed for tests
+  // and the crashsim differential oracle.
   puddles::Result<std::vector<const void*>> ReachableObjects();
+
+  // The pointer map relocation and reachability use for `type_id` (DESIGN.md
+  // §7): the pool's record, else the process registry's (the "register and
+  // reopen" remedy); nullptr when neither has one. Lock-free.
+  const PtrMapRecord* LookupPtrMap(TypeId type_id) const;
 
   // Number of member data puddles (diagnostics / tests). Takes alloc_mu_:
   // the member table's segment list grows under it.
@@ -158,6 +163,12 @@ class Pool {
   // Grows the pool by one data puddle, first chaining a pool meta segment
   // when the member table's tail is full (alloc_mu_ held).
   puddles::Status AddDataPuddle();
+  // Chains a pool meta segment of twice the tail's heap (alloc_mu_ held).
+  puddles::Status AppendMetaSegment();
+  // Records the process registry's map of `type_id` in the pool meta and in
+  // maps_, unless the type is unregistered or already recorded. The record
+  // is durable when this returns, before any object of the type can be.
+  puddles::Status RecordPtrMap(TypeId type_id);
 
   // Starts the calling thread's transaction on its cached log puddle, with
   // this pool's durability mode; FailedPrecondition while one is open.
@@ -167,7 +178,8 @@ class Pool {
   //
   // "pool's malloc() API takes as input the object's type in addition to its
   // size. Allocations using this API can be serviced from any puddle in the
-  // pool with enough free space."
+  // pool with enough free space." The first allocation of a registered type
+  // records its pointer map (RecordPtrMap).
   //
   // `tx` is the transaction the allocation joins: fresh contents are flushed
   // at its commit stage 1; small objects come from the thread's arena with
@@ -243,6 +255,7 @@ class Pool {
 
   PoolMetaView meta_;
   Translator translator_;
+  TypeRegistry maps_;  // meta_'s pointer maps; grows under alloc_mu_.
 
   std::mutex alloc_mu_;
   std::vector<Uuid> data_members_;

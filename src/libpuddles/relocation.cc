@@ -9,7 +9,7 @@
 namespace puddles {
 
 puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& translator,
-                                            const TypeRegistry& registry,
+                                            const PtrMapLookup& maps,
                                             const RewriteOptions& options) {
   RewriteStats stats;
   if (puddle.kind() != PuddleKind::kData) {
@@ -90,8 +90,8 @@ puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& tr
       if (header.type_id == kRawBytesTypeId) {
         return;  // Raw byte buffers carry no pointers by contract.
       }
-      auto map = registry.Lookup(header.type_id);
-      if (!map.ok()) {
+      const PtrMapRecord* map = maps(header.type_id);
+      if (map == nullptr) {
         stopped = true;
         stop_index = my_index;
         return;
@@ -129,7 +129,8 @@ puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& tr
     // registered resumes right at that object.
     persist_progress(stop_index);
     return FailedPreconditionError(
-        "relocation: an object's type has no registered pointer map; register it and reopen");
+        "relocation: an object's type has no pointer map in the pool or the process registry; "
+        "register it and reopen");
   }
 
   // Persist the final frontier before clearing the rewrite obligation: a

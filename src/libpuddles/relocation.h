@@ -151,13 +151,14 @@ struct RewriteStats {
 
 // Rewrites all pointers in `puddle`'s heap (which must be mapped writable and
 // attached), resuming from the persisted frontier after a crash. Marks the
-// puddle clean (CompleteRewrite) on success. The type registry supplies
-// pointer maps. The walk stops at the first object whose type has none: it
-// persists the frontier at that object and returns FailedPrecondition with
-// the rewrite flag still set, so the puddle is never marked clean while one
-// of its objects may hold an untranslated pointer.
+// puddle clean (CompleteRewrite) on success. `maps` supplies pointer maps
+// (the runtime passes Pool::LookupPtrMap). The walk stops at the first
+// object whose type has none: it persists the frontier at that object and
+// returns FailedPrecondition with the rewrite flag still set, so the puddle
+// is never marked clean while one of its objects may hold an untranslated
+// pointer.
 puddles::Result<RewriteStats> RewritePuddle(Puddle& puddle, const Translator& translator,
-                                            const TypeRegistry& registry,
+                                            const PtrMapLookup& maps,
                                             const RewriteOptions& options = {});
 
 }  // namespace puddles

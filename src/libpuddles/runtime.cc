@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <unordered_map>
 
 #include "src/common/log.h"
@@ -64,7 +65,7 @@ Runtime::~Runtime() {
 
 puddles::Result<Runtime::Entry*> Runtime::RegisterPuddle(const puddled::PuddleInfo& info,
                                                          int fd, bool writable,
-                                                         const Translator* translator) {
+                                                         const Pool* pool) {
   std::lock_guard<std::mutex> lock(mu_);
   if (auto it = entries_by_uuid_.find(info.uuid); it != entries_by_uuid_.end()) {
     ::close(fd);
@@ -83,7 +84,7 @@ puddles::Result<Runtime::Entry*> Runtime::RegisterPuddle(const puddled::PuddleIn
   entry->info = info;
   entry->fd = fd;
   entry->writable = writable;
-  entry->translator = translator;
+  entry->pool = pool;
   Entry* raw = entry.get();
   entries_by_base_[info.base_addr] = std::move(entry);
   entries_by_uuid_[info.uuid] = raw;
@@ -92,7 +93,7 @@ puddles::Result<Runtime::Entry*> Runtime::RegisterPuddle(const puddled::PuddleIn
 }
 
 puddles::Result<Runtime::Entry*> Runtime::FetchAndRegister(const Uuid& uuid, bool writable,
-                                                           const Translator* translator) {
+                                                           const Pool* pool) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (auto it = entries_by_uuid_.find(uuid); it != entries_by_uuid_.end()) {
@@ -100,7 +101,7 @@ puddles::Result<Runtime::Entry*> Runtime::FetchAndRegister(const Uuid& uuid, boo
     }
   }
   ASSIGN_OR_RETURN(auto fetched, client_->GetPuddle(uuid, writable));
-  return RegisterPuddle(fetched.first, fetched.second, writable, translator);
+  return RegisterPuddle(fetched.first, fetched.second, writable, pool);
 }
 
 puddles::Status Runtime::MapEntryLocked(Entry* entry) {
@@ -120,18 +121,22 @@ puddles::Status Runtime::MapEntryLocked(Entry* entry) {
   entry->mapped = true;
   ++stats_.puddles_mapped;
 
-  // Incremental relocation (§4.2): translate this puddle's pointers before
-  // the application can see them. A puddle that cannot be translated in full
-  // goes back to the reservation with its flag and frontier kept, so a later
-  // open (with the missing pointer map registered) resumes the rewrite.
+  // Incremental relocation (§4.2): translate this puddle's pointers, with
+  // its pool's pointer maps, before the application can see them. A puddle
+  // that cannot be translated in full goes back to the reservation with its
+  // flag and frontier kept, so a later open (with the missing pointer map
+  // registered) resumes the rewrite.
   if (entry->view.needs_rewrite()) {
     puddles::Result<RewriteStats> rewrite =
         FailedPreconditionError("puddle needs pointer rewrite but is mapped read-only");
     if (entry->writable) {
+      const Pool* pool = entry->pool;
       Translator identity;
-      rewrite = RewritePuddle(entry->view,
-                              entry->translator != nullptr ? *entry->translator : identity,
-                              TypeRegistry::Instance());
+      rewrite = RewritePuddle(entry->view, pool != nullptr ? pool->translator() : identity,
+                              [pool](TypeId type_id) {
+                                return pool != nullptr ? pool->LookupPtrMap(type_id)
+                                                       : TypeRegistry::Instance().Lookup(type_id);
+                              });
     }
     if (!rewrite.ok()) {
       (void)space.UnmapToReserved(entry->info.base_addr, entry->info.file_size);
@@ -214,13 +219,6 @@ bool Runtime::HandleFault(uintptr_t addr) {
   return MapEntryLocked(*registered).ok();
 }
 
-puddles::Status Runtime::UploadPointerMaps() {
-  for (const puddled::PtrMapRecord& record : TypeRegistry::Instance().Snapshot()) {
-    RETURN_IF_ERROR(client_->RegisterPtrMap(record));
-  }
-  return OkStatus();
-}
-
 // ---------------------------------------------------------------------------
 // Pools
 // ---------------------------------------------------------------------------
@@ -236,12 +234,10 @@ puddles::Result<Pool*> Runtime::OpenPool(const std::string& name, bool writable)
 }
 
 puddles::Result<Pool*> Runtime::FinishOpenPool(const puddled::PoolInfo& info, bool writable) {
-  RETURN_IF_ERROR(UploadPointerMaps());
-
   std::unique_ptr<Pool> pool(new Pool(this, info, writable));
   // A failed open drops the entries it registered: the members' entries
-  // point at this Pool's translator, which dies with it, and a later open
-  // must register them afresh.
+  // point at this Pool, which dies with it, and a later open must register
+  // them afresh.
   std::vector<Uuid> registered;
   puddles::Status attached = AttachPool(pool.get(), &registered);
   if (!attached.ok()) {
@@ -275,6 +271,23 @@ puddles::Status Runtime::AttachPool(Pool* pool, std::vector<Uuid>* registered) {
                                           return mapped->view;
                                         }));
 
+  // The pool's pointer maps, checked against this process's registry before
+  // any member is mapped, since mapping rewrites: a registered map that
+  // differs from the pool's record describes another layout of the type, and
+  // a rewrite with either map could corrupt the copy.
+  for (uint32_t i = 0; i < pool->meta_.num_ptr_maps(); ++i) {
+    const PtrMapRecord& record = pool->meta_.ptr_map(i);
+    if (!pool->maps_.Add(record).ok()) {
+      return DataLossError("pool meta records two pointer maps for one type");
+    }
+    const PtrMapRecord* process_map = TypeRegistry::Instance().Lookup(record.type_id);
+    if (process_map != nullptr && std::memcmp(process_map, &record, sizeof(record)) != 0) {
+      return FailedPreconditionError(std::string("pool ") + info.name +
+                                     ": a registered type's pointer map differs from the "
+                                     "pool's record (its layout changed)");
+    }
+  }
+
   // Register all members (lazily mapped) once the pool's relocation
   // translation table, assembled from the pool meta's persistent old-base
   // array, is complete.
@@ -302,7 +315,7 @@ puddles::Status Runtime::AttachPool(Pool* pool, std::vector<Uuid>* registered) {
   }
   for (const auto& [member_info, fd] : pending) {
     note_new(member_info.uuid);
-    RETURN_IF_ERROR(RegisterPuddle(member_info, fd, writable, &pool->translator_).status());
+    RETURN_IF_ERROR(RegisterPuddle(member_info, fd, writable, pool).status());
   }
 
   // "Puddles support relocation on import by first mapping the root puddle."

@@ -2,7 +2,7 @@
 //
 // Owns the puddle mapping table over the global address-space reservation,
 // wires faults to on-demand mapping + incremental pointer rewriting, manages
-// pools, uploads pointer maps, and hands out per-thread transaction logs.
+// pools, and hands out per-thread transaction logs.
 #ifndef SRC_LIBPUDDLES_RUNTIME_H_
 #define SRC_LIBPUDDLES_RUNTIME_H_
 
@@ -44,8 +44,8 @@ class Runtime {
     int fd = -1;
     bool writable = true;
     bool mapped = false;
-    Puddle view;                        // Valid when mapped.
-    const Translator* translator = nullptr;  // Pool translation table; may be null.
+    Puddle view;               // Valid when mapped.
+    const Pool* pool = nullptr;  // Its translator and pointer maps rewrite it; may be null.
   };
 
   static puddles::Result<std::unique_ptr<Runtime>> Create(
@@ -68,9 +68,8 @@ class Runtime {
 
   // ---- Puddle mapping ----
   puddles::Result<Entry*> RegisterPuddle(const puddled::PuddleInfo& info, int fd, bool writable,
-                                         const Translator* translator);
-  puddles::Result<Entry*> FetchAndRegister(const Uuid& uuid, bool writable,
-                                           const Translator* translator);
+                                         const Pool* pool);
+  puddles::Result<Entry*> FetchAndRegister(const Uuid& uuid, bool writable, const Pool* pool);
   puddles::Result<Entry*> EnsureMapped(const Uuid& uuid);
   Entry* FindEntryByAddr(uintptr_t addr);
   Entry* FindEntryByUuid(const Uuid& uuid);
@@ -105,10 +104,6 @@ class Runtime {
 
   Stats stats();
 
-  // Uploads the process type registry to the daemon (done automatically on
-  // pool create/open; callable again after late registrations).
-  puddles::Status UploadPointerMaps();
-
  private:
   explicit Runtime(std::shared_ptr<puddled::DaemonClient> client)
       : client_(std::move(client)) {}
@@ -119,8 +114,9 @@ class Runtime {
 
   puddles::Status MapEntryLocked(Entry* entry);
   puddles::Result<Pool*> FinishOpenPool(const puddled::PoolInfo& info, bool writable);
-  // Maps the pool meta chain, registers the members and runs the open-time
-  // steps; `registered` receives every entry this call created.
+  // Maps the pool meta chain, loads and checks the pool's pointer maps,
+  // registers the members and runs the open-time steps; `registered`
+  // receives every entry this call created.
   puddles::Status AttachPool(Pool* pool, std::vector<Uuid>* registered);
   // Unmaps and forgets the entries named in `uuids` (a failed open's).
   void DropEntries(const std::vector<Uuid>& uuids);

@@ -1,14 +1,15 @@
-// Per-process registry of pointer maps (paper §4.2).
+// Pointer-map registries (paper §4.2).
 //
 // "Puddles solve this problem by requiring the application to register
 // pointer maps with Puddled for each persistent type used by the application.
 // These pointer maps are simply a list, where each element contains the
 // offset of a pointer within the object."
 //
-// Types register once per process (usually at static-init or startup); the
-// Runtime uploads the registry to Puddled when pools are created or opened,
-// so the daemon can export maps alongside pools and relocation can find every
-// pointer.
+// Types register once per process (usually at static-init or startup) in
+// TypeRegistry::Instance(). A pool records a registered type's map at the
+// type's first allocation in it (DESIGN.md §7), and relocation and the arena
+// GC read the pool's maps before this registry's. Each Pool keeps its
+// recorded maps in a TypeRegistry of its own.
 //
 // The declarative surface (DESIGN.md §9) derives offsets from member
 // pointers, so maps cannot drift from the struct they describe:
@@ -19,21 +20,23 @@
 //
 // A non-pointer member is a compile error; array extents come from the
 // member's type, never a hand-typed count. The initializer_list-of-offsets
-// overloads remain as the wire-level escape hatch (daemon Merge, tests).
+// overloads remain as the record-level escape hatch (tests).
 #ifndef SRC_LIBPUDDLES_TYPE_REGISTRY_H_
 #define SRC_LIBPUDDLES_TYPE_REGISTRY_H_
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/common/type_name.h"
-#include "src/daemon/types.h"
+#include "src/puddles/pool_meta.h"
 
 namespace puddles {
 
@@ -56,42 +59,42 @@ struct PtrFieldSpec {
   size_t repeat_count = 0;
 };
 
-// Visits every pointer slot of an object laid out by `map`: fn(offset) gets
-// each slot's byte offset from the object's start. Arrays of T stride by
+// Visits every pointer slot of an object laid out by `map`, which passed
+// ValidatePtrMap, as every map a TypeRegistry holds has: fn(offset) gets each
+// slot's byte offset from the object's start. Arrays of T stride by
 // sizeof(T); each element's fields come first, then its repeat region. The
 // walk covers whole elements within the first `extent` bytes, and callers
 // pass min(header size, allocation capacity): a corrupt or inflated size must
-// not send the walk into allocator slack or a neighboring slot. A field or
-// repeat region that a malformed map places past object_size is skipped.
+// not send the walk into allocator slack or a neighboring slot.
 // Relocation and reachability both walk objects through this one function.
 template <typename Fn>
-void ForEachPointerSlot(const puddled::PtrMapRecord& map, uint64_t extent, Fn&& fn) {
-  if (map.object_size == 0 || (map.num_fields == 0 && map.repeat_count == 0)) {
+void ForEachPointerSlot(const PtrMapRecord& map, uint64_t extent, Fn&& fn) {
+  if (map.num_fields == 0 && map.repeat_count == 0) {
     return;
   }
-  const bool repeat_fits =
-      map.repeat_count != 0 &&
-      map.repeat_offset + static_cast<uint64_t>(map.repeat_count) * sizeof(uint64_t) <=
-          map.object_size;
   const uint64_t count = extent / map.object_size;
   for (uint64_t element = 0; element < count; ++element) {
     const uint64_t start = element * map.object_size;
     for (uint32_t field = 0; field < map.num_fields; ++field) {
-      if (map.field_offsets[field] + sizeof(uint64_t) <= map.object_size) {
-        fn(start + map.field_offsets[field]);
-      }
+      fn(start + map.field_offsets[field]);
     }
-    if (repeat_fits) {
-      for (uint32_t r = 0; r < map.repeat_count; ++r) {
-        fn(start + map.repeat_offset + r * sizeof(uint64_t));
-      }
+    for (uint32_t r = 0; r < map.repeat_count; ++r) {
+      fn(start + map.repeat_offset + r * sizeof(uint64_t));
     }
   }
 }
 
+// Where relocation and reachability find a type's pointer map; nullptr when
+// none is known. The runtime's is Pool::LookupPtrMap.
+using PtrMapLookup = std::function<const PtrMapRecord*(TypeId)>;
+
 class TypeRegistry {
  public:
+  // The process registry, which Register and PUDDLES_TYPE fill.
   static TypeRegistry& Instance();
+
+  // An empty registry: each Pool holds one for the maps it has recorded.
+  TypeRegistry() = default;
 
   // ---- Declarative registration (preferred) ----
   //
@@ -103,10 +106,10 @@ class TypeRegistry {
   puddles::Status Register(M T::*... fields) {
     static_assert(std::is_standard_layout_v<T>,
                   "persistent types must be standard-layout for pointer maps");
-    return RegisterSpecs<T>({NormalizeField<T>(fields)...});
+    return AddSpecs(TypeIdOf<T>(), sizeof(T), {NormalizeField<T>(fields)...});
   }
 
-  // ---- Offset-list registration (wire-level escape hatch) ----
+  // ---- Offset-list registration (record-level escape hatch) ----
   //
   // Registers T with the byte offsets of its pointer fields. Offsets come
   // from offsetof(); every field must hold a native pointer into puddle
@@ -126,55 +129,33 @@ class TypeRegistry {
                                     size_t array_offset, size_t array_count) {
     static_assert(std::is_standard_layout_v<T>,
                   "persistent types must be standard-layout for offsetof maps");
-    puddled::PtrMapRecord record{};
-    record.type_id = TypeIdOf<T>();
-    record.object_size = sizeof(T);
-    record.num_fields = 0;
+    std::vector<PtrFieldSpec> specs;
     for (size_t offset : pointer_offsets) {
-      if (record.num_fields >= puddled::kMaxPtrFields) {
-        return InvalidArgumentError("too many pointer fields for one type");
-      }
-      if (offset + sizeof(void*) > sizeof(T)) {
-        return InvalidArgumentError("pointer field offset outside object");
-      }
-      record.field_offsets[record.num_fields++] = static_cast<uint32_t>(offset);
+      specs.push_back({offset, 0});
     }
     if (array_count != 0) {
-      if (array_offset + array_count * sizeof(void*) > sizeof(T)) {
-        return InvalidArgumentError("pointer-array region outside object");
-      }
-      record.repeat_offset = static_cast<uint32_t>(array_offset);
-      record.repeat_count = static_cast<uint32_t>(array_count);
+      specs.push_back({array_offset, array_count});
     }
-    return Add(record);
+    return AddSpecs(TypeIdOf<T>(), sizeof(T), specs);
   }
 
   // A leaf type: no pointers. Registering leaves is optional but lets
   // relocation distinguish "no pointers" from "unknown type".
   template <typename T>
   puddles::Status RegisterLeaf() {
-    puddled::PtrMapRecord record{};
-    record.type_id = TypeIdOf<T>();
-    record.object_size = sizeof(T);
-    record.num_fields = 0;
-    return Add(record);
+    return AddSpecs(TypeIdOf<T>(), sizeof(T), {});
   }
 
-  // Validates the record (field/repeat bounds vs object_size, kMaxPtrFields,
-  // arity vs sizeof) and inserts it. Registering a conflicting map for an
-  // already-registered type is AlreadyExists; an identical map is a no-op.
-  puddles::Status Add(const puddled::PtrMapRecord& record);
-  puddles::Result<puddled::PtrMapRecord> Lookup(TypeId type_id) const;
-  bool Contains(TypeId type_id) const;
+  // Sorts the field offsets (their order is not part of the map), validates
+  // the record (ValidatePtrMap) and inserts it. A conflicting map for a
+  // present type is AlreadyExists; an identical one is a no-op.
+  puddles::Status Add(PtrMapRecord record);
 
-  std::vector<puddled::PtrMapRecord> Snapshot() const;
-
-  // Merges records fetched from the daemon (e.g. after import).
-  puddles::Status Merge(const puddled::PtrMapRecord& record) { return Add(record); }
+  // The map for `type_id`, or nullptr. Lock-free, so the allocation path can
+  // ask on every call; the record stays valid as long as the registry.
+  const PtrMapRecord* Lookup(TypeId type_id) const;
 
  private:
-  TypeRegistry() = default;
-
   // Normalizes one member designator: scalar pointer member or
   // array-of-pointer member (⇒ repeat region with the deduced extent).
   template <typename T, typename M>
@@ -191,31 +172,24 @@ class TypeRegistry {
     }
   }
 
-  template <typename T>
-  puddles::Status RegisterSpecs(std::initializer_list<PtrFieldSpec> specs) {
-    puddled::PtrMapRecord record{};
-    record.type_id = TypeIdOf<T>();
-    record.object_size = sizeof(T);
-    record.num_fields = 0;
-    for (const PtrFieldSpec& spec : specs) {
-      if (spec.repeat_count != 0) {
-        if (record.repeat_count != 0) {
-          return InvalidArgumentError("a pointer map holds at most one pointer-array region");
-        }
-        record.repeat_offset = static_cast<uint32_t>(spec.offset);
-        record.repeat_count = static_cast<uint32_t>(spec.repeat_count);
-        continue;
-      }
-      if (record.num_fields >= puddled::kMaxPtrFields) {
-        return InvalidArgumentError("too many pointer fields for one type");
-      }
-      record.field_offsets[record.num_fields++] = static_cast<uint32_t>(spec.offset);
-    }
-    return Add(record);
-  }
+  // Builds the record of a type of `object_size` bytes from its fields and
+  // adds it (Add).
+  puddles::Status AddSpecs(TypeId type_id, size_t object_size,
+                           const std::vector<PtrFieldSpec>& specs);
 
-  mutable std::mutex mu_;
-  std::unordered_map<TypeId, puddled::PtrMapRecord> maps_;
+  // An append-only record array published by its count: Add writes the
+  // next slot, then release-stores the count, and Lookup acquire-loads the
+  // count and scans. A full table is copied into one twice its size; the
+  // old one stays allocated for lookups still scanning it.
+  struct Table {
+    explicit Table(size_t capacity) : records(capacity) {}
+    std::vector<PtrMapRecord> records;
+    std::atomic<size_t> count{0};
+  };
+
+  std::mutex mu_;  // Serializes Add.
+  std::atomic<Table*> table_{nullptr};
+  std::vector<std::unique_ptr<Table>> tables_;  // Every table published.
 };
 
 }  // namespace puddles

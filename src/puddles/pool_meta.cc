@@ -5,21 +5,51 @@
 namespace puddles {
 namespace {
 
-// Members and old-base slots are carved from the same heap area.
-constexpr size_t kPerMemberBytes = sizeof(Uuid) + sizeof(uint64_t);
-
-uint32_t CapacityFor(size_t heap_size) {
-  return static_cast<uint32_t>((heap_size - sizeof(PoolMetaHeader)) / kPerMemberBytes);
-}
+// The smallest heap that holds the header and one member.
+constexpr size_t kMinHeap = sizeof(PoolMetaHeader) + sizeof(PoolMemberSlot);
 
 }  // namespace
+
+puddles::Status ValidatePtrMap(const PtrMapRecord& record) {
+  if (record.object_size == 0) {
+    return InvalidArgumentError("pointer map: object_size must be non-zero");
+  }
+  if (record.num_fields > kMaxPtrFields) {
+    return InvalidArgumentError("pointer map: too many pointer fields");
+  }
+  const uint64_t capacity = record.object_size / sizeof(uint64_t);
+  if (record.num_fields + static_cast<uint64_t>(record.repeat_count) > capacity) {
+    return InvalidArgumentError("pointer map: field arity exceeds what sizeof(T) can hold");
+  }
+  if (record.repeat_count == 0 && record.repeat_offset != 0) {
+    return InvalidArgumentError("pointer map: repeat offset without a repeat region");
+  }
+  const uint64_t repeat_end =
+      record.repeat_offset + static_cast<uint64_t>(record.repeat_count) * sizeof(uint64_t);
+  if (repeat_end > record.object_size) {
+    return InvalidArgumentError("pointer map: pointer-array region outside object");
+  }
+  for (uint32_t i = 0; i < kMaxPtrFields; ++i) {
+    const uint64_t offset = record.field_offsets[i];
+    if (i < record.num_fields
+            ? offset + sizeof(uint64_t) > record.object_size ||
+                  (i > 0 && offset < record.field_offsets[i - 1] + sizeof(uint64_t)) ||
+                  (offset + sizeof(uint64_t) > record.repeat_offset && offset < repeat_end)
+            : offset != 0) {
+      return InvalidArgumentError(
+          "pointer map: field outside object, out of order, sharing a slot, or unused slot "
+          "not zero");
+    }
+  }
+  return OkStatus();
+}
 
 puddles::Status PoolMetaView::Format(const Puddle& puddle, const Uuid& pool_uuid,
                                      const char* name) {
   if (puddle.kind() != PuddleKind::kPoolMeta) {
     return InvalidArgumentError("pool meta must live in a kPoolMeta puddle");
   }
-  if (puddle.heap_size() < sizeof(PoolMetaHeader) + kPerMemberBytes) {
+  if (puddle.heap_size() < kMinHeap) {
     return InvalidArgumentError("pool meta heap too small");
   }
   if (std::strlen(name) >= kPoolNameMax) {
@@ -32,12 +62,7 @@ puddles::Status PoolMetaView::Format(const Puddle& puddle, const Uuid& pool_uuid
   std::strncpy(header->name, name, kPoolNameMax - 1);
   header->root_puddle = Uuid::Nil();
   header->next_segment = Uuid::Nil();
-  // Zero the translation table region.
-  const uint32_t capacity = CapacityFor(puddle.heap_size());
-  auto* old_bases = reinterpret_cast<uint64_t*>(reinterpret_cast<Uuid*>(header + 1) + capacity);
-  std::memset(old_bases, 0, capacity * sizeof(uint64_t));
   pmem::FlushFence(header, sizeof(PoolMetaHeader));
-  pmem::FlushFence(old_bases, capacity * sizeof(uint64_t));
   return OkStatus();
 }
 
@@ -46,7 +71,7 @@ puddles::Result<PoolMetaView::Segment> PoolMetaView::AttachSegment(const Uuid& u
   if (puddle.kind() != PuddleKind::kPoolMeta) {
     return DataLossError("pool meta: segment is not a pool meta puddle");
   }
-  if (puddle.heap_size() < sizeof(PoolMetaHeader) + kPerMemberBytes) {
+  if (puddle.heap_size() < kMinHeap) {
     return DataLossError("pool meta: segment heap too small");
   }
   Segment segment;
@@ -55,12 +80,21 @@ puddles::Result<PoolMetaView::Segment> PoolMetaView::AttachSegment(const Uuid& u
   if (segment.header->magic != kPoolMetaMagic) {
     return DataLossError("pool meta: bad magic");
   }
-  segment.capacity = CapacityFor(puddle.heap_size());
   segment.heap_size = puddle.heap_size();
-  segment.members = reinterpret_cast<Uuid*>(segment.header + 1);
-  segment.old_bases = reinterpret_cast<uint64_t*>(segment.members + segment.capacity);
-  if (segment.header->num_members > segment.capacity) {
-    return DataLossError("pool meta: member count exceeds capacity");
+  segment.table_bytes = segment.heap_size - sizeof(PoolMetaHeader);
+  segment.members = reinterpret_cast<PoolMemberSlot*>(segment.header + 1);
+  segment.maps_end = reinterpret_cast<PtrMapRecord*>(static_cast<uint8_t*>(puddle.heap()) +
+                                                     segment.heap_size);
+  if (uint64_t{segment.header->num_members} * sizeof(PoolMemberSlot) +
+          uint64_t{segment.header->num_ptr_maps} * sizeof(PtrMapRecord) >
+      segment.table_bytes) {
+    return DataLossError("pool meta: members and pointer maps exceed the segment");
+  }
+  for (uint32_t k = 0; k < segment.header->num_ptr_maps; ++k) {
+    if (puddles::Status valid = ValidatePtrMap(segment.maps_end[-1 - static_cast<ptrdiff_t>(k)]);
+        !valid.ok()) {
+      return DataLossError("pool meta: " + valid.message());
+    }
   }
   return segment;
 }
@@ -106,19 +140,19 @@ uint32_t PoolMetaView::num_members() const {
 uint32_t PoolMetaView::capacity() const {
   uint32_t total = 0;
   for (const Segment& segment : segments_) {
-    total += segment.capacity;
+    total += segment.header->num_members +
+             static_cast<uint32_t>(segment.free_bytes() / sizeof(PoolMemberSlot));
   }
   return total;
 }
 
 Uuid PoolMetaView::member(uint32_t i) const {
   const Segment* segment = Locate(&i);
-  return segment == nullptr ? Uuid::Nil() : segment->members[i];
+  return segment == nullptr ? Uuid::Nil() : segment->members[i].uuid;
 }
 
 bool PoolMetaView::full() const {
-  const Segment& tail = segments_.back();
-  return tail.header->num_members >= tail.capacity;
+  return segments_.back().free_bytes() < sizeof(PoolMemberSlot);
 }
 
 puddles::Status PoolMetaView::AddMember(const Uuid& uuid) {
@@ -127,11 +161,10 @@ puddles::Status PoolMetaView::AddMember(const Uuid& uuid) {
   }
   // Publish ordering: slot first, count after.
   const Segment& tail = segments_.back();
-  const uint32_t slot = tail.header->num_members;
-  tail.members[slot] = uuid;
-  tail.old_bases[slot] = 0;
-  pmem::Flush(&tail.members[slot], sizeof(Uuid));
-  pmem::FlushFence(&tail.old_bases[slot], sizeof(uint64_t));
+  PoolMemberSlot& slot = tail.members[tail.header->num_members];
+  slot.uuid = uuid;
+  slot.old_base = 0;
+  pmem::FlushFence(&slot, sizeof(slot));
   tail.header->num_members++;
   pmem::FlushFence(&tail.header->num_members, sizeof(tail.header->num_members));
   return OkStatus();
@@ -142,8 +175,8 @@ puddles::Status PoolMetaView::ReplaceMember(uint32_t i, const Uuid& uuid) {
   if (segment == nullptr) {
     return OutOfRangeError("pool meta member index");
   }
-  segment->members[i] = uuid;
-  pmem::FlushFence(&segment->members[i], sizeof(Uuid));
+  segment->members[i].uuid = uuid;
+  pmem::FlushFence(&segment->members[i].uuid, sizeof(Uuid));
   return OkStatus();
 }
 
@@ -172,7 +205,7 @@ void PoolMetaView::SetArenasActive(bool active) {
 bool PoolMetaView::HasMember(const Uuid& uuid) const {
   for (const Segment& segment : segments_) {
     for (uint32_t i = 0; i < segment.header->num_members; ++i) {
-      if (segment.members[i] == uuid) {
+      if (segment.members[i].uuid == uuid) {
         return true;
       }
     }
@@ -182,7 +215,7 @@ bool PoolMetaView::HasMember(const Uuid& uuid) const {
 
 uint64_t PoolMetaView::member_old_base(uint32_t i) const {
   const Segment* segment = Locate(&i);
-  return segment == nullptr ? 0 : segment->old_bases[i];
+  return segment == nullptr ? 0 : segment->members[i].old_base;
 }
 
 void PoolMetaView::SetMemberOldBase(uint32_t i, uint64_t old_base) {
@@ -190,26 +223,59 @@ void PoolMetaView::SetMemberOldBase(uint32_t i, uint64_t old_base) {
   if (segment == nullptr) {
     return;
   }
-  segment->old_bases[i] = old_base;
-  pmem::FlushFence(&segment->old_bases[i], sizeof(uint64_t));
+  segment->members[i].old_base = old_base;
+  pmem::FlushFence(&segment->members[i].old_base, sizeof(uint64_t));
 }
 
 void PoolMetaView::ClearTranslationTable() {
   for (const Segment& segment : segments_) {
-    std::memset(segment.old_bases, 0, segment.header->num_members * sizeof(uint64_t));
-    pmem::FlushFence(segment.old_bases, segment.header->num_members * sizeof(uint64_t));
+    for (uint32_t i = 0; i < segment.header->num_members; ++i) {
+      segment.members[i].old_base = 0;
+    }
+    pmem::FlushFence(segment.members, segment.header->num_members * sizeof(PoolMemberSlot));
   }
 }
 
 bool PoolMetaView::HasTranslations() const {
   for (const Segment& segment : segments_) {
     for (uint32_t i = 0; i < segment.header->num_members; ++i) {
-      if (segment.old_bases[i] != 0) {
+      if (segment.members[i].old_base != 0) {
         return true;
       }
     }
   }
   return false;
+}
+
+uint32_t PoolMetaView::num_ptr_maps() const {
+  uint32_t total = 0;
+  for (const Segment& segment : segments_) {
+    total += segment.header->num_ptr_maps;
+  }
+  return total;
+}
+
+const PtrMapRecord& PoolMetaView::ptr_map(uint32_t i) const {
+  size_t s = 0;
+  while (i >= segments_[s].header->num_ptr_maps) {
+    i -= segments_[s++].header->num_ptr_maps;
+  }
+  return segments_[s].maps_end[-1 - static_cast<ptrdiff_t>(i)];
+}
+
+puddles::Status PoolMetaView::AddPtrMap(const PtrMapRecord& record) {
+  RETURN_IF_ERROR(ValidatePtrMap(record));
+  const Segment& tail = segments_.back();
+  if (tail.free_bytes() < sizeof(PtrMapRecord)) {
+    return OutOfMemoryError("pool meta pointer-map table full");
+  }
+  // Publish ordering: record first, count after.
+  PtrMapRecord& slot = tail.maps_end[-1 - static_cast<ptrdiff_t>(tail.header->num_ptr_maps)];
+  slot = record;
+  pmem::FlushFence(&slot, sizeof(slot));
+  tail.header->num_ptr_maps++;
+  pmem::FlushFence(&tail.header->num_ptr_maps, sizeof(tail.header->num_ptr_maps));
+  return OkStatus();
 }
 
 puddles::Status PoolMetaView::AppendSegment(const Uuid& uuid, const Puddle& segment) {

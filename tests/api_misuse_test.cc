@@ -202,7 +202,7 @@ TEST(TypeRegistryMisuseTest, ArityBeyondSizeofRejected) {
   // A record claiming more pointer fields than sizeof(T) can hold (the
   // "wrong arity vs. sizeof(T)" drift the declarative macro prevents) must
   // be rejected at registration, not discovered during relocation.
-  puddled::PtrMapRecord record{};
+  PtrMapRecord record{};
   record.type_id = TypeIdOf<ArityMismatch>();
   record.object_size = sizeof(ArityMismatch);
   record.num_fields = 3;  // 3 * 8 > 16.
@@ -223,7 +223,7 @@ TEST(TypeRegistryMisuseTest, ArityBeyondSizeofRejected) {
   EXPECT_EQ(TypeRegistry::Instance().Add(record).code(), StatusCode::kInvalidArgument);
 
   // Zero-size objects carry no pointers to map.
-  record = puddled::PtrMapRecord{};
+  record = PtrMapRecord{};
   record.type_id = TypeIdOf<ArityMismatch>();
   record.object_size = 0;
   EXPECT_EQ(TypeRegistry::Instance().Add(record).code(), StatusCode::kInvalidArgument);
@@ -243,6 +243,10 @@ TEST(TypeRegistryMisuseTest, ConflictingReRegistrationRejected) {
   EXPECT_TRUE(TypeRegistry::Instance()
                   .Register<DriftVictim>(&DriftVictim::first, &DriftVictim::second)
                   .ok());
+  // Its members listed the other way round: the same map, so a no-op too.
+  EXPECT_TRUE(TypeRegistry::Instance()
+                  .Register<DriftVictim>(&DriftVictim::second, &DriftVictim::first)
+                  .ok());
   // A different shape for the same type is the drift bug — reject loudly.
   EXPECT_EQ(
       TypeRegistry::Instance().Register<DriftVictim>(&DriftVictim::first).code(),
@@ -256,8 +260,8 @@ struct WideArray {
 
 TEST(TypeRegistryMisuseTest, ArrayMemberDeducesRepeatRegion) {
   ASSERT_TRUE(TypeRegistry::Instance().Register<WideArray>(&WideArray::slots).ok());
-  auto record = TypeRegistry::Instance().Lookup(TypeIdOf<WideArray>());
-  ASSERT_TRUE(record.ok());
+  const PtrMapRecord* record = TypeRegistry::Instance().Lookup(TypeIdOf<WideArray>());
+  ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->num_fields, 0u);
   EXPECT_EQ(record->repeat_offset, 0u);
   EXPECT_EQ(record->repeat_count, 6u) << "count must come from the array extent";

@@ -201,25 +201,6 @@ TEST_F(DaemonTest, PoolLifecycle) {
   EXPECT_TRUE(daemon_->OpenPool("accounts", alice_).ok());
 }
 
-TEST_F(DaemonTest, PtrMapRoundTrip) {
-  PtrMapRecord record{};
-  record.type_id = 0xabcdef;
-  record.object_size = 24;
-  record.num_fields = 2;
-  record.field_offsets[0] = 0;
-  record.field_offsets[1] = 8;
-  ASSERT_TRUE(daemon_->RegisterPtrMap(record).ok());
-
-  auto fetched = daemon_->GetPtrMap(0xabcdef);
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(fetched->num_fields, 2u);
-  EXPECT_EQ(fetched->field_offsets[1], 8u);
-  EXPECT_FALSE(daemon_->GetPtrMap(0x123).ok());
-
-  Restart();
-  EXPECT_TRUE(daemon_->GetPtrMap(0xabcdef).ok()) << "pointer maps must persist";
-}
-
 TEST_F(DaemonTest, RegisterLogSpaceValidatesKind) {
   auto data = daemon_->CreatePuddle(PuddleKind::kData, 1 << 20, alice_);
   ASSERT_TRUE(data.ok());
@@ -235,10 +216,9 @@ TEST_F(DaemonTest, RegisterLogSpaceValidatesKind) {
 }
 
 TEST_F(DaemonTest, ShardedRegistriesUnderConcurrentMutation) {
-  // The daemon-side registries are sharded by uuid/type-id hash so the event
-  // server's worker pool can mutate them in parallel. Hammer creates,
-  // registrations, and lookups from several threads, then prove the sharded
-  // files reopen as one coherent registry.
+  // The puddle registry is sharded by uuid hash so connection threads can
+  // mutate it in parallel. Hammer creates and lookups from several threads,
+  // then prove the sharded files reopen as one coherent registry.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 16;
   std::atomic<int> failures{0};
@@ -256,14 +236,6 @@ TEST_F(DaemonTest, ShardedRegistriesUnderConcurrentMutation) {
         ::close(puddle->second);
         created[t].push_back(puddle->first.uuid);
 
-        PtrMapRecord record{};
-        record.type_id = static_cast<uint64_t>(t) * kPerThread + i + 1;
-        record.num_fields = 1;
-        record.object_size = 16;
-        record.field_offsets[0] = 8;
-        if (!daemon_->RegisterPtrMap(record).ok()) {
-          ++failures;
-        }
         // Read back something another shard likely owns.
         auto looked_up = daemon_->GetPuddle(created[t].front(), who, false);
         if (!looked_up.ok()) {
@@ -282,7 +254,6 @@ TEST_F(DaemonTest, ShardedRegistriesUnderConcurrentMutation) {
   // Every shard file exists on disk (the daemon runs 8 shards).
   for (uint32_t s = 0; s < 8; ++s) {
     EXPECT_TRUE(fs::exists(root_ / ("puddles." + std::to_string(s) + ".tbl")));
-    EXPECT_TRUE(fs::exists(root_ / ("ptrmaps." + std::to_string(s) + ".tbl")));
   }
 
   Restart();
@@ -293,10 +264,6 @@ TEST_F(DaemonTest, ShardedRegistriesUnderConcurrentMutation) {
       auto got = daemon_->GetPuddle(uuid, who, false);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       ::close(got->second);
-    }
-    for (int i = 0; i < kPerThread; ++i) {
-      const uint64_t type_id = static_cast<uint64_t>(t) * kPerThread + i + 1;
-      EXPECT_TRUE(daemon_->GetPtrMap(type_id).ok()) << "type_id " << type_id;
     }
   }
 }

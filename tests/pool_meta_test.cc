@@ -7,6 +7,7 @@
 #include <deque>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/common/align.h"
@@ -306,6 +307,173 @@ TEST(PoolMetaChainTest, SegmentLinkCrashStatesAttachToAMemberPrefix) {
   }
   EXPECT_EQ(chain_lengths, (std::set<uint32_t>{1, 2})) << "the sweep must cross the link";
   EXPECT_EQ(member_counts.size(), 2u) << "and the appended member's publication";
+}
+
+// ---- The pointer-map table ----
+
+PtrMapRecord MapFor(uint64_t type_id, uint32_t object_size, uint32_t field) {
+  PtrMapRecord record{};
+  record.type_id = type_id;
+  record.object_size = object_size;
+  record.num_fields = 1;
+  record.field_offsets[0] = field;
+  return record;
+}
+
+bool SameMap(const PtrMapRecord& a, const PtrMapRecord& b) {
+  return std::memcmp(&a, &b, sizeof(a)) == 0;
+}
+
+TEST(PtrMapValidationTest, RejectsRecordsOutsideTheirObjectOrNotCanonical) {
+  EXPECT_TRUE(ValidatePtrMap(MapFor(7, 16, 8)).ok());
+  EXPECT_EQ(ValidatePtrMap(MapFor(7, 16, 9)).code(), StatusCode::kInvalidArgument)
+      << "field outside its object";
+  EXPECT_EQ(ValidatePtrMap(MapFor(7, 0, 0)).code(), StatusCode::kInvalidArgument);
+  PtrMapRecord stray = MapFor(7, 16, 0);
+  stray.field_offsets[1] = 8;  // Past num_fields.
+  EXPECT_EQ(ValidatePtrMap(stray).code(), StatusCode::kInvalidArgument)
+      << "a stray offset would make two equal maps compare different";
+  PtrMapRecord repeat = MapFor(7, 32, 0);
+  repeat.repeat_offset = 8;
+  EXPECT_EQ(ValidatePtrMap(repeat).code(), StatusCode::kInvalidArgument)
+      << "repeat offset without a region";
+  repeat.repeat_count = 3;
+  EXPECT_TRUE(ValidatePtrMap(repeat).ok());
+  repeat.repeat_count = 4;
+  EXPECT_EQ(ValidatePtrMap(repeat).code(), StatusCode::kInvalidArgument)
+      << "region past the object";
+
+  PtrMapRecord two = MapFor(7, 32, 0);
+  two.num_fields = 2;
+  two.field_offsets[1] = 16;
+  EXPECT_TRUE(ValidatePtrMap(two).ok());
+  std::swap(two.field_offsets[0], two.field_offsets[1]);
+  EXPECT_EQ(ValidatePtrMap(two).code(), StatusCode::kInvalidArgument)
+      << "descending offsets: another byte form of the same map";
+  two.field_offsets[0] = 16;
+  EXPECT_EQ(ValidatePtrMap(two).code(), StatusCode::kInvalidArgument) << "one slot twice";
+  two.field_offsets[0] = 12;
+  EXPECT_EQ(ValidatePtrMap(two).code(), StatusCode::kInvalidArgument) << "overlapping slots";
+  PtrMapRecord inside = MapFor(7, 32, 16);
+  inside.repeat_offset = 8;
+  inside.repeat_count = 2;
+  EXPECT_EQ(ValidatePtrMap(inside).code(), StatusCode::kInvalidArgument)
+      << "a field inside the pointer-array region";
+  inside.field_offsets[0] = 0;
+  EXPECT_TRUE(ValidatePtrMap(inside).ok());
+}
+
+// Members grow up and maps grow down through one heap: each map costs a
+// page-sized segment six member slots, and both tables read back across the
+// chain in append order.
+TEST(PoolMetaChainTest, PtrMapsShareTheSegmentHeapAcrossTheChain) {
+  Segments segments;
+  ASSERT_TRUE(PoolMetaView::Format(segments.Add(kPoolMetaHeapSize).view, Uuid::Generate(), "p")
+                  .ok());
+  auto meta = segments.Attach();
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  std::vector<PtrMapRecord> maps;
+  maps.push_back(MapFor(100, 16, 8));
+  ASSERT_TRUE(meta->AddPtrMap(maps.back()).ok());
+  EXPECT_EQ(meta->capacity(), 165u - 6) << "a map takes six member slots";
+  EXPECT_EQ(meta->AddPtrMap(MapFor(101, 16, 9)).code(), StatusCode::kInvalidArgument);
+
+  std::vector<Uuid> members;
+  for (int i = 0; i < 100; ++i) {
+    members.push_back(Uuid::Generate());
+    ASSERT_TRUE(meta->AddMember(members.back()).ok());
+  }
+  puddles::Status added = OkStatus();
+  for (uint64_t type = 101; added.ok(); ++type) {
+    added = meta->AddPtrMap(MapFor(type, 24, 16));
+    if (added.ok()) {
+      maps.push_back(MapFor(type, 24, 16));
+    }
+  }
+  EXPECT_EQ(added.code(), StatusCode::kOutOfMemory);
+  EXPECT_EQ(maps.size(), 10u) << "(3960 - 100 * 24) / 144 maps fit beside 100 members";
+  EXPECT_EQ(meta->capacity() - meta->num_members(), 5u) << "120 bytes left hold five members";
+
+  auto& next = segments.Add(2 * kPoolMetaHeapSize);
+  ASSERT_TRUE(meta->AppendSegment(next.uuid, next.view).ok());
+  maps.push_back(MapFor(200, 8, 0));
+  ASSERT_TRUE(meta->AddPtrMap(maps.back()).ok());
+  members.push_back(Uuid::Generate());
+  ASSERT_TRUE(meta->AddMember(members.back()).ok());
+
+  auto reattached = segments.Attach();
+  ASSERT_TRUE(reattached.ok()) << reattached.status().ToString();
+  ASSERT_EQ(reattached->num_ptr_maps(), maps.size());
+  for (uint32_t i = 0; i < maps.size(); ++i) {
+    EXPECT_TRUE(SameMap(reattached->ptr_map(i), maps[i])) << i;
+  }
+  ASSERT_EQ(reattached->num_members(), members.size());
+  for (uint32_t i = 0; i < members.size(); ++i) {
+    EXPECT_EQ(reattached->member(i), members[i]) << i;
+  }
+}
+
+// A recorded map is on-media input: Attach validates every one, and counts
+// whose tables overlap, with DataLoss.
+TEST(PoolMetaChainTest, AttachRejectsAMalformedPtrMapOrOverlappingTables) {
+  Segments segments;
+  auto& head = segments.Add(kPoolMetaHeapSize);
+  ASSERT_TRUE(PoolMetaView::Format(head.view, Uuid::Generate(), "p").ok());
+  auto meta = segments.Attach();
+  ASSERT_TRUE(meta.ok());
+  ASSERT_TRUE(meta->AddPtrMap(MapFor(100, 16, 8)).ok());
+  ASSERT_TRUE(segments.Attach().ok());
+
+  auto* header = reinterpret_cast<PoolMetaHeader*>(head.view.heap());
+  auto* record = reinterpret_cast<PtrMapRecord*>(static_cast<uint8_t*>(head.view.heap()) +
+                                                 head.view.heap_size()) - 1;
+  record->field_offsets[0] = 16;  // Past the 16-byte object.
+  EXPECT_EQ(segments.Attach().status().code(), StatusCode::kDataLoss);
+  record->field_offsets[0] = 8;
+  ASSERT_TRUE(segments.Attach().ok());
+
+  header->num_members = 160;  // 160 * 24 + 144 > 3960.
+  EXPECT_EQ(segments.Attach().status().code(), StatusCode::kDataLoss);
+}
+
+// A map persists before the count that publishes it, as a member does: every
+// fence-boundary crash state of two appends, with a segment chained between
+// them as Pool::RecordPtrMap chains one, attaches to a prefix of the records.
+TEST(PoolMetaChainTest, PtrMapAppendCrashStatesAttachToARecordPrefix) {
+  Segments segments;
+  auto& head = segments.Add(kPoolMetaHeapSize);
+  ASSERT_TRUE(PoolMetaView::Format(head.view, Uuid::Generate(), "p").ok());
+  auto meta = segments.Attach();
+  ASSERT_TRUE(meta.ok());
+  while (meta->capacity() - meta->num_members() > 6) {  // Room for one map.
+    ASSERT_TRUE(meta->AddMember(Uuid::Generate()).ok());
+  }
+  auto& next = segments.Add(2 * kPoolMetaHeapSize);
+  const std::vector<PtrMapRecord> maps = {MapFor(100, 16, 8), MapFor(101, 24, 0)};
+
+  crashsim::TraceRecorder recorder;
+  recorder.Start({{.base = reinterpret_cast<uintptr_t>(head.base), .size = head.size},
+                  {.base = reinterpret_cast<uintptr_t>(next.base), .size = next.size}});
+  ASSERT_TRUE(meta->AddPtrMap(maps[0]).ok());
+  ASSERT_EQ(meta->AddPtrMap(maps[1]).code(), StatusCode::kOutOfMemory);
+  ASSERT_TRUE(meta->AppendSegment(next.uuid, next.view).ok());
+  ASSERT_TRUE(meta->AddPtrMap(maps[1]).ok());
+  const crashsim::Trace trace = recorder.Stop();
+
+  const auto states = crashsim::EnumerateCrashStates(trace, {});
+  ASSERT_FALSE(states.empty());
+  std::set<uint32_t> record_counts;
+  for (const crashsim::CrashStateSpec& spec : states) {
+    crashsim::ApplyCrashState(trace, spec);
+    auto recovered = segments.Attach();
+    ASSERT_TRUE(recovered.ok()) << spec.ToString() << ": " << recovered.status().ToString();
+    ASSERT_LE(recovered->num_ptr_maps(), maps.size()) << spec.ToString();
+    for (uint32_t i = 0; i < recovered->num_ptr_maps(); ++i) {
+      ASSERT_TRUE(SameMap(recovered->ptr_map(i), maps[i])) << spec.ToString() << " map " << i;
+    }
+    record_counts.insert(recovered->num_ptr_maps());
+  }
+  EXPECT_EQ(record_counts, (std::set<uint32_t>{0, 1, 2})) << "the sweep must cross both publishes";
 }
 
 // ---- Log space (Fig. 5 directory) ----

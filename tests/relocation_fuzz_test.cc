@@ -216,7 +216,9 @@ TEST_F(RewriteFuzzTest, RepeatRegionSlotsRewriteDifferentially) {
   }
 
   puddle_.AssignNewBase(puddle_.base_addr() + 0x1000000);
-  auto stats = RewritePuddle(puddle_, translator, TypeRegistry::Instance());
+  auto stats = RewritePuddle(puddle_, translator, [](TypeId type_id) {
+    return TypeRegistry::Instance().Lookup(type_id);
+  });
   ASSERT_TRUE(stats.ok());
   // 65 slots per node (1 explicit + 64 repeat), all visited.
   EXPECT_EQ(stats->pointers_visited, nodes.size() * 65u);
@@ -241,11 +243,25 @@ TEST(TypeRegistryArray, RejectsOutOfBoundsRepeatRegion) {
   EXPECT_FALSE(TypeRegistry::Instance()
                    .RegisterWithArray<Small>({}, offsetof(Small, p), 4)
                    .ok());
+  // Values past 32 bits must not wrap into range: a count of 2^32 + 1 read
+  // as 1 would hide every other slot from relocation and the GC.
+  EXPECT_EQ(TypeRegistry::Instance()
+                .RegisterWithArray<Small>({}, offsetof(Small, p), (size_t{1} << 32) + 1)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TypeRegistry::Instance()
+                .RegisterWithArray<Small>({}, (size_t{1} << 32) + offsetof(Small, p), 1)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(TypeRegistry::Instance()
+                .RegisterWithArray<Small>({(size_t{1} << 32) + offsetof(Small, p)}, 0, 0)
+                .code(),
+            StatusCode::kInvalidArgument);
   ASSERT_TRUE(TypeRegistry::Instance()
                   .RegisterWithArray<Small>({}, offsetof(Small, p), 1)
                   .ok());
-  auto record = TypeRegistry::Instance().Lookup(TypeIdOf<Small>());
-  ASSERT_TRUE(record.ok());
+  const PtrMapRecord* record = TypeRegistry::Instance().Lookup(TypeIdOf<Small>());
+  ASSERT_NE(record, nullptr);
   EXPECT_EQ(record->repeat_offset, offsetof(Small, p));
   EXPECT_EQ(record->repeat_count, 1u);
 }

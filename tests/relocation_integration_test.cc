@@ -3,11 +3,15 @@
 // conflict with incremental pointer rewriting — and multiple copies open
 // simultaneously with native pointers, which PMDK-style systems cannot do.
 #include <gtest/gtest.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/libpuddles/fault_router.h"
 #include "src/libpuddles/libpuddles.h"
@@ -16,6 +20,8 @@
 #include "src/puddles/pool_meta.h"
 #include "src/workloads/adapters.h"
 #include "src/workloads/list.h"
+
+extern char** environ;
 
 namespace puddles {
 
@@ -596,6 +602,74 @@ TEST_F(RelocationTest, ChainedPoolMetaRoundTripsThroughExportImportAndRestart) {
   EXPECT_EQ(old_bases_after, old_bases);
 }
 
+// fwrite only buffers the manifest: its bytes reach the file, or fail to,
+// at the flush. Here the manifest is a link to /dev/full, whose every write
+// fails with ENOSPC, and the export must say so and remove the manifest, so
+// that the partial export is never imported.
+TEST_F(RelocationTest, ExportReportsAManifestThatCannotBeWritten) {
+  BuildListPool("source", 10);
+  const fs::path export_dir = base_ / "export";
+  fs::create_directories(export_dir);
+  fs::create_symlink("/dev/full", export_dir / "manifest.bin");
+  puddles::Status exported = runtime_->ExportPool("source", export_dir.string());
+  EXPECT_EQ(exported.code(), StatusCode::kIoError) << exported.ToString();
+  EXPECT_FALSE(fs::exists(fs::symlink_status(export_dir / "manifest.bin")))
+      << "a failed export left a manifest behind";
+}
+
+// Runs tests/pointer_map_peer.cc with `args` and returns its exit status.
+int RunPeer(const std::vector<std::string>& args) {
+  std::vector<std::string> argv_strings = {POINTER_MAP_PEER};
+  argv_strings.insert(argv_strings.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& arg : argv_strings) {
+    argv.push_back(arg.data());
+  }
+  argv.push_back(nullptr);
+  pid_t pid = 0;
+  if (::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(), environ) != 0) {
+    return -1;
+  }
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) {
+    return -1;
+  }
+  return WEXITSTATUS(status);
+}
+
+// A pool carries its own pointer maps: another process that registered none
+// of its types imports a copy, which relocates with the pool's maps, and a
+// walk of the copy reads the source's values. So does a process that
+// registered the head's layout with its members listed the other way round,
+// since the order is not part of a map.
+TEST_F(RelocationTest, ImporterThatRegisteredNoTypeRelocatesWithThePoolsMaps) {
+  constexpr uint64_t kNodes = 40;
+  Pool* source = BuildListPool("source", kNodes);
+  const uint64_t expected = SumList(*source);
+  const fs::path export_dir = base_ / "export";
+  ASSERT_TRUE(runtime_->ExportPool("source", export_dir.string()).ok());
+  runtime_.reset();
+  daemon_.reset();  // The peer's daemon takes this root, source pool and all.
+  for (const char* mode : {"unregistered", "permuted"}) {
+    EXPECT_EQ(RunPeer({mode, (base_ / "root").string(), export_dir.string(),
+                       std::to_string(expected), std::to_string(kNodes)}),
+              0)
+        << mode;
+  }
+}
+
+// A process whose type of the same name has another layout cannot open the
+// copy: OpenPool fails with FailedPrecondition before any member is mapped,
+// so every member keeps its rewrite flag and its bytes.
+TEST_F(RelocationTest, AnotherLayoutOfARecordedTypeFailsTheOpenAndRewritesNothing) {
+  BuildListPool("source", 40);
+  const fs::path export_dir = base_ / "export";
+  ASSERT_TRUE(runtime_->ExportPool("source", export_dir.string()).ok());
+  runtime_.reset();
+  daemon_.reset();
+  EXPECT_EQ(RunPeer({"conflicting", (base_ / "root").string(), export_dir.string()}), 0);
+}
+
 // Import treats an export as untrusted input (§4.6): each corruption fails
 // with DataLoss and leaves no copied file, no record and no address claim —
 // the repaired export then imports into the same root with every original
@@ -614,6 +688,20 @@ void CorruptDataMember(const fs::path& dir, const std::function<void(PuddleHeade
     if (puddle.kind() == PuddleKind::kData) {
       edit(puddle.header());
       pmem::FlushFence(puddle.header(), sizeof(PuddleHeader));
+    }
+  });
+}
+
+// Moves a pointer field of the first map recorded in segment `meta_uuid`
+// to the end of its object, outside it.
+void CorruptFirstPtrMap(const fs::path& dir, const Uuid& meta_uuid) {
+  ForEachExportedPuddle(dir, [&](Puddle& puddle) {
+    if (puddle.uuid() == meta_uuid) {
+      auto* end = reinterpret_cast<PtrMapRecord*>(static_cast<uint8_t*>(puddle.heap()) +
+                                                  puddle.heap_size());
+      PtrMapRecord& first = end[-1];
+      first.field_offsets[0] = first.object_size;
+      pmem::FlushFence(&first, sizeof(first));
     }
   });
 }
@@ -676,6 +764,10 @@ INSTANTIATE_TEST_SUITE_P(
         ImportCorruption{"ChainLongerThanTheManifest",
                          [](const fs::path& dir, const Uuid& meta) {
                            LinkFirstSegment(dir, meta, Uuid::Generate());
+                         }},
+        ImportCorruption{"PointerMapFieldOutsideItsObject",
+                         [](const fs::path& dir, const Uuid& meta) {
+                           CorruptFirstPtrMap(dir, meta);
                          }}),
     [](const ::testing::TestParamInfo<ImportCorruption>& info) { return info.param.name; });
 

@@ -24,6 +24,9 @@ struct RelNode {
 
 namespace {
 
+// The process registry as RewritePuddle's pointer-map lookup.
+const PtrMapRecord* Registered(TypeId type_id) { return TypeRegistry::Instance().Lookup(type_id); }
+
 TEST(RangeAllocatorTest, AllocateClaimFreeCycle) {
   RangeAllocator alloc(0x1000000, 0x100000);
   auto a = alloc.Allocate(0x10000);
@@ -227,7 +230,7 @@ TEST_F(RewriteTest, RewritesRegisteredPointerFields) {
   ASSERT_TRUE(translator.Add(0x1000, 0x1000, 0x100000).ok());
   puddle_.AssignNewBase(puddle_.base_addr() + 0x1000000);  // Mark needs-rewrite.
 
-  auto stats = RewritePuddle(puddle_, translator, TypeRegistry::Instance());
+  auto stats = RewritePuddle(puddle_, translator, Registered);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->pointers_rewritten, 2u);
   EXPECT_EQ((*node)->next, reinterpret_cast<RelNode*>(0x100100));
@@ -249,9 +252,9 @@ TEST_F(RewriteTest, RewriteIsIdempotent) {
 
   // Run the rewrite twice — as after a crash mid-rewrite. The second pass
   // must not double-translate (new range is outside every old range).
-  ASSERT_TRUE(RewritePuddle(puddle_, translator, TypeRegistry::Instance()).ok());
+  ASSERT_TRUE(RewritePuddle(puddle_, translator, Registered).ok());
   EXPECT_EQ((*node)->next, reinterpret_cast<RelNode*>(0x100100));
-  ASSERT_TRUE(RewritePuddle(puddle_, translator, TypeRegistry::Instance()).ok());
+  ASSERT_TRUE(RewritePuddle(puddle_, translator, Registered).ok());
   EXPECT_EQ((*node)->next, reinterpret_cast<RelNode*>(0x100100));
 }
 
@@ -267,7 +270,7 @@ TEST_F(RewriteTest, ArraysStrideByElementSize) {
   }
   Translator translator;
   ASSERT_TRUE(translator.Add(0x1000, 0x1000, 0x200000).ok());
-  auto stats = RewritePuddle(puddle_, translator, TypeRegistry::Instance());
+  auto stats = RewritePuddle(puddle_, translator, Registered);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->pointers_rewritten, 8u);
   for (int i = 0; i < 8; ++i) {
@@ -286,7 +289,7 @@ TEST_F(RewriteTest, RawBytesNeverTouched) {
 
   Translator translator;
   ASSERT_TRUE(translator.Add(0x1000, 0x1000, 0x300000).ok());
-  auto stats = RewritePuddle(puddle_, translator, TypeRegistry::Instance());
+  auto stats = RewritePuddle(puddle_, translator, Registered);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->pointers_rewritten, 0u);
   EXPECT_EQ(words[0], 0x1100u);
@@ -318,7 +321,7 @@ TEST_F(RewriteTest, UnknownTypeStopsTheRewriteAtItsObject) {
   ASSERT_TRUE(translator.Add(0x1000, 0x1000, 0x100000).ok());
   puddle_.AssignNewBase(puddle_.base_addr() + 0x1000000);
 
-  auto stopped = RewritePuddle(puddle_, translator, registry);
+  auto stopped = RewritePuddle(puddle_, translator, Registered);
   EXPECT_EQ(stopped.status().code(), StatusCode::kFailedPrecondition)
       << stopped.status().ToString();
   EXPECT_TRUE(puddle_.needs_rewrite());
@@ -328,7 +331,7 @@ TEST_F(RewriteTest, UnknownTypeStopsTheRewriteAtItsObject) {
   EXPECT_EQ((*after)->next, reinterpret_cast<RelNode*>(0x1200)) << "nothing past the stop";
 
   ASSERT_TRUE(registry.Register<Unmapped>(&Unmapped::next).ok());
-  auto resumed = RewritePuddle(puddle_, translator, registry);
+  auto resumed = RewritePuddle(puddle_, translator, Registered);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   EXPECT_EQ(resumed->objects_skipped_resume, 1u);
   EXPECT_EQ(resumed->pointers_rewritten, 2u);
@@ -370,7 +373,7 @@ TEST_F(RewriteTest, ResumesFromPersistedFrontier) {
 
   RewriteOptions options;
   options.batch_objects = 3;  // Force several frontier advances.
-  auto stats = RewritePuddle(puddle_, translator, TypeRegistry::Instance(), options);
+  auto stats = RewritePuddle(puddle_, translator, Registered, options);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->objects_skipped_resume, kFrontier);
   EXPECT_EQ(stats->objects_visited, static_cast<uint64_t>(kNodes) - kFrontier);
@@ -404,7 +407,7 @@ TEST_F(RewriteTest, FrontierMakesHeapFlushToFlagClearGapByteStable) {
   ASSERT_TRUE(translator.Add(0x5000, 0x1000, 0x9000).ok());  // B.
 
   puddle_.AssignNewBase(puddle_.base_addr() + 0x1000000);
-  ASSERT_TRUE(RewritePuddle(puddle_, translator, TypeRegistry::Instance()).ok());
+  ASSERT_TRUE(RewritePuddle(puddle_, translator, Registered).ok());
   EXPECT_EQ((*node)->next, reinterpret_cast<RelNode*>(0x5100));
   EXPECT_EQ((*node)->prev, reinterpret_cast<RelNode*>(0x9f00));
 
@@ -413,7 +416,7 @@ TEST_F(RewriteTest, FrontierMakesHeapFlushToFlagClearGapByteStable) {
   puddle_.header()->flags |= kPuddleNeedsRewrite;
   puddle_.header()->rewrite_frontier = 1;  // One live object, fully processed.
   std::vector<uint8_t> before(puddle_.heap(), puddle_.heap() + puddle_.heap_size());
-  auto stats = RewritePuddle(puddle_, translator, TypeRegistry::Instance());
+  auto stats = RewritePuddle(puddle_, translator, Registered);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->objects_skipped_resume, 1u);
   EXPECT_EQ(stats->pointers_rewritten, 0u);
@@ -453,7 +456,7 @@ TEST_F(RewriteTest, InflatedObjectSizeCannotScanAllocatorSlack) {
 
   Translator translator;
   ASSERT_TRUE(translator.Add(0x1000, 0x1000, 0x700000).ok());
-  auto stats = RewritePuddle(puddle_, translator, TypeRegistry::Instance());
+  auto stats = RewritePuddle(puddle_, translator, Registered);
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ((*node)->next, reinterpret_cast<RelNode*>(0x700100)) << "element 0 rewritten";
   EXPECT_EQ(*slack, 0x1200u) << "slack byte walked as a phantom element";
@@ -468,9 +471,8 @@ TEST(TypeRegistryTest, RegistrationAndConflicts) {
     uint64_t v;
   };
   ASSERT_TRUE(registry.Register<Fresh>({offsetof(Fresh, link)}).ok());
-  EXPECT_TRUE(registry.Contains(TypeIdOf<Fresh>()));
-  auto map = registry.Lookup(TypeIdOf<Fresh>());
-  ASSERT_TRUE(map.ok());
+  const PtrMapRecord* map = registry.Lookup(TypeIdOf<Fresh>());
+  ASSERT_NE(map, nullptr);
   EXPECT_EQ(map->num_fields, 1u);
   EXPECT_EQ(map->object_size, sizeof(Fresh));
 

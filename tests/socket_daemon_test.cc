@@ -84,10 +84,10 @@ std::vector<uint8_t> Frame(const std::vector<uint8_t>& payload) {
   return frame;
 }
 
-std::vector<uint8_t> GetPtrMapRequest(uint64_t type_id) {
+std::vector<uint8_t> StatPuddleRequest(const Uuid& uuid) {
   WireWriter writer;
-  writer.PutU32(static_cast<uint32_t>(puddled::Op::kGetPtrMap));
-  writer.PutU64(type_id);
+  writer.PutU32(static_cast<uint32_t>(puddled::Op::kStatPuddle));
+  writer.PutUuid(uuid);
   return writer.Take();
 }
 
@@ -138,20 +138,6 @@ TEST_F(SocketDaemonTest, ErrorsPropagateOverWire) {
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
   auto pool = (*client)->OpenPool("missing-pool");
   EXPECT_EQ(pool.status().code(), StatusCode::kNotFound);
-}
-
-TEST_F(SocketDaemonTest, PtrMapsOverWire) {
-  auto client = puddled::SocketDaemonClient::Connect(socket_path_);
-  ASSERT_TRUE(client.ok());
-  puddled::PtrMapRecord record{};
-  record.type_id = 42;
-  record.object_size = 16;
-  record.num_fields = 1;
-  record.field_offsets[0] = 8;
-  ASSERT_TRUE((*client)->RegisterPtrMap(record).ok());
-  auto fetched = (*client)->GetPtrMap(42);
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(fetched->field_offsets[0], 8u);
 }
 
 TEST_F(SocketDaemonTest, FullRuntimeOverSocketTransport) {
@@ -231,13 +217,12 @@ TEST_F(SocketDaemonTest, PipelinedRequestsComeBackInOrder) {
   constexpr uint64_t kCount = 32;
   auto setup = puddled::SocketDaemonClient::Connect(socket_path_);
   ASSERT_TRUE(setup.ok());
+  std::vector<Uuid> uuids;
   for (uint64_t i = 0; i < kCount; ++i) {
-    puddled::PtrMapRecord record{};
-    record.type_id = 100 + i;
-    record.num_fields = 1;
-    record.object_size = 32;
-    record.field_offsets[0] = static_cast<uint32_t>(8 * i);
-    ASSERT_TRUE((*setup)->RegisterPtrMap(record).ok());
+    auto created = (*setup)->CreatePuddle(PuddleKind::kData, 4096, Uuid::Nil(), 0600);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ::close(created->second);
+    uuids.push_back(created->first.uuid);
   }
 
   auto raw = UnixSocket::Connect(socket_path_);
@@ -246,7 +231,7 @@ TEST_F(SocketDaemonTest, PipelinedRequestsComeBackInOrder) {
   // a single buffered read.
   std::vector<uint8_t> burst;
   for (uint64_t i = 0; i < kCount; ++i) {
-    const auto frame = Frame(GetPtrMapRequest(100 + (kCount - 1 - i)));  // Reverse order.
+    const auto frame = Frame(StatPuddleRequest(uuids[kCount - 1 - i]));  // Reverse order.
     burst.insert(burst.end(), frame.begin(), frame.end());
   }
   ASSERT_TRUE(WriteAll(raw->fd(), burst));
@@ -257,10 +242,9 @@ TEST_F(SocketDaemonTest, PipelinedRequestsComeBackInOrder) {
     Status status = OkStatus();
     ASSERT_TRUE(reader.GetStatus(&status).ok());
     ASSERT_TRUE(status.ok()) << status.ToString();
-    puddled::PtrMapRecord record{};
-    ASSERT_TRUE(puddled::DecodePtrMap(&reader, &record).ok());
-    EXPECT_EQ(record.type_id, 100 + (kCount - 1 - i));  // Request order, not id order.
-    EXPECT_EQ(record.field_offsets[0], 8 * (kCount - 1 - i));
+    puddled::PuddleInfo info;
+    ASSERT_TRUE(puddled::DecodePuddleInfo(&reader, &info).ok());
+    EXPECT_EQ(info.uuid, uuids[kCount - 1 - i]);  // Request order, not creation order.
   }
 }
 
@@ -269,19 +253,16 @@ TEST_F(SocketDaemonTest, FramesSplitAcrossArbitraryWriteBoundaries) {
   // pipelined burst 7 bytes at a time.
   auto setup = puddled::SocketDaemonClient::Connect(socket_path_);
   ASSERT_TRUE(setup.ok());
-  puddled::PtrMapRecord record{};
-  record.type_id = 7;
-  record.num_fields = 1;
-  record.object_size = 16;
-  record.field_offsets[0] = 8;
-  ASSERT_TRUE((*setup)->RegisterPtrMap(record).ok());
+  auto created = (*setup)->CreatePuddle(PuddleKind::kData, 4096, Uuid::Nil(), 0600);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  ::close(created->second);
 
   auto raw = UnixSocket::Connect(socket_path_);
   ASSERT_TRUE(raw.ok());
   std::vector<uint8_t> burst;
   constexpr int kCount = 8;
   for (int i = 0; i < kCount; ++i) {
-    const auto frame = Frame(GetPtrMapRequest(7));
+    const auto frame = Frame(StatPuddleRequest(created->first.uuid));
     burst.insert(burst.end(), frame.begin(), frame.end());
   }
   for (size_t off = 0; off < burst.size(); off += 7) {
@@ -392,14 +373,16 @@ TEST_F(SocketDaemonTest, ManyClientsWithDirtyDisconnects) {
           ++failures;
           return;
         }
+        auto created = (*client)->CreatePuddle(PuddleKind::kData, 4096, Uuid::Nil(), 0600);
+        if (!created.ok()) {
+          ++failures;
+          return;
+        }
+        ::close(created->second);
+        const Uuid uuid = created->first.uuid;
         for (int i = 0; i < 25; ++i) {
-          puddled::PtrMapRecord record{};
-          record.type_id = 1000 + t;
-          record.num_fields = 1;
-          record.object_size = 8;
-          record.field_offsets[0] = 0;
-          if (!(*client)->Ping().ok() || !(*client)->RegisterPtrMap(record).ok() ||
-              !(*client)->GetPtrMap(1000 + t).ok()) {
+          if (!(*client)->Ping().ok() || !(*client)->CompleteRewrite(uuid).ok() ||
+              !(*client)->StatPuddle(uuid).ok()) {
             ++failures;
           }
         }
@@ -411,7 +394,7 @@ TEST_F(SocketDaemonTest, ManyClientsWithDirtyDisconnects) {
         }
         std::vector<uint8_t> burst;
         for (int i = 0; i < 8; ++i) {
-          const auto frame = Frame(GetPtrMapRequest(1));
+          const auto frame = Frame(StatPuddleRequest(Uuid::Generate()));
           burst.insert(burst.end(), frame.begin(), frame.end());
         }
         if (!WriteAll(raw->fd(), burst)) {

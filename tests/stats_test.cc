@@ -290,15 +290,19 @@ TEST_F(StatsOpcodeTest, EmbeddedClientFetchStats) {
   EXPECT_EQ(report->hists.size(), kNumHists);
 }
 
+// 10 and 11 were the pointer-map opcodes: retired values stay rejected.
 TEST_F(StatsOpcodeTest, UnknownOpStillRejected) {
-  WireWriter request;
-  request.PutU32(999);
-  auto out = puddled::DispatchRequest(*daemon_, puddled::Credentials::Self(),
-                                      request.bytes());
-  WireReader reader(out.response);
-  Status status;
-  ASSERT_TRUE(reader.GetStatus(&status).ok());
-  EXPECT_FALSE(status.ok());
+  for (uint32_t op : {10u, 11u, 999u}) {
+    WireWriter request;
+    request.PutU32(op);
+    request.PutU64(42);
+    auto out = puddled::DispatchRequest(*daemon_, puddled::Credentials::Self(),
+                                        request.bytes());
+    WireReader reader(out.response);
+    Status status;
+    ASSERT_TRUE(reader.GetStatus(&status).ok()) << "op " << op;
+    EXPECT_FALSE(status.ok()) << "op " << op;
+  }
 }
 
 // tx_commit_ns and daemon_service_ns are the only timers on the commit and

@@ -8,13 +8,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <filesystem>
+#include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/daemon/client.h"
 #include "src/daemon/daemon.h"
 #include "src/libpuddles/libpuddles.h"
+#include "src/pmem/mapped_file.h"
+#include "src/puddles/pool_meta.h"
 
 namespace puddles {
 namespace {
@@ -185,6 +191,68 @@ TEST_F(TxConcurrencyTest, ConcurrentCommitsSurviveReopen) {
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(recovered->committed_rounds[t], static_cast<uint64_t>(kRoundsPerThread) + 1);
   }
+}
+
+// A family of distinct registered types for the pointer-map recording race.
+template <int N>
+struct Probe {
+  Probe* next;
+  uint64_t pad[N + 1];
+};
+
+template <int N>
+puddles::Status AllocProbe(Tx& tx) {
+  return tx.Alloc<Probe<N>>().status();
+}
+
+template <int... N>
+std::array<puddles::Status (*)(Tx&), sizeof...(N)> RegisterProbes(
+    std::integer_sequence<int, N...>) {
+  (..., (void)TypeRegistry::Instance().Register<Probe<N>>(&Probe<N>::next));
+  return {&AllocProbe<N>...};
+}
+
+// A type's first allocation in a pool records its pointer map under the
+// allocation lock, while every later allocation's "already recorded?" check
+// reads the pool's set without one. Threads that allocate the same fresh
+// types at once must record each map exactly once (TSan checks the lock-free
+// reads against the appends).
+TEST_F(TxConcurrencyTest, FirstAllocationsRecordEachPointerMapOnce) {
+  constexpr int kTypes = 12;
+  const auto alloc = RegisterProbes(std::make_integer_sequence<int, kTypes>());
+  std::atomic<int> ready{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([this, t, &alloc, &ready] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      for (int round = 0; round < 2 * kTypes; ++round) {
+        const int type = (t * 5 + round) % kTypes;
+        ASSERT_TRUE(pool_->Run([&](Tx& tx) { return alloc[type](tx); }).ok());
+      }
+    });
+  }
+  for (auto& worker : workers) {
+    worker.join();
+  }
+
+  // The pool meta holds one record per type (a one-page segment holds them).
+  auto file = pmem::PmemFile::Open(daemon_->PuddlePath(pool_->info().meta_puddle));
+  ASSERT_TRUE(file.ok());
+  auto base = file->Map();
+  ASSERT_TRUE(base.ok());
+  auto segment = Puddle::Attach(*base, file->size());
+  ASSERT_TRUE(segment.ok());
+  auto meta = PoolMetaView::Attach(pool_->info().meta_puddle,
+                                   [&](const Uuid&) -> puddles::Result<Puddle> { return *segment; });
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  std::set<uint64_t> recorded;
+  for (uint32_t i = 0; i < meta->num_ptr_maps(); ++i) {
+    recorded.insert(meta->ptr_map(i).type_id);
+  }
+  EXPECT_EQ(meta->num_ptr_maps(), static_cast<uint32_t>(kTypes));
+  EXPECT_EQ(recorded.size(), static_cast<size_t>(kTypes));
 }
 
 }  // namespace

@@ -54,6 +54,9 @@ ONE_CRASH_MODEL = (
 LOG_CHAIN = r"ForEachEntry\(|epoch_tag\(|next_log\(|seq_range\("
 ONE_LOG_READER = "log chains are read only through src/tx/replay.h (DESIGN.md §12)"
 
+POINTER_MAPS = r"PtrMap|ptrmap"
+POOL_MAPS = "pointer maps live in the pool (DESIGN.md §7)"
+
 RULES = [
     # Batched persistence (DESIGN.md §10): one append stages, never publishes.
     ("src/tx/log_format.cc", "LogRegion::AppendStaged(", (), [PERSIST],
@@ -118,6 +121,10 @@ RULES = [
     # read log chains only through src/tx/replay.h.
     ("src/crashsim", DIR, (), [LOG_CHAIN], ONE_LOG_READER),
     ("src/daemon", DIR, (), [LOG_CHAIN], ONE_LOG_READER),
+    # Pools carry their own pointer maps (DESIGN.md §7): the daemon and its
+    # transport neither store nor move them.
+    ("src/daemon", DIR, (), [POINTER_MAPS], POOL_MAPS),
+    ("src/ipc", DIR, (), [POINTER_MAPS], POOL_MAPS),
     # Pointer maps come from member-pointer registration (DESIGN.md §9).
     ("src/workloads", DIR, (), ["offsetof"],
      "hand-written offsetof pointer map: register member pointers instead"),
