@@ -131,6 +131,7 @@ int main(int argc, char** argv) {
                 rows.back().result.fences_per_pair);
   }
 
+  int status = 0;
   if (!out_path.empty()) {
     FILE* out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
@@ -150,9 +151,8 @@ int main(int argc, char** argv) {
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path.c_str());
+    status = bench::CloseJson(out, out_path) ? 0 : 1;
   }
   std::filesystem::remove_all(dir);
-  return 0;
+  return status;
 }

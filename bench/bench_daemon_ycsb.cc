@@ -404,11 +404,11 @@ Row RunOne(puddled::Daemon* daemon, const std::string& socket_path, const std::s
 #define PUDDLES_BUILD_FLAGS "unknown"
 #endif
 
-void WriteJson(const std::vector<Row>& rows, const std::string& path) {
+bool WriteJson(const std::vector<Row>& rows, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::abort();
+    return false;
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"daemon socket YCSB (multi-process clients)\",\n");
@@ -430,8 +430,7 @@ void WriteJson(const std::vector<Row>& rows, const std::string& path) {
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
+  return bench::CloseJson(out, path);
 }
 
 uint64_t FlagValue(const std::string& arg) {
@@ -536,8 +535,8 @@ int main(int argc, char** argv) {
     rows.push_back(RunOne(daemon->get(), socket_path, exe, spec, ops_per_client, keyspace_path));
   }
 
-  WriteJson(rows, out_path);
+  const bool wrote = WriteJson(rows, out_path);
   daemon->reset();
   std::filesystem::remove_all(dir);
-  return 0;
+  return wrote ? 0 : 1;
 }

@@ -50,6 +50,20 @@ inline std::string ProvenanceJsonLine(const char* git_sha, const char* build_fla
   return out;
 }
 
+// Closes a BENCH_*.json document opened for writing at `path` and reports
+// whether all of it reached the file: a write the file refuses (a full disk,
+// /dev/full) sets the stream's error flag or fails fclose's final flush.
+// Prints "wrote <path>", or "cannot write <path>" to stderr.
+inline bool CloseJson(std::FILE* out, const std::string& path) {
+  const bool written = std::ferror(out) == 0;
+  if (std::fclose(out) != 0 || !written) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
 }  // namespace bench
 
 #endif  // BENCH_BENCH_PROVENANCE_H_

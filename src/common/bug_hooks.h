@@ -1,12 +1,12 @@
 // Seeded-bug injection hooks for crashsim differential testing.
 //
 // Each flag re-opens one real, historically fixed crash-consistency hole so
-// tests can assert that brute-force exploration AND pruned exploration both
-// catch it (equal bug-finding power at fewer explored states). Every flag
-// defaults to off and must never be set outside tests: with all flags false
-// the guarded code compiles to the fixed behavior, and the branches sit on
-// cold paths (one per log append / allocation), so production cost is a
-// predictable never-taken branch.
+// tests can assert that recovering every crash state (verify_classes) AND
+// pruned exploration both catch it (equal bug-finding power at fewer explored
+// states). Every flag defaults to off and must never be set outside tests:
+// with all flags false the guarded code compiles to the fixed behavior, and
+// the branches sit on cold paths (one per log append / allocation), so
+// production cost is a predictable never-taken branch.
 //
 // Inline atomics rather than a registry: the hooks must be togglable from a
 // test without linking extra machinery, and reads may happen concurrently

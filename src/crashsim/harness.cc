@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -86,17 +85,15 @@ std::string HarnessReport::Summary() const {
       << " recovery failures, " << invariant_failures << " invariant failures; "
       << distinct_outcomes << " distinct recovered states; trace: " << flush_calls
       << " flushes / " << fences << " fences / " << trace_bytes << " delta bytes";
-  if (graph_built) {
-    out << "; prune: " << states_explored << " explored / " << states_pruned << " pruned / "
-        << state_classes << " classes (" << fallback_unique << " unique-fallback)";
-    if (class_mismatches != 0) {
-      out << ", " << class_mismatches << " CLASS MISMATCHES";
-    }
-    out << "; graph: " << graph.nodes << " nodes, " << graph.ordering_edges << " ordering + "
-        << graph.overwrite_edges << " overwrite edges; lines: " << graph.lines_touched
-        << " touched / " << graph.lines_total << " total (" << graph.lines_never_exercised
-        << " never exercised, " << graph.log_lines << " log)";
+  out << "; prune: " << states_explored << " explored / " << states_pruned << " pruned / "
+      << state_classes << " classes (" << fallback_unique << " unique-fallback)";
+  if (class_mismatches != 0) {
+    out << ", " << class_mismatches << " CLASS MISMATCHES";
   }
+  out << "; graph: " << graph.nodes << " nodes, " << graph.ordering_edges << " ordering + "
+      << graph.overwrite_edges << " overwrite edges; lines: " << graph.lines_touched
+      << " touched / " << graph.lines_total << " total (" << graph.lines_never_exercised
+      << " never exercised, " << graph.log_lines << " log)";
   return out.str();
 }
 
@@ -160,15 +157,10 @@ puddles::Result<HarnessReport> Harness::Run() {
   report.persist.fences = persist_after.fences - persist_before.fences;
 
   // ---- Phase 2: enumerate, classify, and verify crash states. ----
-  std::optional<PersistenceGraph> graph;
-  std::unique_ptr<StateClassifier> classifier;
-  if (options_.prune == PruneMode::kGraph || options_.verify_classes) {
-    ASSIGN_OR_RETURN(PersistenceGraph built, PersistenceGraph::Build(trace));
-    graph.emplace(std::move(built));
-    ASSIGN_OR_RETURN(classifier, StateClassifier::Create(trace, *graph));
-    report.graph_built = true;
-    report.graph = graph->stats();
-  }
+  ASSIGN_OR_RETURN(const PersistenceGraph graph, PersistenceGraph::Build(trace));
+  ASSIGN_OR_RETURN(std::unique_ptr<StateClassifier> classifier,
+                   StateClassifier::Create(trace, graph));
+  report.graph = graph.stats();
 
   std::vector<CrashStateSpec> specs = EnumerateCrashStates(trace, options_.enumerate);
   report.states_enumerated = specs.size();
@@ -186,6 +178,11 @@ puddles::Result<HarnessReport> Harness::Run() {
   std::set<std::pair<uint64_t, uint64_t>> seen_classes;
   // verify_classes: first observed outcome per class.
   std::map<std::pair<uint64_t, uint64_t>, std::string> class_outcome;
+  auto record_failure = [&](std::string message) {
+    if (report.failures.size() < HarnessReport::kMaxFailuresRecorded) {
+      report.failures.push_back(std::move(message));
+    }
+  };
   for (const CrashStateSpec& spec : specs) {
     if (options_.log_each_state) {
       std::fprintf(stderr, "crashsim[%s]: exploring %s\n", report.workload.c_str(),
@@ -201,17 +198,9 @@ puddles::Result<HarnessReport> Harness::Run() {
     const bool focused = in_focus(spec.epoch);
     report.focus_states += focused;
 
-    ClassSignature sig;
-    bool have_class = false;
-    if (classifier) {
-      ASSIGN_OR_RETURN(sig, classifier->Classify(spec));
-      have_class = !sig.unique;
-    }
-    bool first_of_class = true;
-    if (have_class) {
-      first_of_class = seen_classes.insert({sig.a, sig.b}).second;
-    }
-    if (options_.prune == PruneMode::kGraph && !options_.verify_classes && !first_of_class) {
+    ASSIGN_OR_RETURN(const ClassSignature sig, classifier->Classify(spec));
+    const bool first_of_class = sig.unique || seen_classes.insert({sig.a, sig.b}).second;
+    if (!options_.verify_classes && !first_of_class) {
       ++report.states_pruned;
       if (options_.record_outcomes) {
         report.outcomes.push_back({spec.ToString(), sig, /*explored=*/false, /*ok=*/true, ""});
@@ -240,49 +229,35 @@ puddles::Result<HarnessReport> Harness::Run() {
     if (!recovered.ok()) {
       outcome_key = "recovery-failure";
       ++report.recovery_failures;
-      if (report.failures.size() < options_.max_failures_recorded) {
-        report.failures.push_back(spec.ToString() + ": recovery failed: " +
-                                  recovered.status().ToString() + " [" +
-                                  driver_.LastRecoveryInfo() + "]");
-      }
+      record_failure(spec.ToString() + ": recovery failed: " + recovered.status().ToString() +
+                     " [" + driver_.LastRecoveryInfo() + "]");
     } else if (legal_states.find(*recovered) == legal_states.end()) {
       outcome_key = "invariant-failure:" + *recovered;
       ++report.invariant_failures;
-      if (report.failures.size() < options_.max_failures_recorded) {
-        report.failures.push_back(spec.ToString() +
-                                  ": recovered state is not at an op boundary: " + *recovered +
-                                  " [" + driver_.LastRecoveryInfo() + "]");
-      }
+      record_failure(spec.ToString() + ": recovered state is not at an op boundary: " +
+                     *recovered + " [" + driver_.LastRecoveryInfo() + "]");
     } else {
       outcome_key = "ok:" + *recovered;
       state_ok = true;
       ++report.recoveries_ok;
       outcomes.insert(*recovered);
     }
-    if (options_.verify_classes && have_class) {
+    if (options_.verify_classes && !sig.unique) {
       auto [it, inserted] = class_outcome.emplace(std::make_pair(sig.a, sig.b), outcome_key);
       if (!inserted && it->second != outcome_key) {
         ++report.class_mismatches;
-        if (report.failures.size() < options_.max_failures_recorded) {
-          report.failures.push_back(spec.ToString() + ": class outcome mismatch: \"" +
-                                    outcome_key + "\" vs representative \"" + it->second +
-                                    "\"");
-        }
+        record_failure(spec.ToString() + ": class outcome mismatch: \"" + outcome_key +
+                       "\" vs representative \"" + it->second + "\"");
       }
     }
     if (options_.record_outcomes) {
       report.outcomes.push_back({spec.ToString(), sig, /*explored=*/true, state_ok,
                                  std::move(outcome_key)});
     }
-    if (options_.stop_on_failure && !report.ok()) {
-      break;
-    }
   }
   report.distinct_outcomes = outcomes.size();
-  if (classifier) {
-    report.state_classes = seen_classes.size() + classifier->stats().fallback_unique;
-    report.fallback_unique = classifier->stats().fallback_unique;
-  }
+  report.state_classes = seen_classes.size() + classifier->stats().fallback_unique;
+  report.fallback_unique = classifier->stats().fallback_unique;
 
   fs::remove_all(scratch, ec);
   return report;

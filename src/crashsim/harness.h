@@ -1,8 +1,9 @@
 // Recovery oracle harness: runs a workload once under the trace recorder,
-// enumerates every legal post-crash durable image within a budget, and for
-// each image runs the REAL application-independent recovery path — a fresh
-// Puddled scanning and replaying logs before any application maps data —
-// then checks the recovered state against the workload's invariants.
+// enumerates the legal post-crash durable images (state_enumerator.h), and
+// for each explored image runs the REAL application-independent recovery
+// path — a fresh Puddled scanning and replaying logs before any application
+// maps data — then checks the recovered state against the workload's
+// invariants.
 //
 // Oracle: each workload op is failure-atomic, so after recovery the workload
 // state must equal the committed state at some op boundary. The harness
@@ -16,12 +17,12 @@
 // "machine" (daemon + runtime) is torn down between states; every recovery
 // runs against cold on-disk state, exactly like a reboot.
 //
-// Pruning (DESIGN.md §12): with PruneMode::kGraph the harness classifies each
-// enumerated state through the persistence-graph StateClassifier and explores
-// only the first state of each equivalence class — states whose
-// recovery-relevant projected images are byte-identical share one verdict.
-// verify_classes instead explores EVERYTHING and checks that every state in a
-// class produces the same outcome (the soundness self-test).
+// Pruning (DESIGN.md §12): the harness classifies every enumerated state
+// through the persistence-graph StateClassifier and explores only the first
+// state of each equivalence class — states whose recovery-relevant projected
+// images are byte-identical share one verdict. verify_classes instead
+// explores EVERYTHING and checks that every state in a class produces the
+// same outcome (the soundness self-test).
 #ifndef SRC_CRASHSIM_HARNESS_H_
 #define SRC_CRASHSIM_HARNESS_H_
 
@@ -94,19 +95,12 @@ struct HarnessOptions {
   // Scratch directory; a fresh subdirectory per run is created inside. Empty
   // uses the system temp dir.
   std::string scratch_dir;
-  bool stop_on_failure = false;
-  // Cap on recorded failure messages (counters are always exact).
-  size_t max_failures_recorded = 16;
   // Print each spec to stderr before exploring it (debugging aid: identifies
   // the state at fault when a corrupt recovery kills the process).
   bool log_each_state = false;
-  // kGraph: explore one representative per persistence-graph equivalence
-  // class. Defaults to brute force (every enumerated state explored), the
-  // historical behavior.
-  PruneMode prune = PruneMode::kNone;
-  // Soundness self-test: classify AND explore every state, asserting that all
-  // states of a class produce the same outcome (HarnessReport::class_mismatches
-  // counts violations). Overrides prune-skipping.
+  // Soundness self-test: explore every state instead of one per class,
+  // asserting that all states of a class produce the same outcome
+  // (HarnessReport::class_mismatches counts violations).
   bool verify_classes = false;
   // Record a per-state outcome row in HarnessReport::outcomes.
   bool record_outcomes = false;
@@ -132,14 +126,12 @@ struct HarnessReport {
   uint64_t focus_states = 0;    // Inside the driver's focus windows.
   uint64_t focus_explored = 0;  // Of those, recoveries actually run.
 
-  // Pruning (populated when a classifier ran: prune == kGraph or
-  // verify_classes).
-  uint64_t states_explored = 0;  // Recoveries actually run (== enumerated when brute force).
+  // Pruning.
+  uint64_t states_explored = 0;  // Recoveries actually run (== enumerated with verify_classes).
   uint64_t states_pruned = 0;    // Skipped as class-equivalent to an explored state.
   uint64_t state_classes = 0;    // Distinct equivalence classes (incl. unique fallbacks).
   uint64_t fallback_unique = 0;  // States the model refused to merge (always explored).
   uint64_t class_mismatches = 0;  // verify_classes: outcome disagreements within a class.
-  bool graph_built = false;
   GraphStats graph;
 
   // Verification results.
@@ -147,6 +139,8 @@ struct HarnessReport {
   uint64_t recovery_failures = 0;   // Recovery path errored.
   uint64_t invariant_failures = 0;  // Recovered state not at an op boundary.
   uint64_t distinct_outcomes = 0;   // Distinct recovered fingerprints.
+  // The first kMaxFailuresRecorded failure messages (counters are exact).
+  static constexpr size_t kMaxFailuresRecorded = 16;
   std::vector<std::string> failures;
 
   // Per-state rows (HarnessOptions::record_outcomes).

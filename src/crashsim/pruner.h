@@ -44,11 +44,6 @@
 
 namespace crashsim {
 
-enum class PruneMode : uint8_t {
-  kNone = 0,   // Brute force: explore every enumerated state.
-  kGraph = 1,  // Explore one representative per equivalence class.
-};
-
 struct ClassSignature {
   uint64_t a = 0;
   uint64_t b = 0;

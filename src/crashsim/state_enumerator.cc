@@ -67,8 +67,7 @@ std::map<std::pair<uint32_t, uint64_t>, DeltaPosition> NewestRetiredWriteBacks(
 std::string CrashStateSpec::ToString() const {
   std::string s = "epoch=" + std::to_string(epoch);
   if (evict) {
-    s += " evict(seed=" + std::to_string(eviction_seed) +
-         ",p=" + std::to_string(eviction_probability) + ")";
+    s += " evict(seed=" + std::to_string(eviction_seed) + ")";
   } else if (thread_mask != 0) {
     s += " thread-mask=0x";
     char buf[20];
@@ -100,7 +99,7 @@ std::vector<CrashStateSpec> EnumerateCrashStates(const Trace& trace,
     // thread's maybe-durable write-backs survive or vanish as a unit. Small
     // in-flight sets get every non-empty mask; larger ones get singletons plus
     // the all-threads mask (seeded eviction subsets cover the mixed cases).
-    if (options.thread_interleavings && trace.num_threads > 1) {
+    if (trace.num_threads > 1) {
       const std::set<uint32_t> threads = ThreadsInFlight(trace, retirement, epoch);
       std::vector<uint64_t> masks;
       if (threads.size() <= 3) {
@@ -134,22 +133,8 @@ std::vector<CrashStateSpec> EnumerateCrashStates(const Trace& trace,
       spec.epoch = epoch;
       spec.evict = true;
       spec.eviction_seed = DeriveSeed(options.seed, epoch, subset);
-      spec.eviction_probability = options.eviction_probability;
       specs.push_back(spec);
     }
-  }
-  if (options.max_states != 0 && specs.size() > options.max_states) {
-    // Deterministic stride sampling: keep coverage spread across the run (and
-    // the specs in non-decreasing epoch order, which the pruner relies on).
-    // The final spec (the complete-run image, where recovery must be a no-op)
-    // is always retained.
-    std::vector<CrashStateSpec> sampled;
-    sampled.reserve(options.max_states);
-    for (uint64_t i = 0; i + 1 < options.max_states; ++i) {
-      sampled.push_back(specs[i * specs.size() / options.max_states]);
-    }
-    sampled.push_back(specs.back());
-    specs = std::move(sampled);
   }
   return specs;
 }
@@ -217,7 +202,7 @@ void MaterializeInFlight(const Trace& trace, const CrashStateSpec& spec,
         }
         for (size_t off = 0; off < delta.bytes.size(); off += puddles::kCacheLineSize) {
           const size_t line = std::min(puddles::kCacheLineSize, delta.bytes.size() - off);
-          if (rng.NextDouble() < spec.eviction_probability && !superseded(delta, {e, i}, off)) {
+          if (rng.NextDouble() < kEvictionProbability && !superseded(delta, {e, i}, off)) {
             apply(delta.region, delta.offset + off, delta.bytes.data() + off, line);
           }
         }
@@ -226,13 +211,13 @@ void MaterializeInFlight(const Trace& trace, const CrashStateSpec& spec,
     for (const FlushDelta& delta : open.deltas) {
       for (size_t off = 0; off < delta.bytes.size(); off += puddles::kCacheLineSize) {
         const size_t line = std::min(puddles::kCacheLineSize, delta.bytes.size() - off);
-        if (rng.NextDouble() < spec.eviction_probability) {
+        if (rng.NextDouble() < kEvictionProbability) {
           apply(delta.region, delta.offset + off, delta.bytes.data() + off, line);
         }
       }
     }
     for (const DirtyLine& dirty : open.dirty_at_close) {
-      if (rng.NextDouble() < spec.eviction_probability) {
+      if (rng.NextDouble() < kEvictionProbability) {
         apply(dirty.region, dirty.offset, dirty.live.data(), dirty.live.size());
       }
     }

@@ -1,5 +1,5 @@
 // Crash-state enumeration: from a persist trace, generate the legal
-// post-crash durable images, bounded by a budget.
+// post-crash durable images.
 //
 // The crash model (DESIGN.md §5, after the faulty-PM model of Ben-David et
 // al. and Pathfinder-style systematic testing): power may fail just before
@@ -21,7 +21,7 @@
 // (representative interleaving selection at epoch boundaries). Enumeration
 // emits, per epoch, the strictest state (nothing in flight survives), the
 // thread-mask states, and a configurable number of seeded eviction subsets,
-// then down-samples deterministically to the state budget.
+// in non-decreasing epoch order.
 #ifndef SRC_CRASHSIM_STATE_ENUMERATOR_H_
 #define SRC_CRASHSIM_STATE_ENUMERATOR_H_
 
@@ -34,22 +34,17 @@
 
 namespace crashsim {
 
+// Probability that a maybe-durable line is included in an eviction subset.
+inline constexpr double kEvictionProbability = 0.5;
+
 struct EnumerationOptions {
-  // Hard cap on generated states (deterministic stride down-sampling).
-  uint64_t max_states = 512;
   // Seeded random eviction subsets generated per epoch with in-flight lines.
   // Batched commit persistence (DESIGN.md §10) collapsed the fence count, so
   // each epoch is a wider window with more in-flight lines; five subsets per
-  // epoch keeps the explored-state budget (and scenario diversity per
-  // window) at least where it was under fence-per-append.
+  // epoch keeps the scenario diversity per window at least where it was
+  // under fence-per-append.
   uint32_t eviction_subsets_per_epoch = 5;
-  // Probability that a maybe-durable line is included in a subset.
-  double eviction_probability = 0.5;
   uint64_t seed = 1;
-  // Multi-threaded traces: emit thread-mask states (all non-empty masks when
-  // few threads are in flight, singletons + the full mask otherwise). No
-  // effect on single-threaded traces.
-  bool thread_interleavings = true;
 };
 
 struct CrashStateSpec {
@@ -63,7 +58,6 @@ struct CrashStateSpec {
   // additionally durable.
   bool evict = false;
   uint64_t eviction_seed = 0;
-  double eviction_probability = 0.5;
   // For non-evict states: bitmask of threads whose maybe-durable write-backs
   // (un-retired earlier flushes + open-epoch flushes) additionally survive,
   // as a unit. 0 = the strict fence-boundary state. Ignored when evict is

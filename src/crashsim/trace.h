@@ -11,8 +11,8 @@
 //   * dirty lines at the closing fence — lines stored but never flushed; on
 //     real hardware the cache may evict such a line at any moment, so each is
 //     independently maybe-durable.
-// From a trace, the state enumerator (state_enumerator.h) generates every
-// legal post-crash durable image within a budget. See DESIGN.md §5.
+// From a trace, the state enumerator (state_enumerator.h) generates the
+// legal post-crash durable images to explore. See DESIGN.md §5.
 //
 // Multi-threaded traces: every flush delta records the issuing thread and
 // every epoch records which thread's fence closed it. A store fence orders

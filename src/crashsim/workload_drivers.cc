@@ -140,11 +140,9 @@ class PoolCrashDriver : public WorkloadDriver {
       ASSIGN_OR_RETURN(pool_, runtime_->OpenPool("crashsim"));
       RETURN_IF_ERROR(AttachStructure());
       ASSIGN_OR_RETURN(std::string fingerprint, ComputeFingerprint());
-      if (options_.probe_after_recovery) {
-        puddles::Status probe = ProbeOp();
-        if (!probe.ok()) {
-          return puddles::InternalError("post-recovery probe failed: " + probe.ToString());
-        }
+      puddles::Status probe = ProbeOp();
+      if (!probe.ok()) {
+        return puddles::InternalError("post-recovery probe failed: " + probe.ToString());
       }
       return fingerprint;
     };
@@ -459,60 +457,83 @@ class KvstoreCrashDriver : public PoolCrashDriver {
   std::optional<Store> store_;
 };
 
-// ---- Multi-threaded sliced shard ("mt") ----
+// ---- Three-worker rounds ("mt" and "epoch") ----
 //
-// The first multi-threaded crash workload: kThreads persistent worker
-// threads, each owning a disjoint slice of a pointer-free shard plus a
-// per-thread committed-round counter, mutate concurrently through their own
-// thread logs. Each RunOp is one *round*: every worker stamps its slice in
-// chunk-atomic transactions (each chunk is one tx), runs one deliberately
-// aborted transaction (tracing in-process rollback persists), then commits
-// its round counter. Workers are spawned in InitStructure and live across all
+// kThreads persistent worker threads, each owning a disjoint slice of a
+// pointer-free shard plus a per-thread committed-round counter, mutate
+// concurrently through their own thread logs. Each RunOp is one *round*:
+// every worker stamps its slice in chunk-atomic transactions (each chunk is
+// one tx), runs one deliberately aborted transaction (tracing in-process
+// rollback persists), then commits its round counter; the round ends with
+// Pool::Sync(). Workers are spawned in InitStructure and live across all
 // rounds — their thread-log puddles must exist before tracing starts, and a
 // fresh thread per round would create fresh log puddles mid-trace (tripping
 // the no-new-puddles guard).
 //
-// Because three threads commit independently, a crash can legally land
-// between any per-thread progress points — no single global op boundary
-// exists. The fingerprint therefore *normalizes*: it validates the per-thread
-// invariants (slice = a chunk-aligned prefix of stamp s+1 over a suffix of
-// stamp s; committed counter consistent with the slice) and returns a
-// constant on success, so the membership oracle accepts exactly the states
-// transaction recovery can legally produce and rejects everything else.
-class MtSlicesCrashDriver : public PoolCrashDriver {
+// "mt" runs under Durability::kImmediate, where Sync is a no-op. Because
+// three threads commit independently, a crash can legally land between any
+// per-thread progress points — no single global op boundary exists. The
+// fingerprint therefore *normalizes*: it validates the per-thread invariants
+// (slice = a chunk-aligned prefix of stamp s+1 over a suffix of stamp s;
+// committed counter consistent with the slice) and returns a constant on
+// success, so the membership oracle accepts exactly the states transaction
+// recovery can legally produce and rejects everything else.
+//
+// "epoch" gates the all-or-nothing recovery contract of Durability::kEpoch
+// (docs/epoch.md): every transaction of a round is buffered into the open
+// epoch. The epoch thresholds are set so high that Sync is the ONLY thing
+// that closes an epoch, which pins epoch boundaries to op boundaries: the
+// fingerprint then demands that every crash state recovers to a whole round,
+// across all three threads. A recovered prefix of an epoch — some threads'
+// transactions surviving, others rolled back, or a thread's chunks split —
+// is exactly what the retirement gate must make impossible, and shows up
+// here as a DataLossError fingerprint.
+class RoundCrashDriver : public PoolCrashDriver {
  public:
-  using PoolCrashDriver::PoolCrashDriver;
+  RoundCrashDriver(std::string name, const DriverOptions& options,
+                   puddles::Durability durability)
+      : PoolCrashDriver(std::move(name), options), durability_(durability) {}
 
-  ~MtSlicesCrashDriver() override { StopWorkers(); }
+  ~RoundCrashDriver() override { StopWorkers(); }
 
  protected:
   static constexpr int kThreads = 3;
   static constexpr int kCellsPerThread = 8;
   static constexpr int kChunk = 4;  // Cells per chunk transaction.
 
-  struct MtShard {
+  struct RoundShard {
     uint64_t cells[kThreads * kCellsPerThread];
     uint64_t committed[kThreads];
     uint64_t probe_pad;  // Touched by the post-recovery probe; not fingerprinted.
   };
 
   puddles::Status InitStructure() override {
-    RETURN_IF_ERROR(puddles::TypeRegistry::Instance().Register<MtShard>());
+    RETURN_IF_ERROR(puddles::TypeRegistry::Instance().Register<RoundShard>());
     RETURN_IF_ERROR(pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
-      ASSIGN_OR_RETURN(MtShard * shard, tx.Alloc<MtShard>());
-      std::memset(shard, 0, sizeof(MtShard));
+      ASSIGN_OR_RETURN(RoundShard * shard, tx.Alloc<RoundShard>());
+      std::memset(shard, 0, sizeof(RoundShard));
       shard_ = shard;
       return pool_->SetRoot(shard);
     }));
+    if (durability_ == puddles::Durability::kEpoch) {
+      // Thresholds high enough that neither the timer nor the byte/tx counts
+      // ever close an epoch mid-round — only the Sync at the end of each op.
+      puddles::EpochOptions options;
+      options.max_epoch_age_us = 10'000'000;
+      options.max_staged_bytes = 1ULL << 30;
+      options.max_epoch_txs = 1ULL << 30;
+      RETURN_IF_ERROR(pool_->SetDurability(puddles::Durability::kEpoch, options));
+    }
     StartWorkers();
-    // Warm-up round: every worker runs transactions now, so every thread-log
-    // puddle exists before the traced window opens.
+    // Warm-up round: every worker's thread-log puddle (and, under kEpoch, its
+    // epoch port) exists before the traced window opens, and tracing starts
+    // exactly at an epoch boundary.
     return RunRound(1);
   }
 
   puddles::Status AttachStructure() override {
-    ASSIGN_OR_RETURN(shard_, pool_->Root<MtShard>());
-    return puddles::OkStatus();  // Recovery-side: no workers respawned.
+    ASSIGN_OR_RETURN(shard_, pool_->Root<RoundShard>());
+    return puddles::OkStatus();  // Recovery-side: no workers, immediate mode.
   }
 
   void ReleaseStructure() override {
@@ -523,6 +544,20 @@ class MtSlicesCrashDriver : public PoolCrashDriver {
   puddles::Status DoOp(int i) override { return RunRound(2 + static_cast<uint64_t>(i)); }
 
   puddles::Result<std::string> ComputeFingerprint() override {
+    return durability_ == puddles::Durability::kEpoch ? WholeRoundFingerprint()
+                                                      : PerThreadFingerprint();
+  }
+
+  puddles::Status ProbeOp() override {
+    return pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
+      RETURN_IF_ERROR(tx.LogRange(&shard_->probe_pad, sizeof(shard_->probe_pad)));
+      shard_->probe_pad = 999'999'999;
+      return puddles::OkStatus();
+    });
+  }
+
+ private:
+  puddles::Result<std::string> PerThreadFingerprint() {
     for (int t = 0; t < kThreads; ++t) {
       const uint64_t* slice = shard_->cells + t * kCellsPerThread;
       const uint64_t v_hi = slice[0];
@@ -558,15 +593,37 @@ class MtSlicesCrashDriver : public PoolCrashDriver {
     return std::string("mt:consistent");
   }
 
-  puddles::Status ProbeOp() override {
-    return pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
-      RETURN_IF_ERROR(tx.LogRange(&shard_->probe_pad, sizeof(shard_->probe_pad)));
-      shard_->probe_pad = 999'999'999;
-      return puddles::OkStatus();
-    });
+  puddles::Result<std::string> WholeRoundFingerprint() {
+    // All-or-nothing across the whole epoch: every cell of every thread and
+    // every committed counter must carry the same round stamp. Any mixture —
+    // per-thread, per-chunk, or cells-vs-counter — is an epoch prefix that
+    // recovery must never produce.
+    const uint64_t v = shard_->cells[0];
+    auto dump = [&] {
+      std::ostringstream d;
+      d << " cells=";
+      for (int c = 0; c < kThreads * kCellsPerThread; ++c) {
+        d << shard_->cells[c] << (c % kCellsPerThread == kCellsPerThread - 1 ? "|" : ",");
+      }
+      d << " committed=" << shard_->committed[0] << "," << shard_->committed[1] << ","
+        << shard_->committed[2];
+      return d.str();
+    };
+    for (int c = 0; c < kThreads * kCellsPerThread; ++c) {
+      if (shard_->cells[c] != v) {
+        return puddles::DataLossError("epoch: cells mix round stamps (partial epoch)" + dump());
+      }
+    }
+    for (int t = 0; t < kThreads; ++t) {
+      if (shard_->committed[t] != v) {
+        return puddles::DataLossError("epoch: committed counter disagrees with cells" + dump());
+      }
+    }
+    std::ostringstream out;
+    out << "epoch:round=" << v;
+    return out.str();
   }
 
- private:
   void StartWorkers() {
     exit_ = false;
     round_gen_ = 0;
@@ -598,11 +655,14 @@ class MtSlicesCrashDriver : public PoolCrashDriver {
       ++round_gen_;
     }
     cv_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return done_count_ == kThreads; });
-    for (int t = 0; t < kThreads; ++t) {
-      RETURN_IF_ERROR(worker_status_[t]);
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return done_count_ == kThreads; });
+      for (int t = 0; t < kThreads; ++t) {
+        RETURN_IF_ERROR(worker_status_[t]);
+      }
     }
+    pool_->Sync();  // kEpoch: close + persistently retire the round's epoch.
     return puddles::OkStatus();
   }
 
@@ -641,14 +701,17 @@ class MtSlicesCrashDriver : public PoolCrashDriver {
       }));
     }
     // Deterministic abort: exercises undo append + in-process rollback
-    // persists inside the traced window; must leave no durable change.
+    // persists inside the traced window; must leave no durable change. Under
+    // kEpoch its published undo entries stay in the log until the epoch
+    // retires, so replay of an unretired epoch walks over them too —
+    // rollback must stay idempotent.
     puddles::Status aborted = pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
       RETURN_IF_ERROR(tx.LogRange(slice, sizeof(uint64_t)));
       slice[0] = stamp + 1'000'000;
-      return puddles::AbortedError("mt: deliberate abort");
+      return puddles::AbortedError(name_ + ": deliberate abort");
     });
     if (aborted.code() != puddles::StatusCode::kAborted) {
-      return aborted.ok() ? puddles::InternalError("mt: abort tx committed") : aborted;
+      return aborted.ok() ? puddles::InternalError(name_ + ": abort tx committed") : aborted;
     }
     return pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
       RETURN_IF_ERROR(
@@ -658,220 +721,8 @@ class MtSlicesCrashDriver : public PoolCrashDriver {
     });
   }
 
-  MtShard* shard_ = nullptr;
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool exit_ = false;
-  uint64_t round_gen_ = 0;
-  uint64_t round_stamp_ = 0;
-  int done_count_ = 0;
-  puddles::Status worker_status_[kThreads];
-};
-
-// ---- Epoch-based group commit ("epoch") ----
-//
-// Gates the all-or-nothing recovery contract of Durability::kEpoch
-// (docs/epoch.md): three persistent workers commit chunk transactions, a
-// deliberate abort, and a round counter — all buffered into the open epoch —
-// and each RunOp ends with Pool::Sync(). The epoch thresholds are set so high
-// that Sync is the ONLY thing that closes an epoch, which pins epoch
-// boundaries to op boundaries: the harness's fingerprint-membership oracle
-// then demands that every crash state recovers to a whole round, across all
-// three threads. A recovered prefix of an epoch — some threads' transactions
-// surviving, others rolled back, or a thread's chunks split — is exactly what
-// the retirement gate must make impossible, and shows up here as a
-// DataLossError fingerprint.
-class EpochCrashDriver : public PoolCrashDriver {
- public:
-  using PoolCrashDriver::PoolCrashDriver;
-
-  ~EpochCrashDriver() override { StopWorkers(); }
-
- protected:
-  static constexpr int kThreads = 3;
-  static constexpr int kCellsPerThread = 8;
-  static constexpr int kChunk = 4;  // Cells per chunk transaction.
-
-  struct EpochShard {
-    uint64_t cells[kThreads * kCellsPerThread];
-    uint64_t committed[kThreads];
-    uint64_t probe_pad;  // Touched by the post-recovery probe; not fingerprinted.
-  };
-
-  puddles::Status InitStructure() override {
-    RETURN_IF_ERROR(puddles::TypeRegistry::Instance().Register<EpochShard>());
-    RETURN_IF_ERROR(pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
-      ASSIGN_OR_RETURN(EpochShard * shard, tx.Alloc<EpochShard>());
-      std::memset(shard, 0, sizeof(EpochShard));
-      shard_ = shard;
-      return pool_->SetRoot(shard);
-    }));
-    // Thresholds high enough that neither the timer nor the byte/tx counts
-    // ever close an epoch mid-round — only the Sync at the end of each op.
-    puddles::EpochOptions options;
-    options.max_epoch_age_us = 10'000'000;
-    options.max_staged_bytes = 1ULL << 30;
-    options.max_epoch_txs = 1ULL << 30;
-    RETURN_IF_ERROR(pool_->SetDurability(puddles::Durability::kEpoch, options));
-    StartWorkers();
-    // Warm-up round + sync: every worker's thread-log puddle exists (and its
-    // epoch port is created) before the traced window opens, and tracing
-    // starts exactly at an epoch boundary.
-    RETURN_IF_ERROR(RunRound(1));
-    pool_->Sync();
-    return puddles::OkStatus();
-  }
-
-  puddles::Status AttachStructure() override {
-    ASSIGN_OR_RETURN(shard_, pool_->Root<EpochShard>());
-    return puddles::OkStatus();  // Recovery-side: no workers, immediate mode.
-  }
-
-  void ReleaseStructure() override {
-    StopWorkers();
-    shard_ = nullptr;
-  }
-
-  puddles::Status DoOp(int i) override {
-    RETURN_IF_ERROR(RunRound(2 + static_cast<uint64_t>(i)));
-    pool_->Sync();  // Close + persistently retire the round's epoch.
-    return puddles::OkStatus();
-  }
-
-  puddles::Result<std::string> ComputeFingerprint() override {
-    // All-or-nothing across the whole epoch: every cell of every thread and
-    // every committed counter must carry the same round stamp. Any mixture —
-    // per-thread, per-chunk, or cells-vs-counter — is an epoch prefix that
-    // recovery must never produce.
-    const uint64_t v = shard_->cells[0];
-    auto dump = [&] {
-      std::ostringstream d;
-      d << " cells=";
-      for (int c = 0; c < kThreads * kCellsPerThread; ++c) {
-        d << shard_->cells[c] << (c % kCellsPerThread == kCellsPerThread - 1 ? "|" : ",");
-      }
-      d << " committed=" << shard_->committed[0] << "," << shard_->committed[1] << ","
-        << shard_->committed[2];
-      return d.str();
-    };
-    for (int c = 0; c < kThreads * kCellsPerThread; ++c) {
-      if (shard_->cells[c] != v) {
-        return puddles::DataLossError("epoch: cells mix round stamps (partial epoch)" + dump());
-      }
-    }
-    for (int t = 0; t < kThreads; ++t) {
-      if (shard_->committed[t] != v) {
-        return puddles::DataLossError("epoch: committed counter disagrees with cells" + dump());
-      }
-    }
-    std::ostringstream out;
-    out << "epoch:round=" << v;
-    return out.str();
-  }
-
-  puddles::Status ProbeOp() override {
-    return pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
-      RETURN_IF_ERROR(tx.LogRange(&shard_->probe_pad, sizeof(shard_->probe_pad)));
-      shard_->probe_pad = 999'999'999;
-      return puddles::OkStatus();
-    });
-  }
-
- private:
-  void StartWorkers() {
-    exit_ = false;
-    round_gen_ = 0;
-    for (int t = 0; t < kThreads; ++t) {
-      worker_status_[t] = puddles::OkStatus();
-      workers_.emplace_back([this, t] { WorkerMain(t); });
-    }
-  }
-
-  void StopWorkers() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      exit_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) {
-        worker.join();
-      }
-    }
-    workers_.clear();
-  }
-
-  puddles::Status RunRound(uint64_t stamp) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      round_stamp_ = stamp;
-      done_count_ = 0;
-      ++round_gen_;
-    }
-    cv_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return done_count_ == kThreads; });
-    for (int t = 0; t < kThreads; ++t) {
-      RETURN_IF_ERROR(worker_status_[t]);
-    }
-    return puddles::OkStatus();
-  }
-
-  void WorkerMain(int t) {
-    uint64_t seen_gen = 0;
-    while (true) {
-      uint64_t stamp;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return exit_ || round_gen_ > seen_gen; });
-        if (exit_) {
-          return;
-        }
-        seen_gen = round_gen_;
-        stamp = round_stamp_;
-      }
-      puddles::Status status = WorkerRound(t, stamp);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        worker_status_[t] = std::move(status);
-        ++done_count_;
-      }
-      cv_.notify_all();
-    }
-  }
-
-  puddles::Status WorkerRound(int t, uint64_t stamp) {
-    uint64_t* slice = shard_->cells + t * kCellsPerThread;
-    for (int chunk = 0; chunk < kCellsPerThread; chunk += kChunk) {
-      RETURN_IF_ERROR(pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
-        RETURN_IF_ERROR(tx.LogRange(slice + chunk, kChunk * sizeof(uint64_t)));
-        for (int c = 0; c < kChunk; ++c) {
-          slice[chunk + c] = stamp;
-        }
-        return puddles::OkStatus();
-      }));
-    }
-    // Deliberate abort inside the epoch: its published undo entries stay in
-    // the log until the epoch retires, so replay of an unretired epoch walks
-    // over them too — rollback must stay idempotent.
-    puddles::Status aborted = pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
-      RETURN_IF_ERROR(tx.LogRange(slice, sizeof(uint64_t)));
-      slice[0] = stamp + 1'000'000;
-      return puddles::AbortedError("epoch: deliberate abort");
-    });
-    if (aborted.code() != puddles::StatusCode::kAborted) {
-      return aborted.ok() ? puddles::InternalError("epoch: abort tx committed") : aborted;
-    }
-    return pool_->Run([&](puddles::Tx& tx) -> puddles::Status {
-      RETURN_IF_ERROR(
-          tx.LogRange(&shard_->committed[t], sizeof(shard_->committed[t])));
-      shard_->committed[t] = stamp;
-      return puddles::OkStatus();
-    });
-  }
-
-  EpochShard* shard_ = nullptr;
+  const puddles::Durability durability_;
+  RoundShard* shard_ = nullptr;
   std::vector<std::thread> workers_;
   std::mutex mu_;
   std::condition_variable cv_;
@@ -1117,10 +968,8 @@ class PmhashCrashDriver : public WorkloadDriver {
       ASSIGN_OR_RETURN(auto map, Map::Attach(mem, file_.size()));
       map_.emplace(std::move(map));
       ASSIGN_OR_RETURN(std::string fingerprint, Fingerprint());
-      if (options_.probe_after_recovery) {
-        RETURN_IF_ERROR(map_->Put(kKeyUniverse + 1, 999'999'999));
-        RETURN_IF_ERROR(map_->Erase(kKeyUniverse + 1));
-      }
+      RETURN_IF_ERROR(map_->Put(kKeyUniverse + 1, 999'999'999));
+      RETURN_IF_ERROR(map_->Erase(kKeyUniverse + 1));
       return fingerprint;
     };
     puddles::Result<std::string> result = finish();
@@ -1326,11 +1175,9 @@ class ImportCrashDriver : public WorkloadDriver {
       ASSIGN_OR_RETURN(ImpRoot * copy_root, copy->Root<ImpRoot>());
       RETURN_IF_ERROR(WalkList(copy_root, /*canonical=*/false, out));
       out << "}";
-      if (options_.probe_after_recovery) {
-        puddles::Status probe = ProbeAppend(*copy);
-        if (!probe.ok()) {
-          return puddles::InternalError("post-recovery probe failed: " + probe.ToString());
-        }
+      puddles::Status probe = ProbeAppend(*copy);
+      if (!probe.ok()) {
+        return puddles::InternalError("post-recovery probe failed: " + probe.ToString());
       }
       return out.str();
     };
@@ -1521,10 +1368,10 @@ std::unique_ptr<WorkloadDriver> MakeDriver(const std::string& name,
     return std::make_unique<ImportCrashDriver>(options);
   }
   if (name == "mt") {
-    return std::make_unique<MtSlicesCrashDriver>("mt", options);
+    return std::make_unique<RoundCrashDriver>("mt", options, puddles::Durability::kImmediate);
   }
   if (name == "epoch") {
-    return std::make_unique<EpochCrashDriver>("epoch", options);
+    return std::make_unique<RoundCrashDriver>("epoch", options, puddles::Durability::kEpoch);
   }
   if (name == "allocgc") {
     return std::make_unique<AllocGcCrashDriver>("allocgc", options);

@@ -31,9 +31,6 @@ struct DriverOptions {
   int ops = 24;
   uint64_t seed = 42;
   int preload = 8;  // Elements inserted before tracing starts (part of the baseline).
-  // After each recovery + fingerprint, run one insert+erase probe transaction
-  // to prove the recovered heap and logs are still usable, not just readable.
-  bool probe_after_recovery = true;
   // "import" only: RewriteOptions::batch_objects for the traced rewrite.
   // Small batches persist the frontier often, widening the explored protocol
   // state space.
@@ -44,7 +41,11 @@ struct DriverOptions {
 // "mt" (three persistent worker threads stamping disjoint shard slices — the
 // multi-threaded trace workload; its fingerprint validates per-thread
 // invariants and normalizes, since concurrent commits have no single global
-// op boundary).
+// op boundary), "epoch" (the same rounds under epoch durability, each closed
+// by a Sync; a crash must recover to a whole round) and "allocgc" (per-thread
+// arena refills, spills and flush-backs, recovered through the arena GC that
+// OpenPool runs). Every recovery ends with a probe transaction that proves
+// the recovered heap and logs are still usable, not just readable.
 std::unique_ptr<WorkloadDriver> MakeDriver(const std::string& name,
                                            const DriverOptions& options = {});
 std::vector<std::string> DriverNames();

@@ -1,9 +1,9 @@
 // Crash-consistent open-addressing hash table on persistent memory.
 //
-// Puddled keeps its metadata — the puddle registry, pool directory, pointer
-// maps (§4.2: "Puddled stores the pointer maps in a simple persistent memory
-// hashmap along with its other metadata"), and log-space registrations — in
-// instances of this map.
+// Puddled keeps its metadata — the puddle registry, pool directory and
+// log-space registrations — in instances of this map. Pointer maps, which the
+// paper keeps here too (§4.2), live in each pool's meta segments instead
+// (DESIGN.md §7).
 //
 // Crash safety without a general transaction system:
 //   * Insert: write key/value/crc, flush, fence, then publish with the state

@@ -8,11 +8,12 @@
 //   2. Equal bug-finding power — with a seeded real bug re-opened (the PR 1
 //      torn-append unbound checksum and the PR 5 buddy free-list capture
 //      elision, via src/common/bug_hooks.h), pruned exploration must report
-//      exactly the same failure set as brute force while exploring fewer
-//      states. Pruning may skip work, never verification coverage.
-//   3. Differential state-class gate — across all six workloads at the
-//      default budget, pruning must collapse enumerated states at least
-//      five-fold in aggregate.
+//      exactly the same failure set as verify_classes, which recovers every
+//      state, while exploring fewer states. Pruning may skip work, never
+//      verification coverage.
+//   3. Differential state-class gate — across all six workloads, with every
+//      crash state enumerated, pruning must collapse enumerated states at
+//      least five-fold in aggregate.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -43,7 +44,7 @@ HarnessReport RunHarness(const std::string& name, HarnessOptions options,
 }
 
 // The failure set: distinct failing outcomes among explored states. Pruned
-// and brute-force runs must agree on this set, not on per-state counts (the
+// and every-state runs must agree on this set, not on per-state counts (the
 // whole point of pruning is exploring fewer states per outcome).
 std::set<std::string> FailureSet(const HarnessReport& report) {
   std::set<std::string> failures;
@@ -71,9 +72,7 @@ TEST(CrashsimPruneSoundness, EveryClassIsOutcomeUniformOnAllWorkloads) {
   for (const std::string& name : SingleThreadedWorkloads()) {
     HarnessOptions options;
     options.verify_classes = true;
-    options.enumerate.max_states = 120;
     HarnessReport report = RunHarness(name, options);
-    EXPECT_TRUE(report.graph_built) << name;
     EXPECT_GT(report.states_explored, 0u) << name;
     EXPECT_EQ(report.class_mismatches, 0u) << name;
     EXPECT_EQ(report.recovery_failures, 0u) << name;
@@ -93,7 +92,6 @@ TEST(CrashsimPruneSoundness, MultiThreadedTraceExploresAndVerifiesCleanly) {
   driver_options.ops = 4;
   HarnessOptions options;
   options.verify_classes = true;
-  options.enumerate.max_states = 120;
   HarnessReport report = RunHarness("mt", options, driver_options);
   EXPECT_EQ(report.trace_threads, 3u);
   EXPECT_GT(report.thread_mask_states, 0u)
@@ -110,32 +108,33 @@ TEST(CrashsimPruneSoundness, MultiThreadedTraceExploresAndVerifiesCleanly) {
 
 // ---- Pillar 2: equal bug-finding power on seeded real bugs ----
 
-void ExpectPrunedMatchesBruteForce(const std::string& workload,
+void ExpectPrunedMatchesEveryState(const std::string& workload,
                                    DriverOptions driver_options = {}) {
-  HarnessOptions brute;
-  brute.prune = PruneMode::kNone;
-  brute.record_outcomes = true;
-  brute.enumerate.max_states = 200;
-  HarnessReport brute_report = RunHarness(workload, brute, driver_options);
+  HarnessOptions every;
+  every.verify_classes = true;
+  every.record_outcomes = true;
+  HarnessReport every_report = RunHarness(workload, every, driver_options);
 
-  HarnessOptions pruned = brute;
-  pruned.prune = PruneMode::kGraph;
+  HarnessOptions pruned = every;
+  pruned.verify_classes = false;
   HarnessReport pruned_report = RunHarness(workload, pruned, driver_options);
 
-  // The seeded bug must actually fire under brute force, or this test proves
-  // nothing about pruning.
-  EXPECT_GT(brute_report.recovery_failures + brute_report.invariant_failures, 0u)
-      << workload << ": seeded bug not detected by brute force";
-  EXPECT_EQ(FailureSet(brute_report), FailureSet(pruned_report))
+  // The seeded bug must actually fire when every state is recovered, or this
+  // test proves nothing about pruning.
+  EXPECT_GT(every_report.recovery_failures + every_report.invariant_failures, 0u)
+      << workload << ": seeded bug not detected when every state was recovered";
+  EXPECT_EQ(every_report.class_mismatches, 0u)
+      << workload << ": a class recovered to mixed outcomes";
+  EXPECT_EQ(FailureSet(every_report), FailureSet(pruned_report))
       << workload << ": pruned exploration missed or invented failures";
-  EXPECT_LT(pruned_report.states_explored, brute_report.states_explored)
-      << workload << ": pruning explored as much as brute force";
+  EXPECT_LT(pruned_report.states_explored, every_report.states_explored)
+      << workload << ": pruning explored every state";
 }
 
 TEST(CrashsimPruneBugFinding, TornAppendUnboundChecksumCaughtEqually) {
   BugHookGuard guard;
   puddles::bug_hooks::torn_append_unbound_checksum = true;
-  ExpectPrunedMatchesBruteForce("list");
+  ExpectPrunedMatchesEveryState("list");
 }
 
 TEST(CrashsimPruneBugFinding, BuddyCaptureElisionCaughtEqually) {
@@ -148,21 +147,21 @@ TEST(CrashsimPruneBugFinding, BuddyCaptureElisionCaughtEqually) {
   DriverOptions driver_options;
   driver_options.ops = 40;
   driver_options.preload = 44;
-  ExpectPrunedMatchesBruteForce("art", driver_options);
+  ExpectPrunedMatchesEveryState("art", driver_options);
 }
 
 // The PR 5 buddy capture-elision bug, re-opened against the arena refill
 // path: slab carves during ArenaRefill allocate whole blocks from the buddy,
 // so eliding the protective free-list capture corrupts crash states taken
-// mid-refill. Brute force must catch it (proving the new path still depends
-// on the capture), and pruned exploration must report the identical failure
-// set while exploring fewer states.
+// mid-refill. Recovering every state must catch it (proving the new path
+// still depends on the capture), and pruned exploration must report the
+// identical failure set while exploring fewer states.
 TEST(CrashsimPruneBugFinding, BuddyCaptureElisionCaughtOnArenaRefill) {
   BugHookGuard guard;
   puddles::bug_hooks::buddy_skip_protective_capture = true;
   DriverOptions driver_options;
   driver_options.ops = 18;
-  ExpectPrunedMatchesBruteForce("allocgc", driver_options);
+  ExpectPrunedMatchesEveryState("allocgc", driver_options);
 }
 
 // ---- Pillar 3: differential state-class gate ----
@@ -171,10 +170,7 @@ TEST(CrashsimPruneRatio, AggregateCollapseIsAtLeastFiveFold) {
   uint64_t enumerated = 0;
   uint64_t explored = 0;
   for (const std::string& name : SingleThreadedWorkloads()) {
-    HarnessOptions options;
-    options.prune = PruneMode::kGraph;
-    options.enumerate.max_states = 400;
-    HarnessReport report = RunHarness(name, options);
+    HarnessReport report = RunHarness(name, {});
     EXPECT_TRUE(report.ok()) << name << ": " << report.Summary();
     EXPECT_GT(report.states_explored, 0u) << name;
     enumerated += report.states_enumerated;

@@ -1,11 +1,12 @@
 // crashsim: systematic crash-state enumeration and recovery verification.
 //
 // The acceptance bar for the subsystem: for the btree and kvstore workloads,
-// every enumerated crash state (>= 100 per workload at the default budget)
-// must recover through the application-independent replay path with all
-// invariants holding, with both fence-boundary and eviction-subset states
-// explored. Plus unit coverage for the trace recorder, the enumerator's
-// determinism and budgeting, and ApplyCrashState, the in-place crash images
+// every enumerated crash state (>= 100 per workload) must recover through the
+// application-independent replay path with all invariants holding, with both
+// fence-boundary and eviction-subset states explored. The workload gates run
+// with verify_classes, so every state is recovered and each persistence-graph
+// class must recover uniformly. Plus unit coverage for the trace recorder, the
+// enumerator's determinism, and ApplyCrashState, the in-place crash images
 // the other crash tests recover from.
 #include <gtest/gtest.h>
 
@@ -32,6 +33,7 @@ HarnessReport RunWorkload(const std::string& name, int ops = 24) {
   auto driver = MakeDriver(name, driver_options);
   EXPECT_NE(driver, nullptr) << name;
   HarnessOptions options;
+  options.verify_classes = true;
   Harness harness(*driver, options);
   auto report = harness.Run();
   EXPECT_TRUE(report.ok()) << name << ": " << report.status().ToString();
@@ -47,6 +49,7 @@ void ExpectFullRecovery(const HarnessReport& report, uint64_t min_states) {
     ADD_FAILURE() << report.workload << ": " << failure;
   }
   EXPECT_EQ(report.invariant_failures, 0u);
+  EXPECT_EQ(report.class_mismatches, 0u);
   EXPECT_EQ(report.recoveries_ok, report.states_enumerated);
   // The run must actually traverse distinct committed states, or the
   // membership oracle is vacuous.
@@ -97,6 +100,7 @@ TEST(CrashsimWorkloads, ArtRecoversFromEveryEnumeratedState) {
   auto driver = MakeDriver("art", driver_options);
   ASSERT_NE(driver, nullptr);
   HarnessOptions options;
+  options.verify_classes = true;
   Harness harness(*driver, options);
   auto report = harness.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -108,6 +112,7 @@ TEST(CrashsimWorkloads, ArtRecoversFromEveryEnumeratedState) {
     ADD_FAILURE() << report->workload << ": " << failure;
   }
   EXPECT_EQ(report->invariant_failures, 0u);
+  EXPECT_EQ(report->class_mismatches, 0u);
   EXPECT_EQ(report->recoveries_ok, report->states_enumerated);
   EXPECT_GT(report->distinct_outcomes, 2u);
 }
@@ -129,16 +134,16 @@ TEST(CrashsimWorkloads, AllocGcRecoversFromEveryEnumeratedState) {
   EXPECT_GT(report.focus_states, 0u) << "no crash state between a spill's unlink and commit";
 }
 
-// The same bar under persistence-graph pruning: the GC-recovery states the
-// pruner keeps must still all pass, with the enumerated set uncollapsed at
-// ≥300 so pruning is exercised against the full arena window.
+// The same bar under persistence-graph pruning, crashsim's default: the
+// GC-recovery states the pruner keeps must still all pass, with the
+// enumerated set at ≥300 so pruning is exercised against the full arena
+// window.
 TEST(CrashsimWorkloads, AllocGcRecoversUnderGraphPruning) {
   DriverOptions driver_options;
   driver_options.ops = 18;
   auto driver = MakeDriver("allocgc", driver_options);
   ASSERT_NE(driver, nullptr);
   HarnessOptions options;
-  options.prune = PruneMode::kGraph;
   Harness harness(*driver, options);
   auto report = harness.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -166,6 +171,7 @@ TEST(CrashsimWorkloads, ImportRewriteRecoversFromEveryEnumeratedState) {
   auto driver = MakeDriver("import", driver_options);
   ASSERT_NE(driver, nullptr);
   HarnessOptions options;
+  options.verify_classes = true;
   Harness harness(*driver, options);
   auto report = harness.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -177,6 +183,7 @@ TEST(CrashsimWorkloads, ImportRewriteRecoversFromEveryEnumeratedState) {
     ADD_FAILURE() << report->workload << ": " << failure;
   }
   EXPECT_EQ(report->invariant_failures, 0u);
+  EXPECT_EQ(report->class_mismatches, 0u);
   EXPECT_EQ(report->recoveries_ok, report->states_enumerated);
   // The rewrite never changes logical content, so every crash state on this
   // path must recover to the ONE legal fingerprint (unlike the mutation
@@ -272,7 +279,6 @@ TEST(CrashsimEnumerator, CoversEveryFenceBoundaryPlusEvictionSubsets) {
   Trace trace = MakeSyntheticTrace(10);
   EnumerationOptions options;
   options.eviction_subsets_per_epoch = 3;
-  options.max_states = 0;  // Unbounded.
   std::vector<CrashStateSpec> specs = EnumerateCrashStates(trace, options);
   // 10 epochs with in-flight lines: (1 boundary + 3 subsets) each, plus the
   // complete-run state.
@@ -285,29 +291,9 @@ TEST(CrashsimEnumerator, CoversEveryFenceBoundaryPlusEvictionSubsets) {
   EXPECT_EQ(evictions, 30u);
 }
 
-TEST(CrashsimEnumerator, BudgetDownsamplesDeterministically) {
-  Trace trace = MakeSyntheticTrace(50);
-  EnumerationOptions options;
-  options.max_states = 40;
-  std::vector<CrashStateSpec> a = EnumerateCrashStates(trace, options);
-  std::vector<CrashStateSpec> b = EnumerateCrashStates(trace, options);
-  ASSERT_EQ(a.size(), 40u);
-  ASSERT_EQ(b.size(), 40u);
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].epoch, b[i].epoch);
-    EXPECT_EQ(a[i].evict, b[i].evict);
-    EXPECT_EQ(a[i].eviction_seed, b[i].eviction_seed);
-  }
-  // Sampling spans the whole run, not just a prefix.
-  EXPECT_EQ(a.front().epoch, 0u);
-  EXPECT_GT(a.back().epoch, 40u);
-}
-
 TEST(CrashsimEnumerator, MaterializationIsDeterministicAndOrdered) {
   Trace trace = MakeSyntheticTrace(6);
-  EnumerationOptions options;
-  options.max_states = 0;
-  std::vector<CrashStateSpec> specs = EnumerateCrashStates(trace, options);
+  std::vector<CrashStateSpec> specs = EnumerateCrashStates(trace, {});
 
   auto materialize = [&](const CrashStateSpec& spec) {
     std::vector<uint8_t> image(4096, 0);
@@ -339,9 +325,7 @@ TEST(CrashsimEnumerator, MaterializationIsDeterministicAndOrdered) {
 TEST(CrashsimEnumerator, EvictionSubsetsDifferAcrossSeedsAndIncludeDirtyLines) {
   Trace trace = MakeSyntheticTrace(4);
   EnumerationOptions options;
-  options.max_states = 0;
   options.eviction_subsets_per_epoch = 8;
-  options.eviction_probability = 0.5;
   std::vector<CrashStateSpec> specs = EnumerateCrashStates(trace, options);
 
   std::map<std::vector<uint8_t>, int> images;
@@ -386,7 +370,6 @@ TEST(CrashsimEnumerator, InFlightWriteBackNeverLandsOverANewerDurableOne) {
   trace.epochs[2].fencing_thread = Epoch::kNoFence;
 
   EnumerationOptions options;
-  options.max_states = 0;
   options.eviction_subsets_per_epoch = 16;
   std::set<uint8_t> line64;
   for (const CrashStateSpec& spec : EnumerateCrashStates(trace, options)) {

@@ -180,7 +180,6 @@ void SweepPut(std::vector<uint8_t>& buffer, uint64_t key, const Record& value,
   const crashsim::Trace trace = recorder.Stop();
 
   crashsim::EnumerationOptions options;
-  options.max_states = 0;
   options.eviction_subsets_per_epoch = 16;
   for (const crashsim::CrashStateSpec& spec : crashsim::EnumerateCrashStates(trace, options)) {
     SCOPED_TRACE(spec.ToString());

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -54,9 +55,11 @@ class RelocationTest : public ::testing::Test {
  protected:
   void SetUp() override {
     RegisterTypes();
-    base_ = fs::temp_directory_path() /
-            ("reloc_test_" + std::to_string(::getpid()) + "_" +
-             ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    // A parameterized test's name holds a '/': flatten it, so base_ is one
+    // directory and TearDown's remove_all leaves nothing behind.
+    std::string name = ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    base_ = fs::temp_directory_path() / ("reloc_test_" + std::to_string(::getpid()) + "_" + name);
     fs::remove_all(base_);
     fs::create_directories(base_);
     auto daemon = puddled::Daemon::Start({.root_dir = (base_ / "root").string()});

@@ -435,7 +435,6 @@ TEST_F(CommitCrashTest, RecoveryRestoresAtomicityInEveryCrashState) {
   const crashsim::Trace trace = recorder.Stop();
 
   crashsim::EnumerationOptions options;
-  options.max_states = 0;
   options.eviction_subsets_per_epoch = 16;
   std::map<uint64_t, bool> boundary_committed;  // Fence-boundary epoch -> new state.
   for (const crashsim::CrashStateSpec& spec : crashsim::EnumerateCrashStates(trace, options)) {

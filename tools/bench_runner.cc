@@ -16,8 +16,9 @@
 //
 // It also emits a second document, BENCH_crashsim.json: the crash-state
 // exploration trajectory (states enumerated/explored, persistence-graph
-// prune ratio, wall time) for the linked-list workload in brute-force and
-// pruned mode — the per-PR record of what the §12 pruner buys.
+// prune ratio, wall time) for the linked-list workload with every state
+// recovered (verify-classes) and pruned — the per-PR record of what the §12
+// pruner buys.
 //
 // With --daemon-bench it additionally runs the socket-level daemon YCSB
 // bench (bench/bench_daemon_ycsb) as a subprocess, producing the third
@@ -308,7 +309,7 @@ void RunFig9(Runner& runner) {
   runner.Measure("fig9_list", "sum_4096_nodes", 256, [&] { bench::DoNotOptimize(list.Sum()); });
 }
 
-// ---- Crashsim trajectory: brute force vs persistence-graph pruning ----
+// ---- Crashsim trajectory: every state recovered vs persistence-graph pruning ----
 
 struct CrashsimRow {
   std::string mode;
@@ -321,9 +322,9 @@ struct CrashsimRow {
 // that. Run before PuddlesEnv exists: the harness drivers own their whole
 // daemon/runtime lifecycle.
 std::vector<CrashsimRow> RunCrashsimTrajectory() {
-  std::printf("crashsim trajectory (list workload, brute force vs graph-pruned):\n");
+  std::printf("crashsim trajectory (list workload, verify-classes vs graph-pruned):\n");
   std::vector<CrashsimRow> rows;
-  for (const char* mode : {"none", "graph"}) {
+  for (const char* mode : {"verify-classes", "graph"}) {
     crashsim::DriverOptions driver_options;
     driver_options.ops = 10;
     auto driver = crashsim::MakeDriver("list", driver_options);
@@ -332,9 +333,7 @@ std::vector<CrashsimRow> RunCrashsimTrajectory() {
       std::abort();
     }
     crashsim::HarnessOptions options;
-    options.prune = std::strcmp(mode, "graph") == 0 ? crashsim::PruneMode::kGraph
-                                                    : crashsim::PruneMode::kNone;
-    options.enumerate.max_states = 150;
+    options.verify_classes = std::strcmp(mode, "verify-classes") == 0;
     crashsim::Harness harness(*driver, options);
     bench::Timer timer;
     auto report = harness.Run();
@@ -344,7 +343,7 @@ std::vector<CrashsimRow> RunCrashsimTrajectory() {
                    report.ok() ? report->Summary().c_str() : report.status().ToString().c_str());
       std::abort();
     }
-    std::printf("  %-8s %6" PRIu64 " enumerated  %6" PRIu64 " explored  %6" PRIu64
+    std::printf("  %-14s %6" PRIu64 " enumerated  %6" PRIu64 " explored  %6" PRIu64
                 " classes   %8.1f ms\n",
                 mode, report->states_enumerated, report->states_explored,
                 report->state_classes, wall_ms);
@@ -360,11 +359,11 @@ std::vector<CrashsimRow> RunCrashsimTrajectory() {
 #define PUDDLES_BUILD_FLAGS "unknown"
 #endif
 
-void WriteCrashsimJson(const std::vector<CrashsimRow>& rows, const std::string& path) {
+bool WriteCrashsimJson(const std::vector<CrashsimRow>& rows, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::abort();
+    return false;
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"crashsim persistence-graph pruning\",\n");
@@ -390,15 +389,14 @@ void WriteCrashsimJson(const std::vector<CrashsimRow>& rows, const std::string& 
                  r.state_classes, ratio, rows[i].wall_ms, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
+  return bench::CloseJson(out, path);
 }
 
-void WriteJson(const Runner& runner, const std::string& path) {
+bool WriteJson(const Runner& runner, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    std::abort();
+    return false;
   }
   std::fprintf(out, "{\n");
   std::fprintf(out, "  \"bench\": \"commit-path batched persistence\",\n");
@@ -427,8 +425,7 @@ void WriteJson(const Runner& runner, const std::string& path) {
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", path.c_str());
+  return bench::CloseJson(out, path);
 }
 
 }  // namespace
@@ -474,14 +471,19 @@ int main(int argc, char** argv) {
   }
   // Crashsim first: its drivers build and tear down their own daemon/runtime,
   // which must not interleave with the live PuddlesEnv below.
-  WriteCrashsimJson(RunCrashsimTrajectory(), crashsim_out_path);
+  if (!WriteCrashsimJson(RunCrashsimTrajectory(), crashsim_out_path)) {
+    return 1;
+  }
   const auto scratch = bench::ScratchDir("bench_runner");
   bench::PuddlesEnv env(scratch);
   Runner runner(env, iters);
   RunTable3(runner);
   RunFig9(runner);
-  WriteJson(runner, out_path);
+  const bool wrote = WriteJson(runner, out_path);
   std::filesystem::remove_all(scratch);
+  if (!wrote) {
+    return 1;
+  }
   if (!daemon_bench.empty()) {
     // The daemon YCSB bench forks client processes, so it runs as its own
     // subprocess rather than in this (already puddle-mapped) one.

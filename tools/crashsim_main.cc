@@ -1,25 +1,23 @@
 // crashsim — systematic crash-state enumeration and recovery verification.
 //
 // Runs each selected workload once under the persist-trace recorder,
-// enumerates the legal post-crash durable images (every fence boundary,
-// per-thread in-flight combinations for multi-threaded traces, and seeded
-// eviction subsets of in-flight lines, within a budget), recovers each image
-// through the real application-independent recovery path, and prints a
-// coverage report.
+// enumerates every legal post-crash durable image it models (every fence
+// boundary, per-thread in-flight combinations for multi-threaded traces, and
+// seeded eviction subsets of in-flight lines), recovers the images through
+// the real application-independent recovery path, and prints a coverage
+// report.
 //
-// By default exploration is pruned through the persistence graph
-// (--prune=graph, DESIGN.md §12): states whose recovery-relevant projected
-// images are byte-identical collapse into one equivalence class and only a
-// representative is recovered. --prune=none restores brute force;
-// --verify-classes explores everything AND checks that every member of a
-// class produces the same outcome (the soundness self-test).
+// Exploration is pruned through the persistence graph (DESIGN.md §12):
+// states whose recovery-relevant projected images are byte-identical
+// collapse into one equivalence class and only a representative is
+// recovered. --verify-classes recovers every state instead AND checks that
+// every member of a class produces the same outcome (the soundness
+// self-test). --ops alone sets how large a run is.
 //
 // Usage:
 //   crashsim [--workloads=list,btree,art,kvstore,pmhash,import,mt,epoch,allocgc]
-//            [--ops=N] [--seed=N] [--max-states=N] [--subsets-per-epoch=N]
-//            [--evict-probability=P] [--rewrite-batch=N] [--scratch=DIR]
-//            [--prune=graph|none] [--verify-classes] [--json=FILE]
-//            [--log-states] [--verbose]
+//            [--ops=N] [--seed=N] [--rewrite-batch=N] [--scratch=DIR]
+//            [--verify-classes] [--json=FILE] [--log-states] [--verbose]
 //
 // For the "import" workload, --ops is the exported list's node count and
 // --rewrite-batch is the streaming rewrite's frontier batch size (smaller =
@@ -27,8 +25,9 @@
 //
 // Exit status: 0 only when every workload ran, explored at least one crash
 // state, and every explored state recovered to a legal op boundary (and, with
-// --verify-classes, no class had mixed outcomes). Any failure, harness error,
-// or empty exploration exits nonzero, so CI can gate on it directly.
+// --verify-classes, no class had mixed outcomes), and the --json report, if
+// asked for, reached its file. Any failure, harness error, empty exploration
+// or unwritten report exits nonzero, so CI can gate on it directly.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,10 +77,8 @@ bool ParseFlag(const std::string& arg, const char* name, std::string* value) {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--workloads=list,btree,art,kvstore,pmhash,import,mt,epoch,allocgc]\n"
-               "          [--ops=N] [--seed=N] [--max-states=N] [--subsets-per-epoch=N]\n"
-               "          [--evict-probability=P] [--rewrite-batch=N] [--scratch=DIR]\n"
-               "          [--prune=graph|none] [--verify-classes] [--json=FILE]\n"
-               "          [--log-states] [--verbose]\n",
+               "          [--ops=N] [--seed=N] [--rewrite-batch=N] [--scratch=DIR]\n"
+               "          [--verify-classes] [--json=FILE] [--log-states] [--verbose]\n",
                argv0);
   return 2;
 }
@@ -141,7 +138,6 @@ void AppendReportJson(std::ostringstream& out, const crashsim::HarnessReport& r)
   out << "    \"invariant_failures\": " << r.invariant_failures << ",\n";
   out << "    \"distinct_outcomes\": " << r.distinct_outcomes << ",\n";
   out << "    \"graph\": {\n";
-  out << "      \"built\": " << (r.graph_built ? "true" : "false") << ",\n";
   out << "      \"nodes\": " << r.graph.nodes << ",\n";
   out << "      \"ordering_edges\": " << r.graph.ordering_edges << ",\n";
   out << "      \"overwrite_edges\": " << r.graph.overwrite_edges << ",\n";
@@ -162,7 +158,6 @@ void AppendReportJson(std::ostringstream& out, const crashsim::HarnessReport& r)
 
 int main(int argc, char** argv) {
   CliOptions options;
-  options.harness.prune = crashsim::PruneMode::kGraph;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
@@ -173,26 +168,10 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "seed", &value)) {
       options.driver.seed = std::strtoull(value.c_str(), nullptr, 10);
       options.harness.enumerate.seed = options.driver.seed;
-    } else if (ParseFlag(arg, "max-states", &value)) {
-      options.harness.enumerate.max_states = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "subsets-per-epoch", &value)) {
-      options.harness.enumerate.eviction_subsets_per_epoch =
-          static_cast<uint32_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(arg, "evict-probability", &value)) {
-      options.harness.enumerate.eviction_probability = std::atof(value.c_str());
     } else if (ParseFlag(arg, "rewrite-batch", &value)) {
       options.driver.rewrite_batch_objects = static_cast<uint32_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(arg, "scratch", &value)) {
       options.harness.scratch_dir = value;
-    } else if (ParseFlag(arg, "prune", &value)) {
-      if (value == "graph") {
-        options.harness.prune = crashsim::PruneMode::kGraph;
-      } else if (value == "none") {
-        options.harness.prune = crashsim::PruneMode::kNone;
-      } else {
-        std::fprintf(stderr, "crashsim: unknown prune mode '%s'\n", value.c_str());
-        return Usage(argv[0]);
-      }
     } else if (ParseFlag(arg, "json", &value)) {
       options.json_path = value;
     } else if (arg == "--verify-classes") {
@@ -207,13 +186,12 @@ int main(int argc, char** argv) {
   }
 
   int failures = 0;
-  std::printf("crashsim: exploring crash states (max %llu per workload, %u eviction "
-              "subsets/epoch, p=%.2f, prune=%s%s)\n",
-              static_cast<unsigned long long>(options.harness.enumerate.max_states),
+  std::printf("crashsim: exploring every enumerated crash state (%u eviction subsets/epoch, "
+              "p=%.2f): %s\n",
               options.harness.enumerate.eviction_subsets_per_epoch,
-              options.harness.enumerate.eviction_probability,
-              options.harness.prune == crashsim::PruneMode::kGraph ? "graph" : "none",
-              options.harness.verify_classes ? ", verify-classes" : "");
+              crashsim::kEvictionProbability,
+              options.harness.verify_classes ? "every state recovered (verify-classes)"
+                                             : "one recovery per class");
   std::printf("%-8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %10s\n", "workload", "states",
               "explored", "pruned", "classes", "ok", "recfail", "invfail", "clsmis",
               "epochs", "outcomes");
@@ -272,11 +250,12 @@ int main(int argc, char** argv) {
   json << "\n]\n";
   if (!options.json_path.empty()) {
     std::ofstream out(options.json_path, std::ios::trunc);
+    out << json.str();
+    out.close();  // Flushes: a write the file refuses fails here.
     if (!out) {
       std::fprintf(stderr, "crashsim: cannot write %s\n", options.json_path.c_str());
       return 1;
     }
-    out << json.str();
     std::printf("crashsim: wrote %s\n", options.json_path.c_str());
   }
   if (failures != 0) {
