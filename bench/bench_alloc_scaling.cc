@@ -19,13 +19,6 @@
 #include "bench/bench_util.h"
 #include "src/pmem/flush.h"
 
-#ifndef PUDDLES_GIT_SHA
-#define PUDDLES_GIT_SHA "unknown"
-#endif
-#ifndef PUDDLES_BUILD_FLAGS
-#define PUDDLES_BUILD_FLAGS "unknown"
-#endif
-
 namespace {
 
 using bench::Timer;
@@ -139,7 +132,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(out, "{\n");
-    std::fputs(bench::ProvenanceJsonLine(PUDDLES_GIT_SHA, PUDDLES_BUILD_FLAGS).c_str(), out);
+    std::fputs(bench::ProvenanceJsonLine().c_str(), out);
     std::fprintf(out, "  \"benchmark\": \"alloc_scaling_arena\",\n");
     std::fprintf(out, "  \"rows\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {

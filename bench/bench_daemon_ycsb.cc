@@ -397,13 +397,6 @@ Row RunOne(puddled::Daemon* daemon, const std::string& socket_path, const std::s
   return row;
 }
 
-#ifndef PUDDLES_GIT_SHA
-#define PUDDLES_GIT_SHA "unknown"
-#endif
-#ifndef PUDDLES_BUILD_FLAGS
-#define PUDDLES_BUILD_FLAGS "unknown"
-#endif
-
 bool WriteJson(const std::vector<Row>& rows, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -414,8 +407,7 @@ bool WriteJson(const std::vector<Row>& rows, const std::string& path) {
   std::fprintf(out, "  \"bench\": \"daemon socket YCSB (multi-process clients)\",\n");
   std::fprintf(out, "  \"generated_by\": \"bench/bench_daemon_ycsb.cc\",\n");
   std::fprintf(out, "  \"protocol\": \"docs/daemon.md (one thread per connection)\",\n");
-  std::fprintf(out, "%s",
-               bench::ProvenanceJsonLine(PUDDLES_GIT_SHA, PUDDLES_BUILD_FLAGS).c_str());
+  std::fputs(bench::ProvenanceJsonLine().c_str(), out);
   std::fprintf(out, "  \"scale\": %.2f,\n", bench::ScaleFactor());
   std::fprintf(out, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {

@@ -1,8 +1,8 @@
 // Shared provenance block for the BENCH_*.json emitters (bench_runner,
-// bench_daemon_ycsb): a result without the commit, time, host, and flags
-// that produced it cannot be compared across PRs. The git sha and build
-// flags are baked in at compile time (PUDDLES_GIT_SHA / PUDDLES_BUILD_FLAGS
-// target_compile_definitions in CMakeLists.txt).
+// bench_daemon_ycsb, bench_fig12_scaling, bench_alloc_scaling): a result
+// without the commit, time, host, and build type that produced it cannot be
+// compared across PRs. The commit and build type come from build_stamp.h,
+// which every build of an emitter regenerates (tools/build_stamp.cmake).
 #ifndef BENCH_BENCH_PROVENANCE_H_
 #define BENCH_BENCH_PROVENANCE_H_
 
@@ -12,6 +12,8 @@
 #include <cstring>
 #include <ctime>
 #include <string>
+
+#include "build_stamp.h"
 
 namespace bench {
 
@@ -36,16 +38,15 @@ inline std::string Hostname() {
 
 // The `"provenance": {...},` line (two-space indent, trailing comma +
 // newline) every BENCH_*.json carries.
-inline std::string ProvenanceJsonLine(const char* git_sha, const char* build_flags,
-                                      bool with_hostname = true) {
+inline std::string ProvenanceJsonLine(bool with_hostname = true) {
   std::string out = "  \"provenance\": {\"git_sha\": \"";
-  out += git_sha;
+  out += PUDDLES_GIT_SHA;
   out += "\", \"timestamp\": \"" + TimestampUtc() + "\"";
   if (with_hostname) {
     out += ", \"hostname\": \"" + Hostname() + "\"";
   }
   out += ", \"build_flags\": \"";
-  out += build_flags;
+  out += PUDDLES_BUILD_FLAGS;
   out += "\"},\n";
   return out;
 }

@@ -856,7 +856,7 @@ class AllocGcCrashDriver : public PoolCrashDriver {
     }));
     if (spill_due_) {
       spill_due_ = false;
-      if (PUDDLES_STATS && SpilledSlabs() == spilled_before) {
+      if (SpilledSlabs() == spilled_before) {
         return puddles::InternalError("allocgc: the op after a free burst did not spill");
       }
       spills_.push_back({staged_fence, pmem::ReadPersistStats().fences});

@@ -213,11 +213,12 @@ DispatchResult DispatchRequest(Daemon& daemon, const Credentials& creds,
                                const std::vector<uint8_t>& request) {
   DispatchResult out;
   WireReader reader(request);
-  uint32_t op_raw;
+  uint32_t op_raw = 0;
   if (puddles::Status s = reader.GetU32(&op_raw); !s.ok()) {
     out.response = ErrorResponse(s);
     return out;
   }
+  puddles::stats::SampledOp sampled;
   PUDDLES_SCOPED_TIMER(kDaemonServiceTicks);
   PUDDLES_COUNT(kDaemonRequest);
   PUDDLES_COUNT_DAEMON_OP(op_raw);

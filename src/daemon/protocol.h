@@ -44,8 +44,8 @@ puddles::Status DecodeImportResult(puddles::WireReader* reader, ImportResult* re
 // Snapshots this process's telemetry (src/stats) into a wire-ready report:
 // counters and per-opcode totals by name, histogram ticks converted to
 // nanoseconds. Zero-valued counters are included (so dashboards see the full
-// catalog); -DPUDDLES_STATS=0 builds report zero for everything but the
-// always-on persistence counters (fences, flush_calls, flush_lines_published).
+// catalog). Counters count every operation; a histogram's count is the
+// number of sampled operations that reached its scope (src/stats/stats.h).
 StatsReport BuildStatsReport();
 void EncodeStatsReport(puddles::WireWriter* writer, const StatsReport& report);
 puddles::Status DecodeStatsReport(puddles::WireReader* reader, StatsReport* report);

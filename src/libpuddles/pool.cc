@@ -32,14 +32,10 @@ LogSink TxSink(Transaction& tx) {
 puddles::Status Pool::AppendMetaSegment() {
   // The segment is mapped and formatted before the tail's link to it
   // persists (AppendSegment).
-  ASSIGN_OR_RETURN(auto segment,
-                   runtime_->client().CreatePuddle(PuddleKind::kPoolMeta,
-                                                   2 * meta_.tail_heap_size(), info_.pool_uuid));
-  RETURN_IF_ERROR(
-      runtime_->RegisterPuddle(segment.first, segment.second, /*writable=*/true, nullptr)
-          .status());
-  ASSIGN_OR_RETURN(Runtime::Entry * mapped, runtime_->EnsureMapped(segment.first.uuid));
-  return meta_.AppendSegment(segment.first.uuid, mapped->view);
+  ASSIGN_OR_RETURN(Runtime::Entry * segment,
+                   runtime_->CreateMappedPuddle(PuddleKind::kPoolMeta,
+                                                2 * meta_.tail_heap_size(), info_.pool_uuid));
+  return meta_.AppendSegment(segment->info.uuid, segment->view);
 }
 
 puddles::Status Pool::AddDataPuddle() {
@@ -47,14 +43,11 @@ puddles::Status Pool::AddDataPuddle() {
   if (meta_.full()) {
     RETURN_IF_ERROR(AppendMetaSegment());
   }
-  ASSIGN_OR_RETURN(auto created,
-                   runtime_->client().CreatePuddle(PuddleKind::kData, kDefaultHeapSize,
-                                                   info_.pool_uuid));
-  auto [info, fd] = created;
-  RETURN_IF_ERROR(runtime_->RegisterPuddle(info, fd, /*writable=*/true, this).status());
-  RETURN_IF_ERROR(runtime_->EnsureMapped(info.uuid).status());
-  RETURN_IF_ERROR(meta_.AddMember(info.uuid));
-  data_members_.push_back(info.uuid);
+  ASSIGN_OR_RETURN(Runtime::Entry * member,
+                   runtime_->CreateMappedPuddle(PuddleKind::kData, kDefaultHeapSize,
+                                                info_.pool_uuid, this));
+  RETURN_IF_ERROR(meta_.AddMember(member->info.uuid));
+  data_members_.push_back(member->info.uuid);
   return OkStatus();
 }
 
@@ -253,7 +246,10 @@ puddles::Status Pool::SetDurability(Durability mode, const EpochOptions& options
   return OkStatus();
 }
 
-void Pool::Sync() { runtime_->Sync(); }
+void Pool::Sync() {
+  stats::SampledOp sampled;
+  runtime_->Sync();
+}
 
 puddles::Result<Transaction*> Pool::BeginTx() {
   if (!writable_) {

@@ -23,6 +23,7 @@
 #include "src/epoch/epoch_sys.h"
 #include "src/libpuddles/relocation.h"
 #include "src/puddles/pool_meta.h"
+#include "src/stats/stats.h"
 #include "src/tx/transaction.h"
 
 namespace puddles {
@@ -395,6 +396,9 @@ puddles::Status Pool::Run(Fn&& fn) {
   static_assert(std::is_invocable_r_v<puddles::Status, Fn, Tx&>,
                 "pool.Run callback must be invocable as Status(puddles::Tx&) — "
                 "return OkStatus() to commit, any error to roll back");
+  // One operation for telemetry sampling, from BeginTx's epoch waits through
+  // Commit or Abort and the post-commit hooks they run.
+  stats::SampledOp sampled;
   ASSIGN_OR_RETURN(Transaction * raw, BeginTx());
   Tx tx(this, raw);
   puddles::Status body = puddles::OkStatus();

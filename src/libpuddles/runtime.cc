@@ -63,6 +63,17 @@ Runtime::~Runtime() {
   }
 }
 
+puddles::Result<Runtime::Entry*> Runtime::CreateMappedPuddle(PuddleKind kind, size_t heap_size,
+                                                             const Uuid& pool_uuid,
+                                                             const Pool* pool) {
+  ASSIGN_OR_RETURN(auto created, client_->CreatePuddle(kind, heap_size, pool_uuid));
+  ASSIGN_OR_RETURN(Entry * entry,
+                   RegisterPuddle(created.first, created.second, /*writable=*/true, pool));
+  std::lock_guard<std::mutex> lock(mu_);
+  RETURN_IF_ERROR(MapEntryLocked(entry));
+  return entry;
+}
+
 puddles::Result<Runtime::Entry*> Runtime::RegisterPuddle(const puddled::PuddleInfo& info,
                                                          int fd, bool writable,
                                                          const Pool* pool) {
@@ -405,17 +416,11 @@ puddles::Status Runtime::EnsureLogSpace() {
   if (log_space_entry_ != nullptr) {
     return OkStatus();
   }
-  ASSIGN_OR_RETURN(auto created, client_->CreatePuddle(PuddleKind::kLogSpace, 1 << 20));
-  auto [info, fd] = created;
-  ASSIGN_OR_RETURN(Entry * entry, RegisterPuddle(info, fd, /*writable=*/true, nullptr));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    RETURN_IF_ERROR(MapEntryLocked(entry));
-  }
+  ASSIGN_OR_RETURN(Entry * entry, CreateMappedPuddle(PuddleKind::kLogSpace, 1 << 20));
   RETURN_IF_ERROR(LogSpaceView::Format(entry->view));
   ASSIGN_OR_RETURN(log_space_, LogSpaceView::Attach(entry->view));
   // Registration makes the daemon responsible for recovery from now on.
-  RETURN_IF_ERROR(client_->RegisterLogSpace(info.uuid));
+  RETURN_IF_ERROR(client_->RegisterLogSpace(entry->info.uuid));
   log_space_entry_ = entry;
   return OkStatus();
 }
@@ -432,28 +437,26 @@ puddles::Result<Runtime::ThreadLog*> Runtime::ThreadLogForThisThread() {
     RETURN_IF_ERROR(EnsureLogSpace());
   }
 
-  ASSIGN_OR_RETURN(auto created, client_->CreatePuddle(PuddleKind::kLog, kDefaultLogHeapSize));
-  auto [info, fd] = created;
-  ASSIGN_OR_RETURN(Entry * entry, RegisterPuddle(info, fd, /*writable=*/true, nullptr));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    RETURN_IF_ERROR(MapEntryLocked(entry));
-  }
-  RETURN_IF_ERROR(LogRegion::Format(entry->view.heap(), entry->view.heap_size()));
-  ASSIGN_OR_RETURN(LogRegion region,
-                   LogRegion::Attach(entry->view.heap(), entry->view.heap_size()));
-
+  ASSIGN_OR_RETURN(auto log, CreateLog());
   auto state = std::make_unique<ThreadLog>();
-  state->entry = entry;
-  state->region = region;
+  state->entry = log.first;
+  state->region = log.second;
   ThreadLog* raw = state.get();
   {
     std::lock_guard<std::mutex> lock(thread_logs_mu_);
-    RETURN_IF_ERROR(log_space_.AddLog(info.uuid));
+    RETURN_IF_ERROR(log_space_.AddLog(state->entry->info.uuid));
     thread_logs_.push_back(std::move(state));
   }
   tls_logs[generation_] = raw;
   return raw;
+}
+
+puddles::Result<std::pair<Runtime::Entry*, LogRegion>> Runtime::CreateLog() {
+  ASSIGN_OR_RETURN(Entry * entry, CreateMappedPuddle(PuddleKind::kLog, kDefaultLogHeapSize));
+  RETURN_IF_ERROR(LogRegion::Format(entry->view.heap(), entry->view.heap_size()));
+  ASSIGN_OR_RETURN(LogRegion region,
+                   LogRegion::Attach(entry->view.heap(), entry->view.heap_size()));
+  return std::make_pair(entry, region);
 }
 
 Runtime::ThreadLog* Runtime::FindThreadLogForThisThread() {
@@ -477,18 +480,10 @@ puddles::Result<TxTarget*> Runtime::ThreadTxTarget() {
         return std::make_pair(raw, entry->info.uuid);
       }
     }
-    ASSIGN_OR_RETURN(auto created, client_->CreatePuddle(PuddleKind::kLog, kDefaultLogHeapSize));
-    auto [info, fd] = created;
-    ASSIGN_OR_RETURN(Entry * entry, RegisterPuddle(info, fd, /*writable=*/true, nullptr));
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      RETURN_IF_ERROR(MapEntryLocked(entry));
-    }
-    RETURN_IF_ERROR(LogRegion::Format(entry->view.heap(), entry->view.heap_size()));
-    auto region = LogRegion::Attach(entry->view.heap(), entry->view.heap_size());
-    RETURN_IF_ERROR(region.status());
+    ASSIGN_OR_RETURN(auto log, CreateLog());
+    auto [entry, region] = log;
     state->spares.emplace_back(entry, nullptr);
-    return std::make_pair(new LogRegion(*region), info.uuid);
+    return std::make_pair(new LogRegion(region), entry->info.uuid);
   };
   target.release = [state](LogRegion* region) {
     region->Reset(0, 2);

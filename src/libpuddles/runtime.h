@@ -67,9 +67,12 @@ class Runtime {
   puddles::Result<Pool*> ImportPool(const std::string& src_dir, const std::string& new_name);
 
   // ---- Puddle mapping ----
-  puddles::Result<Entry*> RegisterPuddle(const puddled::PuddleInfo& info, int fd, bool writable,
-                                         const Pool* pool);
-  puddles::Result<Entry*> FetchAndRegister(const Uuid& uuid, bool writable, const Pool* pool);
+  // Creates a puddle through the daemon, registers it for `pool` (whose
+  // translator and pointer maps rewrite it; may be null) and maps it: the one
+  // way this runtime makes a puddle of its own.
+  puddles::Result<Entry*> CreateMappedPuddle(PuddleKind kind, size_t heap_size,
+                                             const Uuid& pool_uuid = Uuid::Nil(),
+                                             const Pool* pool = nullptr);
   puddles::Result<Entry*> EnsureMapped(const Uuid& uuid);
   Entry* FindEntryByAddr(uintptr_t addr);
   Entry* FindEntryByUuid(const Uuid& uuid);
@@ -112,6 +115,9 @@ class Runtime {
   // Runtime at a recycled heap address can never alias stale thread state.
   uint64_t generation_ = 0;
 
+  puddles::Result<Entry*> RegisterPuddle(const puddled::PuddleInfo& info, int fd, bool writable,
+                                         const Pool* pool);
+  puddles::Result<Entry*> FetchAndRegister(const Uuid& uuid, bool writable, const Pool* pool);
   puddles::Status MapEntryLocked(Entry* entry);
   puddles::Result<Pool*> FinishOpenPool(const puddled::PoolInfo& info, bool writable);
   // Maps the pool meta chain, loads and checks the pool's pointer maps,
@@ -133,6 +139,8 @@ class Runtime {
     std::unique_ptr<EpochPort> port;  // Epoch-mode port; created on first use.
   };
   puddles::Result<ThreadLog*> ThreadLogForThisThread();
+  // A new log puddle, mapped, formatted and attached.
+  puddles::Result<std::pair<Entry*, LogRegion>> CreateLog();
   ThreadLog* FindThreadLogForThisThread();
 
   std::shared_ptr<puddled::DaemonClient> client_;

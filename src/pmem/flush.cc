@@ -135,9 +135,9 @@ void Flush(const void* addr, size_t size) {
   lines = (end - start + puddles::kCacheLineSize - 1) / puddles::kCacheLineSize;
   std::atomic_thread_fence(std::memory_order_release);
 #endif
-  // Counted in the calling thread's slot, in every build, with a plain
-  // load+store: a lock-prefixed RMW here would wait for the write-backs just
-  // issued, as an sfence does, and would bounce one line between threads.
+  // Counted in the calling thread's slot with a plain load+store: a
+  // lock-prefixed RMW here would wait for the write-backs just issued, as an
+  // sfence does, and would bounce one line between threads.
   puddles::stats::ThreadSlot& slot = puddles::stats::LocalSlot();
   slot.Bump(Counter::kFlushCalls, 1);
   slot.Bump(Counter::kFlushLinesPublished, lines);
@@ -150,7 +150,7 @@ void Fence() {
 #else
   std::atomic_thread_fence(std::memory_order_seq_cst);
 #endif
-  puddles::stats::Add(Counter::kFences, 1);  // Every build; see Flush.
+  puddles::stats::Add(Counter::kFences, 1);  // A plain bump; see Flush.
   NotifyObserver([](PersistObserver* observer) { observer->OnFence(); });
 }
 

@@ -36,9 +36,9 @@ void FlushFence(const void* addr, size_t size);
 // canonical primitive for publishing a commit marker.
 void PersistStore64(uint64_t* dst, uint64_t value);
 
-// Persistence traffic counters, on in every build. Tests use them to assert
-// that code paths emit the expected flush/fence pattern; benches report them
-// as derived metrics. Flush and Fence count in the calling thread's
+// Persistence traffic counters. Tests use them to assert that code paths
+// emit the expected flush/fence pattern; benches report them as derived
+// metrics. Flush and Fence count in the calling thread's
 // stats::ThreadSlot with a plain load+store, never a process-wide atomic: a
 // lock-prefixed instruction orders earlier clwbs as an sfence does, so one
 // between a Flush and its Fence would wait for the write-back that Flush

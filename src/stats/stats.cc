@@ -3,6 +3,7 @@
 #include <time.h>
 
 #include <mutex>
+#include <numeric>
 #include <vector>
 
 namespace puddles {
@@ -187,6 +188,15 @@ const char* HistName(Hist hist) {
 namespace internal {
 
 constinit thread_local ThreadSlot* tls_slot = nullptr;
+constinit thread_local OpSampler tls_sampler;
+
+uint32_t FirstCountdown() {
+  // A stride coprime with the period visits every phase before any repeats.
+  constexpr uint32_t kPhaseStride = 39;
+  static_assert(std::gcd(kPhaseStride, kSamplePeriod) == 1);
+  static std::atomic<uint32_t> next_phase{0};
+  return 1 + next_phase.fetch_add(kPhaseStride, std::memory_order_relaxed) % kSamplePeriod;
+}
 
 ThreadSlot& Slot() {
   if (tls_slot == nullptr) {

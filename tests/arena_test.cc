@@ -193,10 +193,8 @@ TEST_F(ArenaTest, RefillServesSmallAllocations) {
     }
     return OkStatus();
   }).ok());
-  if (PUDDLES_STATS) {
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaAlloc), 8u);
-    EXPECT_GE(CounterDelta(before, stats::Counter::kArenaRefillSlabs), 1u);
-  }
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaAlloc), 8u);
+  EXPECT_GE(CounterDelta(before, stats::Counter::kArenaRefillSlabs), 1u);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(root->slots[i]->value, 100u + i);
   }
@@ -226,10 +224,8 @@ TEST_F(ArenaTest, FreeFeedsLocalFreeList) {
     root->slots[0] = n;
     return OkStatus();
   }).ok());
-  if (PUDDLES_STATS) {
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaFree), 1u);
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaRefillSlabs), 0u);
-  }
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaFree), 1u);
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaRefillSlabs), 0u);
   EXPECT_EQ(root->slots[0]->value, 8u);
   EXPECT_EQ(ReachableCount(), 1u + 1u);
 }
@@ -288,9 +284,7 @@ TEST_F(ArenaTest, FlushBackReturnsSlabsToGlobalHeap) {
 
   const stats::Snapshot before = stats::Aggregate();
   ASSERT_TRUE(pool_->FlushAllArenas().ok());
-  if (PUDDLES_STATS) {
-    EXPECT_GE(CounterDelta(before, stats::Counter::kArenaFlushSlabs), 1u);
-  }
+  EXPECT_GE(CounterDelta(before, stats::Counter::kArenaFlushSlabs), 1u);
 
   // Arena-era survivors are ordinary global objects now: values intact,
   // freeable through the logged global path.
@@ -341,9 +335,7 @@ TEST_F(ArenaTest, ThreadExitOrphanHandoff) {
     root->slots[4] = n;
     return OkStatus();
   }).ok());
-  if (PUDDLES_STATS) {
-    EXPECT_GE(CounterDelta(before, stats::Counter::kArenaOrphanAdopt), 1u);
-  }
+  EXPECT_GE(CounterDelta(before, stats::Counter::kArenaOrphanAdopt), 1u);
 
   // Adopted objects free through the adopting thread's own arena.
   ASSERT_TRUE(pool_->Run([&](Tx& tx) -> puddles::Status {
@@ -394,9 +386,7 @@ TEST_F(ArenaTest, CrossThreadFreeReachesOwner) {
   // FlushAllArenas adopts both orphaned arenas and drains the remote queue
   // before handing the slabs back — the 8 frees land before the flush.
   ASSERT_TRUE(pool_->FlushAllArenas().ok());
-  if (PUDDLES_STATS) {
-    EXPECT_GE(CounterDelta(before, stats::Counter::kArenaRemoteFree), 8u);
-  }
+  EXPECT_GE(CounterDelta(before, stats::Counter::kArenaRemoteFree), 8u);
   EXPECT_EQ(ReachableCount(), 1u);
 
   Reopen();
@@ -411,9 +401,6 @@ TEST_F(ArenaTest, CrossThreadFreeReachesOwner) {
 // transaction of its own (undo-logged, atomic and durable), not as an
 // unlogged write from the post-commit hook.
 TEST_F(ArenaTest, FreeOfSlabFlushedBeforeCommitRunsItsOwnTransaction) {
-  if (!PUDDLES_STATS) {
-    GTEST_SKIP() << "the free's transaction is observed through the telemetry counters";
-  }
   Node* node = nullptr;
   std::promise<void> allocated, flush, flushed;
   std::thread owner([&]() {
@@ -489,19 +476,13 @@ TEST_F(ArenaTest, EightThreadStormExactLeakAccounting) {
   ASSERT_TRUE(pool_->FlushAllArenas().ok());
 
   constexpr uint64_t kPublished = kStormThreads * kStormRounds;
-  if (PUDDLES_STATS) {
-    const stats::Snapshot delta = stats::Delta(stats::Aggregate(), before);
-    using stats::Counter;
-    const uint64_t allocs = delta.counters[static_cast<size_t>(Counter::kArenaAlloc)];
-    const uint64_t frees = delta.counters[static_cast<size_t>(Counter::kArenaFree)];
-    const uint64_t refills =
-        delta.counters[static_cast<size_t>(Counter::kArenaRefillSlabs)];
-    const uint64_t flushes =
-        delta.counters[static_cast<size_t>(Counter::kArenaFlushSlabs)];
-    EXPECT_EQ(allocs, kPublished * kStormBatch);  // Every allocation was arena-served.
-    EXPECT_EQ(allocs - frees, kPublished);        // Exact leak accounting.
-    EXPECT_EQ(refills, flushes);                  // Every acquired slab flushed back.
-  }
+  const stats::Snapshot delta = stats::Delta(stats::Aggregate(), before);
+  using stats::Counter;
+  const uint64_t allocs = delta.counter(Counter::kArenaAlloc);
+  EXPECT_EQ(allocs, kPublished * kStormBatch);  // Every allocation was arena-served.
+  EXPECT_EQ(allocs - delta.counter(Counter::kArenaFree), kPublished);  // Exact leak accounting.
+  // Every acquired slab flushed back.
+  EXPECT_EQ(delta.counter(Counter::kArenaRefillSlabs), delta.counter(Counter::kArenaFlushSlabs));
   EXPECT_EQ(ReachableCount(), 1u + kPublished);
   for (int t = 0; t < kStormThreads; ++t) {
     for (int r = 0; r < kStormRounds; ++r) {
@@ -548,11 +529,9 @@ TEST_F(ArenaTest, UncleanTeardownReclaimedByOpenPool) {
 
   const stats::Snapshot before = stats::Aggregate();
   Reopen();
-  if (PUDDLES_STATS) {
-    EXPECT_GE(CounterDelta(before, stats::Counter::kArenaGcSlabs), 1u);
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed),
-              static_cast<uint64_t>(kLeak));
-  }
+  EXPECT_GE(CounterDelta(before, stats::Counter::kArenaGcSlabs), 1u);
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed),
+            static_cast<uint64_t>(kLeak));
   worker.Release();
 
   ExpectHeapsValid();
@@ -628,10 +607,8 @@ TEST_F(ArenaTest, OpenTimeGcFollowsPointersIntoUnmappedPuddles) {
   const stats::Snapshot before = stats::Aggregate();
   Reopen();
   worker.Release();
-  if (PUDDLES_STATS) {
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed),
-              static_cast<uint64_t>(kLeak));
-  }
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed),
+            static_cast<uint64_t>(kLeak));
   auto reopened = pool_->Root<ChainRoot>();
   ASSERT_TRUE(reopened.ok());
   uint64_t expected = kBatches * kPerBatch;
@@ -720,9 +697,7 @@ TEST_F(ArenaTest, CleanTeardownLeavesNoActiveEntry) {
 
   const stats::Snapshot before = stats::Aggregate();
   Reopen();
-  if (PUDDLES_STATS) {
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcSlabs), 0u);
-  }
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcSlabs), 0u);
   auto report = pool_->RecoverArenas();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->arenas_recovered, 0u);
@@ -767,10 +742,8 @@ TEST_F(ArenaTest, UnregisteredPointerMapReclaimsNothing) {
   const stats::Snapshot before = stats::Aggregate();
   Reopen();
   worker.Release();
-  if (PUDDLES_STATS) {
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcSlabs), 0u);
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed), 0u);
-  }
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcSlabs), 0u);
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaGcReclaimed), 0u);
   auto report = pool_->RecoverArenas();
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
       << report.status().ToString();
@@ -799,10 +772,8 @@ TEST_F(ArenaTest, UnregisteredPointerMapReclaimsNothing) {
   for (int drain = 0; drain < 3; ++drain) {
     ASSERT_TRUE(pool_->FlushThreadArena().ok());  // Drains any queued frees.
   }
-  if (PUDDLES_STATS) {
-    EXPECT_EQ(CounterDelta(before_frees, stats::Counter::kArenaRemoteFree), 0u)
-        << "frees into skipped entries must not queue (and requeue at every drain)";
-  }
+  EXPECT_EQ(CounterDelta(before_frees, stats::Counter::kArenaRemoteFree), 0u)
+      << "frees into skipped entries must not queue (and requeue at every drain)";
   for (Node* n : leaked) {
     EXPECT_EQ((reinterpret_cast<const ObjectHeader*>(n) - 1)->magic, kObjectMagic)
         << "the slot stays allocated until a later open's GC";
@@ -1024,9 +995,7 @@ TEST_F(ArenaSpillTest, SpillCommitsBuddyReleaseAtCommitHead) {
     root->slots[0] = n;
     return OkStatus();
   }).ok());
-  if (PUDDLES_STATS) {
-    EXPECT_GE(CounterDelta(before, stats::Counter::kArenaFlushSlabs), 1u);
-  }
+  EXPECT_GE(CounterDelta(before, stats::Counter::kArenaFlushSlabs), 1u);
 
   EXPECT_EQ(root->slots[0]->value, 77u);
   ASSERT_TRUE(pool_->FlushAllArenas().ok());
@@ -1071,9 +1040,7 @@ TEST_F(ArenaSpillTest, AbortedSpillResurrectsSlabWithoutBuddyRelease) {
     }
     return OkStatus();
   }).ok());
-  if (PUDDLES_STATS) {
-    EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaRefillSlabs), 0u);
-  }
+  EXPECT_EQ(CounterDelta(before, stats::Counter::kArenaRefillSlabs), 0u);
 
   ASSERT_TRUE(pool_->FlushAllArenas().ok());
   Reopen();
@@ -1090,9 +1057,6 @@ TEST_F(ArenaSpillTest, AbortedSpillResurrectsSlabWithoutBuddyRelease) {
 // burst of whole-empty slabs must spill at the watermark, not at the old
 // free count plus the watermark.
 TEST_F(ArenaTest, SpillThresholdFollowsFreeCountDown) {
-  if (!PUDDLES_STATS) {
-    GTEST_SKIP() << "spills are observed through the telemetry counters";
-  }
   const int class_index = SlabAllocator::ClassForSize(sizeof(Node) + sizeof(ObjectHeader));
   const size_t per_slab = (kSlabBlockSize - sizeof(SlabHeader)) / kSlabSlotSizes[class_index];
   // Enough slabs that freeing every other slot crosses the watermark.

@@ -149,10 +149,8 @@ TEST_F(EpochTest, SyncRetiresBeforeReturning) {
   pool_->Sync();
   EXPECT_GT(joined, retired_before);
   EXPECT_GE(epochs->retired_epoch(), joined);
-  if (PUDDLES_STATS) {
-    EXPECT_GT(stats::Aggregate().counter(stats::Counter::kEpochTxs),
-              before.counter(stats::Counter::kEpochTxs));
-  }
+  EXPECT_GT(stats::Aggregate().counter(stats::Counter::kEpochTxs),
+            before.counter(stats::Counter::kEpochTxs));
 
   Reopen();
   ExpectRound(Root(), 0, 1);
@@ -276,12 +274,10 @@ TEST_F(EpochTest, EightThreadsAcrossEpochs) {
     ExpectRound(shard, t, kRounds);
   }
   EXPECT_GT(runtime_->epoch_sys()->retired_epoch(), 0u);
-  if (PUDDLES_STATS) {
-    const stats::Snapshot snap = stats::Aggregate();
-    EXPECT_GT(snap.counter(stats::Counter::kEpochTxs),
-              snap.counter(stats::Counter::kEpochAdvanced))
-        << "group commit amortized nothing: fewer txs than epochs";
-  }
+  const stats::Snapshot snap = stats::Aggregate();
+  EXPECT_GT(snap.counter(stats::Counter::kEpochTxs),
+            snap.counter(stats::Counter::kEpochAdvanced))
+      << "group commit amortized nothing: fewer txs than epochs";
 
   Reopen();
   for (int t = 0; t < kThreads; ++t) {

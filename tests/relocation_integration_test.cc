@@ -425,13 +425,14 @@ TEST_F(RelocationTest, StaleExportedFrontierStillRewritesIdentityImports) {
 TEST_F(RelocationTest, RewriteStatsCountPointers) {
   // Direct unit-level check of the rewrite pass over a relocated puddle.
   Pool* source = BuildListPool("source", 64);
+  const uint64_t expected = SumList(*source);
   ASSERT_TRUE(runtime_->ExportPool("source", (base_ / "export").string()).ok());
   auto import = runtime_->client().ImportPool((base_ / "export").string(), "copy");
   ASSERT_TRUE(import.ok());
   auto before = runtime_->stats();
   auto copy = runtime_->OpenPool("copy");
   ASSERT_TRUE(copy.ok());
-  SumList(**copy);
+  EXPECT_EQ(SumList(**copy), expected);
   auto stats = runtime_->stats();
   // 64 nodes (1 pointer each; tail's next is null) + head object (2 pointers).
   EXPECT_GE(stats.pointers_rewritten - before.pointers_rewritten, 64u);

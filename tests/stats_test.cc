@@ -1,7 +1,7 @@
 // Telemetry subsystem tests: histogram correctness against a sorted-vector
 // oracle, exact multi-threaded counter aggregation (run under TSan in CI's
-// concurrency job), the PersistObserver/stats double-hook contract, one
-// latency sample per commit and per daemon request, and the daemon STATS
+// concurrency job), the PersistObserver/stats double-hook contract, timers
+// sampled by whole operation beside exact counters, and the daemon STATS
 // opcode.
 #include "src/stats/stats.h"
 
@@ -220,6 +220,10 @@ TEST(DoubleHook, ObserverAndStatsCountTheSameStream) {
   EXPECT_EQ(persist_after.fences - persist_before.fences, 10u);
 }
 
+struct CommitCell {
+  uint64_t value;
+};
+
 class StatsOpcodeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -231,12 +235,43 @@ class StatsOpcodeTest : public ::testing::Test {
     daemon_ = std::move(*daemon);
   }
   void TearDown() override {
+    runtime_.reset();
     daemon_.reset();
     std::filesystem::remove_all(root_);
   }
 
+  // A runtime over the daemon with a pool holding one committed CommitCell.
+  void OpenCell() {
+    (void)TypeRegistry::Instance().RegisterLeaf<CommitCell>();
+    auto runtime = Runtime::Create(std::make_shared<puddled::EmbeddedDaemonClient>(daemon_.get()));
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+    runtime_ = std::move(*runtime);
+    auto pool = runtime_->CreatePool("stats");
+    ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+    pool_ = *pool;
+    ASSERT_TRUE(pool_->Run([&](Tx& tx) -> Status {
+      ASSIGN_OR_RETURN(cell_, tx.Alloc<CommitCell>());
+      cell_->value = 0;
+      return OkStatus();
+    }).ok());
+  }
+
+  // `n` undo-only commits, each logging the cell.
+  void CommitLogged(uint64_t n) {
+    for (uint64_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(pool_->Run([&](Tx& tx) -> Status {
+        RETURN_IF_ERROR(tx.Log(cell_));
+        cell_->value = i + 1;
+        return OkStatus();
+      }).ok());
+    }
+  }
+
   std::filesystem::path root_;
   std::unique_ptr<puddled::Daemon> daemon_;
+  std::unique_ptr<Runtime> runtime_;
+  Pool* pool_ = nullptr;
+  CommitCell* cell_ = nullptr;
 };
 
 TEST_F(StatsOpcodeTest, DispatchReturnsDecodableSelfCountingReport) {
@@ -261,7 +296,6 @@ TEST_F(StatsOpcodeTest, DispatchReturnsDecodableSelfCountingReport) {
       daemon_requests = value;
     }
   }
-#if PUDDLES_STATS
   // The dispatch bumps before snapshotting, so the request observes itself.
   EXPECT_GE(daemon_requests, 1u);
   bool found_stats_op = false;
@@ -272,9 +306,6 @@ TEST_F(StatsOpcodeTest, DispatchReturnsDecodableSelfCountingReport) {
     }
   }
   EXPECT_TRUE(found_stats_op);
-#else
-  EXPECT_EQ(daemon_requests, 0u);
-#endif
   for (const puddled::StatsHistRow& row : report.hists) {
     EXPECT_LE(row.p50_ns, row.p99_ns) << row.name;
     EXPECT_LE(row.p99_ns, row.max_ns) << row.name;
@@ -305,43 +336,26 @@ TEST_F(StatsOpcodeTest, UnknownOpStillRejected) {
   }
 }
 
+// Timers are sampled by whole top-level operation: a run of n operations on
+// one thread adds n / kSamplePeriod samples, give or take one for the phase
+// of the thread's countdown.
+void ExpectSampledOps(uint64_t samples, uint64_t ops) {
+  EXPECT_NEAR(static_cast<double>(samples), static_cast<double>(ops) / kSamplePeriod, 1.0);
+}
+
 // tx_commit_ns and daemon_service_ns are the only timers on the commit and
-// dispatch scopes: each committed pool.Run and each dispatched request adds
-// exactly one sample, beside the counter that counts it.
-struct CommitCell {
-  uint64_t value;
-};
-
+// dispatch scopes: every committed pool.Run and every dispatched request is
+// counted, and one in kSamplePeriod of them adds a sample.
 TEST_F(StatsOpcodeTest, OneLatencySamplePerCommitAndPerRequest) {
-  if (!PUDDLES_STATS) {
-    GTEST_SKIP() << "telemetry compiled out";
-  }
-  (void)TypeRegistry::Instance().RegisterLeaf<CommitCell>();
-  auto runtime = Runtime::Create(std::make_shared<puddled::EmbeddedDaemonClient>(daemon_.get()));
-  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
-  auto pool = (*runtime)->CreatePool("stats");
-  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
-  CommitCell* cell = nullptr;
-  ASSERT_TRUE((*pool)->Run([&](Tx& tx) -> Status {
-    ASSIGN_OR_RETURN(cell, tx.Alloc<CommitCell>());
-    cell->value = 0;
-    return OkStatus();
-  }).ok());
-
-  constexpr uint64_t kCommits = 25;
+  ASSERT_NO_FATAL_FAILURE(OpenCell());
+  constexpr uint64_t kCommits = 4 * kSamplePeriod;
   const Snapshot before_commits = Aggregate();
-  for (uint64_t i = 0; i < kCommits; ++i) {
-    ASSERT_TRUE((*pool)->Run([&](Tx& tx) -> Status {
-      RETURN_IF_ERROR(tx.Log(cell));
-      cell->value = i + 1;
-      return OkStatus();
-    }).ok());
-  }
+  CommitLogged(kCommits);
   const Snapshot commits = Delta(Aggregate(), before_commits);
-  EXPECT_EQ(commits.hist(Hist::kTxCommitTicks).count(), kCommits);
+  ExpectSampledOps(commits.hist(Hist::kTxCommitTicks).count(), kCommits);
   EXPECT_EQ(commits.counter(Counter::kTxCommit), kCommits);
 
-  constexpr uint64_t kPings = 40;
+  constexpr uint64_t kPings = 4 * kSamplePeriod;
   WireWriter ping;
   ping.PutU32(static_cast<uint32_t>(puddled::Op::kPing));
   const Snapshot before_pings = Aggregate();
@@ -353,8 +367,24 @@ TEST_F(StatsOpcodeTest, OneLatencySamplePerCommitAndPerRequest) {
     ASSERT_TRUE(status.ok()) << status.ToString();
   }
   const Snapshot pings = Delta(Aggregate(), before_pings);
-  EXPECT_EQ(pings.hist(Hist::kDaemonServiceTicks).count(), kPings);
+  ExpectSampledOps(pings.hist(Hist::kDaemonServiceTicks).count(), kPings);
   EXPECT_EQ(pings.counter(Counter::kDaemonRequest), kPings);
+}
+
+// A sampled transaction is timed whole: each undo-only commit that logs one
+// live range publishes twice, before its first store (tx.Log) and at commit
+// stage 1, and a sampled one times both beside its commit.
+TEST_F(StatsOpcodeTest, SampledCommitTimesEveryPublication) {
+  ASSERT_NO_FATAL_FAILURE(OpenCell());
+  constexpr uint64_t kCommits = 3 * kSamplePeriod;
+  const Snapshot before = Aggregate();
+  CommitLogged(kCommits);
+  const Snapshot delta = Delta(Aggregate(), before);
+  const uint64_t sampled = delta.hist(Hist::kTxCommitTicks).count();
+  ExpectSampledOps(sampled, kCommits);
+  EXPECT_EQ(delta.hist(Hist::kFlushPublishTicks).count(), 2 * sampled);
+  EXPECT_EQ(delta.counter(Counter::kTxCommit), kCommits);
+  EXPECT_EQ(delta.counter(Counter::kFlushBatchPublish), 2 * kCommits);
 }
 
 TEST(StatsReportWire, EncodeDecodeRoundTrip) {

@@ -98,7 +98,6 @@ class FenceCountingObserver : public pmem::PersistObserver {
 // Allocator slow-path events on this thread: slabs carved, adopted, spilled
 // or retired. Fences an op spends beyond its steady state come from these.
 uint64_t AllocatorSlowPathEvents() {
-#if PUDDLES_STATS
   using puddles::stats::Counter;
   const auto& counters = puddles::stats::LocalSlot().counters;
   uint64_t sum = 0;
@@ -107,9 +106,6 @@ uint64_t AllocatorSlowPathEvents() {
     sum += counters[static_cast<size_t>(c)].load(std::memory_order_relaxed);
   }
   return sum;
-#else
-  return 0;
-#endif
 }
 
 class Runner {
@@ -133,7 +129,7 @@ class Runner {
     FenceCountingObserver observer;
     // Per-op attribution reads this thread's own counter slot: a few relaxed
     // loads, cheap enough to stay inside the timed loop.
-    const bool attribute = PUDDLES_STATS && expected_steady_fences >= 0;
+    const bool attribute = expected_steady_fences >= 0;
     uint64_t stray = 0;
     uint64_t broken_ops = 0;
     uint64_t broken_spent = 0;
@@ -352,13 +348,6 @@ std::vector<CrashsimRow> RunCrashsimTrajectory() {
   return rows;
 }
 
-#ifndef PUDDLES_GIT_SHA
-#define PUDDLES_GIT_SHA "unknown"
-#endif
-#ifndef PUDDLES_BUILD_FLAGS
-#define PUDDLES_BUILD_FLAGS "unknown"
-#endif
-
 bool WriteCrashsimJson(const std::vector<CrashsimRow>& rows, const std::string& path) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -369,10 +358,7 @@ bool WriteCrashsimJson(const std::vector<CrashsimRow>& rows, const std::string& 
   std::fprintf(out, "  \"bench\": \"crashsim persistence-graph pruning\",\n");
   std::fprintf(out, "  \"generated_by\": \"tools/bench_runner.cc\",\n");
   std::fprintf(out, "  \"protocol\": \"DESIGN.md section 12 (crash-state equivalence classes)\",\n");
-  std::fprintf(out, "%s",
-               bench::ProvenanceJsonLine(PUDDLES_GIT_SHA, PUDDLES_BUILD_FLAGS,
-                                         /*with_hostname=*/false)
-                   .c_str());
+  std::fputs(bench::ProvenanceJsonLine(/*with_hostname=*/false).c_str(), out);
   std::fprintf(out, "  \"workload\": \"list\",\n");
   std::fprintf(out, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -402,8 +388,7 @@ bool WriteJson(const Runner& runner, const std::string& path) {
   std::fprintf(out, "  \"bench\": \"commit-path batched persistence\",\n");
   std::fprintf(out, "  \"generated_by\": \"tools/bench_runner.cc\",\n");
   std::fprintf(out, "  \"protocol\": \"DESIGN.md section 10 (fence coalescing)\",\n");
-  std::fprintf(out, "%s",
-               bench::ProvenanceJsonLine(PUDDLES_GIT_SHA, PUDDLES_BUILD_FLAGS).c_str());
+  std::fputs(bench::ProvenanceJsonLine().c_str(), out);
   std::fprintf(out, "  \"flush_instruction\": \"%s\",\n",
                pmem::FlushInstructionName(pmem::ActiveFlushInstruction()));
   std::fprintf(out, "  \"scale\": %.2f,\n", bench::ScaleFactor());

@@ -64,8 +64,8 @@ void PrintJson(const puddled::StatsReport& report) {
 }
 
 // CI gate: the daemon must have served at least one request (the Ping this
-// tool just sent guarantees that when telemetry is compiled in) and every
-// histogram must be internally consistent (ordered percentiles under max).
+// tool just sent guarantees that) and every histogram must be internally
+// consistent (ordered percentiles under max).
 int Check(const puddled::StatsReport& report) {
   uint64_t daemon_requests = 0;
   for (const auto& [name, value] : report.counters) {
