@@ -9,12 +9,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-
-#include "src/pmem/flush.h"
 
 namespace bench {
 
@@ -67,21 +66,6 @@ inline void PrintHeader(const char* title, const char* paper_ref) {
 // Keeps the optimizer from eliding a computed value.
 inline void DoNotOptimize(uint64_t value) {
   asm volatile("" : : "r"(value) : "memory");
-}
-
-// Mean ordering points (fences) per run of `op`, from the persist-stats
-// delta around `probes` runs after one warm-up call. The shared probe
-// harness for the fences-per-transaction columns (DESIGN.md §10) so the
-// stdout tables and BENCH_commit.json cannot drift on methodology.
-template <typename Op>
-inline double FencesPerOp(Op&& op, uint64_t probes = 256) {
-  op();  // Warm-up: puddle growth, log formatting, faults.
-  const uint64_t before = pmem::ReadPersistStats().fences;
-  for (uint64_t i = 0; i < probes; ++i) {
-    op();
-  }
-  return static_cast<double>(pmem::ReadPersistStats().fences - before) /
-         static_cast<double>(probes);
 }
 
 }  // namespace bench

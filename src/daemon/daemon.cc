@@ -50,6 +50,13 @@ puddles::Status CheckPoolName(const std::string& name) {
   return puddles::OkStatus();
 }
 
+// Copies a stored name, at most sizeof(PoolInfo::name) - 1 bytes of it, into
+// a fresh (zero-filled) PoolInfo, which keeps its last byte as terminator.
+void CopyPoolName(const char (&name)[sizeof(PoolRecord::name)], PoolInfo* info) {
+  static_assert(sizeof(PoolRecord::name) == sizeof(PoolInfo::name));
+  std::memcpy(info->name, name, ::strnlen(name, sizeof(info->name) - 1));
+}
+
 // Reads a u32-counted UUID list from an export manifest, refusing a count
 // longer than the bytes left could hold.
 puddles::Status GetUuidList(puddles::WireReader* reader, std::vector<Uuid>* out) {
@@ -64,6 +71,13 @@ puddles::Status GetUuidList(puddles::WireReader* reader, std::vector<Uuid>* out)
   }
   return puddles::OkStatus();
 }
+
+// Runs `undo` when it leaves scope: a multi-step mutation arms one after
+// its first claim and sets the flag `undo` checks once every step is done.
+struct UndoUnlessComplete {
+  std::function<void()> undo;
+  ~UndoUnlessComplete() { undo(); }
+};
 
 // Maps puddle files for PoolMetaView::Attach, keeping each mapping alive as
 // long as the opener.
@@ -288,6 +302,10 @@ puddles::Result<std::pair<PuddleInfo, int>> Daemon::CreatePuddle(PuddleKind kind
                                                                  const Uuid& pool_uuid,
                                                                  uint32_t mode) {
   std::shared_lock<std::shared_mutex> structure(structure_mu_);
+  // The kind may come off the wire as any u32 (§4.6).
+  if (!puddles::IsKnownPuddleKind(kind)) {
+    return puddles::InvalidArgumentError("unknown puddle kind");
+  }
   if (!puddles::IsPowerOfTwo(heap_size)) {
     return puddles::InvalidArgumentError("puddle heap size must be a power of two");
   }
@@ -299,28 +317,29 @@ puddles::Result<std::pair<PuddleInfo, int>> Daemon::CreatePuddle(PuddleKind kind
     std::lock_guard<std::mutex> lock(addr_mu_);
     ASSIGN_OR_RETURN(base, addr_alloc_.Allocate(file_size));
   }
-  auto free_base = [&] {
-    std::lock_guard<std::mutex> lock(addr_mu_);
-    (void)addr_alloc_.Free(base);
-  };
-  auto file = pmem::PmemFile::Create(PuddlePath(uuid), file_size);
-  if (!file.ok()) {
-    free_base();
-    return file.status();
-  }
-  auto mapped = file->Map();
-  if (!mapped.ok()) {
-    free_base();
-    return mapped.status();
-  }
+  // A failed create leaves nothing behind: the range is freed and the file,
+  // if it was made, unlinked.
+  bool complete = false;
+  UndoUnlessComplete undo_unless_complete{[&] {
+    if (complete) {
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(addr_mu_);
+      (void)addr_alloc_.Free(base);
+    }
+    ::unlink(PuddlePath(uuid).c_str());
+  }};
+  ASSIGN_OR_RETURN(pmem::PmemFile file, pmem::PmemFile::Create(PuddlePath(uuid), file_size));
+  ASSIGN_OR_RETURN(void* mapped, file.Map());
   puddles::PuddleParams params;
   params.kind = kind;
   params.heap_size = heap_size;
   params.uuid = uuid;
   params.pool_uuid = pool_uuid;
   params.base_addr = base;
-  RETURN_IF_ERROR(puddles::Puddle::Format(*mapped, file_size, params));
-  file->Unmap();
+  RETURN_IF_ERROR(puddles::Puddle::Format(mapped, file_size, params));
+  file.Unmap();
 
   PuddleRecord record{};
   record.uuid = uuid;
@@ -335,19 +354,14 @@ puddles::Result<std::pair<PuddleInfo, int>> Daemon::CreatePuddle(PuddleKind kind
   {
     Shard& shard = ShardFor(uuid);
     std::lock_guard<std::mutex> lock(shard.mu);
-    puddles::Status put = shard.puddles->Put(uuid, record);
-    if (!put.ok()) {
-      free_base();
-      ::unlink(PuddlePath(uuid).c_str());
-      return put;
-    }
+    RETURN_IF_ERROR(shard.puddles->Put(uuid, record));
   }
   {
     std::lock_guard<std::mutex> lock(addr_mu_);
     by_base_[base] = uuid;
   }
-
-  return std::make_pair(PuddleInfo::FromRecord(record), file->ReleaseFd());
+  complete = true;
+  return std::make_pair(PuddleInfo::FromRecord(record), file.ReleaseFd());
 }
 
 puddles::Result<std::pair<PuddleInfo, int>> Daemon::GetPuddle(const Uuid& uuid,
@@ -469,7 +483,7 @@ puddles::Result<PoolInfo> Daemon::CreatePool(const std::string& name, const Cred
   PoolInfo info;
   info.pool_uuid = pool_uuid;
   info.meta_puddle = meta_info.uuid;
-  std::strncpy(info.name, record.name, sizeof(info.name) - 1);
+  CopyPoolName(record.name, &info);
   return info;
 }
 
@@ -485,7 +499,7 @@ puddles::Result<PoolInfo> Daemon::OpenPool(const std::string& name, const Creden
   PoolInfo info;
   info.pool_uuid = record->pool_uuid;
   info.meta_puddle = record->meta_puddle;
-  std::strncpy(info.name, record->name, sizeof(info.name) - 1);
+  CopyPoolName(record->name, &info);
   return info;
 }
 
@@ -855,10 +869,7 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
   // A failed import leaves nothing behind: every copy is unlinked, its
   // address claim freed and its record, if already written, erased.
   bool complete = false;
-  struct UndoUnlessComplete {
-    std::function<void()> undo;
-    ~UndoUnlessComplete() { undo(); }
-  } undo_unless_complete{[&] {
+  UndoUnlessComplete undo_unless_complete{[&] {
     if (complete) {
       return;
     }
@@ -1019,7 +1030,7 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
   ImportResult result;
   result.pool.pool_uuid = new_pool_uuid;
   result.pool.meta_puddle = meta_entry.new_uuid;
-  std::strncpy(result.pool.name, pool_record.name, sizeof(result.pool.name) - 1);
+  CopyPoolName(pool_record.name, &result.pool);
   result.members_imported = static_cast<uint32_t>(old_members.size());
   result.members_relocated = members_relocated;
   complete = true;

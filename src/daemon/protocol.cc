@@ -169,7 +169,7 @@ puddles::Status DecodeStatsReport(WireReader* reader, StatsReport* report) {
   RETURN_IF_ERROR(reader->GetU32(&n));
   for (uint32_t i = 0; i < n; ++i) {
     std::string name;
-    uint64_t value;
+    uint64_t value = 0;
     RETURN_IF_ERROR(reader->GetString(&name));
     RETURN_IF_ERROR(reader->GetU64(&value));
     report->counters.emplace_back(std::move(name), value);
@@ -177,7 +177,7 @@ puddles::Status DecodeStatsReport(WireReader* reader, StatsReport* report) {
   RETURN_IF_ERROR(reader->GetU32(&n));
   for (uint32_t i = 0; i < n; ++i) {
     std::string name;
-    uint64_t value;
+    uint64_t value = 0;
     RETURN_IF_ERROR(reader->GetString(&name));
     RETURN_IF_ERROR(reader->GetU64(&value));
     report->daemon_ops.emplace_back(std::move(name), value);
@@ -230,10 +230,10 @@ DispatchResult DispatchRequest(Daemon& daemon, const Credentials& creds,
       break;
     }
     case Op::kCreatePuddle: {
-      uint32_t kind;
-      uint64_t heap_size;
+      uint32_t kind = 0;
+      uint64_t heap_size = 0;
       Uuid pool_uuid;
-      uint32_t mode;
+      uint32_t mode = 0;
       puddles::Status s = reader.GetU32(&kind);
       if (s.ok()) s = reader.GetU64(&heap_size);
       if (s.ok()) s = reader.GetUuid(&pool_uuid);
@@ -253,7 +253,7 @@ DispatchResult DispatchRequest(Daemon& daemon, const Credentials& creds,
     }
     case Op::kGetPuddle: {
       Uuid uuid;
-      uint8_t write;
+      uint8_t write = 0;
       puddles::Status s = reader.GetUuid(&uuid);
       if (s.ok()) s = reader.GetU8(&write);
       if (!s.ok()) {
@@ -282,7 +282,7 @@ DispatchResult DispatchRequest(Daemon& daemon, const Credentials& creds,
       break;
     }
     case Op::kFindByAddr: {
-      uint64_t addr;
+      uint64_t addr = 0;
       if (puddles::Status s = reader.GetU64(&addr); !s.ok()) {
         out.response = ErrorResponse(s);
         return out;
@@ -305,7 +305,7 @@ DispatchResult DispatchRequest(Daemon& daemon, const Credentials& creds,
     }
     case Op::kCreatePool: {
       std::string name;
-      uint32_t mode;
+      uint32_t mode = 0;
       puddles::Status s = reader.GetString(&name);
       if (s.ok()) s = reader.GetU32(&mode);
       if (!s.ok()) {
@@ -363,7 +363,7 @@ DispatchResult DispatchRequest(Daemon& daemon, const Credentials& creds,
     }
     case Op::kImportPool: {
       std::string src, name;
-      uint32_t mode;
+      uint32_t mode = 0;
       puddles::Status s = reader.GetString(&src);
       if (s.ok()) s = reader.GetString(&name);
       if (s.ok()) s = reader.GetU32(&mode);

@@ -104,7 +104,7 @@ bool FaultRouter::Dispatch(uintptr_t addr) {
   return false;
 }
 
-void FaultRouter::SignalHandler(int signo, siginfo_t* info, void* context) {
+void FaultRouter::SignalHandler(int /*signo*/, siginfo_t* info, void* /*context*/) {
   FaultRouter& router = Instance();
   const uintptr_t addr = reinterpret_cast<uintptr_t>(info->si_addr);
 

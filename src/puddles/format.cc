@@ -31,8 +31,8 @@ puddles::Status Puddle::Format(void* base, size_t file_size, const PuddleParams&
     return InvalidArgumentError("puddle file size does not match geometry");
   }
 
+  std::memset(base, 0, sizeof(PuddleHeader));  // On media: padding too.
   auto* header = static_cast<PuddleHeader*>(base);
-  std::memset(header, 0, sizeof(PuddleHeader));
   header->magic = kPuddleMagic;
   header->version = kPuddleVersion;
   header->kind = params.kind;

@@ -39,6 +39,18 @@ enum class PuddleKind : uint32_t {
   kPoolMeta = 4,  // Pool membership metadata (raw heap).
 };
 
+// False for any value outside the enum above, such as a u32 off the wire.
+inline bool IsKnownPuddleKind(PuddleKind kind) {
+  switch (kind) {
+    case PuddleKind::kData:
+    case PuddleKind::kLog:
+    case PuddleKind::kLogSpace:
+    case PuddleKind::kPoolMeta:
+      return true;
+  }
+  return false;
+}
+
 // Relocation / recovery state bits.
 enum PuddleFlags : uint32_t {
   // The heap still contains pointers expressed relative to prev_base_addr;

@@ -55,8 +55,8 @@ puddles::Status PoolMetaView::Format(const Puddle& puddle, const Uuid& pool_uuid
   if (std::strlen(name) >= kPoolNameMax) {
     return InvalidArgumentError("pool name too long");
   }
+  std::memset(puddle.heap(), 0, sizeof(PoolMetaHeader));  // On media: padding too.
   auto* header = reinterpret_cast<PoolMetaHeader*>(puddle.heap());
-  std::memset(header, 0, sizeof(PoolMetaHeader));
   header->magic = kPoolMetaMagic;
   header->pool_uuid = pool_uuid;
   std::strncpy(header->name, name, kPoolNameMax - 1);

@@ -40,8 +40,8 @@ puddles::Status LogRegion::Format(void* base, size_t capacity) {
   if (capacity < sizeof(LogHeader) + 64) {
     return InvalidArgumentError("log region too small");
   }
+  std::memset(base, 0, sizeof(LogHeader));  // On media: padding too.
   auto* header = static_cast<LogHeader*>(base);
-  std::memset(header, 0, sizeof(LogHeader));
   header->magic = kLogMagic;
   header->seq_lo = 0;
   header->seq_hi = 2;  // Undo entries (seq 1) are live from the first append.

@@ -138,7 +138,7 @@ class YcsbStream {
   }
 
  private:
-  static constexpr size_t kKvKeyMaxChars = 24;
+  static constexpr size_t kKvKeyMaxChars = 25;  // "user", a u64's 20 digits, NUL.
 
   uint64_t ZipfKey() { return zipf_.Next(rng_) % record_count_; }
 

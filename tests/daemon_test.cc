@@ -7,6 +7,8 @@
 #include <filesystem>
 #include <thread>
 
+#include "src/daemon/protocol.h"
+#include "src/ipc/wire.h"
 #include "src/pmem/mapped_file.h"
 #include "src/puddles/format.h"
 #include "src/tx/log_format.h"
@@ -213,6 +215,102 @@ TEST_F(DaemonTest, RegisterLogSpaceValidatesKind) {
   EXPECT_TRUE(daemon_->RegisterLogSpace(ls->first.uuid, alice_).ok());
   EXPECT_FALSE(daemon_->RegisterLogSpace(ls->first.uuid, bob_).ok())
       << "cannot register someone else's log space";
+}
+
+TEST_F(DaemonTest, FailedCreateLeavesNothingBehind) {
+  auto first = daemon_->CreatePuddle(PuddleKind::kData, 64 << 10, alice_);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ::close(first->second);
+  const uint64_t records = daemon_->puddle_count();
+
+  // Refused after its range and file are taken: a 128-byte data heap is
+  // below the allocator's minimum, so formatting fails.
+  EXPECT_FALSE(daemon_->CreatePuddle(PuddleKind::kData, 128, alice_).ok());
+  // Refused before anything is taken: the kind is outside PuddleKind.
+  EXPECT_EQ(daemon_->CreatePuddle(static_cast<PuddleKind>(77), 4096, alice_).status().code(),
+            puddles::StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(daemon_->puddle_count(), records);
+  uint64_t files = 0;
+  for (const auto& entry : fs::directory_iterator(root_)) {
+    files += entry.path().extension() == ".pud" ? 1 : 0;
+  }
+  EXPECT_EQ(files, records) << "a .pud file without a record";
+  auto next = daemon_->CreatePuddle(PuddleKind::kData, 64 << 10, alice_);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ::close(next->second);
+  EXPECT_EQ(next->first.base_addr,
+            first->first.base_addr + puddles::AlignUp(first->first.file_size, puddles::kPageSize))
+      << "the failed create kept its address range";
+}
+
+TEST_F(DaemonTest, EveryTruncatedRequestIsRefused) {
+  auto puddle = daemon_->CreatePuddle(PuddleKind::kData, 1 << 20, alice_);
+  ASSERT_TRUE(puddle.ok()) << puddle.status().ToString();
+  ::close(puddle->second);
+  ASSERT_TRUE(daemon_->CreatePool("truncated", alice_).ok());
+  const Uuid uuid = puddle->first.uuid;
+  const uint64_t records = daemon_->puddle_count();
+
+  // One well-formed request per opcode the dispatcher serves.
+  std::vector<std::pair<Op, puddles::WireWriter>> requests;
+  auto request = [&](Op op) -> puddles::WireWriter& {
+    puddles::WireWriter& w = requests.emplace_back(op, puddles::WireWriter()).second;
+    w.PutU32(static_cast<uint32_t>(op));
+    return w;
+  };
+  request(Op::kPing);
+  {
+    puddles::WireWriter& w = request(Op::kCreatePuddle);
+    w.PutU32(static_cast<uint32_t>(PuddleKind::kData));
+    w.PutU64(1 << 20);
+    w.PutUuid(Uuid::Nil());
+    w.PutU32(0600);
+  }
+  {
+    puddles::WireWriter& w = request(Op::kGetPuddle);
+    w.PutUuid(uuid);
+    w.PutU8(1);
+  }
+  request(Op::kStatPuddle).PutUuid(uuid);
+  request(Op::kFindByAddr).PutU64(puddle->first.base_addr);
+  request(Op::kDeletePuddle).PutUuid(uuid);
+  {
+    puddles::WireWriter& w = request(Op::kCreatePool);
+    w.PutString("another");
+    w.PutU32(0600);
+  }
+  request(Op::kOpenPool).PutString("truncated");
+  request(Op::kRegisterLogSpace).PutUuid(uuid);
+  request(Op::kCompleteRewrite).PutUuid(uuid);
+  {
+    puddles::WireWriter& w = request(Op::kExportPool);
+    w.PutString("truncated");
+    w.PutString((root_ / "export").string());
+  }
+  {
+    puddles::WireWriter& w = request(Op::kImportPool);
+    w.PutString((root_ / "export").string());
+    w.PutString("imported");
+    w.PutU32(0600);
+  }
+  request(Op::kStats);
+  ASSERT_EQ(requests.size(), 13u);
+
+  for (const auto& [op, full] : requests) {
+    const std::vector<uint8_t>& bytes = full.bytes();
+    for (size_t length = 0; length < bytes.size(); ++length) {
+      const std::vector<uint8_t> prefix(bytes.begin(), bytes.begin() + length);
+      DispatchResult out = DispatchRequest(*daemon_, alice_, prefix);
+      puddles::WireReader reader(out.response);
+      puddles::Status status;
+      ASSERT_TRUE(reader.GetStatus(&status).ok());
+      EXPECT_FALSE(status.ok()) << OpName(op) << " request accepted at " << length << " of "
+                                << bytes.size() << " bytes";
+      EXPECT_EQ(out.fd, -1);
+      EXPECT_EQ(daemon_->puddle_count(), records);
+    }
+  }
 }
 
 TEST_F(DaemonTest, ShardedRegistriesUnderConcurrentMutation) {

@@ -1,18 +1,27 @@
-// bench_runner — machine-readable perf trajectory for the commit path.
+// bench_runner — machine-readable perf trajectory for the commit path, and
+// the one recorder of the paper's Table 3 and Fig. 9.
 //
 // Runs the Table-3 transaction/allocation primitives and the Fig-9 linked
-// list on the real Puddles stack (embedded daemon + typed Tx API) and emits
-// one JSON document, BENCH_commit.json, checked in at the repo root so the
-// perf trajectory of the batched-persistence protocol (DESIGN.md §10) is
-// recorded per PR. Every row carries two measurements:
-//   * ns_per_op   — wall-clock mean over the iteration count, and
+// list on the real Puddles stack (embedded daemon + typed Tx API), runs the
+// same primitives and list beside them on the PMDK-like fat-pointer pool and
+// the list on Romulus, and emits one JSON document, BENCH_commit.json,
+// checked in at the repo root so the perf trajectory of the
+// batched-persistence protocol (DESIGN.md §10) and the paper's comparisons
+// are recorded per PR. Every row names its `library` ("puddles", "pmdk" or
+// "romulus") and carries two measurements, each from its own pass:
+//   * ns_per_op   — wall-clock mean over the iteration count of the op
+//     alone, and
 //   * fences_per_op — ordering points per operation, counted by a
 //     pmem::PersistObserver on the real persistence instruction stream (the
 //     protocol's primary figure of merit: O(N) → O(1) per transaction).
 //
-// Each row also carries p50/p99 latency percentiles, measured by a SECOND,
-// separately-timed pass over the same op (per-op rdtsc reads into a
-// stats::Histogram) so the mean above stays uncontaminated by clock reads.
+// Each row also carries p50/p99 latency percentiles, measured by a third
+// pass over the same op (per-op rdtsc reads into a stats::Histogram) so the
+// mean above stays uncontaminated by clock reads.
+//
+// After each section it prints one ratio line: Puddles over PMDK-like
+// (PMDK-like ns / Puddles ns) for every row both libraries ran, next to the
+// paper's figure.
 //
 // It also emits a second document, BENCH_crashsim.json: the crash-state
 // exploration trajectory (states enumerated/explored, persistence-graph
@@ -63,8 +72,23 @@
 
 namespace {
 
+enum class Library { kPuddles, kPmdk, kRomulus };
+
+const char* LibraryName(Library library) {
+  switch (library) {
+    case Library::kPuddles:
+      return "puddles";
+    case Library::kPmdk:
+      return "pmdk";
+    case Library::kRomulus:
+      return "romulus";
+  }
+  return "unknown";
+}
+
 struct Row {
   std::string section;
+  Library library = Library::kPuddles;
   std::string name;
   double ns_per_op = 0;
   double fences_per_op = 0;
@@ -110,15 +134,15 @@ uint64_t AllocatorSlowPathEvents() {
 
 class Runner {
  public:
-  explicit Runner(bench::PuddlesEnv& env, uint64_t iters) : env_(env), iters_(iters) {}
+  explicit Runner(uint64_t iters) : iters_(iters) {}
 
   // `expected_steady_fences >= 0` turns on exact fence accounting for the
   // row: every op that runs no allocator slow path must cost exactly
   // expected_steady_fences, and the slow-path ops' excess is reported as
   // strays.
   template <typename Op>
-  void Measure(const std::string& section, const std::string& name, uint64_t iterations,
-               Op&& op, int expected_steady_fences = -1) {
+  void Measure(const std::string& section, Library library, const std::string& name,
+               uint64_t iterations, Op&& op, int expected_steady_fences = -1) {
     if (iterations == 0) {
       iterations = 1;  // Tiny --iters values must not divide by zero (inf/nan JSON).
     }
@@ -126,14 +150,22 @@ class Runner {
     // faults) out of the steady-state numbers.
     op();
 
+    // Timed pass: the op alone. The fence observer below costs a locked
+    // increment and a virtual call per flush and fence, which would tax the
+    // fence-heavy baselines most and skew every Puddles-over-PMDK ratio.
+    bench::Timer timer;
+    for (uint64_t i = 0; i < iterations; ++i) {
+      op();
+    }
+    const double nanos = timer.Nanos();
+
+    // Fence pass: the same op under the observer, with per-op attribution
+    // reading this thread's own counter slot.
     FenceCountingObserver observer;
-    // Per-op attribution reads this thread's own counter slot: a few relaxed
-    // loads, cheap enough to stay inside the timed loop.
     const bool attribute = expected_steady_fences >= 0;
     uint64_t stray = 0;
     uint64_t broken_ops = 0;
     uint64_t broken_spent = 0;
-    bench::Timer timer;
     pmem::SetPersistObserver(&observer);
     for (uint64_t i = 0; i < iterations; ++i) {
       if (!attribute) {
@@ -154,9 +186,10 @@ class Runner {
     pmem::SetPersistObserver(nullptr);
     Row row;
     row.section = section;
+    row.library = library;
     row.name = name;
     row.iterations = iterations;
-    row.ns_per_op = timer.Nanos() / static_cast<double>(iterations);
+    row.ns_per_op = nanos / static_cast<double>(iterations);
     row.fences_per_op =
         static_cast<double>(observer.fences()) / static_cast<double>(iterations);
 
@@ -180,7 +213,7 @@ class Runner {
     }
 
     // Percentile pass: same op, re-run with per-op timestamps into a
-    // log-bucket histogram. Kept out of the pass above so ns_per_op never
+    // log-bucket histogram. Kept out of the timed pass so ns_per_op never
     // includes the rdtsc reads.
     puddles::stats::Histogram latency;
     for (uint64_t i = 0; i < iterations; ++i) {
@@ -192,25 +225,44 @@ class Runner {
     row.p99_ns = puddles::stats::TicksToNanos(latency.p99());
 
     rows_.push_back(row);
-    std::printf("  %-28s %10.0f ns/op   p50 %8" PRIu64 "  p99 %8" PRIu64
+    std::printf("  %-8s %-22s %10.0f ns/op   p50 %8" PRIu64 "  p99 %8" PRIu64
                 "   %6.2f fences/op   (%" PRIu64 " iters)\n",
-                name.c_str(), row.ns_per_op, row.p50_ns, row.p99_ns, row.fences_per_op,
-                iterations);
+                LibraryName(library), name.c_str(), row.ns_per_op, row.p50_ns, row.p99_ns,
+                row.fences_per_op, iterations);
+  }
+
+  // The section's ratio line: Puddles over PMDK-like (PMDK-like ns over
+  // Puddles ns) for every row name both libraries ran.
+  void PrintSpeedups(const std::string& section, const char* paper) const {
+    std::printf("  Puddles over PMDK-like:");
+    for (const Row& puddles_row : rows_) {
+      if (puddles_row.section != section || puddles_row.library != Library::kPuddles) {
+        continue;
+      }
+      for (const Row& pmdk_row : rows_) {
+        if (pmdk_row.section == section && pmdk_row.library == Library::kPmdk &&
+            pmdk_row.name == puddles_row.name) {
+          std::printf(" %s %.2fx", puddles_row.name.c_str(),
+                      pmdk_row.ns_per_op / puddles_row.ns_per_op);
+        }
+      }
+    }
+    std::printf("   (paper: %s)\n", paper);
   }
 
   const std::vector<Row>& rows() const { return rows_; }
   uint64_t iters() const { return iters_; }
-  bench::PuddlesEnv& env() { return env_; }
 
  private:
-  bench::PuddlesEnv& env_;
   uint64_t iters_;
   std::vector<Row> rows_;
 };
 
-void RunTable3(Runner& runner) {
-  std::printf("table3 primitives (typed Tx API):\n");
-  puddles::Pool& pool = *runner.env().pool;
+// Paper Table 3 on Puddles' typed Tx API and on the PMDK-like fat-pointer
+// pool. The paper's malloc rows are `tx_alloc_only_*` (alloc inside a
+// transaction, never freed) and its malloc+free rows `tx_malloc_*`.
+void RunTable3(Runner& runner, puddles::Pool& pool, fatptr::FatPool& fat) {
+  std::printf("table3 primitives (Puddles typed Tx API; PMDK-like fat-pointer pool):\n");
   uint8_t* small = nullptr;
   uint8_t* big = nullptr;
   puddles::Status allocated = pool.Run([&](puddles::Tx& tx) -> puddles::Status {
@@ -225,30 +277,33 @@ void RunTable3(Runner& runner) {
     std::abort();
   }
   const uint64_t iters = runner.iters();
+  auto puddles_row = [&](const char* name, uint64_t iterations, auto&& op) {
+    runner.Measure("table3", Library::kPuddles, name, iterations, op);
+  };
 
-  runner.Measure("table3", "tx_nop", iters, [&] {
+  puddles_row("tx_nop", iters, [&] {
     (void)pool.Run([](puddles::Tx&) { return puddles::OkStatus(); });
   });
-  runner.Measure("table3", "tx_add_8B", iters, [&] {
+  puddles_row("tx_add_8B", iters, [&] {
     (void)pool.Run([&](puddles::Tx& tx) {
       RETURN_IF_ERROR(tx.LogRange(small, 8));
       small[0]++;
       return puddles::OkStatus();
     });
   });
-  runner.Measure("table3", "tx_add_4KiB", iters / 4, [&] {
+  puddles_row("tx_add_4KiB", iters / 4, [&] {
     (void)pool.Run([&](puddles::Tx& tx) {
       RETURN_IF_ERROR(tx.LogRange(big, 4096));
       big[0]++;
       return puddles::OkStatus();
     });
   });
-  runner.Measure("table3", "tx_set_8B_redo", iters, [&] {
+  puddles_row("tx_set_8B_redo", iters, [&] {
     (void)pool.Run([&](puddles::Tx& tx) { return tx.Set(small, uint8_t{1}); });
   });
   // The acceptance shape: one transaction logging 32 ranges of an object it
   // allocated — batched persistence commits it in a constant fence count.
-  runner.Measure("table3", "tx_alloc_log32_ranges", iters / 8, [&] {
+  puddles_row("tx_alloc_log32_ranges", iters / 8, [&] {
     (void)pool.Run([&](puddles::Tx& tx) {
       ASSIGN_OR_RETURN(void* raw, tx.AllocBytes(32 * 64, puddles::kRawBytesTypeId));
       uint8_t* arena = static_cast<uint8_t*>(raw);
@@ -259,50 +314,108 @@ void RunTable3(Runner& runner) {
       return tx.FreeBytes(arena);
     });
   });
-  runner.Measure("table3", "tx_malloc_8B", iters / 8, [&] {
+  puddles_row("tx_malloc_8B", iters / 8, [&] {
     (void)pool.Run([&](puddles::Tx& tx) {
       ASSIGN_OR_RETURN(void* p, tx.AllocBytes(8, puddles::kRawBytesTypeId));
       return tx.FreeBytes(p);
     });
   });
-  runner.Measure("table3", "tx_malloc_4KiB", iters / 8, [&] {
+  puddles_row("tx_malloc_4KiB", iters / 8, [&] {
     (void)pool.Run([&](puddles::Tx& tx) {
       ASSIGN_OR_RETURN(void* p, tx.AllocBytes(4096, puddles::kRawBytesTypeId));
       return tx.FreeBytes(p);
     });
   });
+  // Last: these rows leave every object they allocate behind.
+  puddles_row("tx_alloc_only_8B", iters / 8, [&] {
+    (void)pool.Run([](puddles::Tx& tx) {
+      return tx.AllocBytes(8, puddles::kRawBytesTypeId).status();
+    });
+  });
+  puddles_row("tx_alloc_only_4KiB", iters / 8, [&] {
+    (void)pool.Run([](puddles::Tx& tx) {
+      return tx.AllocBytes(4096, puddles::kRawBytesTypeId).status();
+    });
+  });
+
+  // PMDK-like: an explicit TxBegin/TxCommit pair around each primitive, on
+  // a fresh pool. Its TX_ADD rows log DRAM scratch; the undo append and its
+  // flushes do not depend on where the logged bytes live. The alloc-only
+  // rows run before malloc+free: on a heap that is still one free block,
+  // each malloc+free pair would split and re-merge the whole buddy tree
+  // (about 100 fences a pair instead of 10 to 20).
+  alignas(64) static uint8_t fat_small[8];
+  alignas(64) static uint8_t fat_big[4096];
+  auto pmdk_row = [&](const char* name, uint64_t iterations, auto&& body) {
+    runner.Measure("table3", Library::kPmdk, name, iterations, [&] {
+      (void)fat.TxBegin();
+      body();
+      (void)fat.TxCommit();
+    });
+  };
+  pmdk_row("tx_nop", iters, [] {});
+  pmdk_row("tx_add_8B", iters, [&] { (void)fat.TxAddRange(fat_small, sizeof(fat_small)); });
+  pmdk_row("tx_add_4KiB", iters / 4, [&] { (void)fat.TxAddRange(fat_big, sizeof(fat_big)); });
+  pmdk_row("tx_alloc_only_8B", iters / 8,
+           [&] { (void)fat.AllocBytes(8, puddles::kRawBytesTypeId); });
+  pmdk_row("tx_alloc_only_4KiB", iters / 8,
+           [&] { (void)fat.AllocBytes(4096, puddles::kRawBytesTypeId); });
+  pmdk_row("tx_malloc_8B", iters / 8, [&] {
+    auto p = fat.AllocBytes(8, puddles::kRawBytesTypeId);
+    if (p.ok()) {
+      (void)fat.FreeBytes(*p);
+    }
+  });
+  pmdk_row("tx_malloc_4KiB", iters / 8, [&] {
+    auto p = fat.AllocBytes(4096, puddles::kRawBytesTypeId);
+    if (p.ok()) {
+      (void)fat.FreeBytes(*p);
+    }
+  });
+  runner.PrintSpeedups("table3", "TX NOP 142 ns over 11 ns, 12.9x");
 }
 
-void RunFig9(Runner& runner) {
-  std::printf("fig9 linked list (Puddles adapter):\n");
-  using List = workloads::PersistentList<workloads::PuddlesAdapter>;
+// Paper Fig. 9 over one library's list adapter: insert at the tail, delete
+// at the head, sum a 4096-node list, then sum a list grown to
+// bench::Scaled(200000) nodes — beyond the caches, where native pointers
+// beat fat ones by the paper's 13.4x — for 10 M node visits' worth of sweeps.
+template <typename Adapter>
+void RunFig9(Runner& runner, Library library, Adapter adapter) {
+  using List = workloads::PersistentList<Adapter>;
   List::RegisterTypes();
-  List list(runner.env().adapter());
+  List list(adapter);
   if (!list.Init().ok()) {
-    std::fprintf(stderr, "list init failed\n");
+    std::fprintf(stderr, "%s list init failed\n", LibraryName(library));
     std::abort();
   }
   const uint64_t iters = runner.iters() / 4;
   uint64_t next_value = 0;
-  // The documented steady-state cost is 4 fences per insert and 3 per
+  // Puddles' documented steady-state cost is 4 fences per insert and 3 per
   // delete: 32-byte list nodes come from the thread's arena, whose alloc and
   // free log nothing. An op that refills (4 slabs of 126 nodes, about every
   // 500th insert) or spills pays the allocator's few extra fences; those are
   // reported as strays, and every other op is asserted inside Measure to
-  // cost exactly its steady count.
-  runner.Measure("fig9_list", "insert_tail", iters,
-                 [&] { (void)list.InsertTail(next_value++); }, /*expected_steady_fences=*/4);
-  runner.Measure("fig9_list", "delete_head", iters, [&] { (void)list.DeleteHead(); },
-                 /*expected_steady_fences=*/3);
+  // cost exactly its steady count. The baselines are held to no count.
+  const bool exact = library == Library::kPuddles;
+  runner.Measure("fig9_list", library, "insert_tail", iters,
+                 [&] { (void)list.InsertTail(next_value++); }, exact ? 4 : -1);
+  runner.Measure("fig9_list", library, "delete_head", iters, [&] { (void)list.DeleteHead(); },
+                 exact ? 3 : -1);
   // Rebuild a fixed-size list for the traversal measurement.
   while (list.count() > 0) {
     (void)list.DeleteHead();
   }
-  const uint64_t nodes = 4096;
-  for (uint64_t i = 0; i < nodes; ++i) {
+  for (uint64_t i = 0; i < 4096; ++i) {
     (void)list.InsertTail(i);
   }
-  runner.Measure("fig9_list", "sum_4096_nodes", 256, [&] { bench::DoNotOptimize(list.Sum()); });
+  runner.Measure("fig9_list", library, "sum_4096_nodes", 256,
+                 [&] { bench::DoNotOptimize(list.Sum()); });
+  const uint64_t nodes = std::max<uint64_t>(bench::Scaled(200000), 4096);
+  for (uint64_t i = list.count(); i < nodes; ++i) {
+    (void)list.InsertTail(i);
+  }
+  runner.Measure("fig9_list", library, "sum_" + std::to_string(nodes) + "_nodes",
+                 10000000 / nodes, [&] { bench::DoNotOptimize(list.Sum()); });
 }
 
 // ---- Crashsim trajectory: every state recovered vs persistence-graph pruning ----
@@ -396,11 +509,11 @@ bool WriteJson(const Runner& runner, const std::string& path) {
   const auto& rows = runner.rows();
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
-                 "    {\"section\": \"%s\", \"name\": \"%s\", \"ns_per_op\": %.1f, "
-                 "\"p50_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
+                 "    {\"section\": \"%s\", \"library\": \"%s\", \"name\": \"%s\", "
+                 "\"ns_per_op\": %.1f, \"p50_ns\": %" PRIu64 ", \"p99_ns\": %" PRIu64
                  ", \"fences_per_op\": %.3f",
-                 rows[i].section.c_str(), rows[i].name.c_str(), rows[i].ns_per_op,
-                 rows[i].p50_ns, rows[i].p99_ns, rows[i].fences_per_op);
+                 rows[i].section.c_str(), LibraryName(rows[i].library), rows[i].name.c_str(),
+                 rows[i].ns_per_op, rows[i].p50_ns, rows[i].p99_ns, rows[i].fences_per_op);
     if (rows[i].has_steady) {
       std::fprintf(out,
                    ", \"fences_per_op_steady\": %.3f, \"stray_slab_fences\": %" PRIu64,
@@ -460,10 +573,27 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto scratch = bench::ScratchDir("bench_runner");
-  bench::PuddlesEnv env(scratch);
-  Runner runner(env, iters);
-  RunTable3(runner);
-  RunFig9(runner);
+  Runner runner(iters);
+  {
+    // One Puddles pool serves both sections; each baseline bench gets a
+    // fresh pool of its own.
+    bench::PuddlesEnv puddles_env(scratch);
+    {
+      bench::BaselineEnv<fatptr::FatPool> pmdk_env(scratch, "pmdk_table3");
+      RunTable3(runner, *puddles_env.pool, *pmdk_env.pool);
+    }
+    std::printf("fig9 linked list:\n");
+    RunFig9(runner, Library::kPuddles, puddles_env.adapter());
+    {
+      bench::BaselineEnv<fatptr::FatPool> pmdk_env(scratch, "pmdk_fig9");
+      RunFig9(runner, Library::kPmdk, workloads::FatPtrAdapter(pmdk_env.pool.get()));
+    }
+    {
+      bench::BaselineEnv<romulus::RomulusPool> romulus_env(scratch, "romulus_fig9");
+      RunFig9(runner, Library::kRomulus, workloads::RomulusAdapter(romulus_env.pool.get()));
+    }
+    runner.PrintSpeedups("fig9_list", "traversal 13.4x");
+  }
   const bool wrote = WriteJson(runner, out_path);
   std::filesystem::remove_all(scratch);
   if (!wrote) {
