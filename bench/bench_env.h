@@ -38,10 +38,12 @@ struct PuddlesEnv {
   puddles::Pool* pool = nullptr;
 };
 
+// `heap_size` must be a power of two. A Romulus pool copies and flushes its
+// whole fresh heap into its twin at create, so size it for what it holds.
 template <typename PoolT>
 struct BaselineEnv {
-  BaselineEnv(const std::filesystem::path& dir, const char* name) {
-    auto created = PoolT::Create((dir / name).string(), kBenchHeap);
+  BaselineEnv(const std::filesystem::path& dir, const char* name, size_t heap_size = kBenchHeap) {
+    auto created = PoolT::Create((dir / name).string(), heap_size);
     if (!created.ok()) {
       std::fprintf(stderr, "%s create failed: %s\n", name,
                    created.status().ToString().c_str());

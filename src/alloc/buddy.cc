@@ -1,5 +1,6 @@
 #include "src/alloc/buddy.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/align.h"
@@ -26,7 +27,7 @@ puddles::Status BuddyAllocator::Format(void* meta, void* heap, size_t heap_size)
   auto* header = static_cast<Header*>(meta);
   auto* state = reinterpret_cast<uint8_t*>(header + 1);
   const size_t num_blocks = heap_size >> kMinBlockLog2;
-  const uint32_t num_orders = static_cast<uint32_t>(Log2Floor(heap_size) - kMinBlockLog2) + 1;
+  const uint32_t num_orders = NumOrdersFor(heap_size);
   if (num_orders > kMaxOrders) {
     return InvalidArgumentError("buddy heap too large");
   }
@@ -214,7 +215,9 @@ puddles::Status BuddyAllocator::Free(int64_t offset) {
     offset = start_offset;
     while (order + 1 < header_->num_orders) {
       int64_t buddy = offset ^ static_cast<int64_t>(OrderSize(order));
-      if (static_cast<size_t>(buddy) >= heap_size_) {
+      // A cut heap (TrimFreeTail) ends at a page, not at a top-order block:
+      // never merge with a buddy that would reach past its end.
+      if (static_cast<size_t>(buddy) + OrderSize(order) > heap_size_) {
         break;
       }
       if (state_[BlockIndex(buddy)] != kStateFreeStart) {
@@ -283,24 +286,42 @@ void BuddyAllocator::ForEachAllocated(const std::function<void(int64_t, size_t)>
   }
 }
 
-puddles::Status BuddyAllocator::TrimFreeTail(size_t min_size) {
-  while (header_->num_orders > 1 && heap_size_ / 2 >= min_size) {
-    const uint32_t order = header_->num_orders - 2;  // Order of one half.
-    const auto upper = static_cast<int64_t>(heap_size_ / 2);
-    const FreeNode* node = NodeAt(upper);
-    if (state_[BlockIndex(upper)] != kStateFreeStart || node->order != order ||
-        node->check != ~order) {
-      return OkStatus();  // The upper half holds an allocated block.
-    }
-    if (header_->free_head[order] != upper || node->next != -1 || node->prev != -1) {
-      return DataLossError("buddy trim: top free block is not alone in its list");
-    }
-    header_->free_head[order] = -1;
-    header_->free_bytes -= heap_size_ / 2;
-    heap_size_ /= 2;
-    header_->heap_size = heap_size_;
-    --header_->num_orders;
+puddles::Status BuddyAllocator::TrimFreeTail(size_t granule) {
+  // The walk below follows block orders and free-list links: trim only a
+  // heap whose metadata holds together.
+  RETURN_IF_ERROR(Validate());
+  size_t used_end = 0;
+  ForEachAllocated([&](int64_t offset, size_t size) { used_end = offset + size; });
+  const size_t cut = std::max<size_t>(AlignUp(used_end, granule), granule);
+  if (cut >= heap_size_) {
+    return OkStatus();
   }
+  // Every free block that reaches past the cut leaves its list. Below the
+  // cut, the one that straddles it returns as its binary pieces, largest
+  // first: each piece is aligned to its size, since the block was aligned to
+  // a larger one.
+  for (size_t i = 0; i < NumBlocks();) {
+    const auto offset = static_cast<int64_t>(i << kMinBlockLog2);
+    const bool is_free = state_[i] == kStateFreeStart;
+    const uint32_t order = is_free ? NodeAt(offset)->order : state_[i];
+    const size_t size = OrderSize(order);
+    i += size >> kMinBlockLog2;
+    if (!is_free || offset + size <= cut) {
+      continue;
+    }
+    RemoveFree(offset, order, Phase::kApply);
+    header_->free_bytes -= size;
+    for (auto piece = static_cast<size_t>(offset); piece < cut;) {
+      const auto piece_order = static_cast<uint32_t>(Log2Floor(cut - piece)) - kMinBlockLog2;
+      state_[BlockIndex(piece)] = kStateFreeStart;
+      PushFree(piece, piece_order, Phase::kApply);
+      header_->free_bytes += OrderSize(piece_order);
+      piece += OrderSize(piece_order);
+    }
+  }
+  heap_size_ = cut;
+  header_->heap_size = cut;
+  header_->num_orders = NumOrdersFor(cut);
   return OkStatus();
 }
 
@@ -308,17 +329,27 @@ puddles::Status BuddyAllocator::Validate() const {
   if (header_->magic != kMetaMagic) {
     return DataLossError("validate: bad magic");
   }
-  // Walk free lists; each node's state byte must agree.
+  // Checked before anything indexes free_head or shifts by an order: the
+  // metadata may come from an untrusted copy (import, §4.6).
+  if (heap_size_ < kMinBlockSize || heap_size_ % kMinBlockSize != 0 ||
+      NumOrdersFor(heap_size_) > kMaxOrders || header_->num_orders != NumOrdersFor(heap_size_)) {
+    return DataLossError("validate: heap geometry does not match its order count");
+  }
+  // Walk free lists; each node's state byte must agree, and each block must
+  // lie inside the heap, aligned to its size.
   uint64_t free_from_lists = 0;
-  for (uint32_t order = 0; order < header_->num_orders; ++order) {
+  for (uint32_t order = 0; order < kMaxOrders; ++order) {
+    if (order >= header_->num_orders && header_->free_head[order] != -1) {
+      return DataLossError("validate: free list above the top order");
+    }
     int64_t prev = -1;
     size_t guard = NumBlocks() + 1;
     for (int64_t off = header_->free_head[order]; off >= 0;) {
       if (guard-- == 0) {
         return DataLossError("validate: free list cycle");
       }
-      if (static_cast<size_t>(off) >= heap_size_) {
-        return DataLossError("validate: free offset out of range");
+      if (off % OrderSize(order) != 0 || off + OrderSize(order) > heap_size_) {
+        return DataLossError("validate: free block misaligned or past the heap end");
       }
       if (state_[BlockIndex(off)] != kStateFreeStart) {
         return DataLossError("validate: free node without free state byte");
@@ -327,8 +358,8 @@ puddles::Status BuddyAllocator::Validate() const {
       if (node->order != order || node->check != ~order) {
         return DataLossError("validate: free node order mismatch");
       }
-      if (node->prev != prev) {
-        return DataLossError("validate: free list back-link mismatch");
+      if (node->prev != prev || node->next < -1) {
+        return DataLossError("validate: free list link mismatch");
       }
       free_from_lists += OrderSize(order);
       prev = off;
@@ -338,29 +369,35 @@ puddles::Status BuddyAllocator::Validate() const {
   if (free_from_lists != header_->free_bytes) {
     return DataLossError("validate: free byte accounting mismatch");
   }
-  // Walk state bytes; starts must tile the heap exactly.
-  uint64_t covered = 0;
+  // Walk state bytes; starts must tile the heap exactly, each block aligned
+  // to its size, and the free ones must be exactly the listed ones.
+  uint64_t free_in_tiling = 0;
   for (size_t i = 0; i < NumBlocks();) {
-    uint8_t state = state_[i];
-    size_t span;
-    if (state < kStateFreeStart) {
-      span = OrderSize(state) >> kMinBlockLog2;
-    } else if (state == kStateFreeStart) {
-      FreeNode* node = NodeAt(static_cast<int64_t>(i << kMinBlockLog2));
-      span = OrderSize(node->order) >> kMinBlockLog2;
-    } else {
+    const uint8_t state = state_[i];
+    if (state == kStateInterior) {
       return DataLossError("validate: interior byte at block boundary");
+    }
+    const uint32_t order =
+        state == kStateFreeStart ? NodeAt(static_cast<int64_t>(i << kMinBlockLog2))->order : state;
+    if (order >= header_->num_orders) {
+      return DataLossError("validate: block order above the top order");
+    }
+    const size_t span = OrderSize(order) >> kMinBlockLog2;
+    if (i % span != 0 || span > NumBlocks() - i) {
+      return DataLossError("validate: block misaligned or past the heap end");
     }
     for (size_t j = 1; j < span; ++j) {
       if (state_[i + j] != kStateInterior) {
         return DataLossError("validate: block interior not marked interior");
       }
     }
-    covered += span << kMinBlockLog2;
+    if (state == kStateFreeStart) {
+      free_in_tiling += span << kMinBlockLog2;
+    }
     i += span;
   }
-  if (covered != heap_size_) {
-    return DataLossError("validate: heap not fully tiled");
+  if (free_in_tiling != free_from_lists) {
+    return DataLossError("validate: free block missing from its list");
   }
   return OkStatus();
 }

@@ -1,7 +1,8 @@
 // Per-puddle buddy allocator (paper §4.5: "Large allocations are allocated
 // from a per-puddle buddy allocator").
 //
-// The allocator manages a power-of-two heap. All of its state lives in two
+// Format makes a power-of-two heap; TrimFreeTail may later cut an export's
+// copy to any multiple of a page. All of its state lives in two
 // caller-provided regions so it can be placed on persistent memory inside a
 // puddle's header:
 //   * a metadata region (BuddyHeader + one state byte per 256 B min-block),
@@ -28,6 +29,7 @@
 #include <functional>
 
 #include "src/alloc/log_sink.h"
+#include "src/common/align.h"
 #include "src/common/status.h"
 
 namespace puddles {
@@ -39,7 +41,7 @@ class BuddyAllocator {
   static constexpr int kMaxOrders = 32;
   static constexpr uint64_t kMetaMagic = 0x5044424459303144ULL;  // "PDBDY01D"
 
-  // Bytes of metadata needed for a heap of `heap_size` (power of two).
+  // Bytes of metadata needed for a heap of `heap_size` (a multiple of 256).
   static size_t MetaSize(size_t heap_size);
 
   // One-time initialization of a fresh heap. `meta` must hold MetaSize bytes.
@@ -75,16 +77,17 @@ class BuddyAllocator {
   // Invokes `fn(offset, size)` for every allocated block, in address order.
   void ForEachAllocated(const std::function<void(int64_t, size_t)>& fn) const;
 
-  // Halves the heap while its upper half is one free block of the top order
-  // and the half stays >= `min_size`: that block leaves its free list and
-  // the byte count, and heap_size and the order count shrink. No block
-  // moves, so every offset stays valid. The stores are neither logged nor
-  // flushed: callers trim a private copy (an export). DataLoss when the top
-  // free block is not the sole entry of its list — the lower half is not
-  // free, or the two halves would have coalesced.
-  puddles::Status TrimFreeTail(size_t min_size);
+  // Cuts the heap at the first multiple of `granule` (a power of two >= 256)
+  // above its highest allocated block, and never below one granule: every
+  // free block past the cut leaves its free list and the byte count, the
+  // one that straddles the cut keeps its pieces below it, and heap_size and
+  // the order count shrink. No block moves, so every offset stays valid.
+  // The stores are neither logged nor flushed: callers trim a private copy
+  // (an export). DataLoss, with nothing changed, when Validate fails.
+  puddles::Status TrimFreeTail(size_t granule);
 
-  // Exhaustive invariant check (free lists ↔ state bytes ↔ byte accounting).
+  // Exhaustive invariant check (free lists ↔ state bytes ↔ byte accounting),
+  // safe on untrusted metadata: every block it follows is bounds-checked.
   // Returns error describing the first inconsistency found.
   puddles::Status Validate() const;
 
@@ -116,6 +119,10 @@ class BuddyAllocator {
   size_t BlockIndex(int64_t offset) const { return static_cast<size_t>(offset) >> kMinBlockLog2; }
   FreeNode* NodeAt(int64_t offset) const { return reinterpret_cast<FreeNode*>(heap_ + offset); }
   static size_t OrderSize(uint32_t order) { return kMinBlockSize << order; }
+  // Orders up to the largest block that fits `heap_size` (>= 256).
+  static uint32_t NumOrdersFor(size_t heap_size) {
+    return static_cast<uint32_t>(Log2Floor(heap_size)) - kMinBlockLog2 + 1;
+  }
   static uint32_t OrderForSize(size_t size);
 
   // Two-pass mutation protocol: kDeclare announces ranges via the sink and

@@ -34,8 +34,8 @@ puddles::Result<ObjectHeap> ObjectHeap::Attach(void* meta, void* heap, size_t he
 }
 
 puddles::Status ObjectHeap::TrimFreeTail() {
-  // A slab block is also the page size, so a trimmed puddle file stays
-  // page-aligned for MapFileAt.
+  // A slab block is also the page size, so a trimmed puddle file stays a
+  // whole number of pages for MapFileAt.
   RETURN_IF_ERROR(buddy_.TrimFreeTail(kSlabBlockSize));
   meta_->heap_size = buddy_.heap_size();
   return OkStatus();
@@ -194,9 +194,13 @@ void ObjectHeap::ForEachObject(
   });
 }
 
-puddles::Status ObjectHeap::Validate() const {
+puddles::Status ObjectHeap::ValidateAllocator() const {
   RETURN_IF_ERROR(buddy_.Validate());
-  RETURN_IF_ERROR(Slab().Validate());
+  return Slab().Validate();
+}
+
+puddles::Status ObjectHeap::Validate() const {
+  RETURN_IF_ERROR(ValidateAllocator());
   // Every discovered object header must be well-formed and sized within its
   // containing block.
   puddles::Status status = OkStatus();

@@ -87,9 +87,10 @@ class ObjectHeap {
   size_t heap_size() const { return buddy_.heap_size(); }
   void* heap_base() const { return buddy_.heap(); }
 
-  // Cuts the heap's free tail (BuddyAllocator::TrimFreeTail), never below
-  // one slab block, and records the new size in the metadata. Unlogged: for
-  // a private copy only (Daemon::ExportPool).
+  // Cuts the heap at the first slab block (page) boundary above its highest
+  // allocated block (BuddyAllocator::TrimFreeTail), never below one slab
+  // block, and records the new size in the metadata. Unlogged: for a private
+  // copy only (Daemon::ExportPool).
   puddles::Status TrimFreeTail();
 
   // ---- Per-thread arena support (src/alloc/arena.h, docs/alloc.md) ----
@@ -120,6 +121,12 @@ class ObjectHeap {
     return static_cast<uint8_t*>(buddy_.heap()) + offset;
   }
 
+  // Checks the buddy allocator, then the slabs: the state that allocation,
+  // free and ForEachObject follow. Safe on untrusted metadata (import,
+  // §4.6): each step walks only what the one before it bounded.
+  puddles::Status ValidateAllocator() const;
+
+  // ValidateAllocator, then every object's size against its slot or block.
   puddles::Status Validate() const;
 
  private:

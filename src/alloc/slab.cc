@@ -356,6 +356,19 @@ puddles::Status SlabAllocator::Validate() const {
   if (dir_->magic != kDirectoryMagic) {
     return DataLossError("slab directory magic mismatch");
   }
+  // Every slab names a real class and that class's slot count, so
+  // ForEachSlot stays inside its block.
+  puddles::Status status = OkStatus();
+  buddy_->ForEachAllocated([&](int64_t offset, size_t) {
+    if (status.ok() && IsSlabBlock(offset)) {
+      const SlabHeader* slab = SlabAt(offset);
+      if (slab->class_index >= kNumSlabClasses ||
+          slab->num_slots != SlotsPerSlab(slab->class_index)) {
+        status = DataLossError("slab header names no slab class");
+      }
+    }
+  });
+  RETURN_IF_ERROR(status);
   for (size_t cls = 0; cls < kNumSlabClasses; ++cls) {
     int64_t prev = -1;
     size_t guard = buddy_->heap_size() / kSlabBlockSize + 1;
@@ -363,8 +376,11 @@ puddles::Status SlabAllocator::Validate() const {
       if (guard-- == 0) {
         return DataLossError("slab partial list cycle");
       }
+      if (!IsSlabBlock(off)) {
+        return DataLossError("slab partial list names no slab block");
+      }
       const SlabHeader* slab = SlabAt(off);
-      if (slab->magic != kSlabMagic || slab->class_index != cls) {
+      if (slab->class_index != cls) {
         return DataLossError("slab partial list node corrupt");
       }
       if (slab->arena_slot != 0) {

@@ -92,7 +92,9 @@ class SlabAllocator {
   // liveness (ObjectHeap::ForEachObject does exactly that).
   void ForEachSlot(int64_t block_offset, const std::function<void(int64_t, size_t)>& fn) const;
 
-  // Cross-checks directory lists and slab bitmaps.
+  // Cross-checks directory lists and slab bitmaps, and checks every slab's
+  // class and slot count. Safe on untrusted metadata once the buddy
+  // allocator has validated.
   puddles::Status Validate() const;
 
   // ---- Per-thread arena refill/flush contract (docs/alloc.md) ----

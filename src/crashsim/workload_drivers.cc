@@ -1063,10 +1063,16 @@ class ImportCrashDriver : public WorkloadDriver {
       for (uint32_t i = 0; i < meta_view.num_members(); ++i) {
         ASSIGN_OR_RETURN(Mapped member, MapPuddle(meta_view.member(i)));
         members_.push_back(member);
-        // Exports ship a data member's live extent only (Puddle::TrimHeap):
-        // the copy rewritten here must be a trimmed one.
-        if (member.view.heap_size() >= puddles::kDefaultHeapSize) {
-          return puddles::InternalError("import crash driver: exported data member not trimmed");
+        // Exports cut a data member at the page above its highest allocated
+        // block (Puddle::TrimHeap). The copy rewritten here must be cut short
+        // of any power of two, so the traced rewrite relocates a heap that
+        // only the page cut makes.
+        const size_t heap_size = member.view.heap_size();
+        if (heap_size % puddles::kPageSize != 0 || puddles::IsPowerOfTwo(heap_size)) {
+          return puddles::InternalError(
+              "import crash driver: exported data member not cut at a page short of a power "
+              "of two (heap of " +
+              std::to_string(heap_size) + " B)");
         }
         const uint64_t old_base = meta_view.member_old_base(i);
         if (old_base != 0) {

@@ -1,6 +1,7 @@
 #include "src/daemon/daemon.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -95,7 +96,11 @@ class FileSegmentOpener {
   std::vector<pmem::PmemFile> files_;
 };
 
-// Creates-or-opens one registry table file.
+// Creates-or-opens one registry table file. A created file is extended by
+// ftruncate, so its slots already read as empty and only the header is
+// written. Its slots are reached by hash, so its mapping is advised random:
+// the header store's fault would otherwise read around it and fill the
+// file's holes with zero pages.
 template <typename Table>
 puddles::Status OpenTable(const std::string& path, uint64_t slots, pmem::PmemFile* file,
                           std::unique_ptr<Table>* table) {
@@ -108,9 +113,10 @@ puddles::Status OpenTable(const std::string& path, uint64_t slots, pmem::PmemFil
   }
   ASSIGN_OR_RETURN(void* base, file->Map());
   if (fresh) {
-    RETURN_IF_ERROR(Table::Format(base, file->size(), slots));
+    (void)::madvise(base, file->size(), MADV_RANDOM);  // Advice only: failure changes no result.
   }
-  auto attached = Table::Attach(base, file->size());
+  auto attached = fresh ? Table::FormatZeroed(base, file->size(), slots)
+                        : Table::Attach(base, file->size());
   RETURN_IF_ERROR(attached.status());
   *table = std::make_unique<Table>(std::move(*attached));
   return puddles::OkStatus();
@@ -772,9 +778,10 @@ puddles::Status Daemon::ExportPool(const std::string& pool_name, const std::stri
     }
     return dest;
   };
-  // A data member ships only its live extent: the copy's heap loses its
-  // free tail (Puddle::TrimHeap), decided from the copy's own metadata, and
-  // the file is cut to match. Offsets and pointers are unchanged.
+  // A data member ships only its live extent: the copy's heap is cut at the
+  // first page above its highest allocated block (Puddle::TrimHeap),
+  // decided from the copy's own metadata, and the file is cut to match.
+  // Offsets and pointers are unchanged.
   auto copy_member = [&](const Uuid& uuid) -> puddles::Status {
     ASSIGN_OR_RETURN(fs::path dest, copy_puddle(uuid));
     ASSIGN_OR_RETURN(pmem::PmemFile file, pmem::PmemFile::Open(dest.string()));
@@ -885,8 +892,11 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
 
   // The copies are untrusted input (§4.6): each must be the kind the
   // manifest lists it as, and a data member must have a data puddle's
-  // geometry — exports trim heaps, so the header decides the extent —
-  // before its range is claimed.
+  // geometry — exports trim heaps, so the header decides the extent — and
+  // allocator state that validates, since the importer allocates from its
+  // free lists and walks its slabs, before its range is claimed. Object
+  // sizes are not checked: each walk that reads an object bounds its size by
+  // its slot or block.
   auto import_one = [&](const Uuid& old_uuid, PuddleKind kind) -> puddles::Status {
     Imported& entry = imported.emplace_back();
     entry.old_uuid = old_uuid;
@@ -905,6 +915,8 @@ puddles::Result<ImportResult> Daemon::ImportPool(const std::string& src_dir,
     }
     if (kind == PuddleKind::kData) {
       RETURN_IF_ERROR(puddle.CheckDataGeometry());
+      ASSIGN_OR_RETURN(puddles::ObjectHeap heap, puddle.object_heap());
+      RETURN_IF_ERROR(heap.ValidateAllocator());
     }
 
     // Re-identify the copy.

@@ -50,21 +50,26 @@ class PersistentHashMap {
     return sizeof(Header) + capacity * sizeof(Slot);
   }
 
+  // Formats `mem`, whatever it holds: every slot is zeroed and flushed.
   static puddles::Status Format(void* mem, size_t bytes, uint64_t capacity) {
-    if (!IsPowerOfTwo(capacity)) {
-      return InvalidArgumentError("pmhash capacity must be a power of two");
-    }
-    if (bytes < RequiredBytes(capacity)) {
-      return InvalidArgumentError("pmhash buffer too small for capacity");
-    }
-    auto* header = static_cast<Header*>(mem);
+    RETURN_IF_ERROR(CheckGeometry(bytes, capacity));
     std::memset(mem, 0, RequiredBytes(capacity));
-    header->magic = kMagic;
-    header->capacity = capacity;
-    header->slot_size = sizeof(Slot);
-    header->journal.valid = 0;
+    WriteHeader(mem, capacity);
     pmem::FlushFence(mem, RequiredBytes(capacity));
     return OkStatus();
+  }
+
+  // Formats memory whose slots already read as kEmpty (0), such as a file
+  // just extended with ftruncate, and attaches to it: only the header is
+  // written and flushed, and no slot is read, so the table starts empty
+  // without faulting in its slot pages.
+  static puddles::Result<PersistentHashMap> FormatZeroed(void* mem, size_t bytes,
+                                                         uint64_t capacity) {
+    RETURN_IF_ERROR(CheckGeometry(bytes, capacity));
+    std::memset(mem, 0, sizeof(Header));
+    WriteHeader(mem, capacity);
+    pmem::FlushFence(mem, sizeof(Header));
+    return PersistentHashMap(static_cast<Header*>(mem));
   }
 
   // Attaches to a formatted region, replaying the update journal if a crash
@@ -150,6 +155,9 @@ class PersistentHashMap {
   }
 
   void ForEach(const std::function<void(const K&, const V&)>& fn) const {
+    if (size_ == 0) {
+      return;  // An empty table reads no slot page.
+    }
     for (uint64_t i = 0; i < header_->capacity; ++i) {
       const Slot& slot = slots()[i];
       if (slot.state == kUsed) {
@@ -186,6 +194,24 @@ class PersistentHashMap {
   };
 
   explicit PersistentHashMap(Header* header) : header_(header) {}
+
+  static puddles::Status CheckGeometry(size_t bytes, uint64_t capacity) {
+    if (!IsPowerOfTwo(capacity)) {
+      return InvalidArgumentError("pmhash capacity must be a power of two");
+    }
+    if (bytes < RequiredBytes(capacity)) {
+      return InvalidArgumentError("pmhash buffer too small for capacity");
+    }
+    return OkStatus();
+  }
+
+  // Fills in a zeroed header; the caller flushes it.
+  static void WriteHeader(void* mem, uint64_t capacity) {
+    auto* header = static_cast<Header*>(mem);
+    header->magic = kMagic;
+    header->capacity = capacity;
+    header->slot_size = sizeof(Slot);
+  }
 
   Slot* slots() const { return reinterpret_cast<Slot*>(header_ + 1); }
 

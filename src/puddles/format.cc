@@ -94,8 +94,8 @@ puddles::Status Puddle::CheckDataGeometry() const {
   if (h.kind != PuddleKind::kData) {
     return DataLossError("not a data puddle");
   }
-  if (!IsPowerOfTwo(h.heap_size) || h.heap_size < kPageSize) {
-    return DataLossError("data puddle heap size is not a power of two of at least a page");
+  if (h.heap_size < kPageSize || h.heap_size % kPageSize != 0) {
+    return DataLossError("data puddle heap is not a whole number of pages");
   }
   if (h.meta_offset != kPuddleHeaderPage || h.meta_size >= h.file_size ||
       h.meta_size < AlignUp(ObjectHeap::MetaSize(h.heap_size), kPageSize)) {

@@ -100,7 +100,8 @@ struct PuddleParams {
 // A mapped view over one puddle file.
 class Puddle {
  public:
-  // Total file size for a puddle with the given heap (power of two).
+  // Total file size for a puddle formatted with the given heap (power of
+  // two).
   static size_t FileSizeFor(PuddleKind kind, size_t heap_size);
 
   // Formats a freshly created file mapping of `file_size` bytes.
@@ -132,16 +133,18 @@ class Puddle {
   puddles::Result<ObjectHeap> object_heap(LogSink sink = {}) const;
 
   // Checks the geometry every data puddle has, on an untrusted header
-  // (import, §4.6): a power-of-two heap of at least one page, a metadata
-  // region that holds its allocator state, the heap right after that region
-  // and ending at the file's end, and an object heap that attaches.
+  // (import, §4.6): a heap of one or more whole pages (Format makes a power
+  // of two, TrimHeap cuts an export's copy at a page), a metadata region
+  // that holds its allocator state, the heap right after that region and
+  // ending at the file's end, and an object heap that attaches.
   puddles::Status CheckDataGeometry() const;
 
-  // Cuts a data puddle's free heap tail (ObjectHeap::TrimFreeTail) and
-  // records the smaller heap_size and file_size in the header; meta_offset,
-  // meta_size and heap_offset stay, so no heap offset or pointer changes.
-  // The caller truncates the file to file_size() afterwards. Meant for an
-  // export's private copy, whose live extent is all an importer needs.
+  // Cuts a data puddle's heap at the first page above its highest allocated
+  // block (ObjectHeap::TrimFreeTail) and records the smaller heap_size and
+  // file_size in the header; meta_offset, meta_size and heap_offset stay,
+  // so no heap offset or pointer changes. The caller truncates the file to
+  // file_size() afterwards. Meant for an export's private copy, whose live
+  // extent is all an importer needs.
   puddles::Status TrimHeap();
 
   // Updates the persistent base-address assignment, recording the previous

@@ -132,19 +132,27 @@ TEST_F(BuddyTest, AttachRejectsWrongGeometry) {
   EXPECT_FALSE(attached.ok());
 }
 
-TEST_F(BuddyTest, TrimKeepsAHeapWithAnAllocationInItsUpperHalf) {
+// The cut lands on the first page above the highest allocated block: a
+// 256 B block at 512 KiB ends the heap at 516 KiB, and the free lower half
+// and the free blocks left of the cut inside that page stay.
+TEST_F(BuddyTest, TrimCutsAtThePageAboveTheHighestBlock) {
   auto lower = buddy_.Allocate(kHeapSize / 2);
   auto upper = buddy_.Allocate(256);
   ASSERT_TRUE(lower.ok() && upper.ok());
-  ASSERT_GE(static_cast<size_t>(*upper), kHeapSize / 2);
+  ASSERT_EQ(static_cast<size_t>(*upper), kHeapSize / 2);
   ASSERT_TRUE(buddy_.Free(*lower).ok());
   ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
-  EXPECT_EQ(buddy_.heap_size(), kHeapSize);
-  EXPECT_EQ(buddy_.free_bytes(), kHeapSize - 256);
-  EXPECT_TRUE(buddy_.Validate().ok());
+  EXPECT_EQ(buddy_.heap_size(), 528384u);  // 516 KiB.
+  EXPECT_EQ(buddy_.free_bytes(), 528384u - 256);
+  EXPECT_TRUE(buddy_.Validate().ok()) << buddy_.Validate().ToString();
+  EXPECT_TRUE(buddy_.IsAllocatedStart(*upper));
+  EXPECT_TRUE(buddy_.CanAllocate(kHeapSize / 2));
+  EXPECT_FALSE(buddy_.CanAllocate(kHeapSize / 2 + 1));
 }
 
-TEST_F(BuddyTest, TrimShrinksToTheSmallestPowerOfTwoHoldingTheHighestBlock) {
+// A block ending at 128 KiB cuts the heap there, a power of two this time:
+// the cut metadata reattaches, and frees coalesce back to one top block.
+TEST_F(BuddyTest, TrimAtAPowerOfTwoReattachesAndCoalescesToOneBlock) {
   auto small = buddy_.Allocate(256);
   auto big = buddy_.Allocate(40 << 10);  // A 64 KiB block, ending at 128 KiB.
   ASSERT_TRUE(small.ok() && big.ok());
@@ -175,13 +183,100 @@ TEST_F(BuddyTest, TrimStopsAtTheMinimumSize) {
   EXPECT_TRUE(buddy_.Validate().ok());
 }
 
-TEST_F(BuddyTest, TrimRefusesATopFreeBlockThatIsNotAloneInItsList) {
+// Blocks are aligned to their size, so only the one-granule minimum can make
+// a free block straddle the cut: an empty heap's single block keeps its
+// first page, as a free block of its own.
+TEST_F(BuddyTest, TrimSplitsTheStraddlingFreeBlockAtTheCut) {
+  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  EXPECT_EQ(buddy_.heap_size(), 4096u);
+  EXPECT_EQ(buddy_.free_bytes(), 4096u);
+  ASSERT_TRUE(buddy_.Validate().ok()) << buddy_.Validate().ToString();
+  auto whole = buddy_.Allocate(4096);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  EXPECT_EQ(*whole, 0);
+  EXPECT_FALSE(buddy_.CanAllocate(256));
+}
+
+// Three pages cut at 12 KiB: the 8 KiB block at 0 has its buddy at 8 KiB,
+// which would reach to 16 KiB, so frees next to the cut merge no further.
+TEST_F(BuddyTest, FreeNextToTheCutDoesNotCoalescePastIt) {
+  std::vector<int64_t> pages;
+  for (int i = 0; i < 3; ++i) {
+    auto page = buddy_.Allocate(4096);
+    ASSERT_TRUE(page.ok());
+    pages.push_back(*page);
+  }
+  ASSERT_EQ(pages.back(), 8192);
+  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  ASSERT_EQ(buddy_.heap_size(), 12288u);
+  ASSERT_EQ(buddy_.free_bytes(), 0u);
+  for (int64_t page : pages) {
+    ASSERT_TRUE(buddy_.Free(page).ok());
+    ASSERT_TRUE(buddy_.Validate().ok()) << buddy_.Validate().ToString();
+  }
+  EXPECT_EQ(buddy_.free_bytes(), 12288u);
+  EXPECT_FALSE(buddy_.CanAllocate(8192 + 1));
+  auto eight = buddy_.Allocate(8192);
+  auto four = buddy_.Allocate(4096);
+  ASSERT_TRUE(eight.ok() && four.ok());
+  EXPECT_EQ(*eight, 0);
+  EXPECT_EQ(*four, 8192);
+  EXPECT_FALSE(buddy_.CanAllocate(256));
+}
+
+// A heap cut at 36 KiB, not a power of two, attaches at that size,
+// validates, and allocates and frees within it.
+TEST_F(BuddyTest, CutHeapReattachesValidatesAndAllocates) {
+  // 256 B at 0 and 4, 8 and 16 KiB blocks fill their free buddies; the last
+  // 4 KiB comes from the 32 KiB block and ends at 36 KiB.
+  std::vector<int64_t> blocks;
+  for (size_t size : {256u, 4096u, 8192u, 16384u, 4096u}) {
+    auto block = buddy_.Allocate(size);
+    ASSERT_TRUE(block.ok());
+    blocks.push_back(*block);
+  }
+  ASSERT_EQ(blocks.back(), 32768);
+  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  ASSERT_EQ(buddy_.heap_size(), 36864u);
+  EXPECT_EQ(buddy_.free_bytes(), 4096u - 256);  // 256, 512, 1 KiB and 2 KiB blocks.
+
+  EXPECT_FALSE(BuddyAllocator::Attach(meta_.data(), heap_.data(), kHeapSize).ok());
+  auto cut = BuddyAllocator::Attach(meta_.data(), heap_.data(), 36864);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  ASSERT_TRUE(cut->Validate().ok()) << cut->Validate().ToString();
+  EXPECT_FALSE(cut->CanAllocate(4096));
+  auto small = cut->Allocate(2048);
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(*small, 2048);
+  ASSERT_TRUE(cut->Free(blocks[3]).ok());  // 16 KiB; its buddy at 0 is in use.
+  ASSERT_TRUE(cut->Free(blocks[4]).ok());  // Next to the cut.
+  EXPECT_EQ(cut->free_bytes(), 4096u - 256 - 2048 + 16384 + 4096);
+  ASSERT_TRUE(cut->Validate().ok()) << cut->Validate().ToString();
+  auto again = cut->Allocate(16384);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, 16384);
+  EXPECT_FALSE(cut->CanAllocate(16384));
+}
+
+// A corrupt free list fails the trim's validation: DataLoss, and the heap
+// keeps its size.
+TEST_F(BuddyTest, TrimRefusesACorruptFreeList) {
   ASSERT_TRUE(buddy_.Allocate(256).ok());
   // Corrupt the upper half's free node: it now claims a successor.
   int64_t bogus_next = 0;
   std::memcpy(heap_.data() + kHeapSize / 2, &bogus_next, sizeof(bogus_next));
   EXPECT_EQ(buddy_.TrimFreeTail(4096).code(), StatusCode::kDataLoss);
   EXPECT_EQ(buddy_.heap_size(), kHeapSize);
+  EXPECT_EQ(buddy_.free_bytes(), kHeapSize - 256);
+}
+
+// Validate bounds every block it follows, so it can vet untrusted metadata:
+// a free list naming a block past the heap's end is DataLoss.
+TEST_F(BuddyTest, ValidateRejectsAFreeBlockPastTheHeapEnd) {
+  ASSERT_TRUE(buddy_.Allocate(256).ok());
+  int64_t past_end = static_cast<int64_t>(kHeapSize);
+  std::memcpy(heap_.data() + kHeapSize / 2, &past_end, sizeof(past_end));
+  EXPECT_EQ(buddy_.Validate().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(BuddyTest, LogSinkSeesMetadataWrites) {

@@ -448,6 +448,40 @@ TEST_F(DaemonTest, RecoverySkipsSelfLinkedLogAndReplaysTheRest) {
   EXPECT_EQ(*word, old_value);
 }
 
+// A fresh root formats its registry tables over the zeros of their
+// just-created files, writing only each header: the puddle shards, the pool
+// table and the log-space table take puts, and a restart finds them all.
+TEST_F(DaemonTest, FreshRootTablesKeepTheirPutsAcrossRestart) {
+  std::vector<PuddleInfo> created;
+  for (int i = 0; i < 64; ++i) {
+    auto puddle = daemon_->CreatePuddle(PuddleKind::kData, 1 << 16, alice_);
+    ASSERT_TRUE(puddle.ok()) << puddle.status().ToString();
+    ::close(puddle->second);
+    created.push_back(puddle->first);
+  }
+  auto pool = daemon_->CreatePool("fresh", alice_);
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  MappedPuddle space = CreateMapped(*daemon_, PuddleKind::kLogSpace, alice_);
+  ASSERT_TRUE(puddles::LogSpaceView::Format(space.puddle).ok());
+  ASSERT_TRUE(daemon_->RegisterLogSpace(space.info.uuid, alice_).ok());
+  const uint64_t records = daemon_->puddle_count();
+  ASSERT_EQ(records, created.size() + 2) << "the data puddles, the pool meta, the log space";
+
+  Restart();
+  EXPECT_EQ(daemon_->puddle_count(), records);
+  for (const PuddleInfo& info : created) {
+    auto stat = daemon_->StatPuddle(info.uuid, alice_);
+    ASSERT_TRUE(stat.ok()) << stat.status().ToString();
+    EXPECT_EQ(stat->base_addr, info.base_addr);
+  }
+  auto opened = daemon_->OpenPool("fresh", alice_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->pool_uuid, pool->pool_uuid);
+  auto report = daemon_->RunRecovery();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->log_spaces_scanned, 1u);
+}
+
 TEST(DaemonAccessTest, CheckAccessBits) {
   Credentials owner{1, 1}, groupie{2, 1}, other{3, 3};
   // 0600: owner rw, nobody else.

@@ -171,7 +171,7 @@ TEST(FlushBatchTest, MergesAdjacentLinesIntoSingleFlushCalls) {
 TEST(FlushBatchTest, PublicationReportsEveryLineToTheObserver) {
   class Recorder : public PersistObserver {
    public:
-    void OnFlushRange(const void* addr, size_t size) override {
+    void OnFlushRange(const void* /*addr*/, size_t size) override {
       flushed_bytes += size;
       ++flush_ranges;
       EXPECT_EQ(fences, 0) << "all lines must be reported before the batch's fence";

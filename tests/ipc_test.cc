@@ -25,10 +25,10 @@ TEST(WireTest, RoundTripAllTypes) {
   writer.PutStatus(NotFoundError("gone"));
 
   WireReader reader(writer.bytes());
-  uint8_t u8;
-  uint16_t u16;
-  uint32_t u32;
-  uint64_t u64;
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
   Uuid uuid;
   std::string str;
   std::vector<uint8_t> bytes;

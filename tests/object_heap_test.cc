@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "src/common/align.h"
 #include "src/common/rng.h"
 
 namespace puddles {
@@ -174,10 +175,12 @@ TEST_F(ObjectHeapTest, TrimFreeTailKeepsEveryObject) {
   live.insert(*big);
   const int64_t end = heap_.OffsetOf(*big) + static_cast<int64_t>(sizeof(BigRecord) * 40);
 
+  const int64_t block_end =
+      heap_.OffsetOf(*big) + static_cast<int64_t>(heap_.CapacityOf(*big));
+  ASSERT_GE(block_end, end);
+
   ASSERT_TRUE(heap_.TrimFreeTail().ok());
-  EXPECT_LT(heap_.heap_size(), kHeapSize);
-  EXPECT_GE(static_cast<int64_t>(heap_.heap_size()), end);
-  EXPECT_LT(static_cast<int64_t>(heap_.heap_size()) / 2, end) << "not the smallest such size";
+  EXPECT_EQ(heap_.heap_size(), AlignUp(block_end, kSlabBlockSize)) << "the page above the block";
   ASSERT_TRUE(heap_.Validate().ok()) << heap_.Validate().ToString();
 
   auto reattached = ObjectHeap::Attach(meta_.data(), heap_buf_.data(), heap_.heap_size());
@@ -188,6 +191,22 @@ TEST_F(ObjectHeapTest, TrimFreeTailKeepsEveryObject) {
       [&](void* payload, const ObjectHeader&, size_t) { seen.insert(payload); });
   EXPECT_EQ(seen, live);
   EXPECT_TRUE(reattached->AllocateTyped<TestNode>().ok()) << "the trimmed heap still allocates";
+}
+
+// ValidateAllocator vets untrusted metadata (import, §4.6) before
+// ForEachObject trusts a slab header to size and count its slots.
+TEST_F(ObjectHeapTest, ValidateAllocatorRejectsASlabThatNamesNoClass) {
+  auto node = heap_.AllocateTyped<TestNode>();
+  ASSERT_TRUE(node.ok());
+  ASSERT_TRUE(heap_.ValidateAllocator().ok());
+  auto* slab = static_cast<SlabHeader*>(
+      heap_.AtOffset(AlignDown(heap_.OffsetOf(*node), kSlabBlockSize)));
+  ASSERT_EQ(slab->magic, kSlabMagic);
+  slab->class_index = kNumSlabClasses;
+  EXPECT_EQ(heap_.ValidateAllocator().code(), StatusCode::kDataLoss);
+  slab->class_index = 0;
+  slab->num_slots = 200;
+  EXPECT_EQ(heap_.ValidateAllocator().code(), StatusCode::kDataLoss);
 }
 
 TEST_F(ObjectHeapTest, ExhaustionReportsOutOfMemory) {

@@ -8,12 +8,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/alloc/buddy.h"
 #include "src/libpuddles/fault_router.h"
 #include "src/libpuddles/libpuddles.h"
 #include "src/pmem/flush.h"
@@ -478,10 +480,11 @@ void ForEachExportedPuddle(const fs::path& dir, const std::function<void(Puddle&
 }
 
 // Paper Fig. 14's shipped state, as bench/e2e's ship-list seeds it: a
-// 16,384-variable list whose allocations end near 536 KiB of a 2 MiB heap.
-// Its export carries that member with a 1 MiB heap, and the importer maps
-// and relocates the trimmed copy with every pointer intact.
-TEST_F(RelocationTest, ShipListSeedImportHasAOneMiBHeap) {
+// 16,384-variable list whose allocations end at 549,056 B of a 2 MiB heap.
+// Its export cuts that member at the next page, a 552,960 B heap behind the
+// 16 KiB header and metadata, and the importer maps and relocates the cut
+// copy with every pointer intact.
+TEST_F(RelocationTest, ShipListSeedImportIsCutAtItsLastPage) {
   using StateList = workloads::PersistentList<workloads::PuddlesAdapter>;
   constexpr uint64_t kVars = 16384;
   StateList::RegisterTypes();
@@ -507,8 +510,8 @@ TEST_F(RelocationTest, ShipListSeedImportHasAOneMiBHeap) {
   ASSERT_EQ(chain->meta.num_members(), 1u);
   auto member = daemon_->StatPuddle(chain->meta.member(0), puddled::Credentials::Self());
   ASSERT_TRUE(member.ok());
-  EXPECT_EQ(member->heap_size, 1u << 20);
-  EXPECT_EQ(member->file_size, 1u << 20 | 16u << 10) << "header page + metadata + heap";
+  EXPECT_EQ(member->heap_size, 552960u);
+  EXPECT_EQ(member->file_size, 569344u) << "header page + metadata + heap";
   auto meta_segment = daemon_->StatPuddle(import->pool.meta_puddle, puddled::Credentials::Self());
   ASSERT_TRUE(meta_segment.ok());
   EXPECT_EQ(meta_segment->file_size, 8192u) << "a one-page pool meta";
@@ -710,6 +713,33 @@ void CorruptFirstPtrMap(const fs::path& dir, const Uuid& meta_uuid) {
   });
 }
 
+// Makes a data member's free list name a block past its heap's end: the
+// lowest free block's link (FreeNode::next, its first field) points at the
+// first byte after the heap. The buddy metadata follows the object heap's
+// own fields, so it attaches at MetaSize's difference into the metadata.
+void LinkFreeListPastTheHeapEnd(const fs::path& dir) {
+  ForEachExportedPuddle(dir, [&](Puddle& puddle) {
+    if (puddle.kind() != PuddleKind::kData) {
+      return;
+    }
+    const size_t heap_size = puddle.heap_size();
+    auto* meta = reinterpret_cast<uint8_t*>(puddle.header()) + puddle.header()->meta_offset +
+                 ObjectHeap::MetaSize(heap_size) - BuddyAllocator::MetaSize(heap_size);
+    auto buddy = BuddyAllocator::Attach(meta, puddle.heap(), heap_size);
+    ASSERT_TRUE(buddy.ok()) << buddy.status().ToString();
+    int64_t free_block = 0;
+    buddy->ForEachAllocated([&](int64_t offset, size_t size) {
+      if (offset == free_block) {
+        free_block += static_cast<int64_t>(size);
+      }
+    });
+    ASSERT_LT(static_cast<size_t>(free_block), heap_size) << "the member has no free block";
+    const auto past_end = static_cast<int64_t>(heap_size);
+    std::memcpy(puddle.heap() + free_block, &past_end, sizeof(past_end));
+    pmem::FlushFence(puddle.heap() + free_block, sizeof(past_end));
+  });
+}
+
 void LinkFirstSegment(const fs::path& dir, const Uuid& meta_uuid, const Uuid& next) {
   ForEachExportedPuddle(dir, [&](Puddle& puddle) {
     if (puddle.uuid() == meta_uuid) {
@@ -749,7 +779,7 @@ TEST_P(ImportCorruptionTest, FailsWithDataLossAndLeavesNothing) {
 INSTANTIATE_TEST_SUITE_P(
     Cases, ImportCorruptionTest,
     ::testing::Values(
-        ImportCorruption{"HeapSizeNotAPowerOfTwo",
+        ImportCorruption{"HeapEndsBeforeTheFileEnd",
                          [](const fs::path& dir, const Uuid&) {
                            CorruptDataMember(dir, [](PuddleHeader* h) { h->heap_size -= 4096; });
                          }},
@@ -761,6 +791,8 @@ INSTANTIATE_TEST_SUITE_P(
                          [](const fs::path& dir, const Uuid&) {
                            CorruptDataMember(dir, [](PuddleHeader* h) { h->meta_size = 4096; });
                          }},
+        ImportCorruption{"FreeListNamesABlockPastTheHeapEnd",
+                         [](const fs::path& dir, const Uuid&) { LinkFreeListPastTheHeapEnd(dir); }},
         ImportCorruption{"SegmentLinksToItself",
                          [](const fs::path& dir, const Uuid& meta) {
                            LinkFirstSegment(dir, meta, meta);

@@ -32,7 +32,7 @@ class ReplayTest : public ::testing::Test {
 
 class IdentityResolver : public AddressResolver {
  public:
-  void* Resolve(uint64_t addr, uint32_t size) override {
+  void* Resolve(uint64_t addr, uint32_t /*size*/) override {
     return reinterpret_cast<void*>(addr);
   }
 };

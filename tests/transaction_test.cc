@@ -66,7 +66,7 @@ class TxEnv {
 
 class IdentityResolver : public AddressResolver {
  public:
-  void* Resolve(uint64_t addr, uint32_t size) override {
+  void* Resolve(uint64_t addr, uint32_t /*size*/) override {
     return reinterpret_cast<void*>(addr);
   }
 };

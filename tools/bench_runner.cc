@@ -64,6 +64,7 @@
 #include "bench/bench_env.h"
 #include "bench/bench_provenance.h"
 #include "bench/bench_util.h"
+#include "src/common/align.h"
 #include "src/crashsim/harness.h"
 #include "src/crashsim/workload_drivers.h"
 #include "src/pmem/flush.h"
@@ -375,10 +376,21 @@ void RunTable3(Runner& runner, puddles::Pool& pool, fatptr::FatPool& fat) {
   runner.PrintSpeedups("table3", "TX NOP 142 ns over 11 ns, 12.9x");
 }
 
+// The traversal list's length: bench::Scaled(200000) nodes, and never fewer
+// than the 4096 the short traversal sums.
+uint64_t Fig9Nodes() { return std::max<uint64_t>(bench::Scaled(200000), 4096); }
+
+// A baseline heap for RunFig9's longest list (the traversal's, or the
+// iters/4 nodes of insert_tail): each node takes a 32-byte slab slot, and
+// the heap holds twice that, rounded up to a power of two.
+size_t Fig9HeapBytes(uint64_t iters) {
+  return puddles::NextPowerOfTwo(2 * 32 * std::max(Fig9Nodes(), iters / 4));
+}
+
 // Paper Fig. 9 over one library's list adapter: insert at the tail, delete
-// at the head, sum a 4096-node list, then sum a list grown to
-// bench::Scaled(200000) nodes — beyond the caches, where native pointers
-// beat fat ones by the paper's 13.4x — for 10 M node visits' worth of sweeps.
+// at the head, sum a 4096-node list, then sum a list grown to Fig9Nodes()
+// nodes — beyond the caches, where native pointers beat fat ones by the
+// paper's 13.4x — for 10 M node visits' worth of sweeps.
 template <typename Adapter>
 void RunFig9(Runner& runner, Library library, Adapter adapter) {
   using List = workloads::PersistentList<Adapter>;
@@ -410,7 +422,7 @@ void RunFig9(Runner& runner, Library library, Adapter adapter) {
   }
   runner.Measure("fig9_list", library, "sum_4096_nodes", 256,
                  [&] { bench::DoNotOptimize(list.Sum()); });
-  const uint64_t nodes = std::max<uint64_t>(bench::Scaled(200000), 4096);
+  const uint64_t nodes = Fig9Nodes();
   for (uint64_t i = list.count(); i < nodes; ++i) {
     (void)list.InsertTail(i);
   }
@@ -589,7 +601,8 @@ int main(int argc, char** argv) {
       RunFig9(runner, Library::kPmdk, workloads::FatPtrAdapter(pmdk_env.pool.get()));
     }
     {
-      bench::BaselineEnv<romulus::RomulusPool> romulus_env(scratch, "romulus_fig9");
+      bench::BaselineEnv<romulus::RomulusPool> romulus_env(scratch, "romulus_fig9",
+                                                           Fig9HeapBytes(runner.iters()));
       RunFig9(runner, Library::kRomulus, workloads::RomulusAdapter(romulus_env.pool.get()));
     }
     runner.PrintSpeedups("fig9_list", "traversal 13.4x");

@@ -19,9 +19,10 @@
 //            [--ops=N] [--seed=N] [--rewrite-batch=N] [--scratch=DIR]
 //            [--verify-classes] [--json=FILE] [--log-states] [--verbose]
 //
-// For the "import" workload, --ops is the exported list's node count and
-// --rewrite-batch is the streaming rewrite's frontier batch size (smaller =
-// denser crash-state coverage of the relocation protocol).
+// For the "import" workload, --ops is the exported list's node count (its
+// exported copy must be cut at a page short of a power of two, or the set-up
+// fails) and --rewrite-batch is the streaming rewrite's frontier batch size
+// (smaller = denser crash-state coverage of the relocation protocol).
 //
 // Exit status: 0 only when every workload ran, explored at least one crash
 // state, and every explored state recovered to a legal op boundary (and, with
