@@ -9,9 +9,18 @@
 
 namespace puddles {
 
-// CRC-32C (Castagnoli). Software slice-by-8 implementation; `seed` allows
-// incremental computation over discontiguous buffers.
+// CRC-32C (Castagnoli); `seed` allows incremental computation over
+// discontiguous buffers. On x86-64 it runs the SSE4.2 `crc32` instruction
+// when cpuid reports it (checked once), and a slice-by-8 table otherwise.
+// Both give the same values, so a checksum written by either validates
+// under the other.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
+
+// The two implementations Crc32c chooses between, exposed for tests.
+// Crc32cHardware may be called only when Crc32cHardwareAvailable().
+uint32_t Crc32cTable(const void* data, size_t size, uint32_t seed = 0);
+bool Crc32cHardwareAvailable();
+uint32_t Crc32cHardware(const void* data, size_t size, uint32_t seed = 0);
 
 // 64-bit FNV-1a. Used for type identifiers and hash table mixing.
 constexpr uint64_t kFnv64OffsetBasis = 0xcbf29ce484222325ULL;

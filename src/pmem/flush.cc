@@ -183,8 +183,15 @@ void FlushBatch::Add(const void* addr, size_t size) {
   const uintptr_t end = puddles::AlignUp(reinterpret_cast<uintptr_t>(addr) + size,
                                          puddles::kCacheLineSize);
   PUDDLES_COUNT_N(kFlushLinesStaged, (end - start) / puddles::kCacheLineSize);
-  ranges_.push_back({start, end});
   staged_bytes_ += end - start;
+  // A range that overlaps or abuts the previous one extends it, so a
+  // sequential walk stages one run instead of one range per call.
+  if (!ranges_.empty() && start <= ranges_.back().second && ranges_.back().first <= end) {
+    ranges_.back().first = std::min(ranges_.back().first, start);
+    ranges_.back().second = std::max(ranges_.back().second, end);
+    return;
+  }
+  ranges_.push_back({start, end});
 }
 
 void FlushBatch::Splice(FlushBatch* from) {

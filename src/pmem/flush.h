@@ -95,7 +95,8 @@ class FlushBatch {
  public:
   // Stages every cache line overlapping [addr, addr+size). O(1): the range
   // is recorded whole (line-aligned), not expanded per line, so staging a
-  // multi-megabyte fresh range costs one entry.
+  // multi-megabyte fresh range costs one entry, and a range that overlaps or
+  // abuts the previously staged one extends it instead of adding another.
   void Add(const void* addr, size_t size);
 
   // Write-back pass: flushes each staged line exactly once — overlapping and

@@ -198,6 +198,7 @@ class LogRegion {
   bool IsValid(const LogEntryHeader& entry) const;
 
   size_t free_bytes() const { return header_->capacity - header_->next_free; }
+  uint64_t next_free() const { return header_->next_free; }
   uint32_t num_entries() const { return header_->num_entries; }
   bool empty() const { return header_->num_entries == 0; }
   uint64_t capacity() const { return header_->capacity; }

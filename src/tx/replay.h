@@ -10,7 +10,9 @@
 // RetiredByEpoch decides whether the chain replays at all, and
 // ReplayLogChain applies it. Each caller supplies only where bytes live: an
 // opener for log puddles and an AddressResolver for entry targets.
-// (Transaction abort does not replay: it applies its own in-DRAM entry list.)
+// (Transaction abort does not replay: it walks its own entries in the log
+// chain, from where its first entry landed, and applies the undo entries
+// newest-first; it needs no checksum, sequence range or resolver.)
 #ifndef SRC_TX_REPLAY_H_
 #define SRC_TX_REPLAY_H_
 

@@ -26,23 +26,24 @@ thread_local TransactionOwner tls_transaction_owner;
 
 void (*g_stage_hook)(const char* stage) = nullptr;
 
-// True iff [addr, addr+size) lies entirely inside one recorded range.
-// Linear scan, like IntersectsFreedRange below: transactions log tens of
-// ranges, and even the degenerate case costs pointer compares where the
-// pre-batching protocol paid a fence per range. If a workload ever logs
-// thousands of distinct ranges per transaction, upgrade both lists to the
-// sorted interval-table shape relocation's Translator uses.
-bool RangeCovered(const std::vector<std::pair<void*, size_t>>& ranges, const void* addr,
-                  size_t size) {
-  const uintptr_t lo = reinterpret_cast<uintptr_t>(addr);
-  const uintptr_t hi = lo + size;
-  for (const auto& [base, extent] : ranges) {
-    const uintptr_t range_lo = reinterpret_cast<uintptr_t>(base);
-    if (lo >= range_lo && hi <= range_lo + extent) {
+// True iff [lo, hi) lies entirely inside one of the transaction's fresh
+// ranges. A linear scan, like IntersectsFreedRange below: NoteFreshRange
+// merges adjacent slots, so a transaction that allocates a run of objects
+// keeps a short list. Earlier undo captures are not scanned here: the
+// capture rule checks only the fixed ring of recent captures
+// (CapturedRecently), so it costs no DRAM per capture.
+bool RangeCovered(const std::vector<std::pair<uintptr_t, uintptr_t>>& ranges, uintptr_t lo,
+                  uintptr_t hi) {
+  for (const auto& [range_lo, range_hi] : ranges) {
+    if (lo >= range_lo && hi <= range_hi) {
       return true;
     }
   }
   return false;
+}
+
+void ApplyEntry(const LogEntryHeader& entry) {
+  std::memcpy(reinterpret_cast<void*>(entry.addr), &entry + 1, entry.size);
 }
 
 }  // namespace
@@ -102,6 +103,8 @@ puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
     }
     tx->epoch_mode_ = false;
   }
+  tx->first_region_ = tx->chain_.size() - 1;
+  tx->first_offset_ = tx->chain_.back()->next_free();
   tx->target_ = target;
   tx->active_ = true;
   ++tx->epoch_;  // New transaction: invalidate stale Tx handles.
@@ -109,8 +112,34 @@ puddles::Result<Transaction*> Transaction::BeginWith(const TxTarget* target) {
   return tx;
 }
 
-const uint8_t* Transaction::EntryData(const EntryRef& ref) const {
-  return static_cast<const uint8_t*>(ref.region->base()) + ref.offset + sizeof(LogEntryHeader);
+template <typename Fn>
+void Transaction::ForEachOwnEntry(Fn&& fn) const {
+  uint64_t offset = first_offset_;
+  // Indexes, and next_free re-read per entry: epoch commit appends pre-image
+  // captures (and may grow the chain) while it walks.
+  for (size_t r = first_region_; r < chain_.size(); ++r, offset = sizeof(LogHeader)) {
+    const auto* base = static_cast<const uint8_t*>(chain_[r]->base());
+    while (offset < chain_[r]->next_free()) {
+      const auto& entry = *reinterpret_cast<const LogEntryHeader*>(base + offset);
+      if (!fn(entry)) {
+        return;
+      }
+      offset += LogRegion::EntrySpan(entry.size);
+    }
+  }
+}
+
+// Stops at the last redo entry, so epoch commit's pre-image captures, which
+// it appends while walking, are never visited.
+template <typename Fn>
+void Transaction::ForEachOwnRedoEntry(Fn&& fn) const {
+  uint64_t seen = 0;
+  if (redo_entries_ == 0) {
+    return;
+  }
+  ForEachOwnEntry([&](const LogEntryHeader& entry) {
+    return entry.seq != kRedoSeq || (fn(entry) && ++seen < redo_entries_);
+  });
 }
 
 puddles::Status Transaction::AppendEntry(uint64_t addr, const void* data, uint32_t size,
@@ -136,15 +165,18 @@ puddles::Status Transaction::AppendEntry(uint64_t addr, const void* data, uint32
   }
   RETURN_IF_ERROR(status);
   PUDDLES_COUNT_N(kLogBytes, LogRegion::EntrySpan(size));
-  EntryRef ref;
-  ref.region = region;
-  ref.offset = region->capacity() - region->free_bytes() - LogRegion::EntrySpan(size);
-  ref.addr = addr;
-  ref.size = size;
-  ref.seq = seq;
-  ref.flags = flags;
-  entries_.push_back(ref);
   return OkStatus();
+}
+
+bool Transaction::CapturedRecently(uintptr_t lo, uintptr_t hi) const {
+  const size_t held = std::min<uint64_t>(captures_, kRecentCaptures);
+  for (size_t i = 0; i < held; ++i) {
+    const auto& [capture_lo, capture_hi] = recent_captures_[i];
+    if (lo >= capture_lo && hi <= capture_hi) {
+      return true;
+    }
+  }
+  return false;
 }
 
 puddles::Status Transaction::AddUndoInternal(void* addr, size_t size, bool publish) {
@@ -161,22 +193,26 @@ puddles::Status Transaction::AddUndoInternal(void* addr, size_t size, bool publi
   // capture — abort/recovery rolls the allocation itself back and the bytes
   // become unreachable. A range inside an earlier undo capture is restored by
   // that entry; reverse replay applies the earliest (pre-transaction) capture
-  // last, so a later overlapping snapshot adds nothing.
-  // The span check skips the capture scan for a range reaching outside every
-  // capture so far, so a transaction logging a sequential walk stays linear.
+  // last, so a later overlapping snapshot adds nothing. Only the last
+  // kRecentCaptures captures are checked: a re-log of an older one appends
+  // a redundant entry, which replays before the earliest capture and so is
+  // still correct. The span check skips the ring scan for a range reaching
+  // outside every capture so far, so a sequential walk never scans.
   const uintptr_t lo = reinterpret_cast<uintptr_t>(addr);
-  if (RangeCovered(fresh_ranges_, addr, size) ||
-      (lo >= logged_lo_ && lo + size <= logged_hi_ &&
-       RangeCovered(logged_undo_ranges_, addr, size))) {
+  const uintptr_t hi = lo + size;
+  if (RangeCovered(fresh_ranges_, lo, hi) ||
+      (lo >= logged_lo_ && hi <= logged_hi_ && CapturedRecently(lo, hi))) {
     PUDDLES_COUNT(kUndoElided);
     return OkStatus();
   }
   RETURN_IF_ERROR(AppendEntry(reinterpret_cast<uint64_t>(addr), addr,
                               static_cast<uint32_t>(size), kUndoSeq, ReplayOrder::kReverse, 0));
   PUDDLES_COUNT(kUndoAppend);
-  logged_undo_ranges_.emplace_back(addr, size);
+  recent_captures_[captures_++ % kRecentCaptures] = {lo, hi};
   logged_lo_ = std::min(logged_lo_, lo);
-  logged_hi_ = std::max(logged_hi_, lo + size);
+  logged_hi_ = std::max(logged_hi_, hi);
+  // Stage 1 persists the range's new value at commit.
+  writeback_.Add(addr, size);
   if (publish) {
     // Pre-mutation ordering point: the entry (and everything else pending)
     // must be durable before the caller's first store to the range.
@@ -226,6 +262,7 @@ puddles::Status Transaction::AddVolatileUndo(void* addr, size_t size) {
 puddles::Status Transaction::RedoWrite(void* dst, const void* src, uint32_t size) {
   RETURN_IF_ERROR(AppendEntry(reinterpret_cast<uint64_t>(dst), src, size, kRedoSeq,
                               ReplayOrder::kForward, 0));
+  ++redo_entries_;
   PUDDLES_COUNT(kRedoAppend);
   return OkStatus();
 }
@@ -243,7 +280,21 @@ void Transaction::DeferOnAbort(std::function<void()> fn) {
 }
 
 void Transaction::NoteFreshRange(void* addr, size_t size) {
-  fresh_ranges_.emplace_back(addr, size);
+  writeback_.Add(addr, size);
+  const uintptr_t lo = reinterpret_cast<uintptr_t>(addr);
+  const uintptr_t hi = lo + size;
+  if (!fresh_ranges_.empty()) {
+    auto& [last_lo, last_hi] = fresh_ranges_.back();
+    if (lo == last_hi) {
+      last_hi = hi;
+      return;
+    }
+    if (hi == last_lo) {
+      last_lo = lo;
+      return;
+    }
+  }
+  fresh_ranges_.emplace_back(lo, hi);
 }
 
 void Transaction::NoteFreedRange(const void* addr, size_t size) {
@@ -295,13 +346,6 @@ puddles::Status Transaction::Commit() {
   }
 
   LogRegion* head = chain_.front();
-  bool has_redo = false;
-  for (const EntryRef& entry : entries_) {
-    if (entry.seq == kRedoSeq) {
-      has_redo = true;
-      break;
-    }
-  }
 
   // ---- Stage 1: one fence makes the pre-commit image durable (Fig. 7a). ----
   // Three kinds of lines share it: staged-but-unpublished appends (redo,
@@ -309,14 +353,10 @@ puddles::Status Transaction::Commit() {
   // batch_), every undo-logged location (whose new value must be on PM before
   // redo application starts; their entries were published pre-mutation), and
   // fresh-allocation contents (no undo entries, but nothing else flushes
-  // them). Publishing redo entries here is safe: until the (2,4) flip below
-  // they are out of sequence range at replay.
-  for (const auto& [addr, size] : logged_undo_ranges_) {
-    batch_.Add(addr, size);
-  }
-  for (const auto& [addr, size] : fresh_ranges_) {
-    batch_.Add(addr, size);
-  }
+  // them). The last two are writeback_, built as the transaction logged.
+  // Publishing redo entries here is safe: until the (2,4) flip below they
+  // are out of sequence range at replay.
+  batch_.Splice(&writeback_);
   {
     PUDDLES_SCOPED_TIMER(kFlushPublishTicks);
     batch_.FlushPending();
@@ -328,7 +368,7 @@ puddles::Status Transaction::Commit() {
   // commit point is the log retirement itself (a crash before it rolls back
   // via the still-valid undo entries, which is correct for an uncommitted
   // tx, and a crash after it finds the new values persisted by stage 1).
-  if (!has_redo) {
+  if (redo_entries_ == 0) {
     RetireLog(head);
     StageHook("reset_done");
     for (size_t i = 1; i < chain_.size(); ++i) {
@@ -344,16 +384,14 @@ puddles::Status Transaction::Commit() {
   StageHook("range_24");
 
   // ---- Stage 2: apply the redo log (Fig. 7b), one fence. ----
-  for (const EntryRef& entry : entries_) {
-    if (entry.seq != kRedoSeq) {
-      continue;
-    }
-    std::memcpy(reinterpret_cast<void*>(entry.addr), EntryData(entry), entry.size);
-    if ((entry.flags & kLogEntryVolatile) == 0) {
-      batch_.Add(reinterpret_cast<void*>(entry.addr), entry.size);
-    }
+  // Redo entries are never volatile (RedoWrite appends them), so every
+  // target is flushed.
+  ForEachOwnRedoEntry([&](const LogEntryHeader& entry) {
+    ApplyEntry(entry);
+    batch_.Add(reinterpret_cast<void*>(entry.addr), entry.size);
     StageHook("redo_applied_one");
-  }
+    return true;
+  });
   {
     PUDDLES_SCOPED_TIMER(kFlushPublishTicks);
     batch_.FlushPending();
@@ -397,17 +435,13 @@ puddles::Status Transaction::CommitEpochMode() {
   // or a crash inside the epoch could not roll the mutation back. (Immediate
   // mode avoids the capture by flipping the range to redo replay; epoch mode
   // keeps (0,2) so the dead redo entries are simply out of range at replay.)
-  const size_t appended = entries_.size();
-  bool has_redo = false;
-  for (size_t i = 0; i < appended; ++i) {
-    const EntryRef entry = entries_[i];  // Copy: AddUndo below may reallocate.
-    if (entry.seq != kRedoSeq || (entry.flags & kLogEntryVolatile) != 0) {
-      continue;
-    }
-    has_redo = true;
-    RETURN_IF_ERROR(AddUndoInternal(reinterpret_cast<void*>(entry.addr), entry.size,
-                                    /*publish=*/false));
-  }
+  puddles::Status captured = OkStatus();
+  ForEachOwnRedoEntry([&](const LogEntryHeader& entry) {
+    captured = AddUndoInternal(reinterpret_cast<void*>(entry.addr), entry.size,
+                               /*publish=*/false);
+    return captured.ok();
+  });
+  RETURN_IF_ERROR(captured);
 
   // One blocking delegated publication covers every staged-but-unpublished
   // append: redo entries, the pre-image captures above, and volatile entries.
@@ -418,29 +452,18 @@ puddles::Status Transaction::CommitEpochMode() {
 
   // Apply the redo log in place; pre-images are durable, so this is
   // crash-safe from here on. Targets only need durability by epoch close.
-  if (has_redo) {
-    for (size_t i = 0; i < appended; ++i) {
-      const EntryRef& entry = entries_[i];
-      if (entry.seq != kRedoSeq) {
-        continue;
-      }
-      std::memcpy(reinterpret_cast<void*>(entry.addr), EntryData(entry), entry.size);
-      if ((entry.flags & kLogEntryVolatile) == 0) {
-        batch_.Add(reinterpret_cast<void*>(entry.addr), entry.size);
-      }
-    }
-  }
+  ForEachOwnRedoEntry([&](const LogEntryHeader& entry) {
+    ApplyEntry(entry);
+    batch_.Add(reinterpret_cast<void*>(entry.addr), entry.size);
+    return true;
+  });
 
   // The immediate-mode stage-1 write-back set (new values of undo-logged
-  // ranges, fresh-object contents) plus the applied redo targets above are
-  // handed to the advancer without blocking: the epoch-close drain flushes
-  // them, fences once, and only then writes the retirement record.
-  for (const auto& [addr, size] : logged_undo_ranges_) {
-    batch_.Add(addr, size);
-  }
-  for (const auto& [addr, size] : fresh_ranges_) {
-    batch_.Add(addr, size);
-  }
+  // ranges, the pre-image captures above included, and fresh-object
+  // contents) plus the applied redo targets are handed to the advancer
+  // without blocking: the epoch-close drain flushes them, fences once, and
+  // only then writes the retirement record.
+  batch_.Splice(&writeback_);
   target_->epoch->StageDeferred(&batch_);
   target_->epoch->LeaveTx(chain_);
   RunPostCommitHooks();
@@ -466,21 +489,32 @@ puddles::Status Transaction::Abort() {
   return status;
 }
 
-puddles::Status Transaction::AbortImmediateMode() {
-  // Roll back by applying undo entries newest-first; volatile entries are
-  // included so DRAM state tracks the PM rollback (§4.1). Staged entries not
-  // yet published are applied too — they live in the mapped log bytes, and
-  // their restored targets are batched under the single fence below.
-  for (size_t i = entries_.size(); i-- > 0;) {
-    const EntryRef& entry = entries_[i];
-    if (entry.seq != kUndoSeq) {
-      continue;  // Redo entries were never applied; nothing to undo.
+// Applies the transaction's undo entries newest-first; volatile entries are
+// included so DRAM state tracks the PM rollback (§4.1). Staged entries not yet
+// published are applied too — they live in the mapped log bytes. Redo entries
+// were never applied, so there is nothing to undo for them. The entries are
+// gathered in a local list, freed on return, because the log links them
+// oldest-first only.
+void Transaction::RollBack() {
+  std::vector<const LogEntryHeader*> undo;
+  ForEachOwnEntry([&](const LogEntryHeader& entry) {
+    if (entry.seq == kUndoSeq) {
+      undo.push_back(&entry);
     }
-    std::memcpy(reinterpret_cast<void*>(entry.addr), EntryData(entry), entry.size);
+    return true;
+  });
+  for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
+    const LogEntryHeader& entry = **it;
+    ApplyEntry(entry);
     if ((entry.flags & kLogEntryVolatile) == 0) {
       batch_.Add(reinterpret_cast<void*>(entry.addr), entry.size);
     }
   }
+}
+
+puddles::Status Transaction::AbortImmediateMode() {
+  // The restored targets are batched under the single fence below.
+  RollBack();
   batch_.FlushPending();
   pmem::Fence();
 
@@ -506,16 +540,7 @@ puddles::Status Transaction::AbortEpochMode() {
   // middle of the epoch's log would truncate replay and hide later
   // transactions' undo entries.
   PublishStaged();
-  for (size_t i = entries_.size(); i-- > 0;) {
-    const EntryRef& entry = entries_[i];
-    if (entry.seq != kUndoSeq) {
-      continue;  // Redo entries were never applied; nothing to undo.
-    }
-    std::memcpy(reinterpret_cast<void*>(entry.addr), EntryData(entry), entry.size);
-    if ((entry.flags & kLogEntryVolatile) == 0) {
-      batch_.Add(reinterpret_cast<void*>(entry.addr), entry.size);
-    }
-  }
+  RollBack();
   target_->epoch->StageDeferred(&batch_);
   target_->epoch->LeaveTx(chain_);
   ResetState();
@@ -533,13 +558,16 @@ void Transaction::RetireLog(LogRegion* head) {
 }
 
 void Transaction::ResetState() {
-  entries_.clear();
   // Drop, never flush, still-staged lines: they may point into a log that is
   // about to be unmapped (an abandoned test transaction), and nothing that
   // was not published may linger into the next transaction's batch.
   batch_.Clear();
+  writeback_.Clear();
+  first_region_ = 0;
+  first_offset_ = 0;
+  redo_entries_ = 0;
   fresh_ranges_.clear();
-  logged_undo_ranges_.clear();
+  captures_ = 0;
   logged_lo_ = UINTPTR_MAX;
   logged_hi_ = 0;
   freed_ranges_.clear();

@@ -30,8 +30,10 @@
 #ifndef SRC_TX_TRANSACTION_H_
 #define SRC_TX_TRANSACTION_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -85,8 +87,9 @@ class Transaction {
   // pre-mutation ordering point. The append (and its fence) is elided
   // entirely when the range is already covered: inside a fresh allocation of
   // this transaction (rollback deallocates it; old bytes are meaningless) or
-  // inside an earlier undo-logged range (reverse replay restores the earlier,
-  // pre-transaction capture last).
+  // inside one of its last kRecentCaptures undo-logged ranges (reverse replay
+  // restores the earlier, pre-transaction capture last). A re-log of an older
+  // capture appends a redundant entry, which is still correct.
   puddles::Status AddUndo(void* addr, size_t size);
 
   // Deferred-publication variant for runtime-controlled callers (the
@@ -158,7 +161,6 @@ class Transaction {
   puddles::Status Abort();
 
   bool active() const { return active_; }
-  size_t entry_count() const { return entries_.size(); }
 
   // Monotonic count of Begins served by this thread's transaction object. A
   // typed `Tx` handle captures the epoch at Run-entry so a handle that
@@ -177,24 +179,29 @@ class Transaction {
   static void AbandonCurrentForTesting();
 
  private:
-  struct EntryRef {
-    LogRegion* region;
-    uint64_t offset;  // Offset of the LogEntryHeader within the region.
-    uint64_t addr;
-    uint32_t size;
-    uint32_t seq;
-    uint8_t flags;
-  };
+  // Undo captures the earlier-capture elision rule checks: the most recent
+  // ones only, so a transaction keeps no DRAM per capture.
+  static constexpr size_t kRecentCaptures = 64;
 
   Transaction() = default;
 
   puddles::Status AppendEntry(uint64_t addr, const void* data, uint32_t size, uint32_t seq,
                               ReplayOrder order, uint8_t flags);
   puddles::Status AddUndoInternal(void* addr, size_t size, bool publish);
-  const uint8_t* EntryData(const EntryRef& ref) const;
+  bool CapturedRecently(uintptr_t lo, uintptr_t hi) const;
+  // Calls `fn(const LogEntryHeader&)` on this transaction's entries (only
+  // its redo entries, for ForEachOwnRedoEntry), oldest first, in place in
+  // the log chain, until `fn` returns false.
+  template <typename Fn>
+  void ForEachOwnEntry(Fn&& fn) const;
+  template <typename Fn>
+  void ForEachOwnRedoEntry(Fn&& fn) const;
   puddles::Status CommitEpochMode();
   puddles::Status AbortImmediateMode();
   puddles::Status AbortEpochMode();
+  // Applies this transaction's undo entries newest first and stages their
+  // non-volatile targets into batch_.
+  void RollBack();
   void RunPostCommitHooks();
   void PublishStagedEpoch();
   void RetireLog(LogRegion* head);
@@ -203,15 +210,28 @@ class Transaction {
 
   const TxTarget* target_ = nullptr;  // Active target (borrowed).
   std::vector<LogRegion*> chain_;  // chain_[0] == target_->log.
-  std::vector<EntryRef> entries_;  // Append order.
+  // The log is the entry list: this transaction's entries start at
+  // chain_[first_region_] + first_offset_ and run, in append order, to the
+  // chain's tail. In epoch mode earlier transactions of the open epoch own
+  // what lies before that point.
+  size_t first_region_ = 0;
+  uint64_t first_offset_ = 0;
+  uint64_t redo_entries_ = 0;
   // Staged-but-unpublished log lines (entries + headers); per-thread because
   // the transaction itself is. Drained by PublishStaged() / commit stage 1.
   pmem::FlushBatch batch_;
-  std::vector<std::pair<void*, size_t>> fresh_ranges_;  // Flushed at commit stage 1.
-  // Non-volatile undo-logged target ranges, for coverage elision and the
-  // stage-1 target write-back.
-  std::vector<std::pair<void*, size_t>> logged_undo_ranges_;
-  uintptr_t logged_lo_ = UINTPTR_MAX;  // Span of logged_undo_ranges_.
+  // Commit stage 1's write-back set, built as the transaction logs: every
+  // non-volatile undo capture's target and every fresh range. Adjacent
+  // ranges extend one run, so a sequential walk stays a few runs long.
+  pmem::FlushBatch writeback_;
+  // Fresh allocations, for coverage elision; adjacent slots share one range.
+  std::vector<std::pair<uintptr_t, uintptr_t>> fresh_ranges_;
+  // The last kRecentCaptures non-volatile undo captures as [lo, hi), a ring
+  // indexed by captures_ (the transaction's capture count), and the span of
+  // every capture so far.
+  std::array<std::pair<uintptr_t, uintptr_t>, kRecentCaptures> recent_captures_{};
+  uint64_t captures_ = 0;
+  uintptr_t logged_lo_ = UINTPTR_MAX;
   uintptr_t logged_hi_ = 0;
   std::vector<std::pair<const void*, size_t>> freed_ranges_;  // Rejected from logging.
   std::vector<std::function<puddles::Status()>> deferred_frees_;

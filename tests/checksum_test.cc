@@ -58,6 +58,28 @@ TEST(Crc32cTest, UnalignedInputsAgree) {
   EXPECT_EQ(Crc32c(copy.data(), 256), expected);
 }
 
+// The SSE4.2 path and the table path must agree byte for byte: log entries
+// and pmhash slots written by either validate under the other.
+TEST(Crc32cTest, HardwareMatchesTable) {
+  if (!Crc32cHardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  std::vector<uint8_t> buffer(256 + 8);
+  for (size_t i = 0; i < buffer.size(); ++i) {
+    buffer[i] = static_cast<uint8_t>(i * 131 + 17);
+  }
+  for (uint32_t seed : {0u, 1u, 0xe3069283u, 0xffffffffu}) {
+    for (size_t start = 0; start < 8; ++start) {
+      for (size_t length = 0; length <= 256; ++length) {
+        const uint8_t* p = buffer.data() + start;
+        ASSERT_EQ(Crc32cHardware(p, length, seed), Crc32cTable(p, length, seed))
+            << "seed " << seed << " start " << start << " length " << length;
+      }
+    }
+  }
+  EXPECT_EQ(Crc32cHardware("123456789", 9), 0xe3069283u);
+}
+
 TEST(Fnv1a64Test, KnownVectors) {
   EXPECT_EQ(Fnv1a64("", 0), kFnv64OffsetBasis);
   EXPECT_EQ(Fnv1a64("a", 1), 0xaf63dc4c8601ec8cULL);

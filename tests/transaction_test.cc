@@ -5,7 +5,9 @@
 #include "src/tx/transaction.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
@@ -14,6 +16,7 @@
 #include "src/common/rng.h"
 #include "src/crashsim/state_enumerator.h"
 #include "src/crashsim/trace.h"
+#include "src/tx/epoch_port.h"
 #include "src/tx/replay.h"
 
 namespace puddles {
@@ -44,6 +47,7 @@ class TxEnv {
   TxEnv& operator=(const TxEnv&) = delete;
 
   puddles::Result<Transaction*> BeginTx() { return Transaction::BeginWith(&target_); }
+  void set_epoch(EpochPort* port) { target_.epoch = port; }
 
   LogRegion& log() { return log_; }
   std::vector<LogRegion> Chain() {
@@ -369,6 +373,160 @@ TEST_F(TransactionTest, DoubleCommitRejected) {
   EXPECT_EQ((*tx)->Commit().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ((*tx)->Abort().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(slot, 2u);
+}
+
+// ---- What a transaction keeps in DRAM: its entries live only in the log. ----
+
+// Heap bytes in use, as mallinfo2 reports them.
+int64_t HeapInUse() {
+  const struct mallinfo2 info = ::mallinfo2();
+  return static_cast<int64_t>(info.uordblks + info.hblkhd);
+}
+
+// False where mallinfo2 does not see the allocator (ASan and TSan replace it).
+bool MallinfoSeesHeap() {
+  const int64_t before = HeapInUse();
+  void* volatile probe = std::malloc(1 << 16);
+  const bool seen = HeapInUse() - before >= (1 << 16);
+  std::free(probe);
+  return seen;
+}
+
+// Fig. 14's sensor update: one transaction undo-logs the value field of
+// 16,384 list nodes. Committed, and then run again and aborted, it leaves no
+// heap behind that grows with the fields it logged.
+TEST_F(TransactionTest, SixteenThousandFieldTransactionKeepsNoHeap) {
+  if (!MallinfoSeesHeap()) {
+    GTEST_SKIP() << "mallinfo2 does not see this allocator";
+  }
+  struct Node {
+    Node* next;
+    uint64_t value;
+    uint64_t pad[2];  // A 32-byte list node.
+  };
+  constexpr size_t kFields = 16384;
+  std::vector<Node> nodes(kFields);
+  for (size_t i = 0; i < kFields; ++i) {
+    nodes[i].value = i;
+  }
+  TxEnv env(1 << 20);  // Holds every entry: no chained region is allocated.
+  for (const bool commit : {true, false}) {
+    const int64_t before = HeapInUse();
+    auto tx = env.BeginTx();
+    ASSERT_TRUE(tx.ok());
+    for (Node& node : nodes) {
+      ASSERT_TRUE((*tx)->AddUndo(&node.value, sizeof(node.value)).ok());
+      node.value += 1;
+    }
+    ASSERT_TRUE(commit ? (*tx)->Commit().ok() : (*tx)->Abort().ok());
+    EXPECT_LT(HeapInUse() - before, 64 * 1024)
+        << (commit ? "commit" : "abort") << " kept heap per logged field";
+  }
+  for (size_t i = 0; i < kFields; ++i) {
+    ASSERT_EQ(nodes[i].value, i + 1) << "node " << i;
+  }
+}
+
+// Abort walks the transaction's entries through every region of a chained
+// log, newest first.
+TEST_F(TransactionTest, AbortRestoresEntriesAcrossThreeLogRegions) {
+  TxEnv env(256 * 1024);
+  std::vector<uint64_t> fields(20000);
+  for (size_t i = 0; i < fields.size(); ++i) {
+    fields[i] = i;
+  }
+  auto tx = env.BeginTx();
+  ASSERT_TRUE(tx.ok());
+  for (size_t i = 0; i < fields.size(); ++i) {
+    ASSERT_TRUE((*tx)->AddUndo(&fields[i], sizeof(fields[i])).ok());
+    fields[i] = ~i;
+  }
+  ASSERT_EQ(env.Chain().size(), 3u) << "the entries must span three 256 KiB regions";
+  ASSERT_TRUE((*tx)->Abort().ok());
+  size_t wrong = 0;
+  for (size_t i = 0; i < fields.size(); ++i) {
+    wrong += fields[i] != i;
+  }
+  EXPECT_EQ(wrong, 0u) << "fields not restored";
+  EXPECT_EQ(env.released(), 2);
+}
+
+// A stand-in for the epoch advancer: a publication flushes and fences at
+// once, and the log keeps every transaction's entries, as in an open epoch.
+class InlineEpochPort : public EpochPort {
+ public:
+  puddles::Status JoinTx(LogRegion*, std::vector<LogRegion*>* chain) override {
+    chain->insert(chain->end(), tail_.begin(), tail_.end());
+    return OkStatus();
+  }
+  void Publish(pmem::FlushBatch* batch) override {
+    batch->FlushPending();
+    pmem::Fence();
+  }
+  void StageDeferred(pmem::FlushBatch* batch) override { batch->FlushPending(); }
+  void LeaveTx(const std::vector<LogRegion*>& chain) override {
+    tail_.assign(chain.begin() + 1, chain.end());
+  }
+  puddles::Status Quiesce(LogRegion*) override { return OkStatus(); }
+
+ private:
+  std::vector<LogRegion*> tail_;
+};
+
+// In an open epoch the log still holds the entries of the epoch's earlier
+// transactions. A later transaction's abort, and its Set, must apply only
+// its own entries.
+TEST_F(TransactionTest, EpochTransactionsTouchOnlyTheirOwnEntries) {
+  TxEnv env;
+  InlineEpochPort port;
+  env.set_epoch(&port);
+  alignas(64) static uint64_t a, b, x, c;
+  a = 1;
+  b = 2;
+  x = 0;
+  c = 3;
+
+  auto tx = env.BeginTx();  // Commits: an undo entry for a, a redo for x.
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE((*tx)->AddUndo(&a, sizeof(a)).ok());
+  a = 10;
+  ASSERT_TRUE((*tx)->RedoSet(&x, uint64_t{5}).ok());
+  ASSERT_TRUE((*tx)->Commit().ok());
+  ASSERT_EQ(x, 5u);
+
+  tx = env.BeginTx();  // Aborts: only b rolls back.
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE((*tx)->AddUndo(&b, sizeof(b)).ok());
+  b = 20;
+  ASSERT_TRUE((*tx)->AddUndo(&x, sizeof(x)).ok());
+  x = 6;
+  ASSERT_TRUE((*tx)->Abort().ok());
+  EXPECT_EQ(b, 2u);
+  EXPECT_EQ(x, 5u);
+  EXPECT_EQ(a, 10u) << "abort applied an earlier transaction's undo entry";
+
+  tx = env.BeginTx();  // Commits after changing x in place.
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE((*tx)->AddUndo(&x, sizeof(x)).ok());
+  x = 7;
+  ASSERT_TRUE((*tx)->Commit().ok());
+
+  tx = env.BeginTx();  // Uses Set: only its own redo entry applies.
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE((*tx)->RedoSet(&c, uint64_t{30}).ok());
+  ASSERT_TRUE((*tx)->Commit().ok());
+  EXPECT_EQ(c, 30u);
+  EXPECT_EQ(x, 7u) << "commit re-applied an earlier transaction's redo entry";
+  EXPECT_EQ(a, 10u);
+  EXPECT_EQ(b, 2u);
+
+  tx = env.BeginTx();  // Uses Set, then aborts: nothing changes.
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE((*tx)->RedoSet(&c, uint64_t{40}).ok());
+  ASSERT_TRUE((*tx)->Abort().ok());
+  EXPECT_EQ(c, 30u);
+  EXPECT_EQ(x, 7u);
+  EXPECT_EQ(a, 10u);
 }
 
 // ---- Crash injection over every crash state of a commit (paper §5.1). ----

@@ -15,7 +15,9 @@ its last stdout line: its top-level numbers and the numbers under "metrics"
 come.
 
 For each metric it prints the base and change medians, the base and change
-interquartile ranges, the pairs the change won and a verdict. "worse" when
+interquartile ranges, the pairs the change won and a verdict. An end-to-end
+metric whose medians differ by less than its BENCHMARK.json `bound` times
+the base median reads "within bound". Otherwise the verdict is "worse" when
 the medians differ against the change by more than the base IQR; "better"
 when they differ for it by more than the base IQR and the change also won at
 least 9 in 10 of the pairs; "unresolved" otherwise. Higher is better for
@@ -29,7 +31,9 @@ Example, one bench/e2e workload:
 
 --self-test checks the verdicts on synthetic samples, including the bimodal
 setup_s spread bench/e2e's kv-churn shows (two clusters near 0.35 s and
-0.6 s) and a median gain won in too few pairs, which must read "unresolved".
+0.6 s), a median gain won in too few pairs, which must read "unresolved",
+and a move far inside its bound but past a tiny base IQR, which must read
+"within bound".
 """
 import argparse
 import json
@@ -51,15 +55,18 @@ def quartiles(values):
     return q1, median, q3
 
 
-def compare(base, change, higher_better):
-    """Verdict row for one metric from its paired samples."""
+def compare(base, change, higher_better, bound=None):
+    """Verdict row for one metric from its paired samples; `bound` is the
+    end-to-end metric's relative bound, or None."""
     b1, b_median, b3 = quartiles(base)
     c1, c_median, c3 = quartiles(change)
     sign = 1 if higher_better else -1
     pairs = min(len(base), len(change))
     won = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
     delta = sign * (c_median - b_median)
-    if delta < -(b3 - b1):
+    if bound is not None and abs(c_median - b_median) < bound * abs(b_median):
+        verdict = "within bound"
+    elif delta < -(b3 - b1):
         verdict = "worse"
     elif delta > b3 - b1 and 10 * won >= 9 * pairs:
         verdict = "better"
@@ -123,15 +130,21 @@ def run_metrics(command, cwd):
     return numbers
 
 
-def higher_better_names(tree):
+def metric_specs(tree):
+    """(names where higher is better, {end-to-end name: bound}) from
+    BENCHMARK.json."""
     names = {"attempted"}
+    bounds = {}
     spec = tree / "BENCHMARK.json"
     if spec.exists():
         doc = json.loads(spec.read_text())
         for metric in doc.get("end_to_end", []) + doc.get("per_layer", []):
             if metric.get("better") == "higher":
                 names.add(metric["name"])
-    return names
+        for metric in doc.get("end_to_end", []):
+            if "bound" in metric:
+                bounds[metric["name"]] = metric["bound"]
+    return names, bounds
 
 
 def self_test():
@@ -149,11 +162,17 @@ def self_test():
          [0.90, 0.91, 0.89, 0.90, 1.05, 1.06, 0.90, 1.04, 0.91, 0.90], False, "unresolved"),
         ("tight throughput loss", [500, 505, 495, 502, 498, 500, 503, 497, 501, 499],
          [450, 452, 448, 451, 449, 450, 453, 447, 450, 451], True, "worse"),
+        # kv-a dram_mib over 3 pairs: +0.008% against a 3% bound, but past
+        # the base IQR of 0.0003 MiB.
+        ("dram_mib inside its bound", [5.1335, 5.1338, 5.1341], [5.1341, 5.1342, 5.1343],
+         False, "within bound", 0.03),
+        ("dram_mib past its bound", [5.1335, 5.1338, 5.1341], [5.40, 5.41, 5.42],
+         False, "worse", 0.03),
     ]
     failures = 0
     rows = []
-    for name, base, change, higher, expected in cases:
-        row = compare(base, change, higher)
+    for name, base, change, higher, expected, *bound in cases:
+        row = compare(base, change, higher, *bound)
         rows.append((name, row))
         if row["verdict"] != expected:
             print(f"ab.py self-test: {name}: {row['verdict']}, expected {expected}")
@@ -196,13 +215,13 @@ def main():
     if not samples["base"]:
         sys.exit("ab.py: no pair completed")
 
-    higher = higher_better_names(trees["change"])
+    higher, bounds = metric_specs(trees["change"])
     names = sorted(set(samples["base"][0]) & set(samples["change"][0]))
     rows = []
     for name in names:
         base = [run[name] for run in samples["base"]]
         change = [run[name] for run in samples["change"]]
-        rows.append((name, compare(base, change, name in higher)))
+        rows.append((name, compare(base, change, name in higher, bounds.get(name))))
     print_table(rows)
     return 0
 

@@ -19,6 +19,12 @@
 // pass over the same op (per-op rdtsc reads into a stats::Histogram) so the
 // mean above stays uncontaminated by clock reads.
 //
+// One more Puddles row, tx_log_16384_fields, records Fig. 14's sensor update
+// (bench/e2e ship-list's set-up): one transaction that undo-logs the `value`
+// field of 16,384 list nodes. Its op is one logged field, and it also carries
+// retained_heap_bytes, the heap in use (mallinfo2) that the thread's first
+// such transaction leaves behind.
+//
 // After each section it prints one ratio line: Puddles over PMDK-like
 // (PMDK-like ns / Puddles ns) for every row both libraries ran, next to the
 // paper's figure.
@@ -50,6 +56,7 @@
 //                     [--daemon-bench=PATH] [--daemon-out=BENCH_daemon.json]
 //                     [--epoch-bench=PATH] [--epoch-out=BENCH_epoch.json]
 //                     [--alloc-bench=PATH] [--alloc-out=BENCH_alloc.json]
+#include <malloc.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -104,6 +111,8 @@ struct Row {
   bool has_steady = false;
   uint64_t stray_fences = 0;
   double fences_per_op_steady = 0;
+  // Heap in use left behind by the op's first run; -1 when not measured.
+  int64_t retained_heap_bytes = -1;
 };
 
 // Counts fences on the real persistence instruction stream — deliberately
@@ -141,9 +150,13 @@ class Runner {
   // row: every op that runs no allocator slow path must cost exactly
   // expected_steady_fences, and the slow-path ops' excess is reported as
   // strays.
+  //
+  // `units_per_call > 1` makes each call of `op` that many ops: ns, latency
+  // and fences are reported per unit.
   template <typename Op>
   void Measure(const std::string& section, Library library, const std::string& name,
-               uint64_t iterations, Op&& op, int expected_steady_fences = -1) {
+               uint64_t iterations, Op&& op, int expected_steady_fences = -1,
+               uint64_t units_per_call = 1) {
     if (iterations == 0) {
       iterations = 1;  // Tiny --iters values must not divide by zero (inf/nan JSON).
     }
@@ -224,12 +237,23 @@ class Runner {
     }
     row.p50_ns = puddles::stats::TicksToNanos(latency.p50());
     row.p99_ns = puddles::stats::TicksToNanos(latency.p99());
+    row.iterations *= units_per_call;
+    row.ns_per_op /= static_cast<double>(units_per_call);
+    row.fences_per_op /= static_cast<double>(units_per_call);
+    row.p50_ns /= units_per_call;
+    row.p99_ns /= units_per_call;
 
     rows_.push_back(row);
     std::printf("  %-8s %-22s %10.0f ns/op   p50 %8" PRIu64 "  p99 %8" PRIu64
                 "   %6.2f fences/op   (%" PRIu64 " iters)\n",
                 LibraryName(library), name.c_str(), row.ns_per_op, row.p50_ns, row.p99_ns,
-                row.fences_per_op, iterations);
+                row.fences_per_op, row.iterations);
+  }
+
+  void SetRetainedHeap(int64_t bytes) {
+    rows_.back().retained_heap_bytes = bytes;
+    std::printf("  %-8s %-22s %10" PRId64 " heap bytes retained by its first run\n",
+                LibraryName(rows_.back().library), rows_.back().name.c_str(), bytes);
   }
 
   // The section's ratio line: Puddles over PMDK-like (PMDK-like ns over
@@ -374,6 +398,56 @@ void RunTable3(Runner& runner, puddles::Pool& pool, fatptr::FatPool& fat) {
     }
   });
   runner.PrintSpeedups("table3", "TX NOP 142 ns over 11 ns, 12.9x");
+}
+
+int64_t HeapInUseBytes() {
+  const struct mallinfo2 info = ::mallinfo2();
+  return static_cast<int64_t>(info.uordblks + info.hblkhd);
+}
+
+// Fig. 14's sensor update: one transaction undo-logs the `value` field of
+// every node of a 16,384-node list and adds to it. The first run is the
+// thread's first transaction of that size, so the heap it leaves behind is
+// what a transaction keeps per logged field.
+void RunSensorUpdate(Runner& runner, puddles::Pool& pool) {
+  std::printf("fig14 sensor update:\n");
+  constexpr uint64_t kFields = 16384;
+  struct SensorNode {
+    SensorNode* next;
+    uint64_t value;
+  };
+  SensorNode* head = nullptr;
+  puddles::Status built = pool.Run([&](puddles::Tx& tx) -> puddles::Status {
+    SensorNode* tail = nullptr;
+    for (uint64_t i = 0; i < kFields; ++i) {
+      ASSIGN_OR_RETURN(void* raw, tx.AllocBytes(sizeof(SensorNode), puddles::kRawBytesTypeId));
+      auto* node = static_cast<SensorNode*>(raw);  // Fresh: plain stores.
+      node->next = nullptr;
+      node->value = i;
+      (tail == nullptr ? head : tail->next) = node;
+      tail = node;
+    }
+    return puddles::OkStatus();
+  });
+  if (!built.ok()) {
+    std::fprintf(stderr, "sensor list allocation failed: %s\n", built.ToString().c_str());
+    std::abort();
+  }
+  auto update = [&] {
+    (void)pool.Run([&](puddles::Tx& tx) -> puddles::Status {
+      for (SensorNode* node = head; node != nullptr; node = node->next) {
+        RETURN_IF_ERROR(tx.LogField(node, &SensorNode::value));
+        node->value += 1;
+      }
+      return puddles::OkStatus();
+    });
+  };
+  const int64_t heap_before = HeapInUseBytes();
+  update();
+  const int64_t retained = HeapInUseBytes() - heap_before;
+  runner.Measure("fig14_sensor", Library::kPuddles, "tx_log_16384_fields",
+                 std::max<uint64_t>(4, runner.iters() / 1000), update, -1, kFields);
+  runner.SetRetainedHeap(retained);
 }
 
 // The traversal list's length: bench::Scaled(200000) nodes, and never fewer
@@ -531,6 +605,9 @@ bool WriteJson(const Runner& runner, const std::string& path) {
                    ", \"fences_per_op_steady\": %.3f, \"stray_slab_fences\": %" PRIu64,
                    rows[i].fences_per_op_steady, rows[i].stray_fences);
     }
+    if (rows[i].retained_heap_bytes >= 0) {
+      std::fprintf(out, ", \"retained_heap_bytes\": %" PRId64, rows[i].retained_heap_bytes);
+    }
     std::fprintf(out, ", \"iterations\": %" PRIu64 "}%s\n", rows[i].iterations,
                  i + 1 < rows.size() ? "," : "");
   }
@@ -606,6 +683,7 @@ int main(int argc, char** argv) {
       RunFig9(runner, Library::kRomulus, workloads::RomulusAdapter(romulus_env.pool.get()));
     }
     runner.PrintSpeedups("fig9_list", "traversal 13.4x");
+    RunSensorUpdate(runner, *puddles_env.pool);
   }
   const bool wrote = WriteJson(runner, out_path);
   std::filesystem::remove_all(scratch);
