@@ -215,7 +215,7 @@ puddles::Status BuddyAllocator::Free(int64_t offset) {
     offset = start_offset;
     while (order + 1 < header_->num_orders) {
       int64_t buddy = offset ^ static_cast<int64_t>(OrderSize(order));
-      // A cut heap (TrimFreeTail) ends at a page, not at a top-order block:
+      // A cut heap (CutAt) ends at a page, not at a top-order block:
       // never merge with a buddy that would reach past its end.
       if (static_cast<size_t>(buddy) + OrderSize(order) > heap_size_) {
         break;
@@ -286,43 +286,58 @@ void BuddyAllocator::ForEachAllocated(const std::function<void(int64_t, size_t)>
   }
 }
 
-puddles::Status BuddyAllocator::TrimFreeTail(size_t granule) {
-  // The walk below follows block orders and free-list links: trim only a
-  // heap whose metadata holds together.
+puddles::Result<size_t> BuddyAllocator::TailCut(size_t granule) const {
+  // ForEachAllocated follows block orders: walk only a heap whose metadata
+  // holds together.
   RETURN_IF_ERROR(Validate());
   size_t used_end = 0;
   ForEachAllocated([&](int64_t offset, size_t size) { used_end = offset + size; });
-  const size_t cut = std::max<size_t>(AlignUp(used_end, granule), granule);
-  if (cut >= heap_size_) {
-    return OkStatus();
+  return std::min(std::max<size_t>(AlignUp(used_end, granule), granule), heap_size_);
+}
+
+puddles::Status BuddyAllocator::CutAt(size_t cut) {
+  if (cut < kMinBlockSize || cut % kMinBlockSize != 0 || cut > heap_size_) {
+    return InvalidArgumentError("buddy cut: not a block boundary inside the heap");
   }
-  // Every free block that reaches past the cut leaves its list. Below the
-  // cut, the one that straddles it returns as its binary pieces, largest
-  // first: each piece is aligned to its size, since the block was aligned to
-  // a larger one.
-  for (size_t i = 0; i < NumBlocks();) {
-    const auto offset = static_cast<int64_t>(i << kMinBlockLog2);
+  // One walk over the blocks that start below the cut, in address order,
+  // pushes every free one back, so each list ends at its lowest block. Of a
+  // free block that straddles the cut only its binary pieces below it
+  // return, largest first: each piece is aligned to its size, since the
+  // block was aligned to a larger one.
+  const uint32_t num_orders = header_->num_orders;
+  for (int64_t& head : header_->free_head) {
+    head = -1;
+  }
+  uint64_t free_bytes = 0;
+  for (size_t i = 0; i < (cut >> kMinBlockLog2);) {
+    const auto offset = static_cast<size_t>(i << kMinBlockLog2);
     const bool is_free = state_[i] == kStateFreeStart;
-    const uint32_t order = is_free ? NodeAt(offset)->order : state_[i];
+    const uint32_t order = is_free ? NodeAt(static_cast<int64_t>(offset))->order : state_[i];
+    if (state_[i] == kStateInterior || order >= num_orders) {
+      return DataLossError("buddy cut: no block starts at a block boundary");
+    }
     const size_t size = OrderSize(order);
     i += size >> kMinBlockLog2;
-    if (!is_free || offset + size <= cut) {
+    if (!is_free) {
+      if (offset + size > cut) {
+        return DataLossError("buddy cut: an allocated block crosses the cut");
+      }
       continue;
     }
-    RemoveFree(offset, order, Phase::kApply);
-    header_->free_bytes -= size;
-    for (auto piece = static_cast<size_t>(offset); piece < cut;) {
-      const auto piece_order = static_cast<uint32_t>(Log2Floor(cut - piece)) - kMinBlockLog2;
-      state_[BlockIndex(piece)] = kStateFreeStart;
-      PushFree(piece, piece_order, Phase::kApply);
-      header_->free_bytes += OrderSize(piece_order);
+    const size_t end = std::min(offset + size, cut);
+    for (size_t piece = offset; piece < end;) {
+      const auto piece_order = static_cast<uint32_t>(Log2Floor(end - piece)) - kMinBlockLog2;
+      state_[BlockIndex(static_cast<int64_t>(piece))] = kStateFreeStart;
+      PushFree(static_cast<int64_t>(piece), piece_order, Phase::kApply);
+      free_bytes += OrderSize(piece_order);
       piece += OrderSize(piece_order);
     }
   }
+  header_->free_bytes = free_bytes;
   heap_size_ = cut;
   header_->heap_size = cut;
   header_->num_orders = NumOrdersFor(cut);
-  return OkStatus();
+  return Validate();
 }
 
 puddles::Status BuddyAllocator::Validate() const {

@@ -1,8 +1,8 @@
 // Per-puddle buddy allocator (paper §4.5: "Large allocations are allocated
 // from a per-puddle buddy allocator").
 //
-// Format makes a power-of-two heap; TrimFreeTail may later cut an export's
-// copy to any multiple of a page. All of its state lives in two
+// Format makes a power-of-two heap; CutAt may later cut an export's copy to
+// any multiple of a page. All of its state lives in two
 // caller-provided regions so it can be placed on persistent memory inside a
 // puddle's header:
 //   * a metadata region (BuddyHeader + one state byte per 256 B min-block),
@@ -77,14 +77,22 @@ class BuddyAllocator {
   // Invokes `fn(offset, size)` for every allocated block, in address order.
   void ForEachAllocated(const std::function<void(int64_t, size_t)>& fn) const;
 
-  // Cuts the heap at the first multiple of `granule` (a power of two >= 256)
-  // above its highest allocated block, and never below one granule: every
-  // free block past the cut leaves its free list and the byte count, the
-  // one that straddles the cut keeps its pieces below it, and heap_size and
-  // the order count shrink. No block moves, so every offset stays valid.
-  // The stores are neither logged nor flushed: callers trim a private copy
-  // (an export). DataLoss, with nothing changed, when Validate fails.
-  puddles::Status TrimFreeTail(size_t granule);
+  // Where an export cuts the heap: the first multiple of `granule` (a power
+  // of two >= 256) above the highest allocated block, never below one
+  // granule and never above heap_size. Reads only, after Validate (DataLoss,
+  // with nothing changed, when it fails), so an export can size its copy
+  // from the live heap.
+  puddles::Result<size_t> TailCut(size_t granule) const;
+
+  // Cuts the heap at `cut`, a multiple of 256 that no allocated block
+  // crosses: the free lists are rebuilt from the free blocks below it (each
+  // list ends at its lowest block), the one that straddles the cut keeps its
+  // pieces below it, and heap_size and the order count shrink. No block
+  // moves, so every offset stays valid. Nothing at or past the cut is read
+  // or written, so it also cuts a copy of just the bytes below it. The
+  // stores are neither logged nor flushed: callers cut a private copy (an
+  // export). Validates the cut heap; on any error the heap is left unusable.
+  puddles::Status CutAt(size_t cut);
 
   // Exhaustive invariant check (free lists ↔ state bytes ↔ byte accounting),
   // safe on untrusted metadata: every block it follows is bounds-checked.

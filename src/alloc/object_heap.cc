@@ -33,11 +33,15 @@ puddles::Result<ObjectHeap> ObjectHeap::Attach(void* meta, void* heap, size_t he
   return ObjectHeap(m, std::move(buddy), sink);
 }
 
-puddles::Status ObjectHeap::TrimFreeTail() {
-  // A slab block is also the page size, so a trimmed puddle file stays a
-  // whole number of pages for MapFileAt.
-  RETURN_IF_ERROR(buddy_.TrimFreeTail(kSlabBlockSize));
-  meta_->heap_size = buddy_.heap_size();
+puddles::Result<size_t> ObjectHeap::TailCut() const {
+  // A slab block is also the page size, so a cut puddle file stays a whole
+  // number of pages for MapFileAt.
+  return buddy_.TailCut(kSlabBlockSize);
+}
+
+puddles::Status ObjectHeap::CutAt(size_t heap_size) {
+  RETURN_IF_ERROR(buddy_.CutAt(heap_size));
+  meta_->heap_size = heap_size;
   return OkStatus();
 }
 

@@ -87,11 +87,15 @@ class ObjectHeap {
   size_t heap_size() const { return buddy_.heap_size(); }
   void* heap_base() const { return buddy_.heap(); }
 
-  // Cuts the heap at the first slab block (page) boundary above its highest
-  // allocated block (BuddyAllocator::TrimFreeTail), never below one slab
-  // block, and records the new size in the metadata. Unlogged: for a private
-  // copy only (Daemon::ExportPool).
-  puddles::Status TrimFreeTail();
+  // Where an export cuts the heap: the first slab block (page) boundary
+  // above its highest allocated block, never below one slab block
+  // (BuddyAllocator::TailCut). Reads only.
+  puddles::Result<size_t> TailCut() const;
+
+  // Cuts the heap at `heap_size`, a TailCut of the same heap bytes
+  // (BuddyAllocator::CutAt), and records the new size in the metadata.
+  // Unlogged: for a private copy only (Daemon::ExportPool).
+  puddles::Status CutAt(size_t heap_size);
 
   // ---- Per-thread arena support (src/alloc/arena.h, docs/alloc.md) ----
 

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/sendfile.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -69,6 +70,22 @@ puddles::Status GetUuidList(puddles::WireReader* reader, std::vector<Uuid>* out)
   out->resize(count);
   for (Uuid& uuid : *out) {
     RETURN_IF_ERROR(reader->GetUuid(&uuid));
+  }
+  return puddles::OkStatus();
+}
+
+// Copies the first `bytes` of `from` to the same offsets of `to`, a fresh
+// file (its offset starts at 0), without leaving the kernel.
+puddles::Status CopyPrefix(int from, int to, size_t bytes) {
+  off_t offset = 0;
+  while (static_cast<size_t>(offset) < bytes) {
+    const ssize_t n = ::sendfile(to, from, &offset, bytes - static_cast<size_t>(offset));
+    if (n < 0 && errno != EINTR) {
+      return puddles::ErrnoError("copy exported puddle", errno);
+    }
+    if (n == 0) {
+      return puddles::IoError("copy exported puddle: file shorter than its heap");
+    }
   }
   return puddles::OkStatus();
 }
@@ -770,27 +787,42 @@ puddles::Status Daemon::ExportPool(const std::string& pool_name, const std::stri
 
   // Copy files byte-for-byte: "Exporting pools in Puddles does not require
   // any serialization and exports the raw in-memory data structures."
-  auto copy_puddle = [&](const Uuid& uuid) -> puddles::Result<fs::path> {
-    fs::path dest = fs::path(dest_dir) / (uuid.ToString() + ".pud");
-    fs::copy_file(PuddlePath(uuid), dest, fs::copy_options::overwrite_existing, ec);
+  auto copy_puddle = [&](const Uuid& uuid) -> puddles::Status {
+    fs::copy_file(PuddlePath(uuid), fs::path(dest_dir) / (uuid.ToString() + ".pud"),
+                  fs::copy_options::overwrite_existing, ec);
     if (ec) {
       return puddles::IoError("copy puddle: " + ec.message());
     }
-    return dest;
+    return puddles::OkStatus();
   };
-  // A data member ships only its live extent: the copy's heap is cut at the
-  // first page above its highest allocated block (Puddle::TrimHeap),
-  // decided from the copy's own metadata, and the file is cut to match.
-  // Offsets and pointers are unchanged.
+  // A data member ships only its live extent: its heap is cut at the first
+  // page above its highest allocated block. The cut is read from the
+  // member's validated allocator state (ObjectHeap::TailCut), mapped
+  // read-only; only the bytes below it are copied, into a file of the
+  // member's size whose tail stays a hole, and the copy is cut there
+  // (Puddle::TrimHeap) and truncated to match. Offsets and pointers are
+  // unchanged.
   auto copy_member = [&](const Uuid& uuid) -> puddles::Status {
-    ASSIGN_OR_RETURN(fs::path dest, copy_puddle(uuid));
-    ASSIGN_OR_RETURN(pmem::PmemFile file, pmem::PmemFile::Open(dest.string()));
+    ASSIGN_OR_RETURN(pmem::PmemFile source,
+                     pmem::PmemFile::Open(PuddlePath(uuid), /*writable=*/false));
+    ASSIGN_OR_RETURN(void* source_base, source.Map());
+    ASSIGN_OR_RETURN(puddles::Puddle member, puddles::Puddle::Attach(source_base, source.size()));
+    ASSIGN_OR_RETURN(const puddles::ObjectHeap member_heap, member.object_heap());
+    ASSIGN_OR_RETURN(const size_t heap_size, member_heap.TailCut());
+    const size_t shipped = member.header()->heap_offset + heap_size;
+    const fs::path dest = fs::path(dest_dir) / (uuid.ToString() + ".pud");
+    std::error_code stale;
+    fs::remove(dest, stale);  // A re-export replaces the old copy; Create fails if it stays.
+    ASSIGN_OR_RETURN(pmem::PmemFile file, pmem::PmemFile::Create(dest.string(), source.size()));
+    RETURN_IF_ERROR(CopyPrefix(source.fd(), file.fd(), shipped));
+    if (shipped == source.size()) {
+      return puddles::OkStatus();  // An imported copy is cut already.
+    }
     ASSIGN_OR_RETURN(void* base, file.Map());
     ASSIGN_OR_RETURN(puddles::Puddle puddle, puddles::Puddle::Attach(base, file.size()));
-    RETURN_IF_ERROR(puddle.TrimHeap());
-    const size_t trimmed = puddle.file_size();
+    RETURN_IF_ERROR(puddle.TrimHeap(heap_size));
     file.Unmap();
-    if (::ftruncate(file.fd(), static_cast<off_t>(trimmed)) != 0) {
+    if (::ftruncate(file.fd(), static_cast<off_t>(shipped)) != 0) {
       return puddles::ErrnoError("truncate exported puddle", errno);
     }
     return puddles::OkStatus();
@@ -799,7 +831,7 @@ puddles::Status Daemon::ExportPool(const std::string& pool_name, const std::stri
   manifest.PutU32(meta.num_segments());
   for (uint32_t s = 0; s < meta.num_segments(); ++s) {
     manifest.PutUuid(meta.segment(s));
-    RETURN_IF_ERROR(copy_puddle(meta.segment(s)).status());
+    RETURN_IF_ERROR(copy_puddle(meta.segment(s)));
   }
   manifest.PutU32(meta.num_members());
   for (uint32_t i = 0; i < meta.num_members(); ++i) {

@@ -108,11 +108,11 @@ puddles::Status Puddle::CheckDataGeometry() const {
   return object_heap().status();
 }
 
-puddles::Status Puddle::TrimHeap() {
+puddles::Status Puddle::TrimHeap(size_t heap_size) {
   ASSIGN_OR_RETURN(ObjectHeap heap, object_heap());
-  RETURN_IF_ERROR(heap.TrimFreeTail());
-  header_->heap_size = heap.heap_size();
-  header_->file_size = header_->heap_offset + header_->heap_size;
+  RETURN_IF_ERROR(heap.CutAt(heap_size));
+  header_->heap_size = heap_size;
+  header_->file_size = header_->heap_offset + heap_size;
   pmem::FlushFence(header_, header_->heap_offset);
   return OkStatus();
 }

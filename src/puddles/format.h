@@ -139,13 +139,14 @@ class Puddle {
   // ending at the file's end, and an object heap that attaches.
   puddles::Status CheckDataGeometry() const;
 
-  // Cuts a data puddle's heap at the first page above its highest allocated
-  // block (ObjectHeap::TrimFreeTail) and records the smaller heap_size and
-  // file_size in the header; meta_offset, meta_size and heap_offset stay,
-  // so no heap offset or pointer changes. The caller truncates the file to
-  // file_size() afterwards. Meant for an export's private copy, whose live
-  // extent is all an importer needs.
-  puddles::Status TrimHeap();
+  // Cuts a data puddle's heap at `heap_size`, the ObjectHeap::TailCut of
+  // the same bytes (ObjectHeap::CutAt), and records the smaller heap_size
+  // and file_size in the header; meta_offset, meta_size and heap_offset
+  // stay, so no heap offset or pointer changes. Nothing past the new
+  // file_size is read, so it cuts a copy of just those bytes. The caller
+  // truncates the file to file_size() afterwards. Meant for an export's
+  // private copy, whose live extent is all an importer needs.
+  puddles::Status TrimHeap(size_t heap_size);
 
   // Updates the persistent base-address assignment, recording the previous
   // one, setting the needs-rewrite flag, and resetting the rewrite frontier

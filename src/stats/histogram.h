@@ -3,10 +3,10 @@
 // Values land in log-linear buckets: 32 linear sub-buckets per power-of-two
 // octave, so any recorded value is represented with ≤ 1/32 (~3.1%) relative
 // error across the full uint64 range. The bucket array is fixed at compile
-// time — recording is a branch, a bit-scan, and one relaxed counter bump; no
-// allocation ever. Histograms are mergeable (bucket-wise addition), which is
-// how per-thread instances aggregate into a process snapshot
-// (src/stats/stats.h) and how bench shards combine.
+// time — recording is a branch, a bit-scan, and a bucket, sum and max
+// update; no allocation ever. Histograms are mergeable (bucket-wise
+// addition), which is how the process-wide recording set is read into a
+// snapshot (src/stats/stats.h) and how bench shards combine.
 //
 // Units are whatever the caller records — the stats layer records raw TSC
 // ticks and converts to nanoseconds at report time (stats::TicksToNanos), so
@@ -21,8 +21,8 @@
 namespace puddles {
 namespace stats {
 
-// Log-linear bucket geometry, shared by the recording (atomic, per-thread)
-// and snapshot (plain, mergeable) representations.
+// Log-linear bucket geometry, shared by the recording (atomic, shared) and
+// snapshot (plain, mergeable) representations.
 struct BucketScale {
   // 2^kSubBucketBits linear sub-buckets per octave → 1/32 relative error.
   static constexpr int kSubBucketBits = 5;
@@ -134,9 +134,10 @@ class Histogram {
   }
   uint64_t bucket(size_t i) const { return buckets_[i]; }
 
-  // Raw-merge interface used by AtomicHistogram::MergeInto: bucket counts and
-  // the exact (sum, max) are transferred separately so cross-thread merges
-  // stay exact instead of reconstructing sums from bucket midpoints.
+  // Raw-merge interface used by AtomicHistogram::MergeInto and stats::Delta:
+  // bucket counts and the exact (sum, max) are transferred separately so
+  // copies and differences stay exact instead of reconstructing sums from
+  // bucket midpoints.
   void AddBucket(size_t i, uint64_t n) {
     buckets_[i] += n;
     count_ += n;
@@ -155,18 +156,20 @@ class Histogram {
   uint64_t max_ = 0;
 };
 
-// Per-thread recording representation: atomics so a concurrent snapshot read
-// is race-free (TSan-clean), but written only by the owning thread — bumps
-// are relaxed load+store pairs, never lock-prefixed RMWs. Snapshot totals are
-// exact once writers have quiesced; mid-flight reads are a consistent-enough
-// monitoring view (counts may trail values by one in-progress record).
+// Shared recording representation: any thread records, with relaxed
+// fetch_add on the bucket and the sum and a CAS loop for the max, so records
+// from many threads are all counted. These are locked instructions, paid
+// only by the one operation in kSamplePeriod that is timed (stats.h), after
+// its scope's fence. Snapshot totals are exact once writers have quiesced;
+// mid-flight reads are a consistent-enough monitoring view (counts may trail
+// sums by an in-progress record).
 class AtomicHistogram {
  public:
   void Record(uint64_t value) {
-    Bump(&buckets_[BucketScale::BucketFor(value)], 1);
-    Bump(&sum_, value);
-    if (value > max_.load(std::memory_order_relaxed)) {
-      max_.store(value, std::memory_order_relaxed);
+    buckets_[BucketScale::BucketFor(value)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(value, std::memory_order_relaxed);
+    uint64_t max = max_.load(std::memory_order_relaxed);
+    while (value > max && !max_.compare_exchange_weak(max, value, std::memory_order_relaxed)) {
     }
   }
 
@@ -191,10 +194,6 @@ class AtomicHistogram {
   }
 
  private:
-  static void Bump(std::atomic<uint64_t>* slot, uint64_t n) {
-    slot->store(slot->load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  }
-
   std::atomic<uint64_t> buckets_[BucketScale::kNumBuckets] = {};
   std::atomic<uint64_t> sum_{0};  // count is derivable from the buckets.
   std::atomic<uint64_t> max_{0};

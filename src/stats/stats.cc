@@ -2,6 +2,8 @@
 
 #include <time.h>
 
+#include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <numeric>
 #include <vector>
@@ -72,15 +74,18 @@ uint64_t MonotonicNanos() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-// Owns the live-slot list and the totals of exited threads. Leaked on
-// purpose (never destroyed) so thread-exit retirement can never race static
-// destruction order.
+// Owns the live-slot list, the counter totals of exited threads and the
+// process-wide histograms. Allocated on the heap and leaked on purpose
+// (never destroyed) so thread-exit retirement and late records can never
+// race static destruction order.
 class Registry {
  public:
   static Registry& Instance() {
     static Registry* registry = new Registry();
     return *registry;
   }
+
+  AtomicHistogram* histograms() { return hists_; }
 
   ThreadSlot* Register() {
     ThreadSlot* slot = new ThreadSlot();
@@ -95,8 +100,8 @@ class Registry {
       if (slots_[i] == slot) {
         slots_[i] = slots_.back();
         slots_.pop_back();
-        MergeSlot(*slot, &retired_);
-        ++retired_.retired_threads;
+        AddCounters(*slot, retired_.counters, retired_.daemon_ops);
+        ++retired_.threads;
         delete slot;
         return;
       }
@@ -104,12 +109,18 @@ class Registry {
   }
 
   Snapshot Aggregate() {
+    Snapshot out;
     std::lock_guard<std::mutex> lock(mu_);
-    Snapshot out = retired_;
+    std::copy(std::begin(retired_.counters), std::end(retired_.counters), out.counters);
+    std::copy(std::begin(retired_.daemon_ops), std::end(retired_.daemon_ops), out.daemon_ops);
     for (ThreadSlot* slot : slots_) {
-      MergeSlot(*slot, &out);
+      AddCounters(*slot, out.counters, out.daemon_ops);
+    }
+    for (size_t i = 0; i < kNumHists; ++i) {
+      hists_[i].MergeInto(&out.hists[i]);
     }
     out.live_threads = slots_.size();
+    out.retired_threads = retired_.threads;
     return out;
   }
 
@@ -127,7 +138,7 @@ class Registry {
 
   void ResetForTesting() {
     std::lock_guard<std::mutex> lock(mu_);
-    retired_ = Snapshot();
+    retired_ = Retired();
     for (ThreadSlot* slot : slots_) {
       for (size_t i = 0; i < kNumCounters; ++i) {
         slot->counters[i].store(0, std::memory_order_relaxed);
@@ -135,28 +146,34 @@ class Registry {
       for (size_t i = 0; i < kMaxDaemonOps; ++i) {
         slot->daemon_ops[i].store(0, std::memory_order_relaxed);
       }
-      for (size_t i = 0; i < kNumHists; ++i) {
-        slot->hists[i].Reset();
-      }
+    }
+    for (AtomicHistogram& hist : hists_) {
+      hist.Reset();
     }
   }
 
  private:
-  static void MergeSlot(const ThreadSlot& slot, Snapshot* out) {
+  // What exited threads leave behind: their counters. Their samples are
+  // already in the process-wide histograms.
+  struct Retired {
+    uint64_t counters[kNumCounters] = {};
+    uint64_t daemon_ops[kMaxDaemonOps] = {};
+    uint64_t threads = 0;
+  };
+
+  static void AddCounters(const ThreadSlot& slot, uint64_t* counters, uint64_t* daemon_ops) {
     for (size_t i = 0; i < kNumCounters; ++i) {
-      out->counters[i] += slot.counters[i].load(std::memory_order_relaxed);
+      counters[i] += slot.counters[i].load(std::memory_order_relaxed);
     }
     for (size_t i = 0; i < kMaxDaemonOps; ++i) {
-      out->daemon_ops[i] += slot.daemon_ops[i].load(std::memory_order_relaxed);
-    }
-    for (size_t i = 0; i < kNumHists; ++i) {
-      slot.hists[i].MergeInto(&out->hists[i]);
+      daemon_ops[i] += slot.daemon_ops[i].load(std::memory_order_relaxed);
     }
   }
 
   std::mutex mu_;
   std::vector<ThreadSlot*> slots_;
-  Snapshot retired_;
+  Retired retired_;
+  AtomicHistogram hists_[kNumHists];
 };
 
 // Retires this thread's slot when the thread exits. A separate object from
@@ -205,6 +222,8 @@ ThreadSlot& Slot() {
   }
   return *tls_slot;
 }
+
+AtomicHistogram* Histograms() { return Registry::Instance().histograms(); }
 
 }  // namespace internal
 

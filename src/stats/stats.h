@@ -1,22 +1,26 @@
-// Runtime telemetry: per-thread lock-free counters and latency histograms,
-// aggregated on demand into a process-wide snapshot. Every timing is a
-// histogram here, read through stats::Aggregate(), the daemon STATS opcode
-// and puddlestat.
+// Runtime telemetry: per-thread lock-free counters and one process-wide set
+// of latency histograms, aggregated on demand into a process-wide snapshot.
+// Every timing is a histogram here, read through stats::Aggregate(), the
+// daemon STATS opcode and puddlestat.
 //
 // Design rules (DESIGN.md §11):
 //   * Stats writes are VOLATILE-ONLY. Nothing in this subsystem may flush,
 //     fence, or touch persistent memory — instrumentation must be invisible
 //     to the persistence ordering the rest of the tree is verified against
 //     (enforced by tools/check_discipline.py).
-//   * The fast path is wait-free and allocation-free: a TLS pointer load, a
-//     branch, and a relaxed load+store bump on a cacheline owned by the
-//     calling thread. Slots register once per thread (the only lock), live
-//     until thread exit, and retire their totals into a global accumulator so
-//     Aggregate() is exact over dead threads too.
+//   * The counter fast path is wait-free and allocation-free: a TLS pointer
+//     load, a branch, and a relaxed load+store bump on a cacheline owned by
+//     the calling thread. Slots hold counters only, register once per thread
+//     (the only lock), live until thread exit, and retire their totals into a
+//     global accumulator so Aggregate() is exact over dead threads too.
 //   * Counters are exact: every operation bumps them. Timers read the clock
 //     only inside a sampled operation (SampledOp), so a histogram's count is
 //     the number of sampled operations that reached its scope, and the layers
 //     of one sampled operation are timed together.
+//   * Histograms are process-wide, allocated once with the registry: a
+//     thread pays nothing for them. Only sampled operations write them, with
+//     relaxed read-modify-writes, and every timer records after its scope's
+//     fence, so no locked instruction lands between a clwb and its sfence.
 //
 // Timers record raw TSC ticks and convert to nanoseconds at report time via
 // TicksToNanos(). A tick read (rdtsc) measured 16–30 ns on a 4-vCPU
@@ -126,9 +130,10 @@ struct Snapshot {
   const Histogram& hist(Hist h) const { return hists[static_cast<size_t>(h)]; }
 };
 
-// Sums every live per-thread slot plus the retired accumulator. Exact once
-// writer threads have quiesced (joined); during concurrent updates it is a
-// monotonic, slightly-trailing monitoring view.
+// Sums every live per-thread slot plus the retired accumulator, and copies
+// the process-wide histograms. Exact once writer threads have quiesced
+// (joined); during concurrent updates it is a monotonic, slightly-trailing
+// monitoring view.
 Snapshot Aggregate();
 
 // Sets out[i] to the total of counters[i] over every live slot plus the
@@ -141,8 +146,9 @@ void SumCounters(std::span<const Counter> counters, std::span<uint64_t> out);
 // diff quiesced snapshots.
 Snapshot Delta(const Snapshot& after, const Snapshot& before);
 
-// Test hook: folds every live slot and the retired accumulator to zero.
-// Not safe to run concurrently with writers mid-bump; tests quiesce first.
+// Test hook: zeroes every live slot, the retired accumulator and the
+// histograms. Not safe to run concurrently with writers mid-bump; tests
+// quiesce first.
 void ResetForTesting();
 
 // ---- Clocks ----
@@ -153,12 +159,12 @@ uint64_t NowTicks();
 uint64_t TicksToNanos(uint64_t ticks);
 
 // ---- Fast-path implementation ----
-// Cacheline-padded per-thread slot. Writers: owning thread only, relaxed
-// load+store (no lock-prefixed RMW). Readers: Aggregate(), relaxed loads.
+// Cacheline-padded per-thread counter slot. Writers: owning thread only,
+// relaxed load+store (no lock-prefixed RMW). Readers: Aggregate(), relaxed
+// loads.
 struct alignas(64) ThreadSlot {
   std::atomic<uint64_t> counters[kNumCounters] = {};
   std::atomic<uint64_t> daemon_ops[kMaxDaemonOps] = {};
-  AtomicHistogram hists[kNumHists];
 
   void Bump(Counter c, uint64_t n) {
     std::atomic<uint64_t>& slot = counters[static_cast<size_t>(c)];
@@ -169,7 +175,6 @@ struct alignas(64) ThreadSlot {
     daemon_ops[i].store(daemon_ops[i].load(std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
   }
-  void Record(Hist h, uint64_t ticks) { hists[static_cast<size_t>(h)].Record(ticks); }
 };
 
 // One in kSamplePeriod top-level operations on a thread is timed. 64 puts a
@@ -182,6 +187,9 @@ namespace internal {
 // slow path takes the registry lock exactly once per thread lifetime.
 ThreadSlot& Slot();
 extern constinit thread_local ThreadSlot* tls_slot;
+
+// The process-wide histograms, indexed by Hist (kNumHists of them).
+AtomicHistogram* Histograms();
 
 // This thread's operation sampler (SampledOp).
 struct OpSampler {
@@ -204,8 +212,11 @@ inline ThreadSlot& LocalSlot() {
 
 inline void Add(Counter c, uint64_t n) { LocalSlot().Bump(c, n); }
 inline void AddDaemonOp(uint32_t op) { LocalSlot().BumpDaemonOp(op); }
-// Not sampled: records every call.
-inline void Record(Hist h, uint64_t ticks) { LocalSlot().Record(h, ticks); }
+// Not sampled: records every call, with locked read-modify-writes on the
+// process-wide histogram.
+inline void Record(Hist h, uint64_t ticks) {
+  internal::Histograms()[static_cast<size_t>(h)].Record(ticks);
+}
 
 // Marks a top-level operation (a pool.Run, a daemon request, a Pool::Sync) for
 // the lifetime of the scope. The outermost one on a thread takes the
@@ -237,7 +248,8 @@ class SampledOp {
 };
 
 // RAII tick timer recording into a histogram on scope exit, inside a sampled
-// operation only.
+// operation only. Its record is a locked instruction: a timer wraps a whole
+// scope, so it lands after the scope's fence, never between a flush and it.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Hist hist)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -22,6 +23,12 @@ class BuddyTest : public ::testing::Test {
     auto attached = BuddyAllocator::Attach(meta_.data(), heap_.data(), kHeapSize);
     ASSERT_TRUE(attached.ok()) << attached.status().ToString();
     buddy_ = std::move(*attached);
+  }
+
+  // An export's cut, made in place: TailCut at a 4 KiB page, then CutAt.
+  puddles::Status TrimToPage() {
+    ASSIGN_OR_RETURN(const size_t cut, buddy_.TailCut(4096));
+    return buddy_.CutAt(cut);
   }
 
   std::vector<uint8_t> meta_;
@@ -141,7 +148,7 @@ TEST_F(BuddyTest, TrimCutsAtThePageAboveTheHighestBlock) {
   ASSERT_TRUE(lower.ok() && upper.ok());
   ASSERT_EQ(static_cast<size_t>(*upper), kHeapSize / 2);
   ASSERT_TRUE(buddy_.Free(*lower).ok());
-  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  ASSERT_TRUE(TrimToPage().ok());
   EXPECT_EQ(buddy_.heap_size(), 528384u);  // 516 KiB.
   EXPECT_EQ(buddy_.free_bytes(), 528384u - 256);
   EXPECT_TRUE(buddy_.Validate().ok()) << buddy_.Validate().ToString();
@@ -157,7 +164,7 @@ TEST_F(BuddyTest, TrimAtAPowerOfTwoReattachesAndCoalescesToOneBlock) {
   auto big = buddy_.Allocate(40 << 10);  // A 64 KiB block, ending at 128 KiB.
   ASSERT_TRUE(small.ok() && big.ok());
   ASSERT_EQ(*big + (64 << 10), 128 << 10);
-  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  ASSERT_TRUE(TrimToPage().ok());
   EXPECT_EQ(buddy_.heap_size(), 128u << 10);
   EXPECT_EQ(buddy_.free_bytes(), (128u << 10) - 256 - (64 << 10));
   ASSERT_TRUE(buddy_.Validate().ok()) << buddy_.Validate().ToString();
@@ -178,7 +185,7 @@ TEST_F(BuddyTest, TrimAtAPowerOfTwoReattachesAndCoalescesToOneBlock) {
 
 TEST_F(BuddyTest, TrimStopsAtTheMinimumSize) {
   ASSERT_TRUE(buddy_.Allocate(256).ok());
-  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  ASSERT_TRUE(TrimToPage().ok());
   EXPECT_EQ(buddy_.heap_size(), 4096u);
   EXPECT_TRUE(buddy_.Validate().ok());
 }
@@ -187,7 +194,7 @@ TEST_F(BuddyTest, TrimStopsAtTheMinimumSize) {
 // a free block straddle the cut: an empty heap's single block keeps its
 // first page, as a free block of its own.
 TEST_F(BuddyTest, TrimSplitsTheStraddlingFreeBlockAtTheCut) {
-  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  ASSERT_TRUE(TrimToPage().ok());
   EXPECT_EQ(buddy_.heap_size(), 4096u);
   EXPECT_EQ(buddy_.free_bytes(), 4096u);
   ASSERT_TRUE(buddy_.Validate().ok()) << buddy_.Validate().ToString();
@@ -207,7 +214,7 @@ TEST_F(BuddyTest, FreeNextToTheCutDoesNotCoalescePastIt) {
     pages.push_back(*page);
   }
   ASSERT_EQ(pages.back(), 8192);
-  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  ASSERT_TRUE(TrimToPage().ok());
   ASSERT_EQ(buddy_.heap_size(), 12288u);
   ASSERT_EQ(buddy_.free_bytes(), 0u);
   for (int64_t page : pages) {
@@ -236,7 +243,7 @@ TEST_F(BuddyTest, CutHeapReattachesValidatesAndAllocates) {
     blocks.push_back(*block);
   }
   ASSERT_EQ(blocks.back(), 32768);
-  ASSERT_TRUE(buddy_.TrimFreeTail(4096).ok());
+  ASSERT_TRUE(TrimToPage().ok());
   ASSERT_EQ(buddy_.heap_size(), 36864u);
   EXPECT_EQ(buddy_.free_bytes(), 4096u - 256);  // 256, 512, 1 KiB and 2 KiB blocks.
 
@@ -258,6 +265,31 @@ TEST_F(BuddyTest, CutHeapReattachesValidatesAndAllocates) {
   EXPECT_FALSE(cut->CanAllocate(16384));
 }
 
+// An export cuts a copy of only the bytes below the cut: CutAt neither
+// reads nor writes a byte past it, so garbage there changes nothing.
+TEST_F(BuddyTest, CutAtReadsNothingPastTheCut) {
+  for (size_t size : {256u, 4096u, 8192u}) {
+    ASSERT_TRUE(buddy_.Allocate(size).ok());
+  }
+  auto cut = buddy_.TailCut(4096);
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  ASSERT_EQ(*cut, 16384u);
+  std::memset(heap_.data() + *cut, 0xAB, kHeapSize - *cut);
+  ASSERT_TRUE(buddy_.CutAt(*cut).ok());
+  EXPECT_EQ(buddy_.heap_size(), 16384u);
+  EXPECT_EQ(buddy_.free_bytes(), 4096u - 256);
+  EXPECT_TRUE(buddy_.Validate().ok()) << buddy_.Validate().ToString();
+  EXPECT_TRUE(std::all_of(heap_.begin() + *cut, heap_.end(), [](uint8_t b) { return b == 0xAB; }));
+}
+
+// A cut through an allocated block is DataLoss.
+TEST_F(BuddyTest, CutAtRefusesToCutAnAllocatedBlock) {
+  auto block = buddy_.Allocate(8192);
+  ASSERT_TRUE(block.ok());
+  ASSERT_EQ(*block, 0);
+  EXPECT_EQ(buddy_.CutAt(4096).code(), StatusCode::kDataLoss);
+}
+
 // A corrupt free list fails the trim's validation: DataLoss, and the heap
 // keeps its size.
 TEST_F(BuddyTest, TrimRefusesACorruptFreeList) {
@@ -265,7 +297,7 @@ TEST_F(BuddyTest, TrimRefusesACorruptFreeList) {
   // Corrupt the upper half's free node: it now claims a successor.
   int64_t bogus_next = 0;
   std::memcpy(heap_.data() + kHeapSize / 2, &bogus_next, sizeof(bogus_next));
-  EXPECT_EQ(buddy_.TrimFreeTail(4096).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(TrimToPage().code(), StatusCode::kDataLoss);
   EXPECT_EQ(buddy_.heap_size(), kHeapSize);
   EXPECT_EQ(buddy_.free_bytes(), kHeapSize - 256);
 }

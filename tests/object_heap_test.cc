@@ -179,8 +179,11 @@ TEST_F(ObjectHeapTest, TrimFreeTailKeepsEveryObject) {
       heap_.OffsetOf(*big) + static_cast<int64_t>(heap_.CapacityOf(*big));
   ASSERT_GE(block_end, end);
 
-  ASSERT_TRUE(heap_.TrimFreeTail().ok());
-  EXPECT_EQ(heap_.heap_size(), AlignUp(block_end, kSlabBlockSize)) << "the page above the block";
+  auto cut = heap_.TailCut();
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  EXPECT_EQ(*cut, AlignUp(block_end, kSlabBlockSize)) << "the page above the block";
+  ASSERT_TRUE(heap_.CutAt(*cut).ok());
+  EXPECT_EQ(heap_.heap_size(), *cut);
   ASSERT_TRUE(heap_.Validate().ok()) << heap_.Validate().ToString();
 
   auto reattached = ObjectHeap::Attach(meta_.data(), heap_buf_.data(), heap_.heap_size());

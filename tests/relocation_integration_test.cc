@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -479,25 +481,30 @@ void ForEachExportedPuddle(const fs::path& dir, const std::function<void(Puddle&
   }
 }
 
+using StateList = workloads::PersistentList<workloads::PuddlesAdapter>;
+constexpr uint64_t kShipListVars = 16384;
+
 // Paper Fig. 14's shipped state, as bench/e2e's ship-list seeds it: a
-// 16,384-variable list whose allocations end at 549,056 B of a 2 MiB heap.
-// Its export cuts that member at the next page, a 552,960 B heap behind the
-// 16 KiB header and metadata, and the importer maps and relocates the cut
-// copy with every pointer intact.
-TEST_F(RelocationTest, ShipListSeedImportIsCutAtItsLastPage) {
-  using StateList = workloads::PersistentList<workloads::PuddlesAdapter>;
-  constexpr uint64_t kVars = 16384;
+// 16,384-variable list in pool "state", whose allocations end at 549,056 B
+// of a 2 MiB heap.
+void SeedShipList(Runtime& runtime) {
   StateList::RegisterTypes();
-  auto pool = runtime_->CreatePool("state");
+  auto pool = runtime.CreatePool("state");
   ASSERT_TRUE(pool.ok());
   StateList list{workloads::PuddlesAdapter(*pool)};
   ASSERT_TRUE(list.Init().ok());
-  uint64_t expected = 0;
-  for (uint64_t i = 0; i < kVars; ++i) {
+  for (uint64_t i = 0; i < kShipListVars; ++i) {
     ASSERT_TRUE(list.InsertTail(i).ok());
-    expected += i;
   }
   ASSERT_EQ((*pool)->member_count(), 1u);
+}
+
+// The ship-list seed's export cuts its member at the next page, a 552,960 B
+// heap behind the 16 KiB header and metadata, and the importer maps and
+// relocates the cut copy with every pointer intact.
+TEST_F(RelocationTest, ShipListSeedImportIsCutAtItsLastPage) {
+  const uint64_t expected = kShipListVars * (kShipListVars - 1) / 2;
+  ASSERT_NO_FATAL_FAILURE(SeedShipList(*runtime_));
   ASSERT_TRUE(runtime_->ExportPool("state", (base_ / "export").string()).ok());
 
   auto import = runtime_->client().ImportPool((base_ / "export").string(), "copy");
@@ -526,8 +533,82 @@ TEST_F(RelocationTest, ShipListSeedImportIsCutAtItsLastPage) {
     sum += n->value;
     ++count;
   }
-  EXPECT_EQ(count, kVars);
+  EXPECT_EQ(count, kShipListVars);
   EXPECT_EQ(sum, expected);
+}
+
+// Bytes this process has read and written through system calls
+// (/proc/self/io rchar and wchar), or nullopt where the kernel does not say.
+std::optional<std::pair<uint64_t, uint64_t>> IoBytes() {
+  std::ifstream io("/proc/self/io");
+  std::optional<uint64_t> read, written;
+  std::string key;
+  uint64_t value = 0;
+  while (io >> key >> value) {
+    if (key == "rchar:") {
+      read = value;
+    } else if (key == "wchar:") {
+      written = value;
+    }
+  }
+  if (!read || !written) {
+    return std::nullopt;
+  }
+  return std::make_pair(*read, *written);
+}
+
+// An export copies only what it ships: the ship-list seed's member file is
+// 2,129,920 B, but the export reads and writes no more bytes than the
+// export directory ends up holding (the cut member, the one-page pool meta
+// and the manifest), give or take a page for reading the counts themselves.
+TEST_F(RelocationTest, ShipListSeedExportCopiesOnlyWhatItShips) {
+  ASSERT_NO_FATAL_FAILURE(SeedShipList(*runtime_));
+  const auto before = IoBytes();
+  if (!before) {
+    GTEST_SKIP() << "no /proc/self/io byte counts";
+  }
+  ASSERT_TRUE(runtime_->ExportPool("state", (base_ / "export").string()).ok());
+  const auto after = IoBytes();
+  ASSERT_TRUE(after);
+  uint64_t shipped = 0;
+  for (const auto& dirent : fs::directory_iterator(base_ / "export")) {
+    shipped += fs::file_size(dirent.path());
+  }
+  EXPECT_EQ(shipped, 569344u + 8192u + fs::file_size(base_ / "export" / "manifest.bin"));
+  EXPECT_LE(after->first - before->first, shipped + kPageSize) << "bytes read";
+  EXPECT_LE(after->second - before->second, shipped + kPageSize) << "bytes written";
+}
+
+// An imported copy is already at its live extent: its re-export copies the
+// member as it is, and that export imports with every value intact.
+TEST_F(RelocationTest, ShipListSeedReExportShipsTheCutMemberAsItIs) {
+  ASSERT_NO_FATAL_FAILURE(SeedShipList(*runtime_));
+  ASSERT_TRUE(runtime_->ExportPool("state", (base_ / "export").string()).ok());
+  ASSERT_TRUE(runtime_->client().ImportPool((base_ / "export").string(), "copy").ok());
+  ASSERT_TRUE(runtime_->OpenPool("copy").ok());
+  ASSERT_TRUE(runtime_->ExportPool("copy", (base_ / "reexport").string()).ok());
+  std::vector<uintmax_t> sizes;
+  for (const auto& dirent : fs::directory_iterator(base_ / "reexport")) {
+    if (dirent.path().extension() == ".pud") {
+      sizes.push_back(fs::file_size(dirent.path()));
+    }
+  }
+  std::sort(sizes.begin(), sizes.end());
+  EXPECT_EQ(sizes, (std::vector<uintmax_t>{8192u, 569344u})) << "pool meta, then the member";
+
+  auto import = runtime_->client().ImportPool((base_ / "reexport").string(), "again");
+  ASSERT_TRUE(import.ok()) << import.status().ToString();
+  auto again = runtime_->OpenPool("again");
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto* head = *(*again)->Root<StateList::Head>();
+  uint64_t sum = 0;
+  uint64_t count = 0;
+  for (StateList::Node* n = head->head; n != nullptr; n = n->next) {
+    sum += n->value;
+    ++count;
+  }
+  EXPECT_EQ(count, kShipListVars);
+  EXPECT_EQ(sum, kShipListVars * (kShipListVars - 1) / 2);
 }
 
 // A member table grown past two continuation segments (with small data

@@ -1,15 +1,20 @@
 // Telemetry subsystem tests: histogram correctness against a sorted-vector
-// oracle, exact multi-threaded counter aggregation (run under TSan in CI's
-// concurrency job), the PersistObserver/stats double-hook contract, timers
+// oracle, exact multi-threaded aggregation of per-thread counters and the
+// shared histograms (run under TSan in CI's concurrency job), what a thread
+// costs in telemetry, the PersistObserver/stats double-hook contract, timers
 // sampled by whole operation beside exact counters, and the daemon STATS
 // opcode.
 #include "src/stats/stats.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,10 +143,11 @@ TEST(Clocks, TicksConvertToPlausibleNanos) {
   EXPECT_LT(elapsed_ns, 10ULL * 1000 * 1000 * 1000);  // < 10 s
 }
 
-// 8 writer threads hammer counters and histograms through the same TLS fast
-// path production code uses; after join, Aggregate() must be EXACT (the
-// retire-on-thread-exit fold plus live-slot sums lose nothing). This test is
-// the TSan witness for the relaxed-atomics design.
+// 8 writer threads hammer their counters through the same TLS fast path
+// production code uses, and one shared histogram; after join, Aggregate()
+// must be EXACT (the retire-on-thread-exit fold plus live-slot sums lose no
+// count, and no concurrent record is lost). This test is the TSan witness
+// for the relaxed-atomics design.
 TEST(ThreadedAggregation, SnapshotEqualsSumAfterJoin) {
   ResetForTesting();
   constexpr int kThreads = 8;
@@ -185,6 +191,82 @@ TEST(ThreadedAggregation, SnapshotEqualsSumAfterJoin) {
   EXPECT_EQ(op_total, kThreads * kPerThread);
   // All 8 writers have exited; their totals live in the retired accumulator.
   EXPECT_GE(Aggregate().retired_threads, static_cast<uint64_t>(kThreads));
+}
+
+// ---- What a thread costs in telemetry: its counters, nothing more. ----
+
+// Heap bytes in use, as mallinfo2 reports them.
+int64_t HeapInUse() {
+  const struct mallinfo2 info = ::mallinfo2();
+  return static_cast<int64_t>(info.uordblks + info.hblkhd);
+}
+
+// False where mallinfo2 does not see the allocator (ASan and TSan replace it).
+bool MallinfoSeesHeap() {
+  const int64_t before = HeapInUse();
+  void* volatile probe = std::malloc(1 << 16);
+  const bool seen = HeapInUse() - before >= (1 << 16);
+  std::free(probe);
+  return seen;
+}
+
+// The histograms are process-wide, so a thread's slot is its counters.
+TEST(ThreadCost, SlotHoldsOnlyCounters) { EXPECT_LE(sizeof(ThreadSlot), 1024u); }
+
+// A live thread that has bumped a counter and recorded into every histogram
+// holds under 1 KiB of heap for it, and its samples are in Aggregate() while
+// it lives and after it exits.
+TEST(ThreadCost, LiveThreadAddsUnderOneKiBAndItsSamplesOutliveIt) {
+  const bool heap_seen = MallinfoSeesHeap();
+  const Snapshot before = Aggregate();
+  std::mutex mu;
+  std::condition_variable cv;
+  bool recorded = false;
+  bool release = false;
+  int64_t heap_added = 0;
+  std::thread thread([&] {
+    // The thread's own allocator state (its arena and cache) outside the measure.
+    void* volatile warm = std::malloc(64);
+    std::free(warm);
+    const int64_t heap_before = HeapInUse();
+    Add(Counter::kTxBegin, 1);
+    for (size_t h = 0; h < kNumHists; ++h) {
+      Record(static_cast<Hist>(h), 1000 + h);
+    }
+    heap_added = HeapInUse() - heap_before;
+    std::unique_lock<std::mutex> lock(mu);
+    recorded = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return recorded; });
+  }
+  const Snapshot live = Aggregate();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  thread.join();
+  const Snapshot exited = Aggregate();
+
+  if (heap_seen) {
+    EXPECT_LT(heap_added, 1024) << "heap held for one thread's telemetry";
+  }
+  EXPECT_EQ(live.live_threads, before.live_threads + 1);
+  EXPECT_EQ(exited.live_threads, before.live_threads);
+  EXPECT_EQ(exited.retired_threads, before.retired_threads + 1);
+  for (const Snapshot* now : {&live, &exited}) {
+    const Snapshot delta = Delta(*now, before);
+    EXPECT_EQ(delta.counter(Counter::kTxBegin), 1u);
+    for (size_t h = 0; h < kNumHists; ++h) {
+      const Histogram& hist = delta.hist(static_cast<Hist>(h));
+      EXPECT_EQ(hist.count(), 1u) << HistName(static_cast<Hist>(h));
+      EXPECT_EQ(hist.sum(), 1000 + h) << HistName(static_cast<Hist>(h));
+    }
+  }
 }
 
 // A PersistObserver and the stats counters hook the same Flush/Fence stream;

@@ -8,16 +8,17 @@
 // checked in at the repo root so the perf trajectory of the
 // batched-persistence protocol (DESIGN.md §10) and the paper's comparisons
 // are recorded per PR. Every row names its `library` ("puddles", "pmdk" or
-// "romulus") and carries two measurements, each from its own pass:
-//   * ns_per_op   — wall-clock mean over the iteration count of the op
-//     alone, and
+// "romulus") and carries two measurements, each from its own passes:
+//   * ns_per_op   — the op alone, timed in kTimedPasses passes of a fifth of
+//     the iteration count each (at least one op): the median pass's
+//     wall-clock mean, so one preempted pass cannot move the row, and
 //   * fences_per_op — ordering points per operation, counted by a
 //     pmem::PersistObserver on the real persistence instruction stream (the
 //     protocol's primary figure of merit: O(N) → O(1) per transaction).
 //
-// Each row also carries p50/p99 latency percentiles, measured by a third
+// Each row also carries p50/p99 latency percentiles, measured by one more
 // pass over the same op (per-op rdtsc reads into a stats::Histogram) so the
-// mean above stays uncontaminated by clock reads.
+// timed passes above stay uncontaminated by clock reads.
 //
 // One more Puddles row, tx_log_16384_fields, records Fig. 14's sensor update
 // (bench/e2e ship-list's set-up): one transaction that undo-logs the `value`
@@ -65,6 +66,7 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -144,6 +146,9 @@ uint64_t AllocatorSlowPathEvents() {
 
 class Runner {
  public:
+  // Timed passes per row; ns_per_op is the median one.
+  static constexpr size_t kTimedPasses = 5;
+
   explicit Runner(uint64_t iters) : iters_(iters) {}
 
   // `expected_steady_fences >= 0` turns on exact fence accounting for the
@@ -164,14 +169,20 @@ class Runner {
     // faults) out of the steady-state numbers.
     op();
 
-    // Timed pass: the op alone. The fence observer below costs a locked
-    // increment and a virtual call per flush and fence, which would tax the
-    // fence-heavy baselines most and skew every Puddles-over-PMDK ratio.
-    bench::Timer timer;
-    for (uint64_t i = 0; i < iterations; ++i) {
-      op();
+    // Timed passes: the op alone, reported as the median pass. The fence
+    // observer below costs a locked increment and a virtual call per flush
+    // and fence, which would tax the fence-heavy baselines most and skew
+    // every Puddles-over-PMDK ratio.
+    const uint64_t pass_ops = std::max<uint64_t>(1, iterations / kTimedPasses);
+    double pass_ns[kTimedPasses];
+    for (double& ns : pass_ns) {
+      bench::Timer timer;
+      for (uint64_t i = 0; i < pass_ops; ++i) {
+        op();
+      }
+      ns = timer.Nanos() / static_cast<double>(pass_ops);
     }
-    const double nanos = timer.Nanos();
+    std::sort(std::begin(pass_ns), std::end(pass_ns));
 
     // Fence pass: the same op under the observer, with per-op attribution
     // reading this thread's own counter slot.
@@ -203,7 +214,7 @@ class Runner {
     row.library = library;
     row.name = name;
     row.iterations = iterations;
-    row.ns_per_op = nanos / static_cast<double>(iterations);
+    row.ns_per_op = pass_ns[kTimedPasses / 2];
     row.fences_per_op =
         static_cast<double>(observer.fences()) / static_cast<double>(iterations);
 
@@ -227,7 +238,7 @@ class Runner {
     }
 
     // Percentile pass: same op, re-run with per-op timestamps into a
-    // log-bucket histogram. Kept out of the timed pass so ns_per_op never
+    // log-bucket histogram. Kept out of the timed passes so ns_per_op never
     // includes the rdtsc reads.
     puddles::stats::Histogram latency;
     for (uint64_t i = 0; i < iterations; ++i) {
